@@ -18,6 +18,7 @@ from .errors import CrossCheckError, DimensionMismatch, EmptyZeroSet
 from .linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
+    _rank_from_singular_values,
     image_projector,
     kernel_basis,
     numerical_rank,
@@ -55,9 +56,11 @@ class Certificate:
 
     ``measured_dim`` / ``required_dim`` are the span dimension found and the
     dimension the condition demands; Certified requires exact equality (and,
-    for the Exposed claim, irreducibility on the image).  The note records
-    the standing caveats of the check, chiefly that positivity of the input
-    is only ever verified heuristically.
+    for the Exposed claim, irreducibility on the image).  ``irreducible``
+    (trivial commutant on all of M_m) is reported beside it for the Exposed
+    claim, from the same commutant solve; it does not enter the verdict.
+    The note records the standing caveats of the check, chiefly that
+    positivity of the input is only ever verified heuristically.
     """
 
     claim: str
@@ -67,6 +70,7 @@ class Certificate:
     irreducible_on_image: bool | None
     tolerances: ToleranceConfig
     conditional_note: str
+    irreducible: bool | None = None
 
     def __post_init__(self):
         if self.claim not in (OPTIMAL, EXPOSED):
@@ -136,21 +140,23 @@ def is_irreducible_on_image(phi: MapOperator, tol: ToleranceConfig = DEFAULT_TOL
     otherwise commutant elements are compressed by the projector onto the
     image of Phi(1) before the span test.
     """
+    return _irreducibility(phi, tol)[1]
+
+
+def _irreducibility(phi: MapOperator, tol: ToleranceConfig) -> tuple[bool, bool]:
+    # Both flags from one commutant solve, the costliest step of certify.
     basis = commutant_basis(phi, tol)
     p = image_projector(apply(phi, np.eye(phi.dim_in, dtype=complex)), tol)
     compressed = [(p @ x @ p).ravel() for x in basis]
-    return span_dimension(compressed, tol) == 1
+    return len(basis) == 1, span_dimension(compressed, tol) == 1
 
 
 def _real_kernel(system: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
     # Float SVD: a complex SVD of a real-cast system may phase-rotate kernel
     # vectors, which would scramble the real/imaginary split downstream.
-    u, s, vh = np.linalg.svd(np.asarray(system, dtype=float))
-    if s.size == 0 or s[0] <= 0:
-        rank = 0
-    else:
-        rank = int(np.count_nonzero(s > tol.rank_rel_tol * s[0]))
-    return vh[rank:].T
+    system = np.asarray(system, dtype=float)
+    _, s, vh = np.linalg.svd(system, full_matrices=system.shape[0] < system.shape[1])
+    return vh[_rank_from_singular_values(s, tol):].T
 
 
 def intertwiner_space(phi: MapOperator, tol: ToleranceConfig = DEFAULT_TOL) -> IntertwinerSpace:
@@ -228,7 +234,10 @@ def certify_exposed(phi: MapOperator, zs: ZeroSet, tol: ToleranceConfig = DEFAUL
     The ceiling is n^2 m - rank Phi(1): strong vectors always lie in the
     kernel of the operator a (x) h -> Phi(a) h, whose rank equals the rank of
     Phi(1).  A measured dimension above the ceiling is impossible for genuine
-    zeros and raises CrossCheckError instead of certifying.
+    zeros and raises CrossCheckError instead of certifying.  The kept pairs
+    were admitted one by one as independent strong vectors; when their count
+    differs from the measured dimension the rank decision is fragile, and
+    the verdict is Inconclusive.
     """
     _check_compatible(phi, zs)
     n, m = phi.dim_in, phi.dim_out
@@ -240,9 +249,15 @@ def certify_exposed(phi: MapOperator, zs: ZeroSet, tol: ToleranceConfig = DEFAUL
             f"strong span {measured} exceeds the kernel ceiling {required}; "
             "the zero set contains non-zeros or the rank tolerance is off"
         )
-    irreducible = is_irreducible_on_image(phi, tol)
-    verdict = CERTIFIED if (measured == required and irreducible) else INCONCLUSIVE
+    irreducible, irreducible_on_image = _irreducibility(phi, tol)
+    stable = len(zs.pairs) == measured
+    verdict = CERTIFIED if (measured == required and irreducible_on_image and stable) else INCONCLUSIVE
     note = _POSITIVITY_NOTE
+    if not stable:
+        note += (
+            f"; {len(zs.pairs)} zero pairs were admitted as independent but "
+            f"their strong span has dimension {measured}, a fragile rank decision"
+        )
     if unit_rank < m:
         note += (
             "; Phi(1) is rank deficient, so irreducibility was tested on the "
@@ -253,9 +268,10 @@ def certify_exposed(phi: MapOperator, zs: ZeroSet, tol: ToleranceConfig = DEFAUL
         verdict=verdict,
         measured_dim=measured,
         required_dim=required,
-        irreducible_on_image=irreducible,
+        irreducible_on_image=irreducible_on_image,
         tolerances=tol,
         conditional_note=note,
+        irreducible=irreducible,
     )
 
 

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .certify import certify_exposed, certify_optimal, is_irreducible
+from .certify import certify_exposed, certify_optimal
 from .documents import (
     CertificateDocument,
     MapDocument,
@@ -130,7 +130,7 @@ def _cmd_analyze(args) -> int:
     optimal = certify_optimal(phi, zs, tol)
     exposed = certify_exposed(phi, zs, tol)
     print(f"zero pairs kept: {len(zs.pairs)} (saturated: {'yes' if zs.saturated else 'no'})")
-    print(f"irreducible: {'yes' if is_irreducible(phi, tol) else 'no'}; "
+    print(f"irreducible: {'yes' if exposed.irreducible else 'no'}; "
           f"irreducible on image: {'yes' if exposed.irreducible_on_image else 'no'}")
     print(f"Optimal: {optimal.verdict}  (weak span {optimal.measured_dim} / {optimal.required_dim})")
     print(f"Exposed: {exposed.verdict}  (strong span {exposed.measured_dim} / {exposed.required_dim})")

@@ -123,11 +123,13 @@ def kernel_basis(matrix, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal basis of the numerical kernel, as matrix columns.
 
     Always satisfies numerical_rank(M) + returned column count = cols(M).
+    Only V is needed, and it is square whatever the shape; the left factor is
+    computed square only for wide matrices, where it is the small one.
     """
     m = as_matrix(matrix)
-    result = svd(m)
-    rank = _rank_from_singular_values(result.singular_values, tol)
-    return result.right_vectors[:, rank:]
+    _, s, vh = np.linalg.svd(m, full_matrices=m.shape[0] < m.shape[1])
+    rank = _rank_from_singular_values(s, tol)
+    return vh[rank:].conj().T
 
 
 def generalized_inverse(matrix, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:

@@ -210,6 +210,19 @@ def test_exposed_cross_check_on_impossible_zero_set():
         certify_exposed(phi, fake)
 
 
+def test_exposed_withheld_when_kept_pairs_exceed_the_span():
+    # a kept pair that adds no strong direction makes the span count and the
+    # admission count disagree; the full span alone must not certify then
+    phi = transpose_map(2)
+    zs = harvest_zeros(phi, seed=0)
+    assert certify_exposed(phi, zs).certified
+    padded = ZeroSet.from_pairs(2, 2, zs.pairs + zs.pairs[:1], saturated=zs.saturated)
+    cert = certify_exposed(phi, padded)
+    assert cert.measured_dim == cert.required_dim == 6
+    assert cert.verdict == INCONCLUSIVE
+    assert "fragile rank decision" in cert.conditional_note
+
+
 def test_certify_rejects_mismatched_zero_set():
     zs = harvest_zeros(transpose_map(2), seed=0)
     with pytest.raises(DimensionMismatch):

@@ -1,6 +1,8 @@
 """End-to-end exercises of the mapcert command line through main()."""
 
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -50,6 +52,23 @@ def test_analyze_transpose_map(tmp_path, capsys):
     assert "map: conjugation 2 -> 2 (transposed)" in out
     assert "Optimal: Certified  (weak span 4 / 4)" in out
     assert "Exposed: Certified  (strong span 6 / 6)" in out
+
+
+def test_analyze_output_parses_for_the_benchmark(tmp_path, capsys):
+    # perfbench/ reads analyze's stdout and JSON report with its own parsers;
+    # this pins the lines and fields it depends on.
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    report_path = tmp_path / "report.json"
+    code = main(["analyze", transpose_doc(tmp_path), "--json", str(report_path)])
+    out = capsys.readouterr().out
+    assert code == 0
+    expected = (6, 4, 6, "Certified", "Certified")
+    assert workloads.facts_from_stdout(out) == expected
+    assert workloads.facts_from_report(str(report_path)) == expected
 
 
 def test_analyze_is_deterministic(tmp_path, capsys):

@@ -81,6 +81,20 @@ def test_kernel_basis_spans_the_kernel():
     assert np.allclose(k.conj().T @ k, np.eye(4))
 
 
+@pytest.mark.parametrize(
+    "rows,cols,rank",
+    [(400, 12, 7), (400, 12, 12), (1, 9, 1), (9, 9, 4), (9, 9, 9)],
+    ids=["tall-deficient", "tall-full", "wide-row", "square-deficient", "square-full"],
+)
+def test_kernel_basis_shapes(rows, cols, rank):
+    rng = np.random.default_rng(rows + cols + rank)
+    m = ginibre(rng, rows, rank) @ ginibre(rng, rank, cols)
+    k = kernel_basis(m)
+    assert k.shape == (cols, cols - rank)
+    assert np.allclose(k.conj().T @ k, np.eye(cols - rank))
+    assert np.linalg.norm(m @ k) <= 1e-10 * np.linalg.norm(m, 2)
+
+
 @settings(deadline=None, max_examples=25)
 @given(seed=st.integers(0, 10_000), rows=st.integers(1, 6), cols=st.integers(1, 6))
 def test_generalized_inverse_penrose_identities(seed, rows, cols):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from mapcert.errors import DimensionMismatch, ZeroOperator
+from mapcert.experiments import random_rank_operator, sweep_default_cells
 from mapcert.linalg import DEFAULT_TOL
 from mapcert.maps import (
     MapOperator,
@@ -60,6 +61,24 @@ def test_harvest_matches_analytic(v, transposed, strong, weak):
     assert strong_span_dim(zs) == strong
     assert weak_span_dim(zs) == weak
     assert zs.saturated
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_kept_pairs_match_the_final_span_svd(seed):
+    # Admission is decided by the Gram-Schmidt residual, the reported
+    # dimension by the SVD at rank_rel_tol; on every default sweep cell both
+    # routes keep exactly as many pairs as that SVD counts.
+    mismatches = []
+    for n, m, r in sweep_default_cells():
+        v = random_rank_operator(n, m, r, seed=seed)
+        routes = {
+            "analytic": analytic_zeros_conjugation(v, transposed=True),
+            "harvest": harvest_zeros(from_conjugation(v, transposed=True), seed=seed),
+        }
+        for route, zs in routes.items():
+            if len(zs.pairs) != strong_span_dim(zs):
+                mismatches.append((n, m, r, route, len(zs.pairs), strong_span_dim(zs)))
+    assert mismatches == []
 
 
 def test_zero_pairs_are_verified_zeros():
