@@ -110,6 +110,21 @@ class IntertwinerSpace:
     basis: list[np.ndarray]
 
 
+def _commutant_system(phi: MapOperator) -> np.ndarray:
+    """The stacked n^2 m^2 x m^2 commutator system of ``commutant_basis``."""
+    m = phi.dim_out
+    eye = np.eye(m, dtype=complex)
+    blocks = []
+    for b in hermitian_basis(phi.dim_in):
+        g = apply(phi, b)
+        # row-major vec: vec(GX - XG) = (G kron 1 - 1 kron G^T) vec(X), each
+        # Kronecker product broadcast as a (row i, row a, col j, col b) array
+        kron_g_1 = g[:, None, :, None] * eye[None, :, None, :]
+        kron_1_gt = eye[:, None, :, None] * g.T[None, :, None, :]
+        blocks.append((kron_g_1 - kron_1_gt).reshape(m * m, m * m))
+    return np.vstack(blocks)
+
+
 def commutant_basis(phi: MapOperator, tol: ToleranceConfig = DEFAULT_TOL) -> list[np.ndarray]:
     """Basis of {X : [Phi(a), X] = 0 for all a}.
 
@@ -118,13 +133,7 @@ def commutant_basis(phi: MapOperator, tol: ToleranceConfig = DEFAULT_TOL) -> lis
     commutant; it always contains the identity, so the result is nonempty.
     """
     m = phi.dim_out
-    eye = np.eye(m, dtype=complex)
-    blocks = []
-    for b in hermitian_basis(phi.dim_in):
-        g = apply(phi, b)
-        # row-major vec: vec(GX - XG) = (G kron 1 - 1 kron G^T) vec(X)
-        blocks.append(np.kron(g, eye) - np.kron(eye, g.T))
-    cols = kernel_basis(np.vstack(blocks), tol)
+    cols = kernel_basis(_commutant_system(phi), tol)
     return [cols[:, k].reshape(m, m) for k in range(cols.shape[1])]
 
 

@@ -3,7 +3,9 @@ generate seeded test documents.
 
 Exit codes are a stable contract: 0 success, 2 parse/schema/flag errors,
 3 positivity-heuristic failure in analyze, 4 a sweep cell matching neither
-closed-form candidate.  Output is a pure function of (input, flags, seed,
+closed-form candidate, 5 an internal failure (two zero routes disagreeing,
+an oracle that does not settle, a linear-algebra routine that fails), which
+is never the input's fault.  Output is a pure function of (input, flags, seed,
 tool version); nothing time- or path-dependent is ever printed.
 """
 
@@ -32,7 +34,7 @@ from .documents import (
     tolerances_to_record,
     zero_set_summary,
 )
-from .errors import MapcertError, ParseError, SchemaError
+from .errors import CrossCheckError, MapcertError, OracleUnstable, ParseError, SchemaError
 from .experiments import (
     NEITHER_RULE,
     random_kraus_operators,
@@ -170,13 +172,14 @@ def _cmd_sweep(args) -> int:
     n_range = args.n_range if args.n_range is not None else [2, 3, 4]
     m_range = args.m_range if args.m_range is not None else [2, 3, 4, 5]
     reports = []
+    rank2 = {}
     if 2 in n_range:
         print(f"rank-2 count check (n=2, target 4m-2), seed {args.seed}")
         print(_SWEEP_HEADER)
         for m in m_range:
             if m < 2:
                 continue
-            report = run_rank2_count_check(m, seed=args.seed)
+            rank2[m] = report = run_rank2_count_check(m, seed=args.seed)
             reports.append(report)
             print(_sweep_row(report))
         print()
@@ -185,7 +188,11 @@ def _cmd_sweep(args) -> int:
     for n in n_range:
         for m in m_range:
             for rank_v in range(1, min(n, m) + 1):
-                report = run_dimension_sweep(n, m, rank_v, seed=args.seed)
+                if (n, rank_v) == (2, 2):
+                    # the rank-2 check above measured this very cell
+                    report = rank2[m]
+                else:
+                    report = run_dimension_sweep(n, m, rank_v, seed=args.seed)
                 reports.append(report)
                 print(_sweep_row(report))
     if args.json:
@@ -267,6 +274,10 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.func(args)
+    except (CrossCheckError, OracleUnstable, np.linalg.LinAlgError) as exc:
+        # LinAlgError is a ValueError: caught here, before the input arms
+        print(f"error: {exc}", file=sys.stderr)
+        return 5
     except (ParseError, SchemaError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

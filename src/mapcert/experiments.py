@@ -31,6 +31,7 @@ from .errors import (
 from .linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
+    _rank_from_singular_values,
     as_matrix,
     image_projector,
     kernel_basis,
@@ -277,7 +278,8 @@ def check_image_inclusion(
     )
 
 
-def _oracle_generators(v, transposed, grid, tol, seed, stage) -> list[np.ndarray]:
+def _oracle_generators(v, transposed, grid, tol, seed, stage) -> np.ndarray:
+    """Strong vectors of every sampled zero pair, as matrix columns."""
     n, m = v.shape
     sigma_top = float(np.linalg.norm(v, 2))
     rng = np.random.default_rng([seed, stage])
@@ -295,18 +297,23 @@ def _oracle_generators(v, transposed, grid, tol, seed, stage) -> list[np.ndarray
             c = rng.standard_normal(d) + 1j * rng.standard_normal(d)
             x = stratum @ (c / np.linalg.norm(c))
             xs.append(x)
-    vectors = []
-    eye = np.eye(m, dtype=complex)
-    for x in xs:
-        row = (x.conj() @ v) if transposed else (x @ v)
-        if np.linalg.norm(row) <= tol.rank_rel_tol * sigma_top:
-            hs = eye
-        else:
-            hs = kernel_basis(row.reshape(1, m), tol)
-        head = np.kron(x.conj(), x)
-        for k in range(hs.shape[1]):
-            vectors.append(np.kron(head, hs[:, k]))
-    return vectors
+    rows = np.array([(x.conj() @ v) if transposed else (x @ v) for x in xs])
+    free = np.linalg.norm(rows, axis=1) <= tol.rank_rel_tol * sigma_top
+    # The h solutions for a constrained x are the kernel of its 1 x m row:
+    # one stacked SVD for all rows, each cut at the shared threshold.
+    solutions = [np.eye(m, dtype=complex)] * len(xs)
+    _, s, vh = np.linalg.svd(rows[~free, None, :], full_matrices=True)
+    for i, s_i, vh_i in zip(np.flatnonzero(~free), s, vh):
+        solutions[i] = vh_i[_rank_from_singular_values(s_i, tol):].conj().T
+    # Columns conj(x) (x) x (x) hs[:, k], bitwise np.kron's: the same
+    # products with the same operand shapes, one (n, n, m, k) block per x.
+    blocks = [
+        (
+            (x.conj()[:, None] * x[None, :])[:, :, None, None] * hs[None, None, :, :]
+        ).reshape(n * n * m, hs.shape[1])
+        for x, hs in zip(xs, solutions)
+    ]
+    return np.hstack(blocks)
 
 
 def brute_force_strong_dim_oracle(

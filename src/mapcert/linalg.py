@@ -186,6 +186,8 @@ def span_dimension(vectors, tol: ToleranceConfig = DEFAULT_TOL) -> int:
     vectors).  Empty input has span dimension 0.
     """
     if isinstance(vectors, np.ndarray) and vectors.ndim == 2:
+        if vectors.shape[1] == 0:
+            return 0
         matrix = vectors
     else:
         vectors = [np.asarray(v, dtype=complex).ravel() for v in vectors]

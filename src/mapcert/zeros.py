@@ -27,11 +27,14 @@ A pair is kept only if its strong vector grows the running span, so the pair
 list of a ZeroSet is always a spanning subset.  Growth is decided by the
 residual of the normalized strong vector against an orthonormal basis of the
 kept ones (Gram-Schmidt, applied twice), at ``_SCREEN_TOL``; no SVD runs per
-candidate.  The span dimensions reported by ``weak_span_dim`` and
-``strong_span_dim`` come from one SVD of the kept vectors at the shared
-relative threshold ``rank_rel_tol``.  On exact zeros the strong count
-equals the number of kept pairs; ``certify_exposed`` issues no certificate
-when the two differ.
+candidate.  Each candidate's strong vector is built once, as an outer
+product reshaped flat (entry for entry the Kronecker product, without its
+per-call overhead), and the ZeroSet keeps the very vectors that were
+admitted, stacked as rows.  The span dimensions reported by
+``weak_span_dim`` and ``strong_span_dim`` come from one SVD of those rows at
+the shared relative threshold ``rank_rel_tol``.  On exact zeros the strong
+count equals the number of kept pairs; ``certify_exposed`` issues no
+certificate when the two differ.
 """
 
 from __future__ import annotations
@@ -60,6 +63,21 @@ __all__ = [
 _SCREEN_TOL = 1e-7
 
 
+# Outer products with np.kron's operand shapes (a[:, None] * b[None, :]):
+# bitwise its result, without its per-call overhead.  numpy may pick another
+# complex multiply loop, with other roundings, for other broadcast shapes.
+
+
+def _weak_vector(x, h) -> np.ndarray:
+    """x (x) h."""
+    return (x[:, None] * h[None, :]).ravel()
+
+
+def _strong_vector(x, h) -> np.ndarray:
+    """conj(x) (x) x (x) h."""
+    return ((x.conj()[:, None] * x[None, :])[:, :, None] * h[None, None, :]).ravel()
+
+
 @dataclass(frozen=True)
 class ZeroPair:
     """Unit vectors (x, h) with Phi(|conj(x)><conj(x)|) h ~ 0."""
@@ -69,37 +87,44 @@ class ZeroPair:
     residual: float
 
     def weak_vector(self) -> np.ndarray:
-        return np.kron(self.x, self.h)
+        return _weak_vector(self.x, self.h)
 
     def strong_vector(self) -> np.ndarray:
-        return np.kron(np.kron(self.x.conj(), self.x), self.h)
+        return _strong_vector(self.x, self.h)
 
 
 @dataclass(frozen=True)
 class ZeroSet:
     """A spanning collection of zero pairs of one map.
 
-    ``weak_vectors`` and ``strong_vectors`` are in one-to-one correspondence
-    with ``pairs``.  ``saturated`` records whether enumeration stopped because
-    further searching stopped producing new directions (as opposed to running
-    out of budget).
+    Row i of ``weak_vectors`` (k x nm) and of ``strong_vectors`` (k x n^2 m)
+    belongs to ``pairs[i]``.  ``saturated`` records whether enumeration
+    stopped because further searching stopped producing new directions (as
+    opposed to running out of budget).
     """
 
     dim_in: int
     dim_out: int
     pairs: list[ZeroPair]
-    weak_vectors: list[np.ndarray]
-    strong_vectors: list[np.ndarray]
+    weak_vectors: np.ndarray
+    strong_vectors: np.ndarray
     saturated: bool
 
     @classmethod
-    def from_pairs(cls, dim_in, dim_out, pairs, saturated):
+    def from_pairs(cls, dim_in, dim_out, pairs, saturated, strong_vectors=None):
+        """Stack the pairs' vectors; ``strong_vectors``, when given, are the
+        ones already built for admission, one per pair."""
+        pairs = list(pairs)
+        if strong_vectors is None:
+            strong_vectors = [p.strong_vector() for p in pairs]
+        weak_vectors = [p.weak_vector() for p in pairs]
+        k, nm = len(pairs), dim_in * dim_out
         return cls(
             dim_in=dim_in,
             dim_out=dim_out,
-            pairs=list(pairs),
-            weak_vectors=[p.weak_vector() for p in pairs],
-            strong_vectors=[p.strong_vector() for p in pairs],
+            pairs=pairs,
+            weak_vectors=np.array(weak_vectors, dtype=complex).reshape(k, nm),
+            strong_vectors=np.asarray(strong_vectors, dtype=complex).reshape(k, dim_in * nm),
             saturated=bool(saturated),
         )
 
@@ -231,12 +256,17 @@ class _SpanTracker:
     stays above ``_SCREEN_TOL``; since the second pass can only shrink the
     residual, most rejections cost one pass.  The basis decides admission
     only: the reported span dimension is the final SVD of the kept vectors
-    (``strong_span_dim``), at ``rank_rel_tol``.
+    (``strong_span_dim``), at ``rank_rel_tol``.  The admitted vectors
+    themselves are kept as they came, as the rows of ``vectors()``.
     """
 
     def __init__(self, dim: int):
         self._basis = np.empty((dim, dim), dtype=complex)
+        self._vectors = np.empty((dim, dim), dtype=complex)
         self.dimension = 0
+
+    def vectors(self) -> np.ndarray:
+        return self._vectors[: self.dimension]
 
     def admit(self, vec) -> bool:
         norm = np.linalg.norm(vec)
@@ -251,6 +281,7 @@ class _SpanTracker:
             if rnorm <= _SCREEN_TOL:
                 return False
         self._basis[self.dimension] = resid / rnorm
+        self._vectors[self.dimension] = vec
         self.dimension += 1
         return True
 
@@ -319,11 +350,11 @@ def harvest_zeros(
                 )
                 if residual > thr:
                     continue
-                if tracker.admit(np.kron(np.kron(xc.conj(), xc), hc)):
+                if tracker.admit(_strong_vector(xc, hc)):
                     kept.append(ZeroPair(x=xc, h=hc, residual=residual))
                     produced = True
         stall = 0 if produced else stall + 1
-    return ZeroSet.from_pairs(n, m, kept, saturated=stall >= stall_budget)
+    return ZeroSet.from_pairs(n, m, kept, saturated=stall >= stall_budget, strong_vectors=tracker.vectors())
 
 
 # Deterministic grid nodes: distinct moduli and golden-angle phases give
@@ -379,7 +410,7 @@ def analytic_zeros_conjugation(
         residual = float(np.linalg.norm(apply(phi, np.outer(x.conj(), x)) @ h))
         if residual > thr:
             return False
-        if tracker.admit(np.kron(np.kron(x.conj(), x), h)):
+        if tracker.admit(_strong_vector(x, h)):
             kept.append(ZeroPair(x=x, h=h, residual=residual))
             return True
         return False
@@ -441,14 +472,14 @@ def analytic_zeros_conjugation(
         stall = 0 if produced else stall + 1
     else:
         saturated = stall >= stall_window
-    return ZeroSet.from_pairs(n, m, kept, saturated=saturated)
+    return ZeroSet.from_pairs(n, m, kept, saturated=saturated, strong_vectors=tracker.vectors())
 
 
 def weak_span_dim(zero_set: ZeroSet, tol: ToleranceConfig = DEFAULT_TOL) -> int:
     """Dimension of span{x (x) h} over the zero set."""
-    return span_dimension(zero_set.weak_vectors, tol)
+    return span_dimension(zero_set.weak_vectors.T, tol)
 
 
 def strong_span_dim(zero_set: ZeroSet, tol: ToleranceConfig = DEFAULT_TOL) -> int:
     """Dimension of span{conj(x) (x) x (x) h} over the zero set."""
-    return span_dimension(zero_set.strong_vectors, tol)
+    return span_dimension(zero_set.strong_vectors.T, tol)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mapcert.certify import (
+    _commutant_system,
     CERTIFIED,
     EXPOSED,
     INCONCLUSIVE,
@@ -47,6 +48,19 @@ def ginibre(rng, rows, cols):
 )
 def test_commutant_dimensions(phi, dim):
     assert len(commutant_basis(phi)) == dim
+
+
+@pytest.mark.parametrize("n,m", [(1, 1), (2, 2), (2, 3), (3, 5), (4, 8)])
+def test_commutant_system_equals_kron_form_bitwise(n, m):
+    phi = cp_map_from_kraus([ginibre(np.random.default_rng([n, m, k]), m, n) for k in range(2)])
+    eye = np.eye(m, dtype=complex)
+    expected = np.vstack(
+        [
+            np.kron(g, eye) - np.kron(eye, g.T)
+            for g in (apply(phi, b) for b in hermitian_basis(n))
+        ]
+    )
+    assert np.array_equal(_commutant_system(phi), expected)
 
 
 def test_commutant_contains_identity_direction():

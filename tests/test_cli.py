@@ -7,7 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import mapcert.cli
+import mapcert.experiments
 from mapcert.cli import main
+from mapcert.errors import CrossCheckError, OracleUnstable
 from mapcert.documents import (
     matrix_to_payload,
     parse_certificate_document,
@@ -153,6 +156,39 @@ def test_sweep_json_report(tmp_path, capsys):
     # one rank-2 check plus the (1, 2)-rank grid cells
     assert len(doc.sweep) == 3
     assert all(r["agrees_with"] != "neither" for r in doc.sweep)
+
+
+def test_sweep_measures_each_cell_once(monkeypatch, capsys):
+    calls = []
+    measure = mapcert.experiments.run_dimension_sweep
+
+    def counted(*args, **kwargs):
+        calls.append(args[:3])
+        return measure(*args, **kwargs)
+
+    monkeypatch.setattr(mapcert.experiments, "run_dimension_sweep", counted)
+    monkeypatch.setattr(mapcert.cli, "run_dimension_sweep", counted)
+    assert main(["sweep", "--n-range", "2", "--m-range", "2..3"]) == 0
+    capsys.readouterr()
+    # the rank-2 check's reports stand in for the grid's (2, m, 2) rows
+    assert sorted(calls) == [(2, 2, 1), (2, 2, 2), (2, 3, 1), (2, 3, 2)]
+
+
+@pytest.mark.parametrize(
+    "error",
+    [
+        CrossCheckError("analytic strong dim 9 != harvested 8"),
+        OracleUnstable("oracle dimension kept changing"),
+        np.linalg.LinAlgError("SVD did not converge"),
+    ],
+)
+def test_internal_failure_exits_5(error, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(mapcert.cli, "run_dimension_sweep", fail)
+    assert main(["sweep", "--n-range", "3", "--m-range", "2"]) == 5
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_sweep_rejects_bad_range(capsys):

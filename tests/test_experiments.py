@@ -1,3 +1,6 @@
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -114,6 +117,30 @@ def test_oracle_agrees_with_analytic_routes():
     v = random_rank_operator(2, 3, 2, seed=8)
     report = run_dimension_sweep(2, 3, 2, seed=8)
     assert brute_force_strong_dim_oracle(v, seed=0) == report.measured_strong_dim
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_oracle_gives_the_input_rule_on_every_default_cell(seed):
+    wrong = []
+    for n, m, r in sweep_default_cells():
+        v = random_rank_operator(n, m, r, seed=seed)
+        dim = brute_force_strong_dim_oracle(v, seed=seed)
+        if dim != candidate_dims(n, m, r)[0]:
+            wrong.append((n, m, r, dim))
+    assert wrong == []
+
+
+def test_oracle_workload_truth_check_passes(tmp_path):
+    # The benchmark's oracle-grid workload checks each cell against the
+    # input rule; its first ops must pass on the current code.
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    workload = workloads.build("oracle-grid", 0, str(tmp_path))
+    for op in workload.ops[:4]:
+        assert op.check(op.invoke()) == {}
 
 
 def test_oracle_input_validation():

@@ -154,6 +154,8 @@ def test_span_dimension_basic():
     e2 = np.array([0, 1, 0], dtype=complex)
     assert span_dimension([e1, e2, e1 + e2]) == 2
     assert span_dimension([]) == 0
+    assert span_dimension(np.empty((3, 0), dtype=complex)) == 0
+    assert span_dimension(np.column_stack([e1, e2, e1 + e2])) == 2
     assert span_dimension([np.zeros(3)]) == 0
 
 

@@ -20,6 +20,8 @@ from mapcert.maps import (
     transpose_map,
 )
 from mapcert.zeros import (
+    _strong_vector,
+    _weak_vector,
     analytic_zeros_conjugation,
     harvest_zeros,
     local_zero_search,
@@ -81,6 +83,33 @@ def test_kept_pairs_match_the_final_span_svd(seed):
     assert mismatches == []
 
 
+def test_vector_builders_equal_kron_bitwise():
+    rng = np.random.default_rng(0)
+    for n in range(1, 7):
+        for m in range(1, 9):
+            x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            h = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+            assert np.array_equal(_weak_vector(x, h), np.kron(x, h))
+            assert np.array_equal(_strong_vector(x, h), np.kron(np.kron(x.conj(), x), h))
+
+
+@pytest.mark.parametrize("cell", [(2, 3, 2), (3, 3, 1), (3, 4, 3), (4, 5, 2)])
+def test_zero_set_vectors_equal_kron_rebuild_bitwise(cell):
+    # The ZeroSet keeps the strong vectors built for admission; they must be
+    # exactly what a Kronecker rebuild from the kept pairs gives.
+    n, m, r = cell
+    v = random_rank_operator(n, m, r, seed=1)
+    for zs in (
+        analytic_zeros_conjugation(v, transposed=True),
+        harvest_zeros(from_conjugation(v, transposed=True), seed=1),
+    ):
+        assert zs.pairs
+        strong = np.array([np.kron(np.kron(p.x.conj(), p.x), p.h) for p in zs.pairs])
+        weak = np.array([np.kron(p.x, p.h) for p in zs.pairs])
+        assert np.array_equal(zs.strong_vectors, strong)
+        assert np.array_equal(zs.weak_vectors, weak)
+
+
 def test_zero_pairs_are_verified_zeros():
     phi = from_conjugation(rank_operator(2, 3, 2, 8), transposed=True)
     zs = harvest_zeros(phi, seed=1)
@@ -98,6 +127,7 @@ def test_trace_map_has_no_zeros():
     zs = harvest_zeros(trace_map(2), seed=0)
     assert zs.pairs == []
     assert strong_span_dim(zs) == 0
+    assert weak_span_dim(zs) == 0
     assert zs.saturated  # stalls quickly, not a budget exhaustion
 
 
