@@ -23,7 +23,6 @@ from .errors import (
 )
 from .linalg import (
     DEFAULT_TOL,
-    SVDResult,
     ToleranceConfig,
     as_matrix,
     generalized_inverse,
@@ -32,12 +31,13 @@ from .linalg import (
     kernel_inclusion_factor,
     numerical_rank,
     span_dimension,
-    svd,
 )
 from .maps import (
     MapOperator,
     NormalForm,
     PositivityReport,
+    SearchOutcome,
+    ZeroPair,
     adjoint_map,
     apply,
     choi_spectral_scale,
@@ -54,8 +54,6 @@ from .maps import (
     unital_normalization,
 )
 from .zeros import (
-    SearchOutcome,
-    ZeroPair,
     ZeroSet,
     analytic_zeros_conjugation,
     harvest_zeros,
@@ -91,6 +89,7 @@ from .experiments import (
     random_rank_operator,
     run_dimension_sweep,
     run_rank2_count_check,
+    sweep_cells,
     sweep_default_cells,
 )
 from .documents import (

@@ -36,15 +36,18 @@ from .documents import (
 )
 from .errors import CrossCheckError, MapcertError, OracleUnstable, ParseError, SchemaError
 from .experiments import (
+    DEFAULT_M_RANGE,
+    DEFAULT_N_RANGE,
     NEITHER_RULE,
     random_kraus_operators,
     random_rank_operator,
     run_dimension_sweep,
     run_rank2_count_check,
+    sweep_cells,
 )
 from .linalg import DEFAULT_TOL
 from .maps import is_positive_heuristic
-from .zeros import harvest_zeros, strong_span_dim, weak_span_dim
+from .zeros import harvest_zeros
 
 __all__ = ["build_parser", "main"]
 
@@ -80,8 +83,8 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.set_defaults(func=_cmd_analyze)
 
     sweep = sub.add_parser("sweep", help="measure strong dimensions over an (n, m, rank) grid")
-    sweep.add_argument("--n-range", type=_parse_range, default=None, metavar="A[..B]")
-    sweep.add_argument("--m-range", type=_parse_range, default=None, metavar="A[..B]")
+    sweep.add_argument("--n-range", type=_parse_range, default=DEFAULT_N_RANGE, metavar="A[..B]")
+    sweep.add_argument("--m-range", type=_parse_range, default=DEFAULT_M_RANGE, metavar="A[..B]")
     sweep.add_argument("--seed", type=int, default=0)
     sweep.add_argument("--json", default=None, metavar="PATH")
     sweep.set_defaults(func=_cmd_sweep)
@@ -127,8 +130,6 @@ def _cmd_analyze(args) -> int:
         return 3
     print(f"positivity heuristic: passed (worst value {positivity.worst_value:.3e})")
     zs = harvest_zeros(phi, seed=args.seed, tol=tol, starts=args.starts)
-    weak = weak_span_dim(zs, tol)
-    strong = strong_span_dim(zs, tol)
     optimal = certify_optimal(phi, zs, tol)
     exposed = certify_exposed(phi, zs, tol)
     print(f"zero pairs kept: {len(zs.pairs)} (saturated: {'yes' if zs.saturated else 'no'})")
@@ -141,7 +142,7 @@ def _cmd_analyze(args) -> int:
         report = CertificateDocument(
             input_digest=digest,
             certificates=[certificate_to_record(optimal), certificate_to_record(exposed)],
-            zero_set_summary=zero_set_summary(zs, weak, strong),
+            zero_set_summary=zero_set_summary(zs, optimal.measured_dim, exposed.measured_dim),
             sweep=None,
             tool_version=__version__,
             seed=args.seed,
@@ -169,14 +170,12 @@ def _sweep_row(report) -> str:
 
 
 def _cmd_sweep(args) -> int:
-    n_range = args.n_range if args.n_range is not None else [2, 3, 4]
-    m_range = args.m_range if args.m_range is not None else [2, 3, 4, 5]
     reports = []
     rank2 = {}
-    if 2 in n_range:
+    if 2 in args.n_range:
         print(f"rank-2 count check (n=2, target 4m-2), seed {args.seed}")
         print(_SWEEP_HEADER)
-        for m in m_range:
+        for m in args.m_range:
             if m < 2:
                 continue
             rank2[m] = report = run_rank2_count_check(m, seed=args.seed)
@@ -185,16 +184,14 @@ def _cmd_sweep(args) -> int:
         print()
     print(f"dimension sweep, seed {args.seed}")
     print(_SWEEP_HEADER)
-    for n in n_range:
-        for m in m_range:
-            for rank_v in range(1, min(n, m) + 1):
-                if (n, rank_v) == (2, 2):
-                    # the rank-2 check above measured this very cell
-                    report = rank2[m]
-                else:
-                    report = run_dimension_sweep(n, m, rank_v, seed=args.seed)
-                reports.append(report)
-                print(_sweep_row(report))
+    for n, m, rank_v in sweep_cells(args.n_range, args.m_range):
+        if (n, rank_v) == (2, 2):
+            # the rank-2 check above measured this very cell
+            report = rank2[m]
+        else:
+            report = run_dimension_sweep(n, m, rank_v, seed=args.seed)
+        reports.append(report)
+        print(_sweep_row(report))
     if args.json:
         Path(args.json).write_bytes(
             render_certificate_document(

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import __version__
 from .certify import Certificate
 from .errors import ParseError, SchemaError
 from .experiments import SweepReport

@@ -50,6 +50,7 @@ __all__ = [
     "random_cp_map",
     "run_rank2_count_check",
     "run_dimension_sweep",
+    "sweep_cells",
     "sweep_default_cells",
     "build_decomposable_witness",
     "check_image_inclusion",
@@ -197,14 +198,19 @@ def run_rank2_count_check(m: int, seed: int = 0, tol: ToleranceConfig = DEFAULT_
     return run_dimension_sweep(2, m, 2, seed=seed, tol=tol)
 
 
+# The default sweep ranges: small, fast, and formula-separating.
+DEFAULT_N_RANGE = (2, 3, 4)
+DEFAULT_M_RANGE = (2, 3, 4, 5)
+
+
+def sweep_cells(n_range=DEFAULT_N_RANGE, m_range=DEFAULT_M_RANGE) -> list[tuple[int, int, int]]:
+    """The (n, m, rank) cells over the ranges, every feasible rank, in sweep order."""
+    return [(n, m, r) for n in n_range for m in m_range for r in range(1, min(n, m) + 1)]
+
+
 def sweep_default_cells() -> list[tuple[int, int, int]]:
-    """The default (n, m, rank) grid: small, fast, and formula-separating."""
-    return [
-        (n, m, r)
-        for n in (2, 3, 4)
-        for m in (2, 3, 4, 5)
-        for r in range(1, min(n, m) + 1)
-    ]
+    """The default (n, m, rank) grid."""
+    return sweep_cells()
 
 
 def build_decomposable_witness(v, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:

@@ -17,9 +17,7 @@ from .errors import DimensionMismatch, KernelInclusionViolated
 __all__ = [
     "ToleranceConfig",
     "DEFAULT_TOL",
-    "SVDResult",
     "as_matrix",
-    "svd",
     "numerical_rank",
     "kernel_basis",
     "generalized_inverse",
@@ -76,34 +74,6 @@ def as_matrix(entries) -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
     return m
-
-
-@dataclass(frozen=True)
-class SVDResult:
-    """Full singular value decomposition M = U @ diag(s) @ V^H.
-
-    ``left_vectors`` and ``right_vectors`` have orthonormal columns
-    (square unitary factors); ``singular_values`` is nonincreasing.
-    """
-
-    left_vectors: np.ndarray
-    singular_values: np.ndarray
-    right_vectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        rows = self.left_vectors.shape[0]
-        cols = self.right_vectors.shape[0]
-        sigma = np.zeros((rows, cols))
-        k = self.singular_values.shape[0]
-        sigma[:k, :k] = np.diag(self.singular_values)
-        return self.left_vectors @ sigma @ self.right_vectors.conj().T
-
-
-def svd(matrix) -> SVDResult:
-    """Full SVD of a complex matrix."""
-    m = as_matrix(matrix)
-    u, s, vh = np.linalg.svd(m, full_matrices=True)
-    return SVDResult(u, s, vh.conj().T)
 
 
 def _rank_from_singular_values(s: np.ndarray, tol: ToleranceConfig) -> int:

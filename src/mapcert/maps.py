@@ -8,11 +8,15 @@ documented here once and is inert everywhere else in the package, because all
 rank and span decisions downstream are scale-free.
 
 Evaluation recovers the map as Phi(a) = Tr_in[C (a^T (x) 1_m)].
+
+The alternating descent on g(x, h) = <h| Phi(|conj(x)><conj(x)|) |h> lives
+here: the positivity heuristic refines its worst sample with it, and
+``zeros`` runs it from many starts to find ZeroPairs (g = 0).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,6 +36,8 @@ __all__ = [
     "unital_normalization",
     "is_completely_positive",
     "is_positive_heuristic",
+    "ZeroPair",
+    "SearchOutcome",
     "identity_map",
     "transpose_map",
     "trace_map",
@@ -90,6 +96,55 @@ class PositivityReport:
     worst_value: float
     worst_vector: np.ndarray
     samples: int
+
+
+@dataclass(frozen=True)
+class ZeroPair:
+    """Unit vectors (x, h) with Phi(|conj(x)><conj(x)|) h ~ 0."""
+
+    x: np.ndarray
+    h: np.ndarray
+    residual: float
+
+    def weak_vector(self) -> np.ndarray:
+        return _weak_vector(self.x, self.h)
+
+    def strong_vector(self) -> np.ndarray:
+        return _strong_vector(self.x, self.h)
+
+
+@dataclass(frozen=True)
+class SearchOutcome:
+    """Result of one alternating descent.
+
+    ``succeeded`` means the final pair is a zero within tolerance (residual
+    at most residual_rel_tol times the spectral scale of the map); callers
+    treat a non-succeeded outcome as "no zero found from this start".
+    ``converged`` only says the objective stalled.  ``history`` holds the
+    objective value after every half step; it is nonincreasing up to
+    eigensolver roundoff.  ``image`` is Phi(|conj(x)><conj(x)|) at the final
+    x and ``spectrum`` the eigendecomposition (w, u) of its Hermitian part,
+    with h = u[:, 0]; ``adjoint_spectrum`` is that of Phi*(|h><h|) when the
+    descent computed it, else None.  Callers that examine the final pair
+    further read these instead of evaluating the map again.
+    """
+
+    x: np.ndarray
+    h: np.ndarray
+    value: float
+    residual: float
+    converged: bool
+    succeeded: bool
+    iterations: int
+    history: list[float] = field(repr=False)
+    image: np.ndarray = field(repr=False)
+    spectrum: tuple = field(repr=False)
+    adjoint_spectrum: tuple | None = field(repr=False)
+
+    def pair(self) -> ZeroPair | None:
+        if not self.succeeded:
+            return None
+        return ZeroPair(x=self.x, h=self.h, residual=self.residual)
 
 
 def hermitian_basis(n: int) -> list[np.ndarray]:
@@ -233,6 +288,98 @@ def is_completely_positive(phi: MapOperator, tol: ToleranceConfig = DEFAULT_TOL)
     return bool(eigvals[0] >= -tol.rank_rel_tol * scale)
 
 
+# Outer products with np.kron's operand shapes (a[:, None] * b[None, :]):
+# bitwise its result, without its per-call overhead.  numpy may pick another
+# complex multiply loop, with other roundings, for other broadcast shapes.
+
+
+def _weak_vector(x, h) -> np.ndarray:
+    """x (x) h."""
+    return (x[:, None] * h[None, :]).ravel()
+
+
+def _strong_vector(x, h) -> np.ndarray:
+    """conj(x) (x) x (x) h."""
+    return ((x.conj()[:, None] * x[None, :])[:, :, None] * h[None, None, :]).ravel()
+
+
+def _normalize(v) -> np.ndarray:
+    v = np.asarray(v, dtype=complex).ravel()
+    norm = np.linalg.norm(v)
+    if norm == 0 or not np.isfinite(norm):
+        raise ValueError("cannot normalize a zero or non-finite vector")
+    return v / norm
+
+
+def _h_step(phi, x):
+    """Phi(|conj(x)><conj(x)|) and the eigendecomposition of its Hermitian
+    part; the bottom eigenvector is the minimizer over h."""
+    image = apply(phi, np.outer(x.conj(), x))
+    return image, np.linalg.eigh(_hermitize(image))
+
+
+def _x_step(adj, h):
+    # g(x, h) = <conj(x)| Phi*(|h><h|) |conj(x)>, so the minimizer over x is
+    # the conjugate of the bottom eigenvector of the adjoint image.
+    return np.linalg.eigh(_hermitize(apply(adj, np.outer(h, h.conj()))))
+
+
+def _alternating_descent(phi, adj, scale, tol, x0=None, h0=None) -> SearchOutcome:
+    """Minimize g(x, h) = <h| Phi(|conj(x)><conj(x)|) |h> by exact
+    alternating eigenvector steps.
+
+    The loop always exits holding a pair whose h is a bottom eigenvector of
+    Phi(|conj(x)><conj(x)|); the pair residual therefore equals the bottom
+    eigenvalue magnitude rather than its square root.
+    """
+    if (x0 is None) == (h0 is None):
+        raise ValueError("exactly one of x0 and h0 must be given")
+    stall = tol.convergence_tol * max(scale, np.finfo(float).tiny)
+    history: list[float] = []
+    if h0 is not None:
+        w_adj, u_adj = _x_step(adj, _normalize(h0))
+        x = u_adj[:, 0].conj()
+        history.append(float(w_adj[0]))
+    else:
+        x = _normalize(x0)
+    g_prev = history[-1] if history else None
+    converged = False
+    for it in range(tol.max_iters):
+        pair_x = x
+        image, (w, u) = _h_step(phi, x)
+        adjoint = None
+        g = float(w[0])
+        history.append(g)
+        if g_prev is not None and abs(g_prev - g) <= stall:
+            converged = True
+            break
+        g_prev = g
+        adjoint = _x_step(adj, u[:, 0])
+        w_adj, u_adj = adjoint
+        g = float(w_adj[0])
+        history.append(g)
+        if abs(g_prev - g) <= stall:
+            converged = True
+            break
+        g_prev = g
+        x = u_adj[:, 0].conj()
+    pair_h = u[:, 0]
+    residual = float(np.linalg.norm(image @ pair_h))
+    return SearchOutcome(
+        x=pair_x,
+        h=pair_h,
+        value=float(w[0]),
+        residual=residual,
+        converged=converged,
+        succeeded=residual <= tol.residual_rel_tol * scale,
+        iterations=it + 1,
+        history=history,
+        image=image,
+        spectrum=(w, u),
+        adjoint_spectrum=adjoint,
+    )
+
+
 def is_positive_heuristic(
     phi: MapOperator,
     samples: int = 64,
@@ -247,8 +394,6 @@ def is_positive_heuristic(
     negativity region is tiny, which is why certificates carry a conditional
     note.  The RNG seed is explicit so results are reproducible.
     """
-    from .zeros import _alternating_descent  # deferred: zeros depends on maps
-
     if samples < 1:
         raise ValueError("samples must be at least 1")
     n = phi.dim_in

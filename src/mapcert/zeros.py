@@ -9,24 +9,30 @@ of those vectors are what the certificates in this package are built from.
 
 Two enumeration routes are provided and are expected to agree:
 
-* ``harvest_zeros`` knows nothing about the structure of the map.  It runs an
-  alternating eigenvector descent from many seeded random starts.  Each half
-  step minimizes the bilinear objective g(x, h) = <h| Phi(|conj(x)><conj(x)|)
-  |h> exactly in one argument (smallest-eigenvalue eigenvector), so g is
-  nonincreasing along the iteration.  Starts alternate between the x side and
-  the h side: h-side starts are what reach the degenerate stratum of
-  rank-deficient conjugation maps, which is invisible from generic x starts.
-  At every converged pair the full near-null eigenspaces on both sides are
-  mined for further candidates.
+* ``harvest_zeros`` knows nothing about the structure of the map.  It runs
+  the alternating eigenvector descent of ``maps`` from many seeded random
+  starts.  Each half step minimizes the bilinear objective g(x, h) =
+  <h| Phi(|conj(x)><conj(x)|) |h> exactly in one argument
+  (smallest-eigenvalue eigenvector), so g is nonincreasing along the
+  iteration.  Starts alternate between the x side and the h side: h-side
+  starts are what reach the degenerate stratum of rank-deficient
+  conjugation maps, which is invisible from generic x starts.  At every
+  converged pair the full near-null eigenspaces on both sides are mined for
+  further candidates, from the eigendecompositions the descent already
+  holds.
 * ``analytic_zeros_conjugation`` uses the singular frame of a conjugation map
   to write down exact zeros on a deterministic grid, including the kernel-side
   and degenerate-stratum families, and then verifies saturation numerically by
   extending the grid until nothing new is admitted.
 
-A pair is kept only if its strong vector grows the running span, so the pair
-list of a ZeroSet is always a spanning subset.  Growth is decided by the
-residual of the normalized strong vector against an orthonormal basis of the
-kept ones (Gram-Schmidt, applied twice), at ``_SCREEN_TOL``; no SVD runs per
+Both routes evaluate Phi(|conj(x)><conj(x)|) once per point x, for all of
+its partners h, and offer every candidate with its residual to one
+admission object.  It keeps a pair only if the residual is within
+residual_rel_tol times the spectral scale of the map and the strong vector
+grows the running span, so the pair list of a ZeroSet is always a spanning
+subset.  Growth is decided by the residual of the
+normalized strong vector against an orthonormal basis of the kept ones
+(Gram-Schmidt, applied twice), at ``_SCREEN_TOL``; no SVD runs per
 candidate.  Each candidate's strong vector is built once, as an outer
 product reshaped flat (entry for entry the Kronecker product, without its
 per-call overhead), and the ZeroSet keeps the very vectors that were
@@ -39,18 +45,17 @@ certificate when the two differ.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch, ZeroOperator
-from .linalg import DEFAULT_TOL, ToleranceConfig, as_matrix, kernel_basis, numerical_rank, span_dimension, svd
-from .maps import MapOperator, adjoint_map, apply, choi_spectral_scale, from_conjugation, _hermitize
+from .linalg import DEFAULT_TOL, ToleranceConfig, as_matrix, kernel_basis, numerical_rank, span_dimension
+from .maps import MapOperator, SearchOutcome, ZeroPair, adjoint_map, apply, choi_spectral_scale, from_conjugation
+from .maps import _alternating_descent, _normalize, _strong_vector, _weak_vector, _x_step
 
 __all__ = [
-    "ZeroPair",
     "ZeroSet",
-    "SearchOutcome",
     "local_zero_search",
     "harvest_zeros",
     "analytic_zeros_conjugation",
@@ -58,39 +63,9 @@ __all__ = [
     "strong_span_dim",
 ]
 
-# Admission threshold of the span tracker: a unit candidate whose residual
+# Admission threshold of the span basis: a unit candidate whose residual
 # against the admitted basis is at or below this is dependent.
 _SCREEN_TOL = 1e-7
-
-
-# Outer products with np.kron's operand shapes (a[:, None] * b[None, :]):
-# bitwise its result, without its per-call overhead.  numpy may pick another
-# complex multiply loop, with other roundings, for other broadcast shapes.
-
-
-def _weak_vector(x, h) -> np.ndarray:
-    """x (x) h."""
-    return (x[:, None] * h[None, :]).ravel()
-
-
-def _strong_vector(x, h) -> np.ndarray:
-    """conj(x) (x) x (x) h."""
-    return ((x.conj()[:, None] * x[None, :])[:, :, None] * h[None, None, :]).ravel()
-
-
-@dataclass(frozen=True)
-class ZeroPair:
-    """Unit vectors (x, h) with Phi(|conj(x)><conj(x)|) h ~ 0."""
-
-    x: np.ndarray
-    h: np.ndarray
-    residual: float
-
-    def weak_vector(self) -> np.ndarray:
-        return _weak_vector(self.x, self.h)
-
-    def strong_vector(self) -> np.ndarray:
-        return _strong_vector(self.x, self.h)
 
 
 @dataclass(frozen=True)
@@ -111,129 +86,23 @@ class ZeroSet:
     saturated: bool
 
     @classmethod
-    def from_pairs(cls, dim_in, dim_out, pairs, saturated, strong_vectors=None):
-        """Stack the pairs' vectors; ``strong_vectors``, when given, are the
-        ones already built for admission, one per pair."""
+    def from_pairs(cls, dim_in, dim_out, pairs, saturated):
+        """Stack the pairs' weak and strong vectors as rows."""
         pairs = list(pairs)
-        if strong_vectors is None:
-            strong_vectors = [p.strong_vector() for p in pairs]
-        weak_vectors = [p.weak_vector() for p in pairs]
         k, nm = len(pairs), dim_in * dim_out
         return cls(
             dim_in=dim_in,
             dim_out=dim_out,
             pairs=pairs,
-            weak_vectors=np.array(weak_vectors, dtype=complex).reshape(k, nm),
-            strong_vectors=np.asarray(strong_vectors, dtype=complex).reshape(k, dim_in * nm),
+            weak_vectors=np.array([p.weak_vector() for p in pairs], dtype=complex).reshape(k, nm),
+            strong_vectors=np.array([p.strong_vector() for p in pairs], dtype=complex).reshape(k, dim_in * nm),
             saturated=bool(saturated),
         )
-
-
-@dataclass(frozen=True)
-class SearchOutcome:
-    """Result of one alternating descent.
-
-    ``succeeded`` means the final pair is a zero within tolerance (residual
-    at most residual_rel_tol times the spectral scale of the map); callers
-    treat a non-succeeded outcome as "no zero found from this start".
-    ``converged`` only says the objective stalled.  ``history`` holds the
-    objective value after every half step; it is nonincreasing up to
-    eigensolver roundoff.
-    """
-
-    x: np.ndarray
-    h: np.ndarray
-    value: float
-    residual: float
-    converged: bool
-    succeeded: bool
-    iterations: int
-    history: list[float] = field(repr=False)
-
-    def pair(self) -> ZeroPair | None:
-        if not self.succeeded:
-            return None
-        return ZeroPair(x=self.x, h=self.h, residual=self.residual)
-
-
-def _normalize(v) -> np.ndarray:
-    v = np.asarray(v, dtype=complex).ravel()
-    norm = np.linalg.norm(v)
-    if norm == 0 or not np.isfinite(norm):
-        raise ValueError("cannot normalize a zero or non-finite vector")
-    return v / norm
 
 
 def _random_unit(rng, dim) -> np.ndarray:
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return v / np.linalg.norm(v)
-
-
-def _h_step(phi, x):
-    m = _hermitize(apply(phi, np.outer(x.conj(), x)))
-    w, u = np.linalg.eigh(m)
-    return u[:, 0], float(w[0])
-
-
-def _x_step(adj, h):
-    # g(x, h) = <conj(x)| Phi*(|h><h|) |conj(x)>, so the minimizer over x is
-    # the conjugate of the bottom eigenvector of the adjoint image.
-    n_mat = _hermitize(apply(adj, np.outer(h, h.conj())))
-    w, u = np.linalg.eigh(n_mat)
-    return u[:, 0].conj(), float(w[0])
-
-
-def _alternating_descent(phi, adj, scale, tol, x0=None, h0=None) -> SearchOutcome:
-    """Minimize g(x, h) by exact alternating eigenvector steps.
-
-    The loop always exits holding a pair whose h is a bottom eigenvector of
-    Phi(|conj(x)><conj(x)|); the pair residual therefore equals the bottom
-    eigenvalue magnitude rather than its square root.
-    """
-    if (x0 is None) == (h0 is None):
-        raise ValueError("exactly one of x0 and h0 must be given")
-    stall = tol.convergence_tol * max(scale, np.finfo(float).tiny)
-    history: list[float] = []
-    if h0 is not None:
-        x, g = _x_step(adj, _normalize(h0))
-        history.append(g)
-    else:
-        x = _normalize(x0)
-    g_prev = history[-1] if history else None
-    pair_x = pair_h = None
-    pair_value = np.inf
-    converged = False
-    iterations = 0
-    for it in range(tol.max_iters):
-        iterations = it + 1
-        h, g = _h_step(phi, x)
-        history.append(g)
-        pair_x, pair_h, pair_value = x, h, g
-        if g_prev is not None and abs(g_prev - g) <= stall:
-            converged = True
-            break
-        g_prev = g
-        x_next, g = _x_step(adj, h)
-        history.append(g)
-        if abs(g_prev - g) <= stall:
-            converged = True
-            break
-        g_prev = g
-        x = x_next
-    residual = float(
-        np.linalg.norm(apply(phi, np.outer(pair_x.conj(), pair_x)) @ pair_h)
-    )
-    succeeded = residual <= tol.residual_rel_tol * scale
-    return SearchOutcome(
-        x=pair_x,
-        h=pair_h,
-        value=float(pair_value),
-        residual=residual,
-        converged=converged,
-        succeeded=succeeded,
-        iterations=iterations,
-        history=history,
-    )
 
 
 def local_zero_search(phi: MapOperator, x0, tol: ToleranceConfig = DEFAULT_TOL) -> SearchOutcome:
@@ -246,67 +115,84 @@ def local_zero_search(phi: MapOperator, x0, tol: ToleranceConfig = DEFAULT_TOL) 
     )
 
 
-class _SpanTracker:
-    """Orthonormal basis of the admitted vectors, grown one row at a time.
+class _Admission:
+    """The zero pairs admitted so far, and the one rule that admits them.
 
-    A candidate is normalized and projected off the basis by classical
-    Gram-Schmidt, twice: one pass loses orthogonality in floating point, two
-    restore it to working precision ("twice is enough", Giraud, Langou and
-    Rozloznik 2005).  It is admitted only if the residual of both passes
-    stays above ``_SCREEN_TOL``; since the second pass can only shrink the
-    residual, most rejections cost one pass.  The basis decides admission
-    only: the reported span dimension is the final SVD of the kept vectors
-    (``strong_span_dim``), at ``rank_rel_tol``.  The admitted vectors
-    themselves are kept as they came, as the rows of ``vectors()``.
+    ``offer`` rejects a candidate whose residual exceeds ``thr``; otherwise
+    its normalized strong vector is projected off an orthonormal basis of
+    the admitted ones by classical Gram-Schmidt, twice: one pass loses
+    orthogonality in floating point, two restore it to working precision
+    ("twice is enough", Giraud, Langou and Rozloznik 2005).  The pair is
+    admitted only if the residual of both passes stays above
+    ``_SCREEN_TOL``; most rejections cost one pass.  The basis decides
+    admission only: the reported span dimension is the final SVD of the
+    kept vectors (``strong_span_dim``).  The weak and strong vectors of the
+    admitted pairs are the rows of preallocated arrays, which the ZeroSet
+    takes without a copy.
     """
 
-    def __init__(self, dim: int):
+    def __init__(self, n: int, m: int, thr: float):
+        dim = n * n * m
+        self._dims = (n, m)
+        self._thr = thr
         self._basis = np.empty((dim, dim), dtype=complex)
-        self._vectors = np.empty((dim, dim), dtype=complex)
-        self.dimension = 0
+        self._strong = np.empty((dim, dim), dtype=complex)
+        self._weak = np.empty((dim, n * m), dtype=complex)
+        self._pairs: list[ZeroPair] = []
 
-    def vectors(self) -> np.ndarray:
-        return self._vectors[: self.dimension]
-
-    def admit(self, vec) -> bool:
+    def offer(self, x, h, residual: float) -> bool:
+        if residual > self._thr:
+            return False
+        vec = _strong_vector(x, h)
         norm = np.linalg.norm(vec)
         if norm == 0:
             return False
+        k = len(self._pairs)
+        basis = self._basis[:k]
         resid = vec / norm
-        basis = self._basis[: self.dimension]
         for _ in range(2):
             # coefficients <q_i, resid> as conj(Q conj(resid)): no copy of Q
             resid = resid - (basis @ resid.conj()).conj() @ basis
             rnorm = np.linalg.norm(resid)
             if rnorm <= _SCREEN_TOL:
                 return False
-        self._basis[self.dimension] = resid / rnorm
-        self._vectors[self.dimension] = vec
-        self.dimension += 1
+        self._basis[k] = resid / rnorm
+        self._strong[k] = vec
+        self._weak[k] = _weak_vector(x, h)
+        self._pairs.append(ZeroPair(x=x, h=h, residual=residual))
         return True
 
+    def zero_set(self, saturated) -> ZeroSet:
+        k = len(self._pairs)
+        return ZeroSet(*self._dims, self._pairs, self._weak[:k], self._strong[:k], bool(saturated))
 
-def _mine_candidates(phi, adj, scale, tol, x, h):
-    """Candidate zero pairs near a converged pair.
+
+def _mine_candidates(phi, adj, thr, outcome):
+    """Candidate zero pairs (x, h, residual) at a converged pair.
 
     The bottom eigenspace of Phi(|conj(x)><conj(x)|) may be degenerate (it is
     m-1 dimensional for conjugation maps), and likewise on the adjoint side;
-    every near-null eigenvector is a candidate.  Each candidate is re-verified
-    by residual before admission, so mining can only add genuine zeros.
+    every near-null eigenvector is a candidate.  The image at x and its
+    eigendecomposition come from the descent's last h step, and the adjoint
+    one at h from its last x step when it ran.  Admission checks each
+    residual, so mining can only add genuine zeros.
     """
-    thr = tol.residual_rel_tol * scale
-    candidates = [(x, h)]
-    m_mat = _hermitize(apply(phi, np.outer(x.conj(), x)))
-    w, u = np.linalg.eigh(m_mat)
-    null_hs = [u[:, i] for i in range(w.shape[0]) if abs(w[i]) <= thr]
-    for hk in null_hs:
-        candidates.append((x, hk))
-        n_mat = _hermitize(apply(adj, np.outer(hk, hk.conj())))
-        w2, u2 = np.linalg.eigh(n_mat)
-        for j in range(w2.shape[0]):
-            if abs(w2[j]) <= thr:
-                candidates.append((u2[:, j].conj(), hk))
-    return candidates
+    x, image = outcome.x, outcome.image
+    w, u = outcome.spectrum
+    yield x, outcome.h, outcome.residual
+    for i in range(w.shape[0]):
+        if abs(w[i]) <= thr:
+            hk = u[:, i]
+            if i > 0:  # (x, u[:, 0]) is the pair itself, offered above
+                yield x, hk, float(np.linalg.norm(image @ hk))
+            if i == 0 and outcome.adjoint_spectrum is not None:
+                w2, u2 = outcome.adjoint_spectrum  # its last x step, at h = u[:, 0]
+            else:
+                w2, u2 = _x_step(adj, hk)
+            for j in range(w2.shape[0]):
+                if abs(w2[j]) <= thr:
+                    xj = u2[:, j].conj()
+                    yield xj, hk, float(np.linalg.norm(apply(phi, np.outer(xj.conj(), xj)) @ hk))
 
 
 def harvest_zeros(
@@ -332,8 +218,7 @@ def harvest_zeros(
     scale = choi_spectral_scale(phi)
     thr = tol.residual_rel_tol * scale
     rng = np.random.default_rng(seed)
-    tracker = _SpanTracker(n * n * m)
-    kept: list[ZeroPair] = []
+    admission = _Admission(n, m, thr)
     stall = 0
     for start in range(budget):
         if stall >= stall_budget:
@@ -344,17 +229,11 @@ def harvest_zeros(
             outcome = _alternating_descent(phi, adj, scale, tol, h0=_random_unit(rng, m))
         produced = False
         if outcome.succeeded:
-            for xc, hc in _mine_candidates(phi, adj, scale, tol, outcome.x, outcome.h):
-                residual = float(
-                    np.linalg.norm(apply(phi, np.outer(xc.conj(), xc)) @ hc)
-                )
-                if residual > thr:
-                    continue
-                if tracker.admit(_strong_vector(xc, hc)):
-                    kept.append(ZeroPair(x=xc, h=hc, residual=residual))
+            for x, h, residual in _mine_candidates(phi, adj, thr, outcome):
+                if admission.offer(x, h, residual):
                     produced = True
         stall = 0 if produced else stall + 1
-    return ZeroSet.from_pairs(n, m, kept, saturated=stall >= stall_budget, strong_vectors=tracker.vectors())
+    return admission.zero_set(saturated=stall >= stall_budget)
 
 
 # Deterministic grid nodes: distinct moduli and golden-angle phases give
@@ -396,26 +275,23 @@ def analytic_zeros_conjugation(
         raise ZeroOperator("conjugation by the zero operator is not a map")
     n, m = v.shape
     phi = from_conjugation(v, transposed)
-    scale = choi_spectral_scale(phi)
-    thr = tol.residual_rel_tol * scale
-    frame = svd(v)
-    u_mat, s, w_mat = frame.left_vectors, frame.singular_values, frame.right_vectors
+    admission = _Admission(n, m, tol.residual_rel_tol * choi_spectral_scale(phi))
+    u_mat, s, w_h = np.linalg.svd(v)
+    w_mat = w_h.conj().T
     r = numerical_rank(v, tol)
-    tracker = _SpanTracker(n * n * m)
-    kept: list[ZeroPair] = []
 
-    def admit(x, h) -> bool:
+    def point(x):
+        """Unit x with its image Phi(|conj(x)><conj(x)|), shared by all partners."""
         x = _normalize(x)
-        h = _normalize(h)
-        residual = float(np.linalg.norm(apply(phi, np.outer(x.conj(), x)) @ h))
-        if residual > thr:
-            return False
-        if tracker.admit(_strong_vector(x, h)):
-            kept.append(ZeroPair(x=x, h=h, residual=residual))
-            return True
-        return False
+        return x, apply(phi, np.outer(x.conj(), x))
 
-    def pairs_for(xi) -> list[tuple[np.ndarray, np.ndarray]]:
+    def offer(pt, h) -> bool:
+        x, image = pt
+        h = _normalize(h)
+        return admission.offer(x, h, float(np.linalg.norm(image @ h)))
+
+    def pairs_for(xi):
+        """The point with frame coordinates xi and its partners h."""
         if transposed:
             x = u_mat @ xi
             coeff = s[:r] * xi[:r].conj()
@@ -428,20 +304,20 @@ def analytic_zeros_conjugation(
             eta_basis = np.eye(m, dtype=complex)
         else:
             eta_basis = kernel_basis(row.reshape(1, m), tol)
-        return [(x, w_mat @ eta_basis[:, k]) for k in range(eta_basis.shape[1])]
+        return point(x), [w_mat @ eta_basis[:, k] for k in range(eta_basis.shape[1])]
 
     base_points = n * n + n
-    base_xs = []
+    base = []
     for t in range(base_points):
-        xi = _vandermonde_point(t, n)
-        for x, h in pairs_for(xi):
-            admit(x, h)
-        base_xs.append(u_mat @ xi if transposed else u_mat.conj() @ xi)
+        pt, hs = pairs_for(_vandermonde_point(t, n))
+        for h in hs:
+            offer(pt, h)
+        base.append(pt)
 
     # Kernel-side family: h in ker V kills the condition for every x.
     for j in range(r, m):
-        for x in base_xs:
-            admit(x, w_mat[:, j])
+        for pt in base:
+            offer(pt, w_mat[:, j])
 
     # Degenerate stratum: when rank V < n there are x with V^H x = 0
     # (or V^T x = 0), and then every h is a zero partner.
@@ -449,30 +325,25 @@ def analytic_zeros_conjugation(
         d = n - r
         null_x = u_mat[:, r:] if transposed else u_mat[:, r:].conj()
         for t in range(d * d + d):
-            x = null_x @ _vandermonde_point(t, d)
+            pt = point(null_x @ _vandermonde_point(t, d))
             for j in range(m):
-                admit(x, w_mat[:, j])
+                offer(pt, w_mat[:, j])
 
     # Saturation check: deterministic generic filler points until nothing new
     # is admitted for a full stall window.
     ext_rng = np.random.default_rng(_EXTENSION_SEED)
     stall_window = max(4, n)
     stall = 0
-    extension_cap = 3 * base_points
-    saturated = False
-    for _ in range(extension_cap):
+    for _ in range(3 * base_points):
         if stall >= stall_window:
-            saturated = True
             break
-        xi = _random_unit(ext_rng, n)
+        pt, hs = pairs_for(_random_unit(ext_rng, n))
         produced = False
-        for x, h in pairs_for(xi):
-            if admit(x, h):
+        for h in hs:
+            if offer(pt, h):
                 produced = True
         stall = 0 if produced else stall + 1
-    else:
-        saturated = stall >= stall_window
-    return ZeroSet.from_pairs(n, m, kept, saturated=saturated, strong_vectors=tracker.vectors())
+    return admission.zero_set(saturated=stall >= stall_window)
 
 
 def weak_span_dim(zero_set: ZeroSet, tol: ToleranceConfig = DEFAULT_TOL) -> int:

@@ -7,10 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import mapcert.certify
 import mapcert.cli
 import mapcert.experiments
+import mapcert.zeros
 from mapcert.cli import main
 from mapcert.errors import CrossCheckError, OracleUnstable
+from mapcert.experiments import BOTH_RULES, SweepReport, sweep_default_cells
 from mapcert.documents import (
     matrix_to_payload,
     parse_certificate_document,
@@ -96,6 +99,25 @@ def test_analyze_writes_json_report(tmp_path, capsys):
     assert doc.zero_set_summary["saturated"] is True
 
 
+def test_analyze_measures_each_span_once(tmp_path, monkeypatch, capsys):
+    # The certificates measure both spans; the report reads their dimensions.
+    calls = {"weak_span_dim": 0, "strong_span_dim": 0}
+    for name in calls:
+        measure = getattr(mapcert.zeros, name)
+
+        def counted(*args, _name=name, _measure=measure, **kwargs):
+            calls[_name] += 1
+            return _measure(*args, **kwargs)
+
+        for module in (mapcert.zeros, mapcert.certify, mapcert.cli):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+    code = main(["analyze", transpose_doc(tmp_path), "--json", str(tmp_path / "report.json")])
+    capsys.readouterr()
+    assert code == 0
+    assert calls == {"weak_span_dim": 1, "strong_span_dim": 1}
+
+
 def test_analyze_flags_negative_map(tmp_path, capsys):
     # diag(1, -1) conjugation choi is Hermitian but not positive
     choi = np.diag([1.0, 0.0, 0.0, -1.0])
@@ -172,6 +194,22 @@ def test_sweep_measures_each_cell_once(monkeypatch, capsys):
     capsys.readouterr()
     # the rank-2 check's reports stand in for the grid's (2, m, 2) rows
     assert sorted(calls) == [(2, 2, 1), (2, 2, 2), (2, 3, 1), (2, 3, 2)]
+
+
+def test_default_sweep_rows_are_the_default_cells(monkeypatch, capsys):
+    def report(n, m, rank_v, seed=0, tol=None):
+        return SweepReport(n, m, rank_v, 0, 0, 0, 0, BOTH_RULES, seed)
+
+    monkeypatch.setattr(mapcert.experiments, "run_dimension_sweep", report)
+    monkeypatch.setattr(mapcert.cli, "run_dimension_sweep", report)
+    assert main(["sweep"]) == 0
+    rank2_part, grid_part = capsys.readouterr().out.split("dimension sweep")
+
+    def cells(text):
+        return [tuple(int(t) for t in line.split()[:3]) for line in text.splitlines() if line[:3].strip().isdigit()]
+
+    assert cells(rank2_part) == [(2, m, 2) for m in (2, 3, 4, 5)]
+    assert cells(grid_part) == sweep_default_cells()
 
 
 @pytest.mark.parametrize(

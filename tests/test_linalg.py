@@ -14,7 +14,6 @@ from mapcert.linalg import (
     kernel_inclusion_factor,
     numerical_rank,
     span_dimension,
-    svd,
 )
 
 
@@ -50,15 +49,6 @@ def test_as_matrix_accepts_nested_lists():
 def test_as_matrix_rejects_non_2d():
     with pytest.raises((DimensionMismatch, ValueError)):
         as_matrix([1, 2, 3])
-
-
-def test_svd_result_reconstructs():
-    rng = np.random.default_rng(0)
-    m = ginibre(rng, 3, 5)
-    res = svd(m)
-    assert np.allclose(res.reconstruct(), m)
-    assert np.allclose(res.left_vectors.conj().T @ res.left_vectors, np.eye(3))
-    assert np.allclose(res.right_vectors.conj().T @ res.right_vectors, np.eye(5))
 
 
 @pytest.mark.parametrize("rows,cols,rank", [(4, 4, 2), (3, 5, 1), (6, 4, 4), (5, 5, 5)])
