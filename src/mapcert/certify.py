@@ -19,9 +19,7 @@ from .linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
     _rank_from_singular_values,
-    image_projector,
     kernel_basis,
-    numerical_rank,
     span_dimension,
 )
 from .maps import MapOperator, apply, hermitian_basis
@@ -149,13 +147,19 @@ def is_irreducible_on_image(phi: MapOperator, tol: ToleranceConfig = DEFAULT_TOL
     otherwise commutant elements are compressed by the projector onto the
     image of Phi(1) before the span test.
     """
-    return _irreducibility(phi, tol)[1]
+    return _irreducibility(phi, _unit_image(phi, tol)[1], tol)[1]
 
 
-def _irreducibility(phi: MapOperator, tol: ToleranceConfig) -> tuple[bool, bool]:
-    # Both flags from one commutant solve, the costliest step of certify.
+def _unit_image(phi: MapOperator, tol: ToleranceConfig) -> tuple[int, np.ndarray]:
+    """Rank of Phi(1) and the orthogonal projector onto its image, from one SVD."""
+    u, s, _ = np.linalg.svd(apply(phi, np.eye(phi.dim_in, dtype=complex)), full_matrices=False)
+    u = u[:, : _rank_from_singular_values(s, tol)]
+    return u.shape[1], u @ u.conj().T
+
+
+def _irreducibility(phi: MapOperator, p: np.ndarray, tol: ToleranceConfig) -> tuple[bool, bool]:
+    # Both flags from one commutant solve; p projects onto the image of Phi(1).
     basis = commutant_basis(phi, tol)
-    p = image_projector(apply(phi, np.eye(phi.dim_in, dtype=complex)), tol)
     compressed = [(p @ x @ p).ravel() for x in basis]
     return len(basis) == 1, span_dimension(compressed, tol) == 1
 
@@ -251,14 +255,14 @@ def certify_exposed(phi: MapOperator, zs: ZeroSet, tol: ToleranceConfig = DEFAUL
     _check_compatible(phi, zs)
     n, m = phi.dim_in, phi.dim_out
     measured = strong_span_dim(zs, tol)
-    unit_rank = numerical_rank(apply(phi, np.eye(n, dtype=complex)), tol)
+    unit_rank, unit_projector = _unit_image(phi, tol)
     required = n * n * m - unit_rank
     if measured > required:
         raise CrossCheckError(
             f"strong span {measured} exceeds the kernel ceiling {required}; "
             "the zero set contains non-zeros or the rank tolerance is off"
         )
-    irreducible, irreducible_on_image = _irreducibility(phi, tol)
+    irreducible, irreducible_on_image = _irreducibility(phi, unit_projector, tol)
     stable = len(zs.pairs) == measured
     verdict = CERTIFIED if (measured == required and irreducible_on_image and stable) else INCONCLUSIVE
     note = _POSITIVITY_NOTE

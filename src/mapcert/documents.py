@@ -12,15 +12,15 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from .certify import Certificate
 from .errors import ParseError, SchemaError
 from .experiments import SweepReport
-from .linalg import DEFAULT_TOL, ToleranceConfig
-from .maps import MapOperator, cp_map_from_kraus, from_conjugation
+from .linalg import ToleranceConfig
+from .maps import MapOperator, _is_hermitian, cp_map_from_kraus, from_conjugation
 from .zeros import ZeroSet
 
 __all__ = [
@@ -108,9 +108,7 @@ def _require_dim(obj, key) -> int:
 
 def _validate_payload(kind: str, n: int, m: int, payload):
     if kind == "choi":
-        matrix = payload_to_matrix(payload, n * m, n * m)
-        gap = float(np.linalg.norm(matrix - matrix.conj().T))
-        if gap > DEFAULT_TOL.residual_rel_tol * max(1.0, float(np.linalg.norm(matrix))):
+        if not _is_hermitian(payload_to_matrix(payload, n * m, n * m)):
             raise SchemaError("choi", "hermiticity")
     elif kind == "conjugation":
         payload_to_matrix(payload, n, m)
@@ -121,8 +119,8 @@ def _validate_payload(kind: str, n: int, m: int, payload):
             payload_to_matrix(op, m, n, path=f"payload[{k}]")
 
 
-def parse_map_file(data) -> MapDocument:
-    """Parse and validate map-document bytes (or text)."""
+def _json_object(data) -> dict:
+    """The JSON object in document bytes (or text)."""
     if isinstance(data, bytes):
         try:
             data = data.decode("utf-8")
@@ -134,6 +132,12 @@ def parse_map_file(data) -> MapDocument:
         raise ParseError(f"line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
     if not isinstance(obj, dict):
         raise SchemaError("document", "must be a JSON object")
+    return obj
+
+
+def parse_map_file(data) -> MapDocument:
+    """Parse and validate map-document bytes (or text)."""
+    obj = _json_object(data)
     known = {"kind", "dim_in", "dim_out", "payload", "transposed", "meta"}
     for key in obj:
         if key not in known:
@@ -196,11 +200,7 @@ def to_map_operator(doc: MapDocument) -> MapOperator:
     """Realize the document as a MapOperator."""
     n, m = doc.dim_in, doc.dim_out
     if doc.kind == "choi":
-        matrix = payload_to_matrix(doc.payload, n * m, n * m)
-        try:
-            return MapOperator(n, m, matrix)
-        except ValueError as exc:
-            raise SchemaError("choi", "hermiticity") from exc
+        return MapOperator(n, m, payload_to_matrix(doc.payload, n * m, n * m))
     if doc.kind == "conjugation":
         return from_conjugation(payload_to_matrix(doc.payload, n, m), transposed=bool(doc.transposed))
     kraus = [payload_to_matrix(op, m, n, path=f"payload[{k}]") for k, op in enumerate(doc.payload)]
@@ -251,51 +251,15 @@ def zero_set_summary(zs: ZeroSet, weak_dim: int, strong_dim: int) -> dict:
 
 
 def render_certificate_document(doc: CertificateDocument) -> bytes:
-    """Canonical bytes for a certificate document."""
-    return _canonical_bytes(
-        {
-            "input_digest": doc.input_digest,
-            "certificates": doc.certificates,
-            "zero_set_summary": doc.zero_set_summary,
-            "sweep": doc.sweep,
-            "tool_version": doc.tool_version,
-            "seed": doc.seed,
-            "tolerances": doc.tolerances,
-        }
-    )
+    """Canonical bytes for a certificate document: its fields, as JSON."""
+    return _canonical_bytes(asdict(doc))
 
 
 def parse_certificate_document(data) -> CertificateDocument:
     """Inverse of render_certificate_document."""
-    if isinstance(data, bytes):
-        try:
-            data = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"not UTF-8 text: {exc}") from exc
-    try:
-        obj = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
-    if not isinstance(obj, dict):
-        raise SchemaError("document", "must be a JSON object")
-    required = {
-        "input_digest",
-        "certificates",
-        "zero_set_summary",
-        "sweep",
-        "tool_version",
-        "seed",
-        "tolerances",
-    }
-    missing = required - obj.keys()
+    obj = _json_object(data)
+    required = [f.name for f in fields(CertificateDocument)]
+    missing = sorted(set(required) - obj.keys())
     if missing:
-        raise SchemaError(sorted(missing)[0], "missing")
-    return CertificateDocument(
-        input_digest=obj["input_digest"],
-        certificates=obj["certificates"],
-        zero_set_summary=obj["zero_set_summary"],
-        sweep=obj["sweep"],
-        tool_version=obj["tool_version"],
-        seed=obj["seed"],
-        tolerances=obj["tolerances"],
-    )
+        raise SchemaError(missing[0], "missing")
+    return CertificateDocument(**{name: obj[name] for name in required})

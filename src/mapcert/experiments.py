@@ -39,7 +39,7 @@ from .linalg import (
     span_dimension,
 )
 from .maps import MapOperator, apply, choi_spectral_scale, cp_map_from_kraus, from_conjugation
-from .zeros import analytic_zeros_conjugation, harvest_zeros, strong_span_dim
+from .zeros import _conjugation_zeros, harvest_zeros, strong_span_dim
 
 __all__ = [
     "SweepReport",
@@ -155,10 +155,9 @@ def run_dimension_sweep(
     disagreement would poison every downstream conclusion.
     """
     v = random_rank_operator(n, m, rank_v, seed=seed, tol=tol)
-    analytic = strong_span_dim(analytic_zeros_conjugation(v, transposed=True, tol=tol), tol)
-    harvested = strong_span_dim(
-        harvest_zeros(from_conjugation(v, transposed=True), seed=seed, tol=tol), tol
-    )
+    phi = from_conjugation(v, transposed=True)
+    analytic = strong_span_dim(_conjugation_zeros(phi, v, transposed=True, tol=tol), tol)
+    harvested = strong_span_dim(harvest_zeros(phi, seed=seed, tol=tol), tol)
     if analytic != harvested:
         raise CrossCheckError(
             f"cell n={n} m={m} rank={rank_v} seed={seed}: "
@@ -266,7 +265,8 @@ def check_image_inclusion(
         base = _random_psd(rng, n)
         a = base + 0.5 * eye / n
         p = image_projector(apply(phi, a), tol)
-        out = apply(phi, b) - p @ apply(phi, b)
+        image_b = apply(phi, b)
+        out = image_b - p @ image_b
         worst_inclusion = max(worst_inclusion, float(np.linalg.norm(out)))
         a2 = _random_psd(rng, n) + 0.5 * eye / n
         p2 = image_projector(apply(phi, a2), tol)

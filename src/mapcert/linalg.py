@@ -8,7 +8,7 @@ rescaling a matrix never changes a rank decision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -55,12 +55,7 @@ class ToleranceConfig:
 
     def scaled(self, factor):
         """Copy with rank_rel_tol multiplied by ``factor`` (stability probes)."""
-        return ToleranceConfig(
-            rank_rel_tol=self.rank_rel_tol * factor,
-            residual_rel_tol=self.residual_rel_tol,
-            convergence_tol=self.convergence_tol,
-            max_iters=self.max_iters,
-        )
+        return replace(self, rank_rel_tol=self.rank_rel_tol * factor)
 
 
 DEFAULT_TOL = ToleranceConfig()

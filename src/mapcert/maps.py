@@ -17,6 +17,7 @@ here: the positivity heuristic refines its worst sample with it, and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -50,7 +51,10 @@ class MapOperator:
     """A linear map between matrix algebras in block (Choi) form.
 
     Immutable value object: the stored block matrix is set read-only, so a
-    MapOperator can be shared freely across threads.
+    MapOperator can be shared freely across threads.  It memoizes its
+    adjoint and spectral scale on first use, for every caller to share;
+    both are pure functions of that matrix, so racing threads compute equal
+    values and sharing stays safe.
     """
 
     dim_in: int
@@ -66,12 +70,27 @@ class MapOperator:
             raise DimensionMismatch(
                 f"block matrix has shape {choi.shape}, expected {(n * m, n * m)}"
             )
-        herm_gap = np.linalg.norm(choi - choi.conj().T)
-        if herm_gap > DEFAULT_TOL.residual_rel_tol * max(np.linalg.norm(choi), herm_gap):
+        if not _is_hermitian(choi):
             raise ValueError("block matrix is not Hermitian within tolerance")
         choi = choi.copy()
         choi.setflags(write=False)
         object.__setattr__(self, "choi", choi)
+
+    @cached_property
+    def _adjoint(self) -> MapOperator:
+        n, m = self.dim_in, self.dim_out
+        blocks = self.choi.reshape(n, m, n, m)
+        return MapOperator(m, n, blocks.transpose(1, 0, 3, 2).conj().reshape(n * m, n * m))
+
+    @cached_property
+    def _scale(self) -> float:
+        return float(np.linalg.norm(self.choi, 2))
+
+
+def _is_hermitian(matrix: np.ndarray) -> bool:
+    """Hermitian within tolerance: the one, scale-free rule of MapOperator and parse_map_file."""
+    gap = np.linalg.norm(matrix - matrix.conj().T)
+    return gap <= DEFAULT_TOL.residual_rel_tol * max(np.linalg.norm(matrix), gap)
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,8 +190,8 @@ def _hermitize(m: np.ndarray) -> np.ndarray:
 
 
 def choi_spectral_scale(phi: MapOperator) -> float:
-    """Largest singular value of the block matrix; the reference scale."""
-    return float(np.linalg.norm(phi.choi, 2))
+    """Largest singular value of the block matrix; the reference scale (memoized)."""
+    return phi._scale
 
 
 def apply(phi: MapOperator, a) -> np.ndarray:
@@ -181,8 +200,14 @@ def apply(phi: MapOperator, a) -> np.ndarray:
     n, m = phi.dim_in, phi.dim_out
     if a.shape != (n, n):
         raise DimensionMismatch(f"argument has shape {a.shape}, expected {(n, n)}")
-    blocks = phi.choi.reshape(n, m, n, m)
-    return np.einsum("ikjl,ij->kl", blocks, a)
+    return np.einsum("ikjl,ij->kl", phi.choi.reshape(n, m, n, m), a)
+
+
+def _image(phi: MapOperator, x) -> np.ndarray:
+    """Phi(|conj(x)><conj(x)|): the einsum of ``apply``, without revalidating
+    a vector the package built itself."""
+    n, m = phi.dim_in, phi.dim_out
+    return np.einsum("ikjl,ij->kl", phi.choi.reshape(n, m, n, m), np.outer(x.conj(), x))
 
 
 def from_apply_table(images) -> MapOperator:
@@ -241,11 +266,8 @@ def cp_map_from_kraus(kraus) -> MapOperator:
 
 
 def adjoint_map(phi: MapOperator) -> MapOperator:
-    """Adjoint Phi* under the trace pairing Tr(b^H Phi(a)) = Tr(Phi*(b)^H a)."""
-    n, m = phi.dim_in, phi.dim_out
-    blocks = phi.choi.reshape(n, m, n, m)
-    adj_blocks = blocks.transpose(1, 0, 3, 2).conj()
-    return MapOperator(m, n, adj_blocks.reshape(n * m, n * m))
+    """Adjoint Phi* under the trace pairing Tr(b^H Phi(a)) = Tr(Phi*(b)^H a) (memoized)."""
+    return phi._adjoint
 
 
 def unital_normalization(phi: MapOperator, tol: ToleranceConfig = DEFAULT_TOL) -> NormalForm:
@@ -314,17 +336,17 @@ def _normalize(v) -> np.ndarray:
 def _h_step(phi, x):
     """Phi(|conj(x)><conj(x)|) and the eigendecomposition of its Hermitian
     part; the bottom eigenvector is the minimizer over h."""
-    image = apply(phi, np.outer(x.conj(), x))
+    image = _image(phi, x)
     return image, np.linalg.eigh(_hermitize(image))
 
 
-def _x_step(adj, h):
+def _x_step(phi, h):
     # g(x, h) = <conj(x)| Phi*(|h><h|) |conj(x)>, so the minimizer over x is
     # the conjugate of the bottom eigenvector of the adjoint image.
-    return np.linalg.eigh(_hermitize(apply(adj, np.outer(h, h.conj()))))
+    return np.linalg.eigh(_hermitize(_image(phi._adjoint, h.conj())))
 
 
-def _alternating_descent(phi, adj, scale, tol, x0=None, h0=None) -> SearchOutcome:
+def _alternating_descent(phi, tol, x0=None, h0=None) -> SearchOutcome:
     """Minimize g(x, h) = <h| Phi(|conj(x)><conj(x)|) |h> by exact
     alternating eigenvector steps.
 
@@ -334,10 +356,11 @@ def _alternating_descent(phi, adj, scale, tol, x0=None, h0=None) -> SearchOutcom
     """
     if (x0 is None) == (h0 is None):
         raise ValueError("exactly one of x0 and h0 must be given")
+    scale = phi._scale
     stall = tol.convergence_tol * max(scale, np.finfo(float).tiny)
     history: list[float] = []
     if h0 is not None:
-        w_adj, u_adj = _x_step(adj, _normalize(h0))
+        w_adj, u_adj = _x_step(phi, _normalize(h0))
         x = u_adj[:, 0].conj()
         history.append(float(w_adj[0]))
     else:
@@ -354,7 +377,7 @@ def _alternating_descent(phi, adj, scale, tol, x0=None, h0=None) -> SearchOutcom
             converged = True
             break
         g_prev = g
-        adjoint = _x_step(adj, u[:, 0])
+        adjoint = _x_step(phi, u[:, 0])
         w_adj, u_adj = adjoint
         g = float(w_adj[0])
         history.append(g)
@@ -404,12 +427,11 @@ def is_positive_heuristic(
     for _ in range(samples):
         y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         y /= np.linalg.norm(y)
-        val = float(np.linalg.eigvalsh(_hermitize(apply(phi, np.outer(y, y.conj()))))[0])
+        val = float(np.linalg.eigvalsh(_hermitize(_image(phi, y.conj())))[0])
         if val < worst_value:
             worst_value = val
             worst_vector = y
-    adj = adjoint_map(phi)
-    outcome = _alternating_descent(phi, adj, scale, tol, x0=worst_vector.conj())
+    outcome = _alternating_descent(phi, tol, x0=worst_vector.conj())
     if outcome.value < worst_value:
         worst_value = float(outcome.value)
         worst_vector = outcome.x.conj()

@@ -49,10 +49,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, ZeroOperator
+from .errors import DimensionMismatch
 from .linalg import DEFAULT_TOL, ToleranceConfig, as_matrix, kernel_basis, numerical_rank, span_dimension
-from .maps import MapOperator, SearchOutcome, ZeroPair, adjoint_map, apply, choi_spectral_scale, from_conjugation
-from .maps import _alternating_descent, _normalize, _strong_vector, _weak_vector, _x_step
+from .maps import MapOperator, SearchOutcome, ZeroPair, choi_spectral_scale, from_conjugation
+from .maps import _alternating_descent, _image, _normalize, _strong_vector, _weak_vector, _x_step
 
 __all__ = [
     "ZeroSet",
@@ -110,9 +110,7 @@ def local_zero_search(phi: MapOperator, x0, tol: ToleranceConfig = DEFAULT_TOL) 
     x0 = _normalize(x0)
     if x0.shape[0] != phi.dim_in:
         raise DimensionMismatch(f"x0 has length {x0.shape[0]}, expected {phi.dim_in}")
-    return _alternating_descent(
-        phi, adjoint_map(phi), choi_spectral_scale(phi), tol, x0=x0
-    )
+    return _alternating_descent(phi, tol, x0=x0)
 
 
 class _Admission:
@@ -167,7 +165,7 @@ class _Admission:
         return ZeroSet(*self._dims, self._pairs, self._weak[:k], self._strong[:k], bool(saturated))
 
 
-def _mine_candidates(phi, adj, thr, outcome):
+def _mine_candidates(phi, thr, outcome):
     """Candidate zero pairs (x, h, residual) at a converged pair.
 
     The bottom eigenspace of Phi(|conj(x)><conj(x)|) may be degenerate (it is
@@ -188,11 +186,11 @@ def _mine_candidates(phi, adj, thr, outcome):
             if i == 0 and outcome.adjoint_spectrum is not None:
                 w2, u2 = outcome.adjoint_spectrum  # its last x step, at h = u[:, 0]
             else:
-                w2, u2 = _x_step(adj, hk)
+                w2, u2 = _x_step(phi, hk)
             for j in range(w2.shape[0]):
                 if abs(w2[j]) <= thr:
                     xj = u2[:, j].conj()
-                    yield xj, hk, float(np.linalg.norm(apply(phi, np.outer(xj.conj(), xj)) @ hk))
+                    yield xj, hk, float(np.linalg.norm(_image(phi, xj) @ hk))
 
 
 def harvest_zeros(
@@ -214,9 +212,7 @@ def harvest_zeros(
     budget = 50 * n * m if starts is None else int(starts)
     if budget < 1:
         raise ValueError("starts must be at least 1")
-    adj = adjoint_map(phi)
-    scale = choi_spectral_scale(phi)
-    thr = tol.residual_rel_tol * scale
+    thr = tol.residual_rel_tol * choi_spectral_scale(phi)
     rng = np.random.default_rng(seed)
     admission = _Admission(n, m, thr)
     stall = 0
@@ -224,12 +220,12 @@ def harvest_zeros(
         if stall >= stall_budget:
             break
         if start % 2 == 0:
-            outcome = _alternating_descent(phi, adj, scale, tol, x0=_random_unit(rng, n))
+            outcome = _alternating_descent(phi, tol, x0=_random_unit(rng, n))
         else:
-            outcome = _alternating_descent(phi, adj, scale, tol, h0=_random_unit(rng, m))
+            outcome = _alternating_descent(phi, tol, h0=_random_unit(rng, m))
         produced = False
         if outcome.succeeded:
-            for x, h, residual in _mine_candidates(phi, adj, thr, outcome):
+            for x, h, residual in _mine_candidates(phi, thr, outcome):
                 if admission.offer(x, h, residual):
                     produced = True
         stall = 0 if produced else stall + 1
@@ -270,11 +266,13 @@ def analytic_zeros_conjugation(
     x-family are emitted explicitly; saturation is then verified by extending
     the grid until a stall window admits nothing new.
     """
-    v = as_matrix(v)
-    if not np.any(v):
-        raise ZeroOperator("conjugation by the zero operator is not a map")
-    n, m = v.shape
     phi = from_conjugation(v, transposed)
+    return _conjugation_zeros(phi, as_matrix(v), transposed, tol)
+
+
+def _conjugation_zeros(phi: MapOperator, v: np.ndarray, transposed: bool, tol: ToleranceConfig) -> ZeroSet:
+    """``analytic_zeros_conjugation`` on its conjugation map phi, built by the caller."""
+    n, m = v.shape
     admission = _Admission(n, m, tol.residual_rel_tol * choi_spectral_scale(phi))
     u_mat, s, w_h = np.linalg.svd(v)
     w_mat = w_h.conj().T
@@ -283,7 +281,7 @@ def analytic_zeros_conjugation(
     def point(x):
         """Unit x with its image Phi(|conj(x)><conj(x)|), shared by all partners."""
         x = _normalize(x)
-        return x, apply(phi, np.outer(x.conj(), x))
+        return x, _image(phi, x)
 
     def offer(pt, h) -> bool:
         x, image = pt

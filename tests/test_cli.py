@@ -118,6 +118,75 @@ def test_analyze_measures_each_span_once(tmp_path, monkeypatch, capsys):
     assert calls == {"weak_span_dim": 1, "strong_span_dim": 1}
 
 
+class PreparedMapCounts:
+    """Counts, at their lookup sites, of what preparing a map costs: conjugation
+    maps built, MapOperators constructed (dims), spectral-scale SVDs
+    (2-norms) and np.linalg.svd calls."""
+
+    def __init__(self, monkeypatch):
+        self.conjugations, self.operators, self.scales, self.svds = 0, [], 0, 0
+        build = mapcert.maps.from_conjugation
+
+        def conjugation(*args, **kwargs):
+            self.conjugations += 1
+            return build(*args, **kwargs)
+
+        for module in (mapcert.maps, mapcert.zeros, mapcert.experiments, mapcert.documents, mapcert.cli):
+            if getattr(module, "from_conjugation", None) is build:
+                monkeypatch.setattr(module, "from_conjugation", conjugation)
+        operator_type = mapcert.maps.MapOperator
+        validate = operator_type.__post_init__
+
+        def construct(operator):
+            self.operators.append((operator.dim_in, operator.dim_out))
+            validate(operator)
+
+        monkeypatch.setattr(operator_type, "__post_init__", construct)
+        norm, svd = np.linalg.norm, np.linalg.svd
+
+        def counted_norm(x, ord=None, *args, **kwargs):
+            if ord == 2:
+                self.scales += 1
+            return norm(x, ord, *args, **kwargs)
+
+        def counted_svd(*args, **kwargs):
+            self.svds += 1
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "norm", counted_norm)
+        monkeypatch.setattr(np.linalg, "svd", counted_svd)
+
+
+def test_analyze_prepares_the_map_once(tmp_path, monkeypatch, capsys):
+    v = mapcert.experiments.random_rank_operator(2, 3, 2, seed=1)
+    path = write_doc(
+        tmp_path,
+        "conj.json",
+        {"kind": "conjugation", "dim_in": 2, "dim_out": 3, "payload": matrix_to_payload(v), "transposed": True},
+    )
+    counts = PreparedMapCounts(monkeypatch)
+    assert main(["analyze", path]) == 0
+    capsys.readouterr()
+    # the map and its adjoint, each built once; one scale for the positivity
+    # heuristic and the harvest; SVDs: weak span, strong span, Phi(1) (its
+    # rank and its image projector), the commutant, the compressed commutant
+    assert counts.conjugations == 1
+    assert counts.operators == [(2, 3), (3, 2)]
+    assert counts.scales == 1
+    assert counts.svds == 5
+
+
+def test_sweep_prepares_each_cell_map_once(monkeypatch, capsys):
+    counts = PreparedMapCounts(monkeypatch)
+    assert main(["sweep", "--n-range", "2", "--m-range", "2..3"]) == 0
+    capsys.readouterr()
+    # four cells; each builds one conjugation map, shared by both zero routes,
+    # and the harvest builds its adjoint
+    assert counts.conjugations == 4
+    assert sorted(counts.operators) == [(2, 2)] * 4 + [(2, 3)] * 2 + [(3, 2)] * 2
+    assert counts.scales == 4
+
+
 def test_analyze_flags_negative_map(tmp_path, capsys):
     # diag(1, -1) conjugation choi is Hermitian but not positive
     choi = np.diag([1.0, 0.0, 0.0, -1.0])

@@ -21,7 +21,7 @@ from mapcert.documents import (
 )
 from mapcert.errors import ParseError, SchemaError
 from mapcert.linalg import DEFAULT_TOL
-from mapcert.maps import apply, is_completely_positive, transpose_map
+from mapcert.maps import MapOperator, apply, is_completely_positive, transpose_map
 from mapcert.zeros import analytic_zeros_conjugation, strong_span_dim, weak_span_dim
 
 
@@ -197,6 +197,21 @@ def test_parse_rejects_non_hermitian_choi():
     doc = {"kind": "choi", "dim_in": 2, "dim_out": 2, "payload": matrix_to_payload(bad)}
     with pytest.raises(SchemaError, match="hermiticity"):
         parse_map_file(json.dumps(doc))
+
+
+@pytest.mark.parametrize("dim_in, dim_out", [(1, 2), (2, 2)])
+@pytest.mark.parametrize("scale", [1.0, 1e-12])
+def test_parse_hermiticity_rule_is_scale_free(dim_in, dim_out, scale):
+    # H + 1e-5 A, A real and not symmetric: not Hermitian at any scale, by the
+    # rule MapOperator applies too
+    rng = np.random.default_rng(4)
+    g = rng.standard_normal((dim_in * dim_out,) * 2) + 1j * rng.standard_normal((dim_in * dim_out,) * 2)
+    choi = scale * (g + g.conj().T + 1e-5 * np.triu(rng.standard_normal(g.shape)))
+    doc = {"kind": "choi", "dim_in": dim_in, "dim_out": dim_out, "payload": matrix_to_payload(choi)}
+    with pytest.raises(SchemaError, match="hermiticity"):
+        parse_map_file(json.dumps(doc))
+    with pytest.raises(ValueError):
+        MapOperator(dim_in, dim_out, choi)
 
 
 def test_conjugation_document_realizes_the_right_map():

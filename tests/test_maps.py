@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -104,6 +107,38 @@ def test_adjoint_map_trace_pairing():
         lhs = np.trace(b.conj().T @ apply(phi, a))
         rhs = np.trace(apply(adj, b).conj().T @ a)
         assert lhs == pytest.approx(rhs)
+
+
+def test_memoized_adjoint_and_scale_under_racing_threads():
+    # Many threads hit a fresh map's first use at once: each sees the
+    # adjoint and scale that a single caller would, and later calls share one.
+    rng = np.random.default_rng(6)
+    v = ginibre(rng, 3, 4)
+    expected_adj = adjoint_map(from_conjugation(v)).choi
+    expected_scale = choi_spectral_scale(from_conjugation(v))
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            phi = from_conjugation(v)
+            seen = []
+            start = threading.Barrier(16)
+
+            def first_use(phi=phi, seen=seen, start=start):
+                start.wait(timeout=10)
+                seen.append((adjoint_map(phi).choi, choi_spectral_scale(phi)))
+
+            threads = [threading.Thread(target=first_use) for _ in range(16)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+            assert not any(t.is_alive() for t in threads)
+            assert len(seen) == 16
+            assert all(np.array_equal(a, expected_adj) and s == expected_scale for a, s in seen)
+            assert adjoint_map(phi) is adjoint_map(phi)
+    finally:
+        sys.setswitchinterval(switch)
 
 
 def test_adjoint_is_an_involution():

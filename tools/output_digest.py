@@ -1,0 +1,165 @@
+"""Output-equivalence digest of one mapcert source tree.
+
+    python tools/output_digest.py SRC
+
+imports mapcert from the directory SRC (a tree's ``src/``) and prints one
+SHA-256 over what the program outputs on a fixed input set:
+
+* ``mapcert sweep`` at seeds 0 and 3 and with ``--n-range 2 --m-range 2..3``:
+  stdout, stderr, exit code and the ``--json`` bytes;
+* the ZeroSets of both zero routes (analytic and harvest) on the 32 default
+  sweep cells at seeds 0 and 1: every kept pair's x, h and ``repr`` of its
+  residual, the weak and strong rows with their shapes, and ``saturated``;
+* ``mapcert analyze --json`` on 225 documents: perfbench's analyze-mixed
+  entries at seeds 1-3 (72), its analyze-large entries (3), and 50 documents
+  of each ``mapcert generate`` kind over n, m in 2..4 (150, whose generate
+  bytes are hashed too): stdout, stderr, exit code and report bytes.
+
+Equal digests from two trees mean byte-identical outputs on all of them, so
+a change that claims unchanged outputs is checked by running this against
+the parent's ``src/`` and the change's.  One run takes seconds.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+SWEEPS = (
+    ["sweep", "--seed", "0"],
+    ["sweep", "--seed", "3"],
+    ["sweep", "--n-range", "2", "--m-range", "2..3"],
+)
+
+
+def _cli(argv) -> tuple[int, bytes, bytes]:
+    import mapcert.cli
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = mapcert.cli.main(list(argv))
+    return code, out.getvalue().encode(), err.getvalue().encode()
+
+
+class _Hasher:
+    """SHA-256 over a sequence of length-prefixed fields."""
+
+    def __init__(self):
+        self._sha = hashlib.sha256()
+
+    def add(self, *fields):
+        for value in fields:
+            if isinstance(value, np.ndarray):
+                self.add(str(value.shape), str(value.dtype), np.ascontiguousarray(value).tobytes())
+                continue
+            data = value if isinstance(value, bytes) else str(value).encode()
+            self._sha.update(len(data).to_bytes(8, "little") + data)
+
+    def hexdigest(self) -> str:
+        return self._sha.hexdigest()
+
+
+def _add_zero_set(hasher, zs):
+    hasher.add(len(zs.pairs), zs.saturated, zs.weak_vectors, zs.strong_vectors)
+    for pair in zs.pairs:
+        hasher.add(pair.x, pair.h, repr(pair.residual))
+
+
+def output_digest(sweeps, cells, documents) -> str:
+    """SHA-256 over the outputs of the imported mapcert on the given inputs.
+
+    ``sweeps``: argv lists of ``mapcert sweep`` (``--json`` is appended);
+    ``cells``: (n, m, rank, seed) conjugation cells for both zero routes;
+    ``documents``: (map document text, analyze seed) pairs.
+    """
+    from mapcert.experiments import random_rank_operator
+    from mapcert.maps import from_conjugation
+    from mapcert.zeros import analytic_zeros_conjugation, harvest_zeros
+
+    hasher = _Hasher()
+    with tempfile.TemporaryDirectory() as tmp:
+        report = Path(tmp) / "report.json"
+        for argv in sweeps:
+            hasher.add(*argv, *_cli([*argv, "--json", str(report)]), report.read_bytes())
+            report.unlink()
+        for n, m, rank, seed in cells:
+            v = random_rank_operator(n, m, rank, seed=seed)
+            hasher.add(n, m, rank, seed)
+            _add_zero_set(hasher, analytic_zeros_conjugation(v, transposed=True))
+            _add_zero_set(hasher, harvest_zeros(from_conjugation(v, transposed=True), seed=seed))
+        doc = Path(tmp) / "map.json"
+        for text, seed in documents:
+            doc.write_text(text)
+            hasher.add(text, seed, *_cli(["analyze", str(doc), "--seed", str(seed), "--json", str(report)]))
+            hasher.add(report.read_bytes() if report.exists() else b"no report")
+            report.unlink(missing_ok=True)
+    return hasher.hexdigest()
+
+
+def _generated_documents() -> list[tuple[str, int]]:
+    documents = []
+    for kind in ("conjugation", "random-cp", "random-choi"):
+        for seed in range(50):
+            n, m = 2 + seed % 3, 2 + seed // 3 % 3
+            argv = ["generate", "--kind", kind, "--n", str(n), "--m", str(m), "--seed", str(seed)]
+            if kind == "conjugation":
+                argv += ["--rank", str(1 + seed % min(n, m))]
+                argv += ["--no-transposed"] if seed % 4 == 3 else []
+            elif kind == "random-cp":
+                argv += ["--kraus", str(1 + seed % 4)]
+            code, out, err = _cli(argv)
+            if code != 0:
+                raise RuntimeError(f"{' '.join(argv)} exited {code}: {err.decode()}")
+            documents.append((out.decode(), seed))
+    return documents
+
+
+def _perfbench_documents() -> list[tuple[str, int]]:
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    specs = [(seed, spec) for seed in (1, 2, 3) for spec in workloads.MIXED]
+    specs += [(1, spec) for spec in workloads.LARGE]
+    documents = []
+    for index, (seed, spec) in enumerate(specs):
+        rng = np.random.default_rng([seed, index])
+        documents.append((json.dumps(workloads.make_document(rng, *spec)), seed))
+    return documents
+
+
+def default_inputs():
+    """The full input set: (sweeps, cells, documents) for ``output_digest``."""
+    from mapcert.experiments import sweep_default_cells
+
+    cells = [(n, m, r, seed) for seed in (0, 1) for n, m, r in sweep_default_cells()]
+    return list(SWEEPS), cells, _perfbench_documents() + _generated_documents()
+
+
+def main(argv) -> int:
+    if len(argv) != 2:
+        print(__doc__, file=sys.stderr)
+        return 2
+    src = Path(argv[1]).resolve()
+    sys.path.insert(0, str(src))
+    import mapcert
+
+    if Path(mapcert.__file__).resolve().parent != src / "mapcert":
+        print(f"error: mapcert was imported from {mapcert.__file__}, not {src}", file=sys.stderr)
+        return 2
+    print(output_digest(*default_inputs()))
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv))
