@@ -95,6 +95,7 @@ from .experiments import (
 from .documents import (
     CertificateDocument,
     MapDocument,
+    SweepDocument,
     content_digest,
     matrix_to_payload,
     parse_certificate_document,

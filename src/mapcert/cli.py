@@ -23,15 +23,14 @@ from .certify import certify_exposed, certify_optimal
 from .documents import (
     CertificateDocument,
     MapDocument,
+    SweepDocument,
     certificate_to_record,
     content_digest,
     matrix_to_payload,
     parse_map_file,
     render_certificate_document,
     render_map_document,
-    sweep_report_to_record,
     to_map_operator,
-    tolerances_to_record,
     zero_set_summary,
 )
 from .errors import CrossCheckError, MapcertError, OracleUnstable, ParseError, SchemaError
@@ -143,10 +142,9 @@ def _cmd_analyze(args) -> int:
             input_digest=digest,
             certificates=[certificate_to_record(optimal), certificate_to_record(exposed)],
             zero_set_summary=zero_set_summary(zs, optimal.measured_dim, exposed.measured_dim),
-            sweep=None,
             tool_version=__version__,
             seed=args.seed,
-            tolerances=tolerances_to_record(tol),
+            tolerances=dataclasses.asdict(tol),
         )
         Path(args.json).write_bytes(render_certificate_document(report))
     return 0
@@ -170,7 +168,6 @@ def _sweep_row(report) -> str:
 
 
 def _cmd_sweep(args) -> int:
-    reports = []
     rank2 = {}
     if 2 in args.n_range:
         print(f"rank-2 count check (n=2, target 4m-2), seed {args.seed}")
@@ -178,34 +175,25 @@ def _cmd_sweep(args) -> int:
         for m in args.m_range:
             if m < 2:
                 continue
-            rank2[m] = report = run_rank2_count_check(m, seed=args.seed)
-            reports.append(report)
-            print(_sweep_row(report))
+            rank2[m] = run_rank2_count_check(m, seed=args.seed)
+            print(_sweep_row(rank2[m]))
         print()
     print(f"dimension sweep, seed {args.seed}")
     print(_SWEEP_HEADER)
+    reports = []
     for n, m, rank_v in sweep_cells(args.n_range, args.m_range):
-        if (n, rank_v) == (2, 2):
-            # the rank-2 check above measured this very cell
-            report = rank2[m]
-        else:
-            report = run_dimension_sweep(n, m, rank_v, seed=args.seed)
+        # the rank-2 check above measured every (2, m, 2) grid cell
+        report = rank2[m] if (n, rank_v) == (2, 2) else run_dimension_sweep(n, m, rank_v, seed=args.seed)
         reports.append(report)
         print(_sweep_row(report))
     if args.json:
-        Path(args.json).write_bytes(
-            render_certificate_document(
-                CertificateDocument(
-                    input_digest="",
-                    certificates=[],
-                    zero_set_summary={},
-                    sweep=[sweep_report_to_record(r) for r in reports],
-                    tool_version=__version__,
-                    seed=args.seed,
-                    tolerances=tolerances_to_record(DEFAULT_TOL),
-                )
-            )
+        doc = SweepDocument(
+            sweep=[dataclasses.asdict(r) for r in reports],
+            tool_version=__version__,
+            seed=args.seed,
+            tolerances=dataclasses.asdict(DEFAULT_TOL),
         )
+        Path(args.json).write_bytes(render_certificate_document(doc))
     if any(r.agrees_with == NEITHER_RULE for r in reports):
         print("at least one cell matched neither closed-form candidate", file=sys.stderr)
         return 4

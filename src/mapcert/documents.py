@@ -1,4 +1,4 @@
-"""JSON document formats for maps and certificate reports.
+"""JSON document formats for maps, certificate reports and sweep reports.
 
 Complex numbers are encoded as two-element [re, im] arrays throughout, so
 documents stay schema-checkable without string parsing.  Rendering is
@@ -18,14 +18,13 @@ import numpy as np
 
 from .certify import Certificate
 from .errors import ParseError, SchemaError
-from .experiments import SweepReport
-from .linalg import ToleranceConfig
 from .maps import MapOperator, _is_hermitian, cp_map_from_kraus, from_conjugation
 from .zeros import ZeroSet
 
 __all__ = [
     "MapDocument",
     "CertificateDocument",
+    "SweepDocument",
     "matrix_to_payload",
     "payload_to_matrix",
     "parse_map_file",
@@ -33,8 +32,6 @@ __all__ = [
     "to_map_operator",
     "content_digest",
     "certificate_to_record",
-    "sweep_report_to_record",
-    "tolerances_to_record",
     "zero_set_summary",
     "render_certificate_document",
     "parse_certificate_document",
@@ -62,7 +59,16 @@ class CertificateDocument:
     input_digest: str
     certificates: list
     zero_set_summary: dict
-    sweep: list | None
+    tool_version: str
+    seed: int
+    tolerances: dict
+
+
+@dataclass(frozen=True)
+class SweepDocument:
+    """Report of one dimension sweep: one record per grid cell, in sweep order."""
+
+    sweep: list
     tool_version: str
     seed: int
     tolerances: dict
@@ -218,29 +224,6 @@ def certificate_to_record(cert: Certificate) -> dict:
     }
 
 
-def sweep_report_to_record(report: SweepReport) -> dict:
-    return {
-        "n": report.n,
-        "m": report.m,
-        "rank_v": report.rank_v,
-        "measured_strong_dim": report.measured_strong_dim,
-        "formula_input_rule": report.formula_input_rule,
-        "formula_output_rule": report.formula_output_rule,
-        "strong_target": report.strong_target,
-        "agrees_with": report.agrees_with,
-        "seed": report.seed,
-    }
-
-
-def tolerances_to_record(tol: ToleranceConfig) -> dict:
-    return {
-        "rank_rel_tol": tol.rank_rel_tol,
-        "residual_rel_tol": tol.residual_rel_tol,
-        "convergence_tol": tol.convergence_tol,
-        "max_iters": tol.max_iters,
-    }
-
-
 def zero_set_summary(zs: ZeroSet, weak_dim: int, strong_dim: int) -> dict:
     return {
         "pairs": len(zs.pairs),
@@ -250,8 +233,8 @@ def zero_set_summary(zs: ZeroSet, weak_dim: int, strong_dim: int) -> dict:
     }
 
 
-def render_certificate_document(doc: CertificateDocument) -> bytes:
-    """Canonical bytes for a certificate document: its fields, as JSON."""
+def render_certificate_document(doc: CertificateDocument | SweepDocument) -> bytes:
+    """Canonical bytes for a certificate or sweep report: its fields, as JSON."""
     return _canonical_bytes(asdict(doc))
 
 

@@ -114,7 +114,6 @@ class PositivityReport:
     passed: bool
     worst_value: float
     worst_vector: np.ndarray
-    samples: int
 
 
 @dataclass(frozen=True)
@@ -403,28 +402,30 @@ def _alternating_descent(phi, tol, x0=None, h0=None) -> SearchOutcome:
     )
 
 
+# Random unit vectors the positivity heuristic samples before its descent.
+_POSITIVITY_SAMPLES = 64
+
+
 def is_positive_heuristic(
     phi: MapOperator,
-    samples: int = 64,
     tol: ToleranceConfig = DEFAULT_TOL,
     seed: int = 0,
 ) -> PositivityReport:
     """Sampling-plus-descent check that Phi maps PSD matrices to PSD matrices.
 
-    Minimizes the smallest eigenvalue of Phi(|y><y|) over random unit vectors
-    y, then refines the worst sample by alternating eigenvector descent.  A
-    certified "True" here is still heuristic: it can be fooled by maps whose
-    negativity region is tiny, which is why certificates carry a conditional
-    note.  The RNG seed is explicit so results are reproducible.
+    Minimizes the smallest eigenvalue of Phi(|y><y|) over
+    ``_POSITIVITY_SAMPLES`` random unit vectors y, then refines the worst
+    sample by alternating eigenvector descent.  A certified "True" here is
+    still heuristic: it can be fooled by maps whose negativity region is
+    tiny, which is why certificates carry a conditional note.  The RNG seed
+    is explicit so results are reproducible.
     """
-    if samples < 1:
-        raise ValueError("samples must be at least 1")
     n = phi.dim_in
     rng = np.random.default_rng(seed)
     scale = choi_spectral_scale(phi)
     worst_value = np.inf
     worst_vector = None
-    for _ in range(samples):
+    for _ in range(_POSITIVITY_SAMPLES):
         y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         y /= np.linalg.norm(y)
         val = float(np.linalg.eigvalsh(_hermitize(_image(phi, y.conj())))[0])
@@ -436,12 +437,7 @@ def is_positive_heuristic(
         worst_value = float(outcome.value)
         worst_vector = outcome.x.conj()
     passed = worst_value >= -tol.residual_rel_tol * scale
-    return PositivityReport(
-        passed=passed,
-        worst_value=worst_value,
-        worst_vector=worst_vector,
-        samples=samples,
-    )
+    return PositivityReport(passed=passed, worst_value=worst_value, worst_vector=worst_vector)
 
 
 def identity_map(n: int) -> MapOperator:

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
-from .linalg import DEFAULT_TOL, ToleranceConfig, as_matrix, kernel_basis, numerical_rank, span_dimension
+from .linalg import DEFAULT_TOL, ToleranceConfig, _rank_from_singular_values, as_matrix, kernel_basis, span_dimension
 from .maps import MapOperator, SearchOutcome, ZeroPair, choi_spectral_scale, from_conjugation
 from .maps import _alternating_descent, _image, _normalize, _strong_vector, _weak_vector, _x_step
 
@@ -66,6 +66,9 @@ __all__ = [
 # Admission threshold of the span basis: a unit candidate whose residual
 # against the admitted basis is at or below this is dependent.
 _SCREEN_TOL = 1e-7
+
+# The harvest stops once this many consecutive starts admit nothing new.
+_STALL_BUDGET = 20
 
 
 @dataclass(frozen=True)
@@ -198,13 +201,12 @@ def harvest_zeros(
     seed: int = 0,
     tol: ToleranceConfig = DEFAULT_TOL,
     starts: int | None = None,
-    stall_budget: int = 20,
 ) -> ZeroSet:
     """Multistart zero harvest; keeps a pair only if it grows the strong span.
 
     Runs alternating descents from ``starts`` seeded random starts (default
     50 * n * m), alternating x-side and h-side starts, and stops early once
-    ``stall_budget`` consecutive starts produce nothing new (this includes
+    ``_STALL_BUDGET`` consecutive starts produce nothing new (this includes
     starts that found no zero at all, so maps without zeros stall quickly and
     still report ``saturated=True``).  Deterministic for a fixed seed.
     """
@@ -217,7 +219,7 @@ def harvest_zeros(
     admission = _Admission(n, m, thr)
     stall = 0
     for start in range(budget):
-        if stall >= stall_budget:
+        if stall >= _STALL_BUDGET:
             break
         if start % 2 == 0:
             outcome = _alternating_descent(phi, tol, x0=_random_unit(rng, n))
@@ -229,7 +231,7 @@ def harvest_zeros(
                 if admission.offer(x, h, residual):
                     produced = True
         stall = 0 if produced else stall + 1
-    return admission.zero_set(saturated=stall >= stall_budget)
+    return admission.zero_set(saturated=stall >= _STALL_BUDGET)
 
 
 # Deterministic grid nodes: distinct moduli and golden-angle phases give
@@ -276,7 +278,7 @@ def _conjugation_zeros(phi: MapOperator, v: np.ndarray, transposed: bool, tol: T
     admission = _Admission(n, m, tol.residual_rel_tol * choi_spectral_scale(phi))
     u_mat, s, w_h = np.linalg.svd(v)
     w_mat = w_h.conj().T
-    r = numerical_rank(v, tol)
+    r = _rank_from_singular_values(s, tol)
 
     def point(x):
         """Unit x with its image Phi(|conj(x)><conj(x)|), shared by all partners."""

@@ -13,7 +13,7 @@ import mapcert.experiments
 import mapcert.zeros
 from mapcert.cli import main
 from mapcert.errors import CrossCheckError, OracleUnstable
-from mapcert.experiments import BOTH_RULES, SweepReport, sweep_default_cells
+from mapcert.experiments import BOTH_RULES, SweepReport, sweep_cells, sweep_default_cells
 from mapcert.documents import (
     matrix_to_payload,
     parse_certificate_document,
@@ -90,7 +90,11 @@ def test_analyze_writes_json_report(tmp_path, capsys):
     code = main(["analyze", transpose_doc(tmp_path), "--json", str(report_path)])
     capsys.readouterr()
     assert code == 0
-    doc = parse_certificate_document(report_path.read_bytes())
+    blob = report_path.read_bytes()
+    assert set(json.loads(blob)) == {
+        "input_digest", "certificates", "zero_set_summary", "tool_version", "seed", "tolerances"
+    }
+    doc = parse_certificate_document(blob)
     assert doc.seed == 0
     claims = {c["claim"]: c["verdict"] for c in doc.certificates}
     assert claims == {"Optimal": "Certified", "Exposed": "Certified"}
@@ -243,10 +247,11 @@ def test_sweep_json_report(tmp_path, capsys):
     code = main(["sweep", "--n-range", "2", "--m-range", "2", "--json", str(report_path)])
     capsys.readouterr()
     assert code == 0
-    doc = parse_certificate_document(report_path.read_bytes())
-    # one rank-2 check plus the (1, 2)-rank grid cells
-    assert len(doc.sweep) == 3
-    assert all(r["agrees_with"] != "neither" for r in doc.sweep)
+    doc = json.loads(report_path.read_bytes())
+    assert set(doc) == {"sweep", "tool_version", "seed", "tolerances"}
+    # one record per grid cell: the rank-2 check's cell is listed once
+    assert [(r["n"], r["m"], r["rank_v"]) for r in doc["sweep"]] == sweep_cells([2], [2])
+    assert all(r["agrees_with"] != "neither" for r in doc["sweep"])
 
 
 def test_sweep_measures_each_cell_once(monkeypatch, capsys):

@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from mapcert.documents import (
     render_certificate_document,
     render_map_document,
     to_map_operator,
-    tolerances_to_record,
     zero_set_summary,
 )
 from mapcert.errors import ParseError, SchemaError
@@ -228,10 +228,9 @@ def test_certificate_document_round_trip():
         input_digest=content_digest(conjugation_doc()),
         certificates=[certificate_to_record(cert)],
         zero_set_summary=zero_set_summary(zs, weak_span_dim(zs), strong_span_dim(zs)),
-        sweep=None,
         tool_version="0.0-test",
         seed=0,
-        tolerances=tolerances_to_record(DEFAULT_TOL),
+        tolerances=asdict(DEFAULT_TOL),
     )
     blob = render_certificate_document(doc)
     assert parse_certificate_document(blob) == doc

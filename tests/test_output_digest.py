@@ -1,4 +1,4 @@
-"""tools/output_digest.py, the output-equivalence digest of a source tree."""
+"""tools/output_digest.py, the per-family output-equivalence digests of a source tree."""
 
 import json
 import sys
@@ -25,7 +25,12 @@ def test_output_digest_is_deterministic():
     )
     first = ([["sweep", "--n-range", "2", "--m-range", "2"]], [(2, 2, 1, 0)], [(doc, 0)])
     second = ([["sweep", "--n-range", "2", "--m-range", "2", "--seed", "1"]], [(2, 3, 2, 1)], [(doc, 1)])
-    digests = [tool.output_digest(*case) for case in (first, second, first, second)]
-    assert digests[:2] == digests[2:]
-    assert digests[0] != digests[1]
-    assert all(len(d) == 64 and int(d, 16) >= 0 for d in digests)
+    reseeded = (first[0], first[1], second[2])
+    digests = [tool.output_digest(*case) for case in (first, second, first, second, reseeded)]
+    assert digests[:2] == digests[2:4]
+    assert all(list(d) == list(tool.FAMILIES) for d in digests)
+    assert all(digests[0][family] != digests[1][family] for family in tool.FAMILIES)
+    assert all(len(d) == 64 and int(d, 16) >= 0 for digest in digests for d in digest.values())
+    # only the analyze inputs changed, so only the analyze families move
+    moved = [family for family in tool.FAMILIES if digests[4][family] != digests[0][family]]
+    assert moved == ["analyze", "analyze-json"]

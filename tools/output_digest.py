@@ -3,21 +3,26 @@
     python tools/output_digest.py SRC
 
 imports mapcert from the directory SRC (a tree's ``src/``) and prints one
-SHA-256 over what the program outputs on a fixed input set:
+SHA-256 per output family, as ``family digest`` lines, over what the
+program outputs on a fixed input set:
 
-* ``mapcert sweep`` at seeds 0 and 3 and with ``--n-range 2 --m-range 2..3``:
-  stdout, stderr, exit code and the ``--json`` bytes;
-* the ZeroSets of both zero routes (analytic and harvest) on the 32 default
-  sweep cells at seeds 0 and 1: every kept pair's x, h and ``repr`` of its
-  residual, the weak and strong rows with their shapes, and ``saturated``;
-* ``mapcert analyze --json`` on 225 documents: perfbench's analyze-mixed
-  entries at seeds 1-3 (72), its analyze-large entries (3), and 50 documents
-  of each ``mapcert generate`` kind over n, m in 2..4 (150, whose generate
-  bytes are hashed too): stdout, stderr, exit code and report bytes.
+* ``sweep``: ``mapcert sweep`` at seeds 0 and 3 and with ``--n-range 2
+  --m-range 2..3``: stdout, stderr and exit code;
+* ``sweep-json``: the ``--json`` bytes of those sweeps;
+* ``zero-sets``: the ZeroSets of both zero routes (analytic and harvest) on
+  the 32 default sweep cells at seeds 0 and 1: every kept pair's x, h and
+  ``repr`` of its residual, the weak and strong rows with their shapes, and
+  ``saturated``;
+* ``analyze``: ``mapcert analyze --json`` on 225 documents: perfbench's
+  analyze-mixed entries at seeds 1-3 (72), its analyze-large entries (3),
+  and 50 documents of each ``mapcert generate`` kind over n, m in 2..4 (150,
+  whose generate bytes are hashed too): stdout, stderr and exit code;
+* ``analyze-json``: the report bytes of those analyze runs.
 
-Equal digests from two trees mean byte-identical outputs on all of them, so
-a change that claims unchanged outputs is checked by running this against
-the parent's ``src/`` and the change's.  One run takes seconds.
+Equal digests of a family from two trees mean byte-identical outputs of that
+family, so a change that claims unchanged outputs is checked by running this
+against the parent's ``src/`` and the change's, and a documented format
+change shows which families it left byte-identical.  One run takes seconds.
 """
 
 from __future__ import annotations
@@ -39,6 +44,8 @@ SWEEPS = (
     ["sweep", "--seed", "3"],
     ["sweep", "--n-range", "2", "--m-range", "2..3"],
 )
+
+FAMILIES = ("sweep", "sweep-json", "zero-sets", "analyze", "analyze-json")
 
 
 def _cli(argv) -> tuple[int, bytes, bytes]:
@@ -74,8 +81,8 @@ def _add_zero_set(hasher, zs):
         hasher.add(pair.x, pair.h, repr(pair.residual))
 
 
-def output_digest(sweeps, cells, documents) -> str:
-    """SHA-256 over the outputs of the imported mapcert on the given inputs.
+def output_digest(sweeps, cells, documents) -> dict[str, str]:
+    """SHA-256 per family of the outputs of the imported mapcert on the inputs.
 
     ``sweeps``: argv lists of ``mapcert sweep`` (``--json`` is appended);
     ``cells``: (n, m, rank, seed) conjugation cells for both zero routes;
@@ -85,24 +92,27 @@ def output_digest(sweeps, cells, documents) -> str:
     from mapcert.maps import from_conjugation
     from mapcert.zeros import analytic_zeros_conjugation, harvest_zeros
 
-    hasher = _Hasher()
+    hashers = {family: _Hasher() for family in FAMILIES}
     with tempfile.TemporaryDirectory() as tmp:
         report = Path(tmp) / "report.json"
         for argv in sweeps:
-            hasher.add(*argv, *_cli([*argv, "--json", str(report)]), report.read_bytes())
+            hashers["sweep"].add(*argv, *_cli([*argv, "--json", str(report)]))
+            hashers["sweep-json"].add(*argv, report.read_bytes())
             report.unlink()
+        zero_sets = hashers["zero-sets"]
         for n, m, rank, seed in cells:
             v = random_rank_operator(n, m, rank, seed=seed)
-            hasher.add(n, m, rank, seed)
-            _add_zero_set(hasher, analytic_zeros_conjugation(v, transposed=True))
-            _add_zero_set(hasher, harvest_zeros(from_conjugation(v, transposed=True), seed=seed))
+            zero_sets.add(n, m, rank, seed)
+            _add_zero_set(zero_sets, analytic_zeros_conjugation(v, transposed=True))
+            _add_zero_set(zero_sets, harvest_zeros(from_conjugation(v, transposed=True), seed=seed))
         doc = Path(tmp) / "map.json"
         for text, seed in documents:
             doc.write_text(text)
-            hasher.add(text, seed, *_cli(["analyze", str(doc), "--seed", str(seed), "--json", str(report)]))
-            hasher.add(report.read_bytes() if report.exists() else b"no report")
+            outputs = _cli(["analyze", str(doc), "--seed", str(seed), "--json", str(report)])
+            hashers["analyze"].add(text, seed, *outputs)
+            hashers["analyze-json"].add(text, seed, report.read_bytes() if report.exists() else b"no report")
             report.unlink(missing_ok=True)
-    return hasher.hexdigest()
+    return {family: hasher.hexdigest() for family, hasher in hashers.items()}
 
 
 def _generated_documents() -> list[tuple[str, int]]:
@@ -157,7 +167,8 @@ def main(argv) -> int:
     if Path(mapcert.__file__).resolve().parent != src / "mapcert":
         print(f"error: mapcert was imported from {mapcert.__file__}, not {src}", file=sys.stderr)
         return 2
-    print(output_digest(*default_inputs()))
+    for family, digest in output_digest(*default_inputs()).items():
+        print(family, digest)
     return 0
 
 
