@@ -12,13 +12,15 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+import typing
+from dataclasses import asdict, dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .certify import Certificate
 from .errors import ParseError, SchemaError
-from .maps import MapOperator, _is_hermitian, cp_map_from_kraus, from_conjugation
+from .maps import MapOperator, cp_map_from_kraus, from_conjugation
 from .zeros import ZeroSet
 
 __all__ = [
@@ -42,7 +44,11 @@ _KINDS = ("choi", "conjugation", "kraus")
 
 @dataclass(frozen=True)
 class MapDocument:
-    """Validated, serialization-ready description of one map."""
+    """Validated, serialization-ready description of one map.
+
+    The map it describes is decoded and built once, on first use, and
+    memoized for every caller to share.
+    """
 
     kind: str
     dim_in: int
@@ -50,6 +56,22 @@ class MapDocument:
     payload: list
     transposed: bool | None = None
     meta: dict = field(default_factory=dict)
+
+    @cached_property
+    def _operator(self) -> MapOperator:
+        n, m = self.dim_in, self.dim_out
+        if self.kind == "choi":
+            choi = payload_to_matrix(self.payload, n * m, n * m)
+            try:
+                return MapOperator(n, m, choi)
+            except ValueError as exc:  # the one Hermiticity rule, in MapOperator
+                raise SchemaError("choi", "hermiticity") from exc
+        if self.kind == "conjugation":
+            return from_conjugation(payload_to_matrix(self.payload, n, m), transposed=bool(self.transposed))
+        if not isinstance(self.payload, list) or not self.payload:
+            raise SchemaError("payload", "expected a nonempty list of operators")
+        kraus = [payload_to_matrix(op, m, n, path=f"payload[{k}]") for k, op in enumerate(self.payload)]
+        return cp_map_from_kraus(kraus)
 
 
 @dataclass(frozen=True)
@@ -112,21 +134,8 @@ def _require_dim(obj, key) -> int:
     return value
 
 
-def _validate_payload(kind: str, n: int, m: int, payload):
-    if kind == "choi":
-        if not _is_hermitian(payload_to_matrix(payload, n * m, n * m)):
-            raise SchemaError("choi", "hermiticity")
-    elif kind == "conjugation":
-        payload_to_matrix(payload, n, m)
-    else:
-        if not isinstance(payload, list) or not payload:
-            raise SchemaError("payload", "expected a nonempty list of operators")
-        for k, op in enumerate(payload):
-            payload_to_matrix(op, m, n, path=f"payload[{k}]")
-
-
-def _json_object(data) -> dict:
-    """The JSON object in document bytes (or text)."""
+def _json_object(data, known) -> dict:
+    """The JSON object in document bytes (or text), whose keys are all ``known``."""
     if isinstance(data, bytes):
         try:
             data = data.decode("utf-8")
@@ -138,16 +147,16 @@ def _json_object(data) -> dict:
         raise ParseError(f"line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
     if not isinstance(obj, dict):
         raise SchemaError("document", "must be a JSON object")
+    for key in obj:
+        if key not in known:
+            raise SchemaError(key, "unknown field")
     return obj
 
 
 def parse_map_file(data) -> MapDocument:
-    """Parse and validate map-document bytes (or text)."""
-    obj = _json_object(data)
-    known = {"kind", "dim_in", "dim_out", "payload", "transposed", "meta"}
-    for key in obj:
-        if key not in known:
-            raise SchemaError(key, "unknown field")
+    """Parse and validate map-document bytes (or text), realizing the map
+    it describes (``to_map_operator`` returns it)."""
+    obj = _json_object(data, {"kind", "dim_in", "dim_out", "payload", "transposed", "meta"})
     kind = obj.get("kind")
     if kind not in _KINDS:
         raise SchemaError("kind", f"must be one of {', '.join(_KINDS)}")
@@ -168,8 +177,7 @@ def parse_map_file(data) -> MapDocument:
         raise SchemaError("meta", "must be an object with string values")
     if "payload" not in obj:
         raise SchemaError("payload", "missing")
-    _validate_payload(kind, n, m, obj["payload"])
-    return MapDocument(
+    doc = MapDocument(
         kind=kind,
         dim_in=n,
         dim_out=m,
@@ -177,6 +185,8 @@ def parse_map_file(data) -> MapDocument:
         transposed=transposed if kind == "conjugation" else None,
         meta=meta,
     )
+    doc._operator  # validates the payload by realizing the map
+    return doc
 
 
 def _canonical_bytes(obj) -> bytes:
@@ -203,14 +213,8 @@ def content_digest(doc: MapDocument) -> str:
 
 
 def to_map_operator(doc: MapDocument) -> MapOperator:
-    """Realize the document as a MapOperator."""
-    n, m = doc.dim_in, doc.dim_out
-    if doc.kind == "choi":
-        return MapOperator(n, m, payload_to_matrix(doc.payload, n * m, n * m))
-    if doc.kind == "conjugation":
-        return from_conjugation(payload_to_matrix(doc.payload, n, m), transposed=bool(doc.transposed))
-    kraus = [payload_to_matrix(op, m, n, path=f"payload[{k}]") for k, op in enumerate(doc.payload)]
-    return cp_map_from_kraus(kraus)
+    """Realize the document as a MapOperator (memoized)."""
+    return doc._operator
 
 
 def certificate_to_record(cert: Certificate) -> dict:
@@ -239,10 +243,14 @@ def render_certificate_document(doc: CertificateDocument | SweepDocument) -> byt
 
 
 def parse_certificate_document(data) -> CertificateDocument:
-    """Inverse of render_certificate_document."""
-    obj = _json_object(data)
-    required = [f.name for f in fields(CertificateDocument)]
-    missing = sorted(set(required) - obj.keys())
+    """Inverse of render_certificate_document: every field, each of its JSON type."""
+    types = typing.get_type_hints(CertificateDocument)
+    obj = _json_object(data, types)
+    missing = sorted(types.keys() - obj.keys())
     if missing:
         raise SchemaError(missing[0], "missing")
-    return CertificateDocument(**{name: obj[name] for name in required})
+    for name, kind in types.items():
+        # bool is an int in Python, but no field is a JSON boolean
+        if isinstance(obj[name], bool) or not isinstance(obj[name], kind):
+            raise SchemaError(name, f"must be of type {kind.__name__}")
+    return CertificateDocument(**obj)

@@ -9,6 +9,11 @@ rank and span decisions downstream are scale-free.
 
 Evaluation recovers the map as Phi(a) = Tr_in[C (a^T (x) 1_m)].
 
+Constructors write the block array blocks[i, k, j, l] = Phi(E_ij)[k, l] with
+one broadcast product and make the MapOperator through ``_from_blocks``, the
+one block-array helper; no n^2 list of images is built.  ``trace_map`` and
+``dephasing_map`` write their block matrices in closed form.
+
 The alternating descent on g(x, h) = <h| Phi(|conj(x)><conj(x)|) |h> lives
 here: the positivity heuristic refines its worst sample with it, and
 ``zeros`` runs it from many starts to find ZeroPairs (g = 0).
@@ -88,7 +93,8 @@ class MapOperator:
 
 
 def _is_hermitian(matrix: np.ndarray) -> bool:
-    """Hermitian within tolerance: the one, scale-free rule of MapOperator and parse_map_file."""
+    """Hermitian within tolerance: the one, scale-free rule, which MapOperator applies
+    (``parse_map_file`` reports its failure as a schema error on ``choi``)."""
     gap = np.linalg.norm(matrix - matrix.conj().T)
     return gap <= DEFAULT_TOL.residual_rel_tol * max(np.linalg.norm(matrix), gap)
 
@@ -209,6 +215,12 @@ def _image(phi: MapOperator, x) -> np.ndarray:
     return np.einsum("ikjl,ij->kl", phi.choi.reshape(n, m, n, m), np.outer(x.conj(), x))
 
 
+def _from_blocks(blocks: np.ndarray) -> MapOperator:
+    """The MapOperator with block array blocks[i, k, j, l] = Phi(E_ij)[k, l]."""
+    n, m = blocks.shape[:2]
+    return MapOperator(n, m, blocks.reshape(n * m, n * m))
+
+
 def from_apply_table(images) -> MapOperator:
     """Build a MapOperator from the n^2 images Phi(E_ij), row-major in (i, j)."""
     images = [as_matrix(img) for img in images]
@@ -221,11 +233,7 @@ def from_apply_table(images) -> MapOperator:
     for img in images:
         if img.shape != (m, m):
             raise DimensionMismatch("image matrices must share one square shape")
-    blocks = np.zeros((n, m, n, m), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            blocks[i, :, j, :] = images[i * n + j]
-    return MapOperator(n, m, blocks.reshape(n * m, n * m))
+    return _from_blocks(np.array(images).reshape(n, n, m, m).transpose(0, 2, 1, 3))
 
 
 def from_conjugation(v, transposed: bool = False) -> MapOperator:
@@ -237,15 +245,11 @@ def from_conjugation(v, transposed: bool = False) -> MapOperator:
     v = as_matrix(v)
     if not np.any(v):
         raise ZeroOperator("conjugation by the zero operator is not a map")
-    n, m = v.shape
-    images = []
-    for i in range(n):
-        for j in range(n):
-            if transposed:
-                images.append(np.outer(v[j].conj(), v[i]))
-            else:
-                images.append(np.outer(v[i].conj(), v[j]))
-    return from_apply_table(images)
+    if transposed:
+        # Phi(E_ij) = conj(v[j]) v[i]^T
+        return _from_blocks(v.conj().T[None, :, :, None] * v[:, None, None, :])
+    # Phi(E_ij) = conj(v[i]) v[j]^T
+    return _from_blocks(v.conj()[:, :, None, None] * v[None, None, :, :])
 
 
 def cp_map_from_kraus(kraus) -> MapOperator:
@@ -257,11 +261,8 @@ def cp_map_from_kraus(kraus) -> MapOperator:
     for k in ops[1:]:
         if k.shape != (m, n):
             raise DimensionMismatch("all operators must share one shape")
-    images = []
-    for i in range(n):
-        for j in range(n):
-            images.append(sum(np.outer(k[:, i], k[:, j].conj()) for k in ops))
-    return from_apply_table(images)
+    # Phi(E_ij) = sum_k K[:, i] K[:, j]^H, summed in operator order from 0
+    return _from_blocks(sum(k.T[:, :, None, None] * k.conj().T[None, None, :, :] for k in ops))
 
 
 def adjoint_map(phi: MapOperator) -> MapOperator:
@@ -291,13 +292,9 @@ def unital_normalization(phi: MapOperator, tol: ToleranceConfig = DEFAULT_TOL) -
     q = eigvecs[:, keep]
     k = int(lam.shape[0])
     inv_sqrt = 1.0 / np.sqrt(lam)
-    images = []
-    for i in range(n):
-        for j in range(n):
-            e = np.zeros((n, n), dtype=complex)
-            e[i, j] = 1.0
-            images.append((inv_sqrt[:, None] * (q.conj().T @ apply(phi, e) @ q)) * inv_sqrt[None, :])
-    unital_part = from_apply_table(images)
+    # images[i, j] = Q^H Phi(E_ij) Q, from the blocks of the map
+    images = q.conj().T @ phi.choi.reshape(n, m, n, m).transpose(0, 2, 1, 3) @ q
+    unital_part = _from_blocks(((inv_sqrt[:, None] * images) * inv_sqrt[None, :]).transpose(0, 2, 1, 3))
     bridge = np.sqrt(lam)[:, None] * q.conj().T
     return NormalForm(bridge=bridge, unital_part=unital_part, image_dim=k)
 
@@ -453,20 +450,10 @@ def transpose_map(n: int) -> MapOperator:
 def trace_map(n: int, m: int | None = None) -> MapOperator:
     """Phi(a) = Tr(a) 1_m, the completely depolarizing-to-identity map."""
     m = n if m is None else m
-    images = []
-    for i in range(n):
-        for j in range(n):
-            images.append((1.0 if i == j else 0.0) * np.eye(m, dtype=complex))
-    return from_apply_table(images)
+    return MapOperator(n, m, np.eye(n * m, dtype=complex))
 
 
 def dephasing_map(n: int) -> MapOperator:
     """Phi(a) = sum_i a_ii E_ii, the completely decohering map."""
-    images = []
-    for i in range(n):
-        for j in range(n):
-            e = np.zeros((n, n), dtype=complex)
-            if i == j:
-                e[i, i] = 1.0
-            images.append(e)
-    return from_apply_table(images)
+    # block matrix sum_i E_ii (x) E_ii: ones at the diagonal positions (i, i)
+    return MapOperator(n, n, np.diag(np.eye(n, dtype=complex).ravel()))

@@ -21,8 +21,8 @@ Two enumeration routes are provided and are expected to agree:
   further candidates, from the eigendecompositions the descent already
   holds.
 * ``analytic_zeros_conjugation`` uses the singular frame of a conjugation map
-  to write down exact zeros on a deterministic grid, including the kernel-side
-  and degenerate-stratum families, and then verifies saturation numerically by
+  to write down exact zeros on a deterministic grid, including the
+  degenerate-stratum family, and then verifies saturation numerically by
   extending the grid until nothing new is admitted.
 
 Both routes evaluate Phi(|conj(x)><conj(x)|) once per point x, for all of
@@ -264,9 +264,10 @@ def analytic_zeros_conjugation(
     with xi, eta the frame coordinates of x and h.  For each grid point xi
     the eta solutions form an exact hyperplane (or everything, on the
     degenerate stratum), so pairs come out with machine-precision residuals.
-    The kernel-side family (h in ker V) and, when rank V < n, the degenerate
-    x-family are emitted explicitly; saturation is then verified by extending
-    the grid until a stall window admits nothing new.
+    Each hyperplane already contains ker V, so h in ker V needs no family of
+    its own; when rank V < n the degenerate x-family is emitted explicitly.
+    Saturation is then verified by extending the grid until a stall window
+    admits nothing new.
     """
     phi = from_conjugation(v, transposed)
     return _conjugation_zeros(phi, as_matrix(v), transposed, tol)
@@ -307,17 +308,10 @@ def _conjugation_zeros(phi: MapOperator, v: np.ndarray, transposed: bool, tol: T
         return point(x), [w_mat @ eta_basis[:, k] for k in range(eta_basis.shape[1])]
 
     base_points = n * n + n
-    base = []
     for t in range(base_points):
         pt, hs = pairs_for(_vandermonde_point(t, n))
         for h in hs:
             offer(pt, h)
-        base.append(pt)
-
-    # Kernel-side family: h in ker V kills the condition for every x.
-    for j in range(r, m):
-        for pt in base:
-            offer(pt, w_mat[:, j])
 
     # Degenerate stratum: when rank V < n there are x with V^H x = 0
     # (or V^T x = 0), and then every h is a zero partner.

@@ -9,6 +9,7 @@ import pytest
 
 import mapcert.certify
 import mapcert.cli
+import mapcert.documents
 import mapcert.experiments
 import mapcert.zeros
 from mapcert.cli import main
@@ -216,6 +217,38 @@ def test_analyze_schema_error(tmp_path, capsys):
     path = write_doc(tmp_path, "broken.json", {"kind": "soup"})
     assert main(["analyze", path]) == 2
     assert "kind" in capsys.readouterr().err
+
+
+def test_analyze_rejects_zero_conjugation(tmp_path, capsys):
+    # the parser realizes the map, so V = 0 fails there, with the same bytes
+    path = write_doc(
+        tmp_path,
+        "zero.json",
+        {"kind": "conjugation", "dim_in": 2, "dim_out": 3, "payload": matrix_to_payload(np.zeros((2, 3)))},
+    )
+    assert main(["analyze", path]) == 2
+    assert capsys.readouterr() == ("", "error: conjugation by the zero operator is not a map\n")
+
+
+def test_analyze_decodes_a_choi_document_once(tmp_path, monkeypatch, capsys):
+    assert main(["generate", "--kind", "random-choi", "--n", "3", "--m", "3", "--seed", "1"]) == 0
+    path = tmp_path / "choi.json"
+    path.write_text(capsys.readouterr().out)
+    calls = {"payload_to_matrix": 0, "_is_hermitian": 0}
+    for name, module in (("payload_to_matrix", mapcert.documents), ("_is_hermitian", mapcert.maps)):
+        original = getattr(module, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for owner in (mapcert.maps, mapcert.documents):
+            if getattr(owner, name, None) is original:
+                monkeypatch.setattr(owner, name, counted)
+    assert main(["analyze", str(path)]) == 0
+    capsys.readouterr()
+    # one decode; the Hermiticity rule on the map and on its adjoint
+    assert calls == {"payload_to_matrix": 1, "_is_hermitian": 2}
 
 
 def test_analyze_rejects_bad_tol(tmp_path, capsys):

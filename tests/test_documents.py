@@ -19,7 +19,7 @@ from mapcert.documents import (
     to_map_operator,
     zero_set_summary,
 )
-from mapcert.errors import ParseError, SchemaError
+from mapcert.errors import ParseError, SchemaError, ZeroOperator
 from mapcert.linalg import DEFAULT_TOL
 from mapcert.maps import MapOperator, apply, is_completely_positive, transpose_map
 from mapcert.zeros import analytic_zeros_conjugation, strong_span_dim, weak_span_dim
@@ -215,9 +215,25 @@ def test_parse_hermiticity_rule_is_scale_free(dim_in, dim_out, scale):
 
 
 def test_conjugation_document_realizes_the_right_map():
-    phi = to_map_operator(conjugation_doc(transposed=True))
+    doc = conjugation_doc(transposed=True)
+    phi = to_map_operator(doc)
     a = np.array([[1, 2j], [-2j, 5]], dtype=complex)
     assert np.allclose(apply(phi, a), a.T)
+    # realized once: every caller shares the memoized map
+    assert to_map_operator(doc) is phi
+
+
+@pytest.mark.parametrize("transposed", [True, False])
+def test_parse_rejects_zero_conjugation(transposed):
+    doc = {
+        "kind": "conjugation",
+        "dim_in": 2,
+        "dim_out": 3,
+        "payload": matrix_to_payload(np.zeros((2, 3))),
+        "transposed": transposed,
+    }
+    with pytest.raises(ZeroOperator):
+        parse_map_file(json.dumps(doc))
 
 
 def test_certificate_document_round_trip():
@@ -237,6 +253,38 @@ def test_certificate_document_round_trip():
     record = json.loads(blob)
     assert record["certificates"][0]["verdict"] == "Certified"
     assert record["zero_set_summary"]["weak_span_dim"] == 4
+
+
+def certificate_record():
+    return {
+        "input_digest": "0" * 64,
+        "certificates": [],
+        "zero_set_summary": {},
+        "tool_version": "0.0-test",
+        "seed": 0,
+        "tolerances": asdict(DEFAULT_TOL),
+    }
+
+
+@pytest.mark.parametrize(
+    "change, field",
+    [
+        ({"sweep": None, "bogus": 1}, "sweep"),
+        ({"bogus": 1}, "bogus"),
+        ({"certificates": "nope"}, "certificates"),
+        ({"seed": "s"}, "seed"),
+        ({"seed": True}, "seed"),
+        ({"input_digest": 7}, "input_digest"),
+        ({"zero_set_summary": []}, "zero_set_summary"),
+        ({"tolerances": None}, "tolerances"),
+    ],
+)
+def test_certificate_document_rejects_unknown_and_mistyped_fields(change, field):
+    record = certificate_record()
+    assert parse_certificate_document(json.dumps(record)) == CertificateDocument(**record)
+    with pytest.raises(SchemaError) as err:
+        parse_certificate_document(json.dumps({**record, **change}))
+    assert field_of(err) == field
 
 
 def test_certificate_document_requires_all_fields():

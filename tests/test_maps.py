@@ -41,6 +41,7 @@ def test_canonical_maps_act_correctly():
     assert np.allclose(apply(transpose_map(3), a), a.T)
     assert np.allclose(apply(trace_map(3), a), np.trace(a) * np.eye(3))
     assert np.allclose(apply(dephasing_map(3), a), np.diag(np.diag(a)))
+    assert np.array_equal(trace_map(2, 3).choi, np.eye(6))
 
 
 def test_apply_is_linear():
@@ -63,6 +64,32 @@ def test_from_apply_table_round_trips():
             e = np.zeros((2, 2), dtype=complex)
             e[i, j] = 1.0
             assert np.allclose(apply(phi, e), v.conj().T @ e @ v)
+
+
+def test_constructors_match_the_image_table():
+    # the reference construction: every image Phi(E_ij) as np.outer products,
+    # through from_apply_table; equal bit for bit, signed zeros included
+    rng = np.random.default_rng(8)
+    for n in range(1, 6):
+        for m in range(1, 6):
+            v = ginibre(rng, n, m)
+            v[rng.random((n, m)) < 0.3] = -0.0
+            v[0, 0] = 1.0
+            for transposed in (False, True):
+                images = [
+                    np.outer(v[j].conj(), v[i]) if transposed else np.outer(v[i].conj(), v[j])
+                    for i in range(n)
+                    for j in range(n)
+                ]
+                expected = from_apply_table(images).choi
+                assert from_conjugation(v, transposed=transposed).choi.tobytes() == expected.tobytes()
+            for count in range(1, 5):
+                kraus = [ginibre(rng, m, n) for _ in range(count)]
+                images = [
+                    sum(np.outer(k[:, i], k[:, j].conj()) for k in kraus) for i in range(n) for j in range(n)
+                ]
+                expected = from_apply_table(images).choi
+                assert cp_map_from_kraus(kraus).choi.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("transposed", [False, True])

@@ -13,10 +13,14 @@ program outputs on a fixed input set:
   the 32 default sweep cells at seeds 0 and 1: every kept pair's x, h and
   ``repr`` of its residual, the weak and strong rows with their shapes, and
   ``saturated``;
-* ``analyze``: ``mapcert analyze --json`` on 225 documents: perfbench's
+* ``analyze``: ``mapcert analyze --json`` on 241 documents: perfbench's
   analyze-mixed entries at seeds 1-3 (72), its analyze-large entries (3),
-  and 50 documents of each ``mapcert generate`` kind over n, m in 2..4 (150,
-  whose generate bytes are hashed too): stdout, stderr and exit code;
+  50 documents of each ``mapcert generate`` kind over n, m in 2..4 (150,
+  whose generate bytes are hashed too) and 16 invalid documents, one per
+  error path of the map-document parser (bad JSON, non-UTF-8 bytes, a
+  non-object, V = 0, wrong shapes, an empty or non-list Kraus payload,
+  non-Hermitian Choi matrices at two scales, bad entries and an unknown
+  field): stdout, stderr and exit code;
 * ``analyze-json``: the report bytes of those analyze runs.
 
 Equal digests of a family from two trees mean byte-identical outputs of that
@@ -86,7 +90,7 @@ def output_digest(sweeps, cells, documents) -> dict[str, str]:
 
     ``sweeps``: argv lists of ``mapcert sweep`` (``--json`` is appended);
     ``cells``: (n, m, rank, seed) conjugation cells for both zero routes;
-    ``documents``: (map document text, analyze seed) pairs.
+    ``documents``: (map document text or bytes, analyze seed) pairs.
     """
     from mapcert.experiments import random_rank_operator
     from mapcert.maps import from_conjugation
@@ -107,7 +111,7 @@ def output_digest(sweeps, cells, documents) -> dict[str, str]:
             _add_zero_set(zero_sets, harvest_zeros(from_conjugation(v, transposed=True), seed=seed))
         doc = Path(tmp) / "map.json"
         for text, seed in documents:
-            doc.write_text(text)
+            doc.write_bytes(text if isinstance(text, bytes) else text.encode())
             outputs = _cli(["analyze", str(doc), "--seed", str(seed), "--json", str(report)])
             hashers["analyze"].add(text, seed, *outputs)
             hashers["analyze-json"].add(text, seed, report.read_bytes() if report.exists() else b"no report")
@@ -133,6 +137,38 @@ def _generated_documents() -> list[tuple[str, int]]:
     return documents
 
 
+def _invalid_documents() -> list[tuple[str | bytes, int]]:
+    """Documents that analyze must reject, one per error path of the parser."""
+    from mapcert.documents import matrix_to_payload
+
+    def doc(kind, n, m, payload, **extra):
+        return json.dumps({"kind": kind, "dim_in": n, "dim_out": m, "payload": payload, **extra})
+
+    rng = np.random.default_rng(7)
+    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    skew = g + g.conj().T + 1e-5 * np.triu(rng.standard_normal((4, 4)))
+    eye = matrix_to_payload(np.eye(2))
+    documents = [
+        "{not json",
+        b"\xff\xfe",
+        "[1, 2]",
+        doc("conjugation", 2, 3, matrix_to_payload(np.zeros((2, 3)))),
+        doc("conjugation", 2, 2, matrix_to_payload(np.zeros((2, 2))), transposed=True),
+        doc("conjugation", 2, 2, eye[:1]),
+        doc("conjugation", 2, 2, [eye[0], eye[1][:1]]),
+        doc("choi", 2, 2, matrix_to_payload(np.eye(3))),
+        doc("kraus", 2, 2, [eye, matrix_to_payload(np.eye(3))]),
+        doc("kraus", 2, 2, []),
+        doc("kraus", 2, 2, "nope"),
+        doc("choi", 2, 2, matrix_to_payload(skew)),
+        doc("choi", 2, 2, matrix_to_payload(1e-12 * skew)),
+        doc("conjugation", 2, 2, [[[1.0, 0.0], ["a", 0.0]], eye[1]]),
+        doc("conjugation", 2, 2, [[[1.0, 0.0], [True, 0.0]], eye[1]]),
+        doc("conjugation", 2, 2, eye, extra=1),
+    ]
+    return [(document, 0) for document in documents]
+
+
 def _perfbench_documents() -> list[tuple[str, int]]:
     sys.path.insert(0, str(PERFBENCH))
     try:
@@ -153,7 +189,7 @@ def default_inputs():
     from mapcert.experiments import sweep_default_cells
 
     cells = [(n, m, r, seed) for seed in (0, 1) for n, m, r in sweep_default_cells()]
-    return list(SWEEPS), cells, _perfbench_documents() + _generated_documents()
+    return list(SWEEPS), cells, _perfbench_documents() + _generated_documents() + _invalid_documents()
 
 
 def main(argv) -> int:
