@@ -8,10 +8,13 @@ it against two closed-form candidates that disagree whenever n != m:
 * input rule:  n^2 m - n for rank >= 2, and n^2 m - (2n - 1) for rank 1;
 * output rule: m (n^2 - 1) for rank >= 2, and m n^2 - (2m - 1) for rank 1.
 
-Three independent routes produce the measured value: exact analytic
-enumeration, the structure-blind harvest, and a brute-force oracle that
-solves the zero condition exactly in h over a dense random grid of x.  The
-oracle is deliberately naive so it cannot share a bug with the other two.
+Three routes produce the measured value: exact analytic enumeration, the
+structure-blind harvest, and a brute-force oracle that solves the zero
+condition exactly in h over a dense random grid of x.  The oracle is
+deliberately naive.  It shares ``linalg``'s row-kernel solve with the
+analytic route and ``span_dimension`` with both.  It shares neither the
+singular frame, nor the grid, nor admission, so it still catches a bug in
+any of those.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from .linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
     _rank_from_singular_values,
+    _row_kernels,
     as_matrix,
     image_projector,
     kernel_basis,
@@ -284,33 +288,25 @@ def check_image_inclusion(
     )
 
 
-def _oracle_generators(v, transposed, grid, tol, seed, stage) -> np.ndarray:
+def _oracle_generators(v, transposed, sigma_top, stratum, grid, tol, seed, stage) -> np.ndarray:
     """Strong vectors of every sampled zero pair, as matrix columns."""
     n, m = v.shape
-    sigma_top = float(np.linalg.norm(v, 2))
     rng = np.random.default_rng([seed, stage])
-    r = numerical_rank(v, tol)
     xs = []
     for _ in range(grid):
         x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         xs.append(x / np.linalg.norm(x))
-    if r < n:
+    if stratum is not None:  # rank V < n
         # Generic x never hits the stratum where the zero condition is
         # row-free; sample it explicitly or its contribution is lost.
-        stratum = kernel_basis(v.conj().T if transposed else v.T, tol)
         d = stratum.shape[1]
         for _ in range((d * d + d + 4) * max(1, stage + 1)):
             c = rng.standard_normal(d) + 1j * rng.standard_normal(d)
             x = stratum @ (c / np.linalg.norm(c))
             xs.append(x)
+    # The h solutions at x are the kernel of its 1 x m row.
     rows = np.array([(x.conj() @ v) if transposed else (x @ v) for x in xs])
-    free = np.linalg.norm(rows, axis=1) <= tol.rank_rel_tol * sigma_top
-    # The h solutions for a constrained x are the kernel of its 1 x m row:
-    # one stacked SVD for all rows, each cut at the shared threshold.
-    solutions = [np.eye(m, dtype=complex)] * len(xs)
-    _, s, vh = np.linalg.svd(rows[~free, None, :], full_matrices=True)
-    for i, s_i, vh_i in zip(np.flatnonzero(~free), s, vh):
-        solutions[i] = vh_i[_rank_from_singular_values(s_i, tol):].conj().T
+    solutions = _row_kernels(rows, sigma_top, tol)
     # Columns conj(x) (x) x (x) hs[:, k], bitwise np.kron's: the same
     # products with the same operand shapes, one (n, n, m, k) block per x.
     blocks = [
@@ -342,10 +338,14 @@ def brute_force_strong_dim_oracle(
         raise ZeroOperator("the zero operator has no zero structure worth measuring")
     if grid_size < 8:
         raise ValueError("grid_size must be at least 8")
+    s = np.linalg.svd(v, compute_uv=False)  # sigma_max and rank of V, once per call
+    full_rank = _rank_from_singular_values(s, tol) == v.shape[0]
+    stratum = None if full_rank else kernel_basis(v.conj().T if transposed else v.T, tol)
     previous = None
     grid = grid_size
     for stage in range(5):
-        dim = span_dimension(_oracle_generators(v, transposed, grid, tol, seed, stage), tol)
+        generators = _oracle_generators(v, transposed, float(s[0]), stratum, grid, tol, seed, stage)
+        dim = span_dimension(generators, tol)
         if previous is not None and dim == previous:
             return dim
         previous = dim

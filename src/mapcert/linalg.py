@@ -32,7 +32,7 @@ class ToleranceConfig:
     """Every numerical threshold used by the package, in one place.
 
     rank_rel_tol: singular values at or below ``rank_rel_tol * sigma_max``
-        count as zero.
+        count as zero, so it must be below 1 (or every rank is 0).
     residual_rel_tol: acceptable relative size of residuals (zero tests,
         reconstructions, projector leakage).
     convergence_tol: relative objective-stall threshold for iterative
@@ -46,10 +46,10 @@ class ToleranceConfig:
     max_iters: int = 500
 
     def __post_init__(self):
-        for name in ("rank_rel_tol", "residual_rel_tol", "convergence_tol"):
+        for name, upper in (("rank_rel_tol", 1), ("residual_rel_tol", np.inf), ("convergence_tol", np.inf)):
             value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and value > 0):
-                raise ValueError(f"{name} must be a strictly positive number")
+            if not (isinstance(value, (int, float)) and 0 < value < upper):
+                raise ValueError(f"{name} must be a number in (0, {upper})")
         if not (isinstance(self.max_iters, int) and self.max_iters >= 1):
             raise ValueError("max_iters must be a positive integer")
 
@@ -95,6 +95,20 @@ def kernel_basis(matrix, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     _, s, vh = np.linalg.svd(m, full_matrices=m.shape[0] < m.shape[1])
     rank = _rank_from_singular_values(s, tol)
     return vh[rank:].conj().T
+
+
+def _row_kernels(rows: np.ndarray, ref: float, tol: ToleranceConfig) -> list[np.ndarray]:
+    """Kernel basis (as columns) of each row of a K x m array, from one stacked SVD.
+
+    A row of norm at most ``rank_rel_tol * ref`` is free: its kernel is all of
+    C^m.  Each other row is cut bitwise as ``kernel_basis`` cuts it alone.
+    """
+    free = np.linalg.norm(rows, axis=1) <= tol.rank_rel_tol * ref
+    kernels = [np.eye(rows.shape[1], dtype=complex)] * rows.shape[0]
+    _, s, vh = np.linalg.svd(rows[~free, None, :], full_matrices=True)
+    for i, s_i, vh_i in zip(np.flatnonzero(~free), s, vh):
+        kernels[i] = vh_i[_rank_from_singular_values(s_i, tol):].conj().T
+    return kernels
 
 
 def generalized_inverse(matrix, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:

@@ -23,24 +23,29 @@ Two enumeration routes are provided and are expected to agree:
 * ``analytic_zeros_conjugation`` uses the singular frame of a conjugation map
   to write down exact zeros on a deterministic grid, including the
   degenerate-stratum family, and then verifies saturation numerically by
-  extending the grid until nothing new is admitted.
+  extending the grid with filler points until nothing new is admitted.  At
+  a fixed x the zero condition is one linear row in h; the rows of each
+  batch of points (base grid, filler) are cut by one ``linalg._row_kernels``
+  solve, which the oracle shares.
 
 Both routes evaluate Phi(|conj(x)><conj(x)|) once per point x, for all of
 its partners h, and offer every candidate with its residual to one
 admission object.  It keeps a pair only if the residual is within
 residual_rel_tol times the spectral scale of the map and the strong vector
 grows the running span, so the pair list of a ZeroSet is always a spanning
-subset.  Growth is decided by the residual of the
-normalized strong vector against an orthonormal basis of the kept ones
-(Gram-Schmidt, applied twice), at ``_SCREEN_TOL``; no SVD runs per
-candidate.  Each candidate's strong vector is built once, as an outer
-product reshaped flat (entry for entry the Kronecker product, without its
-per-call overhead), and the ZeroSet keeps the very vectors that were
-admitted, stacked as rows.  The span dimensions reported by
-``weak_span_dim`` and ``strong_span_dim`` come from one SVD of those rows at
-the shared relative threshold ``rank_rel_tol``.  On exact zeros the strong
-count equals the number of kept pairs; ``certify_exposed`` issues no
-certificate when the two differ.
+subset.  Growth is decided by the residual of the normalized strong vector
+against an orthonormal basis of the kept ones (Gram-Schmidt, applied
+twice), at ``_SCREEN_TOL``; no SVD runs per candidate.  Each candidate's
+strong vector is built once, as an outer product reshaped flat (entry for
+entry the Kronecker product, without its per-call overhead), and the
+ZeroSet keeps the very vectors that were admitted, stacked as rows.  The
+span dimensions reported by ``weak_span_dim`` and ``strong_span_dim`` come
+from one SVD of those rows at the shared relative threshold
+``rank_rel_tol``.  On exact zeros the strong count equals the number of
+kept pairs; ``certify_exposed`` issues no certificate when the two differ.
+Both routes stop by one rule, ``_saturates``: a window of consecutive
+starts or filler points that admit nothing ends the search, and nothing is
+drawn after it.
 """
 
 from __future__ import annotations
@@ -50,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
-from .linalg import DEFAULT_TOL, ToleranceConfig, _rank_from_singular_values, as_matrix, kernel_basis, span_dimension
+from .linalg import DEFAULT_TOL, ToleranceConfig, _rank_from_singular_values, _row_kernels, as_matrix, span_dimension
 from .maps import MapOperator, SearchOutcome, ZeroPair, choi_spectral_scale, from_conjugation
 from .maps import _alternating_descent, _image, _normalize, _strong_vector, _weak_vector, _x_step
 
@@ -163,9 +168,23 @@ class _Admission:
         self._pairs.append(ZeroPair(x=x, h=h, residual=residual))
         return True
 
+    def offer_all(self, candidates) -> bool:
+        """Offer every (x, h, residual) in turn; whether any was admitted."""
+        return any([self.offer(x, h, residual) for x, h, residual in candidates])
+
     def zero_set(self, saturated) -> ZeroSet:
         k = len(self._pairs)
         return ZeroSet(*self._dims, self._pairs, self._weak[:k], self._strong[:k], bool(saturated))
+
+
+def _saturates(produced, window: int) -> bool:
+    """Whether ``produced`` holds ``window`` consecutive False flags; draws none after them."""
+    stall = 0
+    for flag in produced:
+        stall = 0 if flag else stall + 1
+        if stall >= window:
+            return True
+    return False
 
 
 def _mine_candidates(phi, thr, outcome):
@@ -217,21 +236,14 @@ def harvest_zeros(
     thr = tol.residual_rel_tol * choi_spectral_scale(phi)
     rng = np.random.default_rng(seed)
     admission = _Admission(n, m, thr)
-    stall = 0
-    for start in range(budget):
-        if stall >= _STALL_BUDGET:
-            break
-        if start % 2 == 0:
-            outcome = _alternating_descent(phi, tol, x0=_random_unit(rng, n))
-        else:
-            outcome = _alternating_descent(phi, tol, h0=_random_unit(rng, m))
-        produced = False
-        if outcome.succeeded:
-            for x, h, residual in _mine_candidates(phi, thr, outcome):
-                if admission.offer(x, h, residual):
-                    produced = True
-        stall = 0 if produced else stall + 1
-    return admission.zero_set(saturated=stall >= _STALL_BUDGET)
+
+    def produced():
+        for start in range(budget):
+            side = {"x0": _random_unit(rng, n)} if start % 2 == 0 else {"h0": _random_unit(rng, m)}
+            outcome = _alternating_descent(phi, tol, **side)
+            yield outcome.succeeded and admission.offer_all(_mine_candidates(phi, thr, outcome))
+
+    return admission.zero_set(saturated=_saturates(produced(), _STALL_BUDGET))
 
 
 # Deterministic grid nodes: distinct moduli and golden-angle phases give
@@ -241,14 +253,10 @@ _GOLDEN = 0.6180339887498949
 _EXTENSION_SEED = 271828182845
 
 
-def _grid_node(t: int) -> complex:
+def _vandermonde_point(t: int, dim: int) -> np.ndarray:
     radius = _GRID_RADII[t % len(_GRID_RADII)]
     angle = 2.0 * np.pi * ((t * _GOLDEN + 0.1) % 1.0)
-    return radius * complex(np.cos(angle), np.sin(angle))
-
-
-def _vandermonde_point(t: int, dim: int) -> np.ndarray:
-    xi = _grid_node(t) ** np.arange(dim)
+    xi = (radius * complex(np.cos(angle), np.sin(angle))) ** np.arange(dim)
     return xi / np.linalg.norm(xi)
 
 
@@ -273,6 +281,15 @@ def analytic_zeros_conjugation(
     return _conjugation_zeros(phi, as_matrix(v), transposed, tol)
 
 
+def _point_candidates(phi, x, hs):
+    """(x, h, residual) for each partner h of x, both normalized, from one image of x."""
+    x = _normalize(x)
+    image = _image(phi, x)
+    for h in hs:
+        h = _normalize(h)
+        yield x, h, float(np.linalg.norm(image @ h))
+
+
 def _conjugation_zeros(phi: MapOperator, v: np.ndarray, transposed: bool, tol: ToleranceConfig) -> ZeroSet:
     """``analytic_zeros_conjugation`` on its conjugation map phi, built by the caller."""
     n, m = v.shape
@@ -280,64 +297,32 @@ def _conjugation_zeros(phi: MapOperator, v: np.ndarray, transposed: bool, tol: T
     u_mat, s, w_h = np.linalg.svd(v)
     w_mat = w_h.conj().T
     r = _rank_from_singular_values(s, tol)
+    x_frame = u_mat if transposed else u_mat.conj()
 
-    def point(x):
-        """Unit x with its image Phi(|conj(x)><conj(x)|), shared by all partners."""
-        x = _normalize(x)
-        return x, _image(phi, x)
-
-    def offer(pt, h) -> bool:
-        x, image = pt
-        h = _normalize(h)
-        return admission.offer(x, h, float(np.linalg.norm(image @ h)))
-
-    def pairs_for(xi):
-        """The point with frame coordinates xi and its partners h."""
-        if transposed:
-            x = u_mat @ xi
-            coeff = s[:r] * xi[:r].conj()
-        else:
-            x = u_mat.conj() @ xi
-            coeff = s[:r] * xi[:r]
-        row = np.zeros(m, dtype=complex)
-        row[:r] = coeff
-        if np.linalg.norm(row) <= tol.rank_rel_tol * s[0]:
-            eta_basis = np.eye(m, dtype=complex)
-        else:
-            eta_basis = kernel_basis(row.reshape(1, m), tol)
-        return point(x), [w_mat @ eta_basis[:, k] for k in range(eta_basis.shape[1])]
+    def frame_points(xis):
+        """Each x with frame coordinates xi (a row of xis) and its partners, cut in one solve."""
+        rows = np.zeros((xis.shape[0], m), dtype=complex)
+        rows[:, :r] = s[:r] * (xis[:, :r].conj() if transposed else xis[:, :r])
+        for xi, eta in zip(xis, _row_kernels(rows, s[0], tol)):
+            yield x_frame @ xi, [w_mat @ eta[:, k] for k in range(eta.shape[1])]
 
     base_points = n * n + n
-    for t in range(base_points):
-        pt, hs = pairs_for(_vandermonde_point(t, n))
-        for h in hs:
-            offer(pt, h)
+    for x, hs in frame_points(np.array([_vandermonde_point(t, n) for t in range(base_points)])):
+        admission.offer_all(_point_candidates(phi, x, hs))
 
     # Degenerate stratum: when rank V < n there are x with V^H x = 0
     # (or V^T x = 0), and then every h is a zero partner.
     if r < n:
         d = n - r
-        null_x = u_mat[:, r:] if transposed else u_mat[:, r:].conj()
         for t in range(d * d + d):
-            pt = point(null_x @ _vandermonde_point(t, d))
-            for j in range(m):
-                offer(pt, w_mat[:, j])
+            admission.offer_all(_point_candidates(phi, x_frame[:, r:] @ _vandermonde_point(t, d), list(w_mat.T)))
 
     # Saturation check: deterministic generic filler points until nothing new
     # is admitted for a full stall window.
     ext_rng = np.random.default_rng(_EXTENSION_SEED)
-    stall_window = max(4, n)
-    stall = 0
-    for _ in range(3 * base_points):
-        if stall >= stall_window:
-            break
-        pt, hs = pairs_for(_random_unit(ext_rng, n))
-        produced = False
-        for h in hs:
-            if offer(pt, h):
-                produced = True
-        stall = 0 if produced else stall + 1
-    return admission.zero_set(saturated=stall >= stall_window)
+    filler = np.array([_random_unit(ext_rng, n) for _ in range(3 * base_points)])
+    produced = (admission.offer_all(_point_candidates(phi, x, hs)) for x, hs in frame_points(filler))
+    return admission.zero_set(saturated=_saturates(produced, max(4, n)))
 
 
 def weak_span_dim(zero_set: ZeroSet, tol: ToleranceConfig = DEFAULT_TOL) -> int:

@@ -252,9 +252,12 @@ def test_analyze_decodes_a_choi_document_once(tmp_path, monkeypatch, capsys):
 
 
 def test_analyze_rejects_bad_tol(tmp_path, capsys):
-    code = main(["analyze", transpose_doc(tmp_path), "--tol", "-1"])
-    capsys.readouterr()
-    assert code == 2
+    path = transpose_doc(tmp_path)
+    for tol in ("-1", "inf", "nan", "1", "2"):
+        code = main(["analyze", path, "--tol", tol])
+        out, err = capsys.readouterr()
+        assert code == 2, tol
+        assert out == "" and "rank_rel_tol" in err, tol
 
 
 def test_sweep_small_grid(capsys):

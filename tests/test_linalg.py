@@ -7,6 +7,7 @@ from mapcert.errors import DimensionMismatch, KernelInclusionViolated
 from mapcert.linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
+    _row_kernels,
     as_matrix,
     generalized_inverse,
     image_projector,
@@ -34,10 +35,16 @@ def test_tolerance_defaults_and_scaling():
     assert weaker.convergence_tol == tol.convergence_tol
 
 
-@pytest.mark.parametrize("bad", [0.0, -1e-8])
+@pytest.mark.parametrize("bad", [0.0, -1e-8, float("inf"), float("nan"), 1.0, 2.0])
 def test_tolerance_rejects_nonpositive(bad):
     with pytest.raises(ValueError):
         ToleranceConfig(rank_rel_tol=bad)
+    if bad >= 1:  # only the rank threshold is bounded by 1
+        return
+    with pytest.raises(ValueError):
+        ToleranceConfig(residual_rel_tol=bad)
+    with pytest.raises(ValueError):
+        ToleranceConfig(convergence_tol=bad)
 
 
 def test_as_matrix_accepts_nested_lists():
@@ -162,3 +169,29 @@ def test_span_dimension_scale_and_order_invariant(seed, scale):
     base = span_dimension(vectors)
     assert span_dimension([scale * v for v in vectors]) == base
     assert span_dimension(vectors[::-1]) == base
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5])
+def test_row_kernels_equal_per_row_kernel_basis_bitwise(m):
+    rng = np.random.default_rng(m)
+    rows = ginibre(rng, 9, m)
+    rows[[1, 4]] = 1e-12 * rows[[1, 4]]  # free at ref 1: all of C^m
+    rows[6] = 0.0
+    kernels = _row_kernels(rows, 1.0, DEFAULT_TOL)
+    assert len(kernels) == 9
+    for i, kernel in enumerate(kernels):
+        if i in (1, 4, 6):
+            assert np.array_equal(kernel, np.eye(m))
+        else:
+            expected = kernel_basis(rows[i : i + 1], DEFAULT_TOL)
+            assert kernel.shape == (m, m - 1)
+            assert np.array_equal(kernel, expected)
+
+
+def test_row_kernels_of_an_all_free_stack():
+    rows = np.zeros((3, 4), dtype=complex)
+    rows[0, 0] = 1e-9
+    kernels = _row_kernels(rows, 1.0, DEFAULT_TOL)
+    assert len(kernels) == 3
+    assert all(np.array_equal(kernel, np.eye(4)) for kernel in kernels)
+    assert _row_kernels(rows[:0], 1.0, DEFAULT_TOL) == []

@@ -34,3 +34,27 @@ def test_output_digest_is_deterministic():
     # only the analyze inputs changed, so only the analyze families move
     moved = [family for family in tool.FAMILIES if digests[4][family] != digests[0][family]]
     assert moved == ["analyze", "analyze-json"]
+
+
+def test_oracle_family_hashes_the_value_or_the_exception_class(monkeypatch):
+    import mapcert.experiments
+    from mapcert.errors import OracleUnstable
+
+    tool = load_tool()
+
+    def expected(value):
+        hasher = tool._Hasher()
+        hasher.add(2, 2, 1, 0, value)
+        return hasher.hexdigest()
+
+    cells = [(2, 2, 1, 0)]
+    plain = tool.output_digest([], cells, [])
+    assert plain["oracle"] == expected(5)  # n^2 m - (2n - 1) at rank 1
+
+    def unstable(*args, **kwargs):
+        raise OracleUnstable("kept changing")
+
+    monkeypatch.setattr(mapcert.experiments, "brute_force_strong_dim_oracle", unstable)
+    failing = tool.output_digest([], cells, [])
+    assert failing["oracle"] == expected("OracleUnstable")
+    assert [family for family in tool.FAMILIES if failing[family] != plain[family]] == ["oracle"]

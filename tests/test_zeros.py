@@ -7,6 +7,7 @@ and cross-checked against the analytic enumeration before being frozen.
 import numpy as np
 import pytest
 
+import mapcert.zeros
 from mapcert.errors import DimensionMismatch, ZeroOperator
 from mapcert.experiments import random_rank_operator, sweep_default_cells
 from mapcert.linalg import DEFAULT_TOL
@@ -20,6 +21,7 @@ from mapcert.maps import (
     transpose_map,
 )
 from mapcert.zeros import (
+    _STALL_BUDGET,
     _strong_vector,
     _weak_vector,
     analytic_zeros_conjugation,
@@ -171,6 +173,47 @@ def test_harvest_budget_exhaustion_reports_unsaturated():
     phi = identity_map(3)
     zs = harvest_zeros(phi, seed=0, starts=2)
     assert not zs.saturated
+
+
+def test_analytic_svd_count_does_not_grow_with_the_grid(monkeypatch):
+    v = rank_operator(3, 4, 2, 5)
+    counts = {"svd": 0, "points": 0}
+    svd, image = np.linalg.svd, mapcert.zeros._image
+
+    def counted_svd(*args, **kwargs):
+        counts["svd"] += 1
+        return svd(*args, **kwargs)
+
+    def counted_image(*args):
+        counts["points"] += 1
+        return image(*args)
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    monkeypatch.setattr(mapcert.zeros, "_image", counted_image)
+    analytic_zeros_conjugation(v, transposed=True)
+    # V's singular frame, then one row-kernel solve for the base grid and
+    # one for the filler points, however many points each holds
+    assert counts["svd"] == 3
+    # while 12 base points, 2 on the degenerate stratum and at least a
+    # stall window (4) of filler points are evaluated
+    assert counts["points"] >= 12 + 2 + 4
+
+
+@pytest.mark.parametrize("starts,descents", [(None, _STALL_BUDGET), (5, 5)])
+def test_harvest_draws_no_start_after_the_stall(monkeypatch, starts, descents):
+    calls = []
+    descent = mapcert.zeros._alternating_descent
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs)
+        return descent(*args, **kwargs)
+
+    monkeypatch.setattr(mapcert.zeros, "_alternating_descent", counted)
+    zs = harvest_zeros(trace_map(2, 3), seed=0, starts=starts)
+    assert len(calls) == descents
+    # starts alternate between the x side and the h side
+    assert [list(kwargs) for kwargs in calls] == [["x0"], ["h0"]] * (descents // 2) + [["x0"]] * (descents % 2)
+    assert zs.saturated == (starts is None)
 
 
 def test_harvest_rejects_empty_budget():

@@ -13,6 +13,8 @@ program outputs on a fixed input set:
   the 32 default sweep cells at seeds 0 and 1: every kept pair's x, h and
   ``repr`` of its residual, the weak and strong rows with their shapes, and
   ``saturated``;
+* ``oracle``: ``brute_force_strong_dim_oracle`` on those 64 cells: the
+  integer it returns, or the class name of the exception it raises;
 * ``analyze``: ``mapcert analyze --json`` on 241 documents: perfbench's
   analyze-mixed entries at seeds 1-3 (72), its analyze-large entries (3),
   50 documents of each ``mapcert generate`` kind over n, m in 2..4 (150,
@@ -49,7 +51,7 @@ SWEEPS = (
     ["sweep", "--n-range", "2", "--m-range", "2..3"],
 )
 
-FAMILIES = ("sweep", "sweep-json", "zero-sets", "analyze", "analyze-json")
+FAMILIES = ("sweep", "sweep-json", "zero-sets", "oracle", "analyze", "analyze-json")
 
 
 def _cli(argv) -> tuple[int, bytes, bytes]:
@@ -89,10 +91,11 @@ def output_digest(sweeps, cells, documents) -> dict[str, str]:
     """SHA-256 per family of the outputs of the imported mapcert on the inputs.
 
     ``sweeps``: argv lists of ``mapcert sweep`` (``--json`` is appended);
-    ``cells``: (n, m, rank, seed) conjugation cells for both zero routes;
+    ``cells``: (n, m, rank, seed) conjugation cells for both zero routes and
+    the oracle;
     ``documents``: (map document text or bytes, analyze seed) pairs.
     """
-    from mapcert.experiments import random_rank_operator
+    from mapcert.experiments import brute_force_strong_dim_oracle, random_rank_operator
     from mapcert.maps import from_conjugation
     from mapcert.zeros import analytic_zeros_conjugation, harvest_zeros
 
@@ -109,6 +112,11 @@ def output_digest(sweeps, cells, documents) -> dict[str, str]:
             zero_sets.add(n, m, rank, seed)
             _add_zero_set(zero_sets, analytic_zeros_conjugation(v, transposed=True))
             _add_zero_set(zero_sets, harvest_zeros(from_conjugation(v, transposed=True), seed=seed))
+            try:
+                oracle = brute_force_strong_dim_oracle(v, transposed=True, seed=seed)
+            except Exception as exc:
+                oracle = type(exc).__name__
+            hashers["oracle"].add(n, m, rank, seed, oracle)
         doc = Path(tmp) / "map.json"
         for text, seed in documents:
             doc.write_bytes(text if isinstance(text, bytes) else text.encode())
