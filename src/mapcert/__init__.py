@@ -45,7 +45,6 @@ from .maps import (
     dephasing_map,
     from_apply_table,
     from_conjugation,
-    hermitian_basis,
     identity_map,
     is_completely_positive,
     is_positive_heuristic,

@@ -22,7 +22,7 @@ from .linalg import (
     kernel_basis,
     span_dimension,
 )
-from .maps import MapOperator, apply, hermitian_basis
+from .maps import MapOperator, _image_table, apply
 from .zeros import ZeroSet, strong_span_dim, weak_span_dim
 
 __all__ = [
@@ -108,27 +108,37 @@ class IntertwinerSpace:
     basis: list[np.ndarray]
 
 
+def _kron_stacks(phi: MapOperator) -> tuple[np.ndarray, np.ndarray]:
+    """G kron 1 and 1 kron G^T for every image G = Phi(E_ij), row-major in (i, j).
+
+    Both are (n, n, m, m, m, m) arrays indexed (i, j, row a, row b, col c,
+    col d), each Kronecker product broadcast as np.kron forms it.  The
+    commutant and intertwiner conditions are complex-linear in the argument
+    a, so the matrix units E_ij give the same solution spaces as a Hermitian
+    basis, and the images are read from the map's table, not evaluated.
+    """
+    table = _image_table(phi)
+    eye = np.eye(phi.dim_out, dtype=complex)
+    # C order, so that the stacks reshape into systems without a copy
+    kron_g_1 = np.multiply(table[:, :, :, None, :, None], eye[:, None, :], order="C")
+    kron_1_gt = np.multiply(eye[:, None, :, None], table.swapaxes(2, 3)[:, :, None, :, None, :], order="C")
+    return kron_g_1, kron_1_gt
+
+
 def _commutant_system(phi: MapOperator) -> np.ndarray:
     """The stacked n^2 m^2 x m^2 commutator system of ``commutant_basis``."""
-    m = phi.dim_out
-    eye = np.eye(m, dtype=complex)
-    blocks = []
-    for b in hermitian_basis(phi.dim_in):
-        g = apply(phi, b)
-        # row-major vec: vec(GX - XG) = (G kron 1 - 1 kron G^T) vec(X), each
-        # Kronecker product broadcast as a (row i, row a, col j, col b) array
-        kron_g_1 = g[:, None, :, None] * eye[None, :, None, :]
-        kron_1_gt = eye[:, None, :, None] * g.T[None, :, None, :]
-        blocks.append((kron_g_1 - kron_1_gt).reshape(m * m, m * m))
-    return np.vstack(blocks)
+    # row-major vec: vec(GX - XG) = (G kron 1 - 1 kron G^T) vec(X), built in place
+    system, kron_1_gt = _kron_stacks(phi)
+    system -= kron_1_gt
+    return system.reshape(-1, phi.dim_out**2)
 
 
 def commutant_basis(phi: MapOperator, tol: ToleranceConfig = DEFAULT_TOL) -> list[np.ndarray]:
     """Basis of {X : [Phi(a), X] = 0 for all a}.
 
-    Hermitian generators suffice since they span the domain.  The commutators
-    stack into an n^2 m^2 by m^2 linear system whose numerical kernel is the
-    commutant; it always contains the identity, so the result is nonempty.
+    The commutators with the n^2 images Phi(E_ij) stack into an n^2 m^2 by
+    m^2 linear system whose numerical kernel is the commutant; it always
+    contains the identity, so the result is nonempty.
     """
     m = phi.dim_out
     cols = kernel_basis(_commutant_system(phi), tol)
@@ -164,14 +174,6 @@ def _irreducibility(phi: MapOperator, p: np.ndarray, tol: ToleranceConfig) -> tu
     return len(basis) == 1, span_dimension(compressed, tol) == 1
 
 
-def _real_kernel(system: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
-    # Float SVD: a complex SVD of a real-cast system may phase-rotate kernel
-    # vectors, which would scramble the real/imaginary split downstream.
-    system = np.asarray(system, dtype=float)
-    _, s, vh = np.linalg.svd(system, full_matrices=system.shape[0] < system.shape[1])
-    return vh[_rank_from_singular_values(s, tol):].T
-
-
 def intertwiner_space(phi: MapOperator, tol: ToleranceConfig = DEFAULT_TOL) -> IntertwinerSpace:
     """Solve X Phi(a) = Phi(a) X^H for all Hermitian a.
 
@@ -181,28 +183,16 @@ def intertwiner_space(phi: MapOperator, tol: ToleranceConfig = DEFAULT_TOL) -> I
     commutant is trivial the answer is the real line through the identity.
     """
     m = phi.dim_out
-    gens = [apply(phi, b) for b in hermitian_basis(phi.dim_in)]
-
-    def defect_column(x):
-        rows = []
-        for g in gens:
-            d = x @ g - g @ x.conj().T
-            rows.append(d.real.ravel())
-            rows.append(d.imag.ravel())
-        return np.concatenate(rows)
-
-    columns = []
-    for part in (1.0, 1j):
-        for i in range(m):
-            for j in range(m):
-                e = np.zeros((m, m), dtype=complex)
-                e[i, j] = part
-                columns.append(defect_column(e))
-    null = _real_kernel(np.column_stack(columns), tol)
-    mats = []
-    for k in range(null.shape[1]):
-        coeffs = null[:, k]
-        mats.append((coeffs[: m * m] + 1j * coeffs[m * m :]).reshape(m, m))
+    # row-major vec: vec(X G) = A vec(X) with A = 1 kron G^T, and vec(G X^H) =
+    # B conj(vec X) with B = G kron 1 read at column pair (d, c) for (c, d).
+    # With vec X = u + iv the defect is (A - B) u + i (A + B) v, split into parts.
+    kron_g_1, a = _kron_stacks(phi)
+    b = kron_g_1.swapaxes(4, 5)
+    minus, plus = (a - b).reshape(-1, m * m), (a + b).reshape(-1, m * m)
+    system = np.block([[minus.real, -plus.imag], [minus.imag, plus.real]])
+    _, s, vh = np.linalg.svd(system, full_matrices=False)
+    null = vh[_rank_from_singular_values(s, tol):]
+    mats = [(u + 1j * v).reshape(m, m) for u, v in zip(null[:, : m * m], null[:, m * m :])]
     return IntertwinerSpace(real_dimension=len(mats), basis=mats)
 
 

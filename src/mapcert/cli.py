@@ -33,7 +33,7 @@ from .documents import (
     to_map_operator,
     zero_set_summary,
 )
-from .errors import CrossCheckError, MapcertError, OracleUnstable, ParseError, SchemaError
+from .errors import CrossCheckError, MapcertError, OracleUnstable
 from .experiments import (
     DEFAULT_M_RANGE,
     DEFAULT_N_RANGE,
@@ -263,16 +263,7 @@ def main(argv=None) -> int:
         # LinAlgError is a ValueError: caught here, before the input arms
         print(f"error: {exc}", file=sys.stderr)
         return 5
-    except (ParseError, SchemaError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except MapcertError as exc:
+    except (MapcertError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .certify import Certificate
 from .errors import ParseError, SchemaError
-from .maps import MapOperator, cp_map_from_kraus, from_conjugation
+from .maps import MapOperator, choi_spectral_scale, cp_map_from_kraus, from_conjugation
 from .zeros import ZeroSet
 
 __all__ = [
@@ -40,6 +40,10 @@ __all__ = [
 ]
 
 _KINDS = ("choi", "conjugation", "kraus")
+# The spectral scales a map document may have.  Outside them, residual norms
+# under- or overflow (a residual below ~1e-154 squares to 0 and reads as a
+# zero), so the zero map and maps scaled past the window are rejected.
+_SCALE_WINDOW = (1e-100, 1e100)
 
 
 @dataclass(frozen=True)
@@ -63,15 +67,20 @@ class MapDocument:
         if self.kind == "choi":
             choi = payload_to_matrix(self.payload, n * m, n * m)
             try:
-                return MapOperator(n, m, choi)
+                phi = MapOperator(n, m, choi)
             except ValueError as exc:  # the one Hermiticity rule, in MapOperator
                 raise SchemaError("choi", "hermiticity") from exc
-        if self.kind == "conjugation":
-            return from_conjugation(payload_to_matrix(self.payload, n, m), transposed=bool(self.transposed))
-        if not isinstance(self.payload, list) or not self.payload:
-            raise SchemaError("payload", "expected a nonempty list of operators")
-        kraus = [payload_to_matrix(op, m, n, path=f"payload[{k}]") for k, op in enumerate(self.payload)]
-        return cp_map_from_kraus(kraus)
+        elif self.kind == "conjugation":
+            phi = from_conjugation(payload_to_matrix(self.payload, n, m), transposed=bool(self.transposed))
+        else:
+            if not isinstance(self.payload, list) or not self.payload:
+                raise SchemaError("payload", "expected a nonempty list of operators")
+            kraus = [payload_to_matrix(op, m, n, path=f"payload[{k}]") for k, op in enumerate(self.payload)]
+            phi = cp_map_from_kraus(kraus)
+        scale, (low, high) = choi_spectral_scale(phi), _SCALE_WINDOW
+        if not low <= scale <= high:
+            raise SchemaError("payload", f"spectral scale {scale:.3e} is outside [{low:g}, {high:g}]")
+        return phi
 
 
 @dataclass(frozen=True)

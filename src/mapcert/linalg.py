@@ -54,7 +54,7 @@ class ToleranceConfig:
             raise ValueError("max_iters must be a positive integer")
 
     def scaled(self, factor):
-        """Copy with rank_rel_tol multiplied by ``factor`` (stability probes)."""
+        """Copy with rank_rel_tol multiplied by ``factor``: a looser or tighter rank threshold."""
         return replace(self, rank_rel_tol=self.rank_rel_tol * factor)
 
 

@@ -10,9 +10,10 @@ rank and span decisions downstream are scale-free.
 Evaluation recovers the map as Phi(a) = Tr_in[C (a^T (x) 1_m)].
 
 Constructors write the block array blocks[i, k, j, l] = Phi(E_ij)[k, l] with
-one broadcast product and make the MapOperator through ``_from_blocks``, the
-one block-array helper; no n^2 list of images is built.  ``trace_map`` and
-``dephasing_map`` write their block matrices in closed form.
+one broadcast product and make the MapOperator through ``_from_blocks``;
+``_image_table`` reads the images Phi(E_ij) back as a view.  No n^2 list of
+images is built, and no other module reads the block layout.  ``trace_map``
+and ``dephasing_map`` write their block matrices in closed form.
 
 The alternating descent on g(x, h) = <h| Phi(|conj(x)><conj(x)|) |h> lives
 here: the positivity heuristic refines its worst sample with it, and
@@ -33,7 +34,6 @@ __all__ = [
     "MapOperator",
     "NormalForm",
     "PositivityReport",
-    "hermitian_basis",
     "apply",
     "from_apply_table",
     "from_conjugation",
@@ -171,25 +171,6 @@ class SearchOutcome:
         return ZeroPair(x=self.x, h=self.h, residual=self.residual)
 
 
-def hermitian_basis(n: int) -> list[np.ndarray]:
-    """Standard Hermitian basis of the n x n matrices (n^2 elements)."""
-    basis = []
-    for i in range(n):
-        e = np.zeros((n, n), dtype=complex)
-        e[i, i] = 1.0
-        basis.append(e)
-    for i in range(n):
-        for j in range(i + 1, n):
-            s = np.zeros((n, n), dtype=complex)
-            s[i, j] = s[j, i] = 1.0
-            basis.append(s)
-            t = np.zeros((n, n), dtype=complex)
-            t[i, j] = -1.0j
-            t[j, i] = 1.0j
-            basis.append(t)
-    return basis
-
-
 def _hermitize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.conj().T)
 
@@ -213,6 +194,12 @@ def _image(phi: MapOperator, x) -> np.ndarray:
     a vector the package built itself."""
     n, m = phi.dim_in, phi.dim_out
     return np.einsum("ikjl,ij->kl", phi.choi.reshape(n, m, n, m), np.outer(x.conj(), x))
+
+
+def _image_table(phi: MapOperator) -> np.ndarray:
+    """The read-only (n, n, m, m) view table[i, j] = Phi(E_ij) of the block matrix."""
+    n, m = phi.dim_in, phi.dim_out
+    return phi.choi.reshape(n, m, n, m).transpose(0, 2, 1, 3)
 
 
 def _from_blocks(blocks: np.ndarray) -> MapOperator:
@@ -279,8 +266,7 @@ def unital_normalization(phi: MapOperator, tol: ToleranceConfig = DEFAULT_TOL) -
     maps that are positive (the caller's obligation, checked heuristically
     elsewhere); a negative eigenvalue of A beyond tolerance is rejected.
     """
-    n, m = phi.dim_in, phi.dim_out
-    a = _hermitize(apply(phi, np.eye(n)))
+    a = _hermitize(apply(phi, np.eye(phi.dim_in)))
     eigvals, eigvecs = np.linalg.eigh(a)
     top = float(eigvals[-1])
     if top <= 0 or not np.any(eigvals > tol.rank_rel_tol * max(abs(eigvals[0]), top)):
@@ -292,8 +278,7 @@ def unital_normalization(phi: MapOperator, tol: ToleranceConfig = DEFAULT_TOL) -
     q = eigvecs[:, keep]
     k = int(lam.shape[0])
     inv_sqrt = 1.0 / np.sqrt(lam)
-    # images[i, j] = Q^H Phi(E_ij) Q, from the blocks of the map
-    images = q.conj().T @ phi.choi.reshape(n, m, n, m).transpose(0, 2, 1, 3) @ q
+    images = q.conj().T @ _image_table(phi) @ q  # images[i, j] = Q^H Phi(E_ij) Q
     unital_part = _from_blocks(((inv_sqrt[:, None] * images) * inv_sqrt[None, :]).transpose(0, 2, 1, 3))
     bridge = np.sqrt(lam)[:, None] * q.conj().T
     return NormalForm(bridge=bridge, unital_part=unital_part, image_dim=k)

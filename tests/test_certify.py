@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import mapcert.certify
+import mapcert.maps
 from mapcert.certify import (
     _commutant_system,
     CERTIFIED,
@@ -24,7 +26,6 @@ from mapcert.maps import (
     dephasing_map,
     from_apply_table,
     from_conjugation,
-    hermitian_basis,
     identity_map,
     trace_map,
     transpose_map,
@@ -36,6 +37,22 @@ def ginibre(rng, rows, cols):
     return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
 
 
+# 2 x 3 operators of rank 2 and rank 1
+RANK_TWO = ginibre(np.random.default_rng(8), 2, 3)
+RANK_ONE = ginibre(np.random.default_rng(9), 2, 1) @ ginibre(np.random.default_rng(10), 1, 3)
+
+
+def matrix_units(n):
+    """E_ij, row-major in (i, j)."""
+    units = []
+    for i in range(n):
+        for j in range(n):
+            e = np.zeros((n, n), dtype=complex)
+            e[i, j] = 1.0
+            units.append(e)
+    return units
+
+
 @pytest.mark.parametrize(
     "phi,dim",
     [
@@ -44,6 +61,8 @@ def ginibre(rng, rows, cols):
         (dephasing_map(2), 2),
         (dephasing_map(3), 3),
         (trace_map(2), 4),
+        (from_conjugation(RANK_TWO, transposed=True), 2),
+        (from_conjugation(RANK_ONE, transposed=True), 5),
     ],
 )
 def test_commutant_dimensions(phi, dim):
@@ -57,7 +76,7 @@ def test_commutant_system_equals_kron_form_bitwise(n, m):
     expected = np.vstack(
         [
             np.kron(g, eye) - np.kron(eye, g.T)
-            for g in (apply(phi, b) for b in hermitian_basis(n))
+            for g in (apply(phi, e) for e in matrix_units(n))
         ]
     )
     assert np.array_equal(_commutant_system(phi), expected)
@@ -75,8 +94,8 @@ def test_commutant_contains_identity_direction():
 def test_commutant_elements_commute_with_image():
     phi = dephasing_map(3)
     for x in commutant_basis(phi):
-        for b in hermitian_basis(3):
-            g = apply(phi, b)
+        for e in matrix_units(3):
+            g = apply(phi, e)
             assert np.linalg.norm(g @ x - x @ g) < 1e-9
 
 
@@ -117,18 +136,41 @@ def test_direct_sum_is_reducible_even_on_image():
         (identity_map(3), 1),
         (transpose_map(2), 1),
         (dephasing_map(2), 2),
+        # non-unital and rectangular; the dimensions follow from block algebra
+        (trace_map(2, 3), 9),
+        # rank-2 V: a real scalar on range V^H (1), the free 2x1 corner (4)
+        # and the free 1x1 block (2)
+        (from_conjugation(RANK_TWO, transposed=True), 7),
+        (from_conjugation(RANK_ONE, transposed=True), 13),
     ],
 )
 def test_intertwiner_real_dimension(phi, dim):
     assert intertwiner_space(phi).real_dimension == dim
 
 
+def test_irreducibility_systems_evaluate_no_map(monkeypatch):
+    # both systems read the map's image table instead of evaluating the map
+    calls = []
+    evaluate = mapcert.maps.apply
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return evaluate(*args, **kwargs)
+
+    for module in (mapcert.maps, mapcert.certify):
+        monkeypatch.setattr(module, "apply", counted)
+    phi = from_conjugation(RANK_TWO, transposed=True)
+    assert len(commutant_basis(phi)) == 2
+    assert intertwiner_space(phi).real_dimension == 7
+    assert calls == []
+
+
 def test_intertwiner_basis_solves_the_relation():
     phi = dephasing_map(2)
     space = intertwiner_space(phi)
     for x in space.basis:
-        for b in hermitian_basis(2):
-            g = apply(phi, b)
+        for e in matrix_units(2):
+            g = apply(phi, e)
             assert np.linalg.norm(x @ g - g @ x.conj().T) < 1e-9
 
 

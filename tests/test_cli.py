@@ -19,6 +19,7 @@ from mapcert.documents import (
     matrix_to_payload,
     parse_certificate_document,
     parse_map_file,
+    payload_to_matrix,
 )
 
 
@@ -228,6 +229,59 @@ def test_analyze_rejects_zero_conjugation(tmp_path, capsys):
     )
     assert main(["analyze", path]) == 2
     assert capsys.readouterr() == ("", "error: conjugation by the zero operator is not a map\n")
+
+
+def scaled_choi_doc(tmp_path, capsys, scale):
+    """The positive definite 2x2 random-choi document of seed 3, scaled to
+    spectral norm ``scale``: a strictly completely positive map, without zeros."""
+    assert main(["generate", "--kind", "random-choi", "--n", "2", "--m", "2", "--seed", "3"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    choi = payload_to_matrix(doc["payload"], 4, 4)
+    doc["payload"] = matrix_to_payload(scale * choi / np.linalg.norm(choi, 2))
+    return write_doc(tmp_path, f"choi-{scale:g}.json", doc)
+
+
+def scaled_transpose_doc(tmp_path, capsys, scale):
+    """The transpose map, scaled to spectral norm ``scale``."""
+    doc = {"kind": "conjugation", "dim_in": 2, "dim_out": 2, "transposed": True}
+    doc["payload"] = matrix_to_payload(np.sqrt(scale) * np.eye(2))
+    return write_doc(tmp_path, f"transpose-{scale:g}.json", doc)
+
+
+def test_analyze_rejects_a_zero_free_map_scaled_below_the_window(tmp_path, capsys):
+    # below ~1e-154 residual norms underflow to 0, so every descent end read as
+    # a zero: 6 pairs and both claims Certified for a map without zeros
+    path = scaled_choi_doc(tmp_path, capsys, 1e-160)
+    assert main(["analyze", path]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: payload: spectral scale ") and "outside [1e-100, 1e+100]" in err
+
+
+def test_analyze_rejects_an_all_zero_kraus_document(tmp_path, capsys):
+    # the zero map, which a conjugation document with V = 0 could not give either
+    path = write_doc(
+        tmp_path,
+        "zero.json",
+        {"kind": "kraus", "dim_in": 2, "dim_out": 2, "payload": [matrix_to_payload(np.zeros((2, 2)))]},
+    )
+    assert main(["analyze", path]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "spectral scale 0.000e+00" in err
+
+
+@pytest.mark.parametrize("make_doc", [scaled_choi_doc, scaled_transpose_doc])
+@pytest.mark.parametrize("scale", [1e-90, 1e90])
+def test_analyze_verdicts_do_not_depend_on_the_scale_inside_the_window(tmp_path, capsys, make_doc, scale):
+    def verdict_lines(scale):
+        path = make_doc(tmp_path, capsys, scale)
+        assert main(["analyze", path]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        return [line for line in lines if not line.startswith(("digest:", "positivity heuristic:"))]
+
+    reference = verdict_lines(1.0)
+    assert verdict_lines(scale) == reference
+    assert any(line.startswith("Exposed: ") for line in reference)
 
 
 def test_analyze_decodes_a_choi_document_once(tmp_path, monkeypatch, capsys):

@@ -21,7 +21,7 @@ from mapcert.documents import (
 )
 from mapcert.errors import ParseError, SchemaError, ZeroOperator
 from mapcert.linalg import DEFAULT_TOL
-from mapcert.maps import MapOperator, apply, is_completely_positive, transpose_map
+from mapcert.maps import MapOperator, apply, choi_spectral_scale, is_completely_positive, transpose_map
 from mapcert.zeros import analytic_zeros_conjugation, strong_span_dim, weak_span_dim
 
 
@@ -234,6 +234,29 @@ def test_parse_rejects_zero_conjugation(transposed):
     }
     with pytest.raises(ZeroOperator):
         parse_map_file(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "kind, payload",
+    [
+        ("kraus", [matrix_to_payload(np.zeros((2, 2)))]),
+        ("choi", matrix_to_payload(np.zeros((4, 4)))),
+        ("choi", matrix_to_payload(1e-160 * np.eye(4))),
+        ("choi", matrix_to_payload(1e150 * np.eye(4))),
+        ("conjugation", matrix_to_payload(1e-51 * np.eye(2))),
+    ],
+)
+def test_parse_rejects_a_spectral_scale_outside_the_window(kind, payload):
+    doc = {"kind": kind, "dim_in": 2, "dim_out": 2, "payload": payload}
+    with pytest.raises(SchemaError, match="spectral scale") as info:
+        parse_map_file(json.dumps(doc))
+    assert info.value.field == "payload"
+
+
+@pytest.mark.parametrize("scale", [1e-99, 1e99])
+def test_parse_accepts_a_spectral_scale_inside_the_window(scale):
+    doc = {"kind": "choi", "dim_in": 2, "dim_out": 2, "payload": matrix_to_payload(scale * np.eye(4))}
+    assert np.isclose(choi_spectral_scale(to_map_operator(parse_map_file(json.dumps(doc)))), scale)
 
 
 def test_certificate_document_round_trip():

@@ -15,7 +15,6 @@ from mapcert.maps import (
     dephasing_map,
     from_apply_table,
     from_conjugation,
-    hermitian_basis,
     identity_map,
     is_completely_positive,
     is_positive_heuristic,
@@ -173,15 +172,6 @@ def test_adjoint_is_an_involution():
     phi = from_conjugation(ginibre(rng, 2, 4))
     again = adjoint_map(adjoint_map(phi))
     assert np.allclose(again.choi, phi.choi)
-
-
-def test_hermitian_basis_spans():
-    basis = hermitian_basis(3)
-    assert len(basis) == 9
-    for b in basis:
-        assert np.allclose(b, b.conj().T)
-    stacked = np.column_stack([b.ravel() for b in basis])
-    assert np.linalg.matrix_rank(stacked) == 9
 
 
 def test_unital_normalization_reconstructs():
