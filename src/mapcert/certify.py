@@ -34,8 +34,6 @@ __all__ = [
     "FunctionalWitness",
     "IntertwinerSpace",
     "commutant_basis",
-    "is_irreducible",
-    "is_irreducible_on_image",
     "intertwiner_space",
     "certify_optimal",
     "certify_exposed",
@@ -145,21 +143,6 @@ def commutant_basis(phi: MapOperator, tol: ToleranceConfig = DEFAULT_TOL) -> lis
     return [cols[:, k].reshape(m, m) for k in range(cols.shape[1])]
 
 
-def is_irreducible(phi: MapOperator, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """True when only scalars commute with the image of the map."""
-    return len(commutant_basis(phi, tol)) == 1
-
-
-def is_irreducible_on_image(phi: MapOperator, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """True when the commutant compresses to scalars on Im Phi(1).
-
-    For maps with full-rank unit image this coincides with is_irreducible;
-    otherwise commutant elements are compressed by the projector onto the
-    image of Phi(1) before the span test.
-    """
-    return _irreducibility(phi, _unit_image(phi, tol)[1], tol)[1]
-
-
 def _unit_image(phi: MapOperator, tol: ToleranceConfig) -> tuple[int, np.ndarray]:
     """Rank of Phi(1) and the orthogonal projector onto its image, from one SVD."""
     u, s, _ = np.linalg.svd(apply(phi, np.eye(phi.dim_in, dtype=complex)), full_matrices=False)
@@ -170,7 +153,7 @@ def _unit_image(phi: MapOperator, tol: ToleranceConfig) -> tuple[int, np.ndarray
 def _irreducibility(phi: MapOperator, p: np.ndarray, tol: ToleranceConfig) -> tuple[bool, bool]:
     # Both flags from one commutant solve; p projects onto the image of Phi(1).
     basis = commutant_basis(phi, tol)
-    compressed = [(p @ x @ p).ravel() for x in basis]
+    compressed = np.column_stack([(p @ x @ p).ravel() for x in basis])
     return len(basis) == 1, span_dimension(compressed, tol) == 1
 
 

@@ -5,14 +5,18 @@ Exit codes are a stable contract: 0 success, 2 parse/schema/flag errors,
 3 positivity-heuristic failure in analyze, 4 a sweep cell matching neither
 closed-form candidate, 5 an internal failure (two zero routes disagreeing,
 an oracle that does not settle, a linear-algebra routine that fails), which
-is never the input's fault.  Output is a pure function of (input, flags, seed,
-tool version); nothing time- or path-dependent is ever printed.
+is never the input's fault, and 141 (128 + SIGPIPE, what a shell reports for
+a writer killed by a closed pipe) when stdout is closed before the output is
+written, as in ``mapcert analyze DOC | head -1``; nothing more is printed
+then.  Output is a pure function of (input, flags, seed, tool version);
+nothing time- or path-dependent is ever printed.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 from pathlib import Path
 
@@ -250,6 +254,18 @@ def _cmd_generate(args) -> int:
     return 0
 
 
+def _stdout_to_devnull():
+    """Point stdout's file descriptor, if it has one, at os.devnull, so that
+    flushing what is left at interpreter exit cannot fail again."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -258,7 +274,13 @@ def main(argv=None) -> int:
         # argparse has already printed its message; fold exits into codes
         return 0 if exc.code in (0, None) else 2
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # an OSError, so caught before the input arms
+        _stdout_to_devnull()
+        return 141
     except (CrossCheckError, OracleUnstable, np.linalg.LinAlgError) as exc:
         # LinAlgError is a ValueError: caught here, before the input arms
         print(f"error: {exc}", file=sys.stderr)

@@ -64,19 +64,22 @@ class MapDocument:
     @cached_property
     def _operator(self) -> MapOperator:
         n, m = self.dim_in, self.dim_out
-        if self.kind == "choi":
-            choi = payload_to_matrix(self.payload, n * m, n * m)
-            try:
-                phi = MapOperator(n, m, choi)
-            except ValueError as exc:  # the one Hermiticity rule, in MapOperator
-                raise SchemaError("choi", "hermiticity") from exc
-        elif self.kind == "conjugation":
-            phi = from_conjugation(payload_to_matrix(self.payload, n, m), transposed=bool(self.transposed))
-        else:
-            if not isinstance(self.payload, list) or not self.payload:
-                raise SchemaError("payload", "expected a nonempty list of operators")
-            kraus = [payload_to_matrix(op, m, n, path=f"payload[{k}]") for k, op in enumerate(self.payload)]
-            phi = cp_map_from_kraus(kraus)
+        # block entries past the float range come out inf or nan, which
+        # MapOperator rejects as non-finite: exit 2, without numpy's warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.kind == "choi":
+                choi = payload_to_matrix(self.payload, n * m, n * m)
+                try:
+                    phi = MapOperator(n, m, choi)
+                except ValueError as exc:  # the one Hermiticity rule, in MapOperator
+                    raise SchemaError("choi", "hermiticity") from exc
+            elif self.kind == "conjugation":
+                phi = from_conjugation(payload_to_matrix(self.payload, n, m), transposed=bool(self.transposed))
+            else:
+                if not isinstance(self.payload, list) or not self.payload:
+                    raise SchemaError("payload", "expected a nonempty list of operators")
+                kraus = [payload_to_matrix(op, m, n, path=f"payload[{k}]") for k, op in enumerate(self.payload)]
+                phi = cp_map_from_kraus(kraus)
         scale, (low, high) = choi_spectral_scale(phi), _SCALE_WINDOW
         if not low <= scale <= high:
             raise SchemaError("payload", f"spectral scale {scale:.3e} is outside [{low:g}, {high:g}]")

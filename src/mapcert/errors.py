@@ -8,7 +8,6 @@ __all__ = [
     "KernelInclusionViolated",
     "EmptyZeroSet",
     "RankInfeasible",
-    "RankDeficient",
     "CrossCheckError",
     "OracleUnstable",
     "ParseError",
@@ -47,10 +46,6 @@ class EmptyZeroSet(MapcertError):
 
 class RankInfeasible(MapcertError):
     """Requested rank exceeds what the requested dimensions allow."""
-
-
-class RankDeficient(MapcertError):
-    """Operator rank is too small for the requested construction."""
 
 
 class CrossCheckError(MapcertError):

@@ -25,9 +25,7 @@ import numpy as np
 
 from .errors import (
     CrossCheckError,
-    DimensionMismatch,
     OracleUnstable,
-    RankDeficient,
     RankInfeasible,
     ZeroOperator,
 )
@@ -55,8 +53,6 @@ __all__ = [
     "run_rank2_count_check",
     "run_dimension_sweep",
     "sweep_cells",
-    "sweep_default_cells",
-    "build_decomposable_witness",
     "check_image_inclusion",
     "brute_force_strong_dim_oracle",
 ]
@@ -209,32 +205,6 @@ DEFAULT_M_RANGE = (2, 3, 4, 5)
 def sweep_cells(n_range=DEFAULT_N_RANGE, m_range=DEFAULT_M_RANGE) -> list[tuple[int, int, int]]:
     """The (n, m, rank) cells over the ranges, every feasible rank, in sweep order."""
     return [(n, m, r) for n in n_range for m in m_range for r in range(1, min(n, m) + 1)]
-
-
-def sweep_default_cells() -> list[tuple[int, int, int]]:
-    """The default (n, m, rank) grid."""
-    return sweep_cells()
-
-
-def build_decomposable_witness(v, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Rank-one projector Q and its partial transpose W for a 2 x m operator.
-
-    Q projects onto the vector sum_i e_i (x) V^T e_i, whose coordinate vector
-    is just V flattened row by row; for rank-2 V that vector has Schmidt rank
-    2, so the support of Q contains no product vector.  W, the partial
-    transpose of Q on the second factor, coincides exactly with the Choi
-    block matrix of a -> V^H a^T V in the unnormalized convention used here.
-    """
-    v = as_matrix(v)
-    if v.shape[0] != 2:
-        raise DimensionMismatch(f"expected a 2-row operator, got {v.shape[0]} rows")
-    m = v.shape[1]
-    if numerical_rank(v, tol) < 2:
-        raise RankDeficient("a rank-1 operator gives a product vector, not an entangled one")
-    q_vec = v.ravel()
-    q = np.outer(q_vec, q_vec.conj())
-    w = q.reshape(2, m, 2, m).transpose(0, 3, 2, 1).reshape(2 * m, 2 * m)
-    return q, w
 
 
 def _random_psd(rng, dim) -> np.ndarray:

@@ -20,7 +20,6 @@ __all__ = [
     "as_matrix",
     "numerical_rank",
     "kernel_basis",
-    "generalized_inverse",
     "image_projector",
     "kernel_inclusion_factor",
     "span_dimension",
@@ -111,16 +110,6 @@ def _row_kernels(rows: np.ndarray, ref: float, tol: ToleranceConfig) -> list[np.
     return kernels
 
 
-def generalized_inverse(matrix, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Moore-Penrose pseudoinverse with the shared rank cutoff."""
-    m = as_matrix(matrix)
-    u, s, vh = np.linalg.svd(m, full_matrices=False)
-    rank = _rank_from_singular_values(s, tol)
-    inv = np.zeros_like(s)
-    inv[:rank] = 1.0 / s[:rank]
-    return (vh.conj().T * inv) @ u.conj().T
-
-
 def image_projector(matrix, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Orthogonal projector onto the column space at the working rank."""
     m = as_matrix(matrix)
@@ -136,14 +125,18 @@ def kernel_inclusion_factor(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndar
     The precondition is verified on an orthonormal kernel basis of B; the
     worst offending vector is reported if it fails.  The factor is
     X = A B^+, which satisfies XB = A and rank(X) = rank(A) whenever the
-    inclusion holds.
+    inclusion holds.  One SVD of B gives both the kernel basis (its V is
+    square, as ``kernel_basis`` computes it) and the pseudoinverse at the
+    shared rank cutoff.
     """
     a = as_matrix(a)
     b = as_matrix(b)
     if a.shape != b.shape:
         raise DimensionMismatch(f"A has shape {a.shape}, B has shape {b.shape}")
     sigma_a = float(np.linalg.norm(a, 2)) if a.size else 0.0
-    kb = kernel_basis(b, tol)
+    u, s, vh = np.linalg.svd(b, full_matrices=b.shape[0] < b.shape[1])
+    rank = _rank_from_singular_values(s, tol)
+    kb = vh[rank:].conj().T
     if kb.shape[1]:
         residuals = np.linalg.norm(a @ kb, axis=0)
         worst = int(np.argmax(residuals))
@@ -155,25 +148,12 @@ def kernel_inclusion_factor(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndar
                 worst_vector=kb[:, worst],
                 worst_residual=float(residuals[worst]),
             )
-    return a @ generalized_inverse(b, tol)
+    # B^+ = V_r diag(1/s_r) U_r^H
+    return a @ ((vh[:rank].conj().T / s[:rank]) @ u[:, :rank].conj().T)
 
 
-def span_dimension(vectors, tol: ToleranceConfig = DEFAULT_TOL) -> int:
-    """Dimension of the span of a collection of equal-length vectors.
-
-    Accepts a sequence of 1-d arrays (or a 2-d array whose columns are the
-    vectors).  Empty input has span dimension 0.
-    """
-    if isinstance(vectors, np.ndarray) and vectors.ndim == 2:
-        if vectors.shape[1] == 0:
-            return 0
-        matrix = vectors
-    else:
-        vectors = [np.asarray(v, dtype=complex).ravel() for v in vectors]
-        if not vectors:
-            return 0
-        lengths = {v.shape[0] for v in vectors}
-        if len(lengths) != 1:
-            raise DimensionMismatch(f"vectors have mixed lengths {sorted(lengths)}")
-        matrix = np.column_stack(vectors)
-    return numerical_rank(matrix, tol)
+def span_dimension(vectors: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> int:
+    """Dimension of the span of the columns of a 2-d array; 0 when it has none."""
+    if vectors.shape[1] == 0:
+        return 0
+    return numerical_rank(vectors, tol)

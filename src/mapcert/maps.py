@@ -35,10 +35,8 @@ __all__ = [
     "NormalForm",
     "PositivityReport",
     "apply",
-    "from_apply_table",
     "from_conjugation",
     "cp_map_from_kraus",
-    "adjoint_map",
     "unital_normalization",
     "is_completely_positive",
     "is_positive_heuristic",
@@ -83,6 +81,7 @@ class MapOperator:
 
     @cached_property
     def _adjoint(self) -> MapOperator:
+        """Phi* under the trace pairing Tr(b^H Phi(a)) = Tr(Phi*(b)^H a)."""
         n, m = self.dim_in, self.dim_out
         blocks = self.choi.reshape(n, m, n, m)
         return MapOperator(m, n, blocks.transpose(1, 0, 3, 2).conj().reshape(n * m, n * m))
@@ -94,9 +93,19 @@ class MapOperator:
 
 def _is_hermitian(matrix: np.ndarray) -> bool:
     """Hermitian within tolerance: the one, scale-free rule, which MapOperator applies
-    (``parse_map_file`` reports its failure as a schema error on ``choi``)."""
-    gap = np.linalg.norm(matrix - matrix.conj().T)
-    return gap <= DEFAULT_TOL.residual_rel_tol * max(np.linalg.norm(matrix), gap)
+    (``parse_map_file`` reports its failure as a schema error on ``choi``).
+
+    The norms are taken of the matrix divided by its largest real or imaginary
+    part, so they neither overflow nor underflow at any finite scale (the
+    largest modulus itself can overflow).  The zero matrix passes; the scale
+    window of map documents rejects it.
+    """
+    top = max(np.max(np.abs(matrix.real), initial=0.0), np.max(np.abs(matrix.imag), initial=0.0))
+    if top == 0:
+        return True
+    unit = matrix / top
+    gap = np.linalg.norm(unit - unit.conj().T)
+    return gap <= DEFAULT_TOL.residual_rel_tol * max(np.linalg.norm(unit), gap)
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,21 +217,6 @@ def _from_blocks(blocks: np.ndarray) -> MapOperator:
     return MapOperator(n, m, blocks.reshape(n * m, n * m))
 
 
-def from_apply_table(images) -> MapOperator:
-    """Build a MapOperator from the n^2 images Phi(E_ij), row-major in (i, j)."""
-    images = [as_matrix(img) for img in images]
-    if not images:
-        raise DimensionMismatch("empty image table")
-    n = round(len(images) ** 0.5)
-    if n * n != len(images):
-        raise DimensionMismatch(f"image table has {len(images)} entries, not a square")
-    m = images[0].shape[0]
-    for img in images:
-        if img.shape != (m, m):
-            raise DimensionMismatch("image matrices must share one square shape")
-    return _from_blocks(np.array(images).reshape(n, n, m, m).transpose(0, 2, 1, 3))
-
-
 def from_conjugation(v, transposed: bool = False) -> MapOperator:
     """Conjugation map a -> V^H a V, or a -> V^H a^T V when transposed.
 
@@ -250,11 +244,6 @@ def cp_map_from_kraus(kraus) -> MapOperator:
             raise DimensionMismatch("all operators must share one shape")
     # Phi(E_ij) = sum_k K[:, i] K[:, j]^H, summed in operator order from 0
     return _from_blocks(sum(k.T[:, :, None, None] * k.conj().T[None, None, :, :] for k in ops))
-
-
-def adjoint_map(phi: MapOperator) -> MapOperator:
-    """Adjoint Phi* under the trace pairing Tr(b^H Phi(a)) = Tr(Phi*(b)^H a) (memoized)."""
-    return phi._adjoint
 
 
 def unital_normalization(phi: MapOperator, tol: ToleranceConfig = DEFAULT_TOL) -> NormalForm:

@@ -54,14 +54,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch
 from .linalg import DEFAULT_TOL, ToleranceConfig, _rank_from_singular_values, _row_kernels, as_matrix, span_dimension
-from .maps import MapOperator, SearchOutcome, ZeroPair, choi_spectral_scale, from_conjugation
+from .maps import MapOperator, ZeroPair, choi_spectral_scale, from_conjugation
 from .maps import _alternating_descent, _image, _normalize, _strong_vector, _weak_vector, _x_step
 
 __all__ = [
     "ZeroSet",
-    "local_zero_search",
     "harvest_zeros",
     "analytic_zeros_conjugation",
     "weak_span_dim",
@@ -111,14 +109,6 @@ class ZeroSet:
 def _random_unit(rng, dim) -> np.ndarray:
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return v / np.linalg.norm(v)
-
-
-def local_zero_search(phi: MapOperator, x0, tol: ToleranceConfig = DEFAULT_TOL) -> SearchOutcome:
-    """Alternating descent for a single zero pair, starting at x0."""
-    x0 = _normalize(x0)
-    if x0.shape[0] != phi.dim_in:
-        raise DimensionMismatch(f"x0 has length {x0.shape[0]}, expected {phi.dim_in}")
-    return _alternating_descent(phi, tol, x0=x0)
 
 
 class _Admission:

@@ -25,7 +25,7 @@ from mapcert.experiments import (
     random_cp_map,
     random_rank_operator,
     run_dimension_sweep,
-    sweep_default_cells,
+    sweep_cells,
 )
 from mapcert.linalg import DEFAULT_TOL, kernel_inclusion_factor, numerical_rank
 from mapcert.maps import (
@@ -59,7 +59,7 @@ def sweep_cache():
     """All (n, m, rank) grid cells at five seeds each; shared downstream."""
     return [
         run_dimension_sweep(n, m, r, seed=seed)
-        for (n, m, r) in sweep_default_cells()
+        for (n, m, r) in sweep_cells()
         for seed in SEEDS
     ]
 
@@ -100,7 +100,7 @@ def test_criterion_2_dimension_sweep(sweep_cache):
     decisive = verdicts - {BOTH_RULES}
     if len(decisive) > 1:
         problems.append(f"cells split between rules: {sorted(decisive)}")
-    for n, m, r in sweep_default_cells():
+    for n, m, r in sweep_cells():
         v = random_rank_operator(n, m, r, seed=0)
         oracle = brute_force_strong_dim_oracle(v, seed=0)
         measured = next(

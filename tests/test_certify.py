@@ -15,8 +15,6 @@ from mapcert.certify import (
     commutant_basis,
     exposedness_functional,
     intertwiner_space,
-    is_irreducible,
-    is_irreducible_on_image,
 )
 from mapcert.errors import CrossCheckError, DimensionMismatch, EmptyZeroSet
 from mapcert.linalg import DEFAULT_TOL
@@ -24,7 +22,6 @@ from mapcert.maps import (
     apply,
     cp_map_from_kraus,
     dephasing_map,
-    from_apply_table,
     from_conjugation,
     identity_map,
     trace_map,
@@ -99,18 +96,23 @@ def test_commutant_elements_commute_with_image():
             assert np.linalg.norm(g @ x - x @ g) < 1e-9
 
 
+def irreducible_on_image(phi):
+    """The flag certify_exposed reports, here from an empty zero set."""
+    return certify_exposed(phi, ZeroSet.from_pairs(phi.dim_in, phi.dim_out, [], True)).irreducible_on_image
+
+
 def test_irreducibility_verdicts():
-    assert is_irreducible(identity_map(2))
-    assert not is_irreducible(dephasing_map(2))
-    assert not is_irreducible(trace_map(2))
+    assert len(commutant_basis(identity_map(2))) == 1
+    assert len(commutant_basis(dephasing_map(2))) != 1
+    assert len(commutant_basis(trace_map(2))) != 1
 
 
 def test_irreducible_on_image_for_thin_conjugation():
     # rank-2 V into a larger algebra: reducible globally, irreducible there
     rng = np.random.default_rng(4)
     phi = from_conjugation(ginibre(rng, 2, 3), transposed=True)
-    assert not is_irreducible(phi)
-    assert is_irreducible_on_image(phi)
+    assert len(commutant_basis(phi)) != 1
+    assert irreducible_on_image(phi)
 
 
 def test_direct_sum_is_reducible_even_on_image():
@@ -124,9 +126,9 @@ def test_direct_sum_is_reducible_even_on_image():
             block[:2, :2] = apply(base, e)
             block[2:, 2:] = apply(base, e)
             images.append(block)
-    phi = from_apply_table(images)
-    assert not is_irreducible(phi)
-    assert not is_irreducible_on_image(phi)
+    phi = mapcert.maps._from_blocks(np.array(images).reshape(2, 2, 4, 4).transpose(0, 2, 1, 3))
+    assert len(commutant_basis(phi)) != 1
+    assert not irreducible_on_image(phi)
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,11 @@
 """End-to-end exercises of the mapcert command line through main()."""
 
+import io
 import json
+import os
+import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +18,7 @@ import mapcert.experiments
 import mapcert.zeros
 from mapcert.cli import main
 from mapcert.errors import CrossCheckError, OracleUnstable
-from mapcert.experiments import BOTH_RULES, SweepReport, sweep_cells, sweep_default_cells
+from mapcert.experiments import BOTH_RULES, SweepReport, sweep_cells
 from mapcert.documents import (
     matrix_to_payload,
     parse_certificate_document,
@@ -270,6 +274,33 @@ def test_analyze_rejects_an_all_zero_kraus_document(tmp_path, capsys):
     assert out == "" and "spectral scale 0.000e+00" in err
 
 
+def overflowing_choi_doc(tmp_path, hermitian):
+    """1e200 times the identity plus E_01, and plus E_10 when ``hermitian``:
+    entries whose Frobenius norms overflow."""
+    choi = np.eye(4)
+    choi[0, 1] = 1.0
+    choi[1, 0] = 1.0 if hermitian else 0.0
+    doc = {"kind": "choi", "dim_in": 2, "dim_out": 2, "payload": matrix_to_payload(1e200 * choi)}
+    return write_doc(tmp_path, f"choi-1e200-{hermitian}.json", doc)
+
+
+@pytest.mark.parametrize(
+    "hermitian,err",
+    [
+        (False, "error: choi: hermiticity\n"),
+        (True, "error: payload: spectral scale 2.000e+200 is outside [1e-100, 1e+100]\n"),
+    ],
+)
+def test_analyze_rejects_a_choi_matrix_at_1e200_without_a_warning(hermitian, err, tmp_path, capsys):
+    # the Hermiticity norms used to overflow with a numpy warning, and then
+    # inf <= 1e-9 * inf let the non-Hermitian matrix through to the scale window
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["analyze", overflowing_choi_doc(tmp_path, hermitian)]) == 2
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr() == ("", err)
+
+
 @pytest.mark.parametrize("make_doc", [scaled_choi_doc, scaled_transpose_doc])
 @pytest.mark.parametrize("scale", [1e-90, 1e90])
 def test_analyze_verdicts_do_not_depend_on_the_scale_inside_the_window(tmp_path, capsys, make_doc, scale):
@@ -373,7 +404,7 @@ def test_default_sweep_rows_are_the_default_cells(monkeypatch, capsys):
         return [tuple(int(t) for t in line.split()[:3]) for line in text.splitlines() if line[:3].strip().isdigit()]
 
     assert cells(rank2_part) == [(2, m, 2) for m in (2, 3, 4, 5)]
-    assert cells(grid_part) == sweep_default_cells()
+    assert cells(grid_part) == sweep_cells()
 
 
 @pytest.mark.parametrize(
@@ -391,6 +422,55 @@ def test_internal_failure_exits_5(error, monkeypatch, capsys):
     monkeypatch.setattr(mapcert.cli, "run_dimension_sweep", fail)
     assert main(["sweep", "--n-range", "3", "--m-range", "2"]) == 5
     assert capsys.readouterr().err.startswith("error: ")
+
+
+class ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone: ``write`` or ``flush`` raises BrokenPipeError."""
+
+    def __init__(self, failing):
+        super().__init__()
+        self._failing = failing
+
+    def write(self, text):
+        if self._failing == "write":
+            raise BrokenPipeError(32, "Broken pipe")
+        return super().write(text)
+
+    def flush(self):
+        if self._failing == "flush":
+            raise BrokenPipeError(32, "Broken pipe")
+
+
+# write: an unbuffered stdout fails at the first print; flush: a buffered one
+# fails when main flushes what analyze printed
+@pytest.mark.parametrize("failing", ["write", "flush"])
+def test_analyze_into_a_closed_pipe_exits_141_silently(failing, tmp_path, monkeypatch, capsys):
+    path = transpose_doc(tmp_path)
+    monkeypatch.setattr(sys, "stdout", ClosedPipe(failing))
+    assert main(["analyze", path]) == 141
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+def test_analyze_into_a_closed_pipe_process(unbuffered, tmp_path):
+    # the pipe's read end is closed before the process starts, as after
+    # `mapcert analyze DOC | head -1` once head has exited
+    src = Path(mapcert.cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    env["PYTHONUNBUFFERED"] = unbuffered
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "mapcert.cli", "analyze", transpose_doc(tmp_path)],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (141, b"")
 
 
 def test_sweep_rejects_bad_range(capsys):

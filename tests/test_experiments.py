@@ -4,12 +4,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mapcert.errors import DimensionMismatch, RankDeficient, RankInfeasible, ZeroOperator
+from mapcert.errors import RankInfeasible, ZeroOperator
 from mapcert.experiments import (
     BOTH_RULES,
     INPUT_RULE,
     brute_force_strong_dim_oracle,
-    build_decomposable_witness,
     candidate_dims,
     check_image_inclusion,
     random_cp_map,
@@ -17,10 +16,10 @@ from mapcert.experiments import (
     random_rank_operator,
     run_dimension_sweep,
     run_rank2_count_check,
-    sweep_default_cells,
+    sweep_cells,
 )
 from mapcert.linalg import numerical_rank
-from mapcert.maps import from_conjugation, is_completely_positive, transpose_map
+from mapcert.maps import from_conjugation, is_completely_positive
 
 
 def test_candidate_dims_formulas():
@@ -94,7 +93,7 @@ def test_sweep_cell_rectangular():
 
 
 def test_sweep_default_cells_cover_all_ranks():
-    cells = sweep_default_cells()
+    cells = sweep_cells()
     assert len(cells) == 32
     assert (2, 2, 1) in cells and (4, 5, 4) in cells
     assert all(1 <= r <= min(n, m) for n, m, r in cells)
@@ -122,7 +121,7 @@ def test_oracle_agrees_with_analytic_routes():
 @pytest.mark.parametrize("seed", [0, 1])
 def test_oracle_gives_the_input_rule_on_every_default_cell(seed):
     wrong = []
-    for n, m, r in sweep_default_cells():
+    for n, m, r in sweep_cells():
         v = random_rank_operator(n, m, r, seed=seed)
         dim = brute_force_strong_dim_oracle(v, seed=seed)
         if dim != candidate_dims(n, m, r)[0]:
@@ -148,37 +147,6 @@ def test_oracle_input_validation():
         brute_force_strong_dim_oracle(np.zeros((2, 2)))
     with pytest.raises(ValueError):
         brute_force_strong_dim_oracle(np.eye(2), grid_size=4)
-
-
-def test_witness_for_the_transpose_map():
-    q, w = build_decomposable_witness(np.eye(2))
-    # Q is twice the projector onto the maximally entangled direction
-    vec = np.array([1, 0, 0, 1], dtype=complex)
-    assert np.allclose(q, np.outer(vec, vec))
-    assert np.allclose(w, transpose_map(2).choi)
-    # the partial transpose swaps one index pair, so W inherits Q's trace
-    assert np.trace(w) == pytest.approx(np.trace(q))
-
-
-def test_witness_for_a_random_thin_operator():
-    v = random_rank_operator(2, 3, 2, seed=11)
-    q, w = build_decomposable_witness(v)
-    assert numerical_rank(q) == 1
-    # Schmidt rank 2 across the 2 x 3 split: no product vector in the range
-    vec = v.ravel()
-    coeffs = np.linalg.svd(vec.reshape(2, 3), compute_uv=False)
-    assert np.sum(coeffs > 1e-9 * coeffs[0]) == 2
-    assert np.allclose(w, from_conjugation(v, transposed=True).choi)
-
-
-def test_witness_input_validation():
-    rng = np.random.default_rng(12)
-    col = rng.standard_normal((2, 1)) + 1j * rng.standard_normal((2, 1))
-    row = rng.standard_normal((1, 3)) + 1j * rng.standard_normal((1, 3))
-    with pytest.raises(RankDeficient):
-        build_decomposable_witness(col @ row)
-    with pytest.raises(DimensionMismatch):
-        build_decomposable_witness(np.eye(3))
 
 
 def test_image_inclusion_holds_for_positive_maps():

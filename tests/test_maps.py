@@ -1,5 +1,6 @@
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -8,12 +9,11 @@ from mapcert.errors import DimensionMismatch, ZeroMap, ZeroOperator
 from mapcert.linalg import DEFAULT_TOL, numerical_rank
 from mapcert.maps import (
     MapOperator,
-    adjoint_map,
+    _from_blocks,
     apply,
     choi_spectral_scale,
     cp_map_from_kraus,
     dephasing_map,
-    from_apply_table,
     from_conjugation,
     identity_map,
     is_completely_positive,
@@ -22,6 +22,11 @@ from mapcert.maps import (
     transpose_map,
     unital_normalization,
 )
+
+
+def from_image_list(images, n, m):
+    """The map whose images Phi(E_ij) are ``images``, row-major in (i, j)."""
+    return _from_blocks(np.array(images).reshape(n, n, m, m).transpose(0, 2, 1, 3))
 
 
 def ginibre(rng, rows, cols):
@@ -53,8 +58,7 @@ def test_apply_is_linear():
 
 
 def test_from_apply_table_round_trips():
-    # images must be consistent with a genuine map for the block matrix to
-    # come out Hermitian; a conjugation provides such a table
+    # the images Phi(E_ij) of a conjugation, evaluated, are V^H E_ij V
     rng = np.random.default_rng(2)
     v = ginibre(rng, 2, 3)
     phi = from_conjugation(v)
@@ -67,7 +71,8 @@ def test_from_apply_table_round_trips():
 
 def test_constructors_match_the_image_table():
     # the reference construction: every image Phi(E_ij) as np.outer products,
-    # through from_apply_table; equal bit for bit, signed zeros included
+    # laid out as blocks[i, k, j, l] = Phi(E_ij)[k, l]; equal bit for bit,
+    # signed zeros included
     rng = np.random.default_rng(8)
     for n in range(1, 6):
         for m in range(1, 6):
@@ -80,14 +85,14 @@ def test_constructors_match_the_image_table():
                     for i in range(n)
                     for j in range(n)
                 ]
-                expected = from_apply_table(images).choi
+                expected = from_image_list(images, n, m).choi
                 assert from_conjugation(v, transposed=transposed).choi.tobytes() == expected.tobytes()
             for count in range(1, 5):
                 kraus = [ginibre(rng, m, n) for _ in range(count)]
                 images = [
                     sum(np.outer(k[:, i], k[:, j].conj()) for k in kraus) for i in range(n) for j in range(n)
                 ]
-                expected = from_apply_table(images).choi
+                expected = from_image_list(images, n, m).choi
                 assert cp_map_from_kraus(kraus).choi.tobytes() == expected.tobytes()
 
 
@@ -116,6 +121,21 @@ def test_map_operator_validates_shape_and_hermiticity():
         MapOperator(2, 2, skew)
 
 
+def test_map_operator_hermiticity_rule_does_not_overflow():
+    # 1e200 times the identity plus one off-diagonal 1: its norms overflow to
+    # inf unless taken after dividing by the largest entry, and inf <= 1e-9 * inf
+    # would accept it
+    m = np.eye(4, dtype=complex)
+    m[0, 1] = 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError):
+            MapOperator(2, 2, 1e200 * m)
+        m[1, 0] = 1.0
+        assert MapOperator(2, 2, 1e200 * m).dim_in == 2
+        assert MapOperator(2, 2, np.zeros((4, 4))).dim_in == 2
+
+
 def test_map_operator_choi_is_read_only():
     phi = identity_map(2)
     with pytest.raises(ValueError):
@@ -126,7 +146,7 @@ def test_adjoint_map_trace_pairing():
     rng = np.random.default_rng(4)
     v = ginibre(rng, 2, 3)
     phi = from_conjugation(v, transposed=True)
-    adj = adjoint_map(phi)
+    adj = phi._adjoint
     for _ in range(5):
         a = random_hermitian(rng, 2)
         b = random_hermitian(rng, 3)
@@ -140,7 +160,7 @@ def test_memoized_adjoint_and_scale_under_racing_threads():
     # adjoint and scale that a single caller would, and later calls share one.
     rng = np.random.default_rng(6)
     v = ginibre(rng, 3, 4)
-    expected_adj = adjoint_map(from_conjugation(v)).choi
+    expected_adj = from_conjugation(v)._adjoint.choi
     expected_scale = choi_spectral_scale(from_conjugation(v))
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -152,7 +172,7 @@ def test_memoized_adjoint_and_scale_under_racing_threads():
 
             def first_use(phi=phi, seen=seen, start=start):
                 start.wait(timeout=10)
-                seen.append((adjoint_map(phi).choi, choi_spectral_scale(phi)))
+                seen.append((phi._adjoint.choi, choi_spectral_scale(phi)))
 
             threads = [threading.Thread(target=first_use) for _ in range(16)]
             for t in threads:
@@ -162,7 +182,7 @@ def test_memoized_adjoint_and_scale_under_racing_threads():
             assert not any(t.is_alive() for t in threads)
             assert len(seen) == 16
             assert all(np.array_equal(a, expected_adj) and s == expected_scale for a, s in seen)
-            assert adjoint_map(phi) is adjoint_map(phi)
+            assert phi._adjoint is phi._adjoint
     finally:
         sys.setswitchinterval(switch)
 
@@ -170,7 +190,7 @@ def test_memoized_adjoint_and_scale_under_racing_threads():
 def test_adjoint_is_an_involution():
     rng = np.random.default_rng(5)
     phi = from_conjugation(ginibre(rng, 2, 4))
-    again = adjoint_map(adjoint_map(phi))
+    again = phi._adjoint._adjoint
     assert np.allclose(again.choi, phi.choi)
 
 

@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 
 import mapcert.zeros
-from mapcert.errors import DimensionMismatch, ZeroOperator
-from mapcert.experiments import random_rank_operator, sweep_default_cells
+from mapcert.errors import ZeroOperator
+from mapcert.experiments import random_rank_operator, sweep_cells
 from mapcert.linalg import DEFAULT_TOL
 from mapcert.maps import (
+    _alternating_descent,
+    _normalize,
     MapOperator,
     apply,
     choi_spectral_scale,
@@ -26,7 +28,6 @@ from mapcert.zeros import (
     _weak_vector,
     analytic_zeros_conjugation,
     harvest_zeros,
-    local_zero_search,
     strong_span_dim,
     weak_span_dim,
 )
@@ -73,7 +74,7 @@ def test_kept_pairs_match_the_final_span_svd(seed):
     # dimension by the SVD at rank_rel_tol; on every default sweep cell both
     # routes keep exactly as many pairs as that SVD counts.
     mismatches = []
-    for n, m, r in sweep_default_cells():
+    for n, m, r in sweep_cells():
         v = random_rank_operator(n, m, r, seed=seed)
         routes = {
             "analytic": analytic_zeros_conjugation(v, transposed=True),
@@ -222,7 +223,7 @@ def test_harvest_rejects_empty_budget():
 
 
 def test_local_search_finds_zero_of_transpose():
-    out = local_zero_search(transpose_map(2), np.array([1.0, 0.5j]))
+    out = _alternating_descent(transpose_map(2), DEFAULT_TOL, x0=_normalize(np.array([1.0, 0.5j])))
     assert out.succeeded and out.converged
     assert out.residual <= 1e-9 * choi_spectral_scale(transpose_map(2))
     assert abs(np.vdot(out.x, out.h)) < 1e-9  # the known zero condition
@@ -231,14 +232,14 @@ def test_local_search_finds_zero_of_transpose():
 
 def test_local_search_objective_never_increases():
     phi = from_conjugation(rank_operator(3, 4, 3, 12), transposed=True)
-    out = local_zero_search(phi, np.ones(3))
+    out = _alternating_descent(phi, DEFAULT_TOL, x0=_normalize(np.ones(3)))
     scale = choi_spectral_scale(phi)
     diffs = np.diff(out.history)
     assert np.all(diffs <= 1e-12 * scale)
 
 
 def test_local_search_reports_failure_without_zeros():
-    out = local_zero_search(trace_map(2), np.array([1.0, 1.0]))
+    out = _alternating_descent(trace_map(2), DEFAULT_TOL, x0=_normalize(np.array([1.0, 1.0])))
     assert not out.succeeded
     assert out.pair() is None
     assert out.residual > 0.1
@@ -246,9 +247,7 @@ def test_local_search_reports_failure_without_zeros():
 
 def test_local_search_rejects_bad_starts():
     with pytest.raises(ValueError):
-        local_zero_search(transpose_map(2), np.zeros(2))
-    with pytest.raises(DimensionMismatch):
-        local_zero_search(transpose_map(2), np.ones(3))
+        _alternating_descent(transpose_map(2), DEFAULT_TOL, x0=_normalize(np.zeros(2)))
 
 
 def test_analytic_rejects_zero_operator():

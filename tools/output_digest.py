@@ -194,9 +194,9 @@ def _perfbench_documents() -> list[tuple[str, int]]:
 
 def default_inputs():
     """The full input set: (sweeps, cells, documents) for ``output_digest``."""
-    from mapcert.experiments import sweep_default_cells
+    from mapcert.experiments import sweep_cells
 
-    cells = [(n, m, r, seed) for seed in (0, 1) for n, m, r in sweep_default_cells()]
+    cells = [(n, m, r, seed) for seed in (0, 1) for n, m, r in sweep_cells()]
     return list(SWEEPS), cells, _perfbench_documents() + _generated_documents() + _invalid_documents()
 
 
