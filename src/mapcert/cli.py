@@ -69,6 +69,18 @@ def _parse_range(text: str) -> list[int]:
     return list(range(lo, hi + 1))
 
 
+def _integer_from(low: int):
+    """An argparse type: an integer of at least ``low``, reported with its flag before any output."""
+
+    def integer(text: str) -> int:
+        value = int(text)  # argparse reports a ValueError as an "invalid integer value"
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return integer
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mapcert",
@@ -79,23 +91,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     analyze = sub.add_parser("analyze", help="harvest zeros and certify one map document")
     analyze.add_argument("file", help="path to a map document (JSON)")
-    analyze.add_argument("--seed", type=int, default=0)
+    analyze.add_argument("--seed", type=_integer_from(0), default=0)
     analyze.add_argument("--tol", type=float, default=None, help="override rank_rel_tol")
-    analyze.add_argument("--starts", type=int, default=None, help="harvest start budget")
+    analyze.add_argument("--starts", type=_integer_from(1), default=None, help="harvest start budget")
     analyze.add_argument("--json", default=None, metavar="PATH", help="also write a JSON report")
     analyze.set_defaults(func=_cmd_analyze)
 
     sweep = sub.add_parser("sweep", help="measure strong dimensions over an (n, m, rank) grid")
     sweep.add_argument("--n-range", type=_parse_range, default=DEFAULT_N_RANGE, metavar="A[..B]")
     sweep.add_argument("--m-range", type=_parse_range, default=DEFAULT_M_RANGE, metavar="A[..B]")
-    sweep.add_argument("--seed", type=int, default=0)
+    sweep.add_argument("--seed", type=_integer_from(0), default=0)
     sweep.add_argument("--json", default=None, metavar="PATH")
     sweep.set_defaults(func=_cmd_sweep)
 
     generate = sub.add_parser("generate", help="write a seeded map document to stdout")
     generate.add_argument("--kind", required=True, choices=("conjugation", "random-cp", "random-choi"))
-    generate.add_argument("--n", type=int, required=True)
-    generate.add_argument("--m", type=int, required=True)
+    generate.add_argument("--n", type=_integer_from(1), required=True)
+    generate.add_argument("--m", type=_integer_from(1), required=True)
     generate.add_argument("--rank", type=int, default=None, help="conjugation only")
     generate.add_argument("--kraus", type=int, default=None, help="random-cp only")
     generate.add_argument(
@@ -104,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="conjugation only; defaults to transposed",
     )
-    generate.add_argument("--seed", type=int, default=0)
+    generate.add_argument("--seed", type=_integer_from(0), default=0)
     generate.set_defaults(func=_cmd_generate)
     return parser
 
@@ -213,9 +225,6 @@ def _cmd_generate(args) -> int:
         return 2
     if args.kraus is not None and args.kind != "random-cp":
         print("error: --kraus is only valid for --kind random-cp", file=sys.stderr)
-        return 2
-    if args.n < 1 or args.m < 1:
-        print("error: dimensions must be positive", file=sys.stderr)
         return 2
     n, m, seed = args.n, args.m, args.seed
     if args.kind == "conjugation":

@@ -40,7 +40,7 @@ from .linalg import (
     numerical_rank,
     span_dimension,
 )
-from .maps import MapOperator, apply, choi_spectral_scale, cp_map_from_kraus, from_conjugation
+from .maps import MapOperator, _random_unit, apply, choi_spectral_scale, cp_map_from_kraus, from_conjugation
 from .zeros import _conjugation_zeros, harvest_zeros, strong_span_dim
 
 __all__ = [
@@ -262,18 +262,12 @@ def _oracle_generators(v, transposed, sigma_top, stratum, grid, tol, seed, stage
     """Strong vectors of every sampled zero pair, as matrix columns."""
     n, m = v.shape
     rng = np.random.default_rng([seed, stage])
-    xs = []
-    for _ in range(grid):
-        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        xs.append(x / np.linalg.norm(x))
+    xs = [_random_unit(rng, n) for _ in range(grid)]
     if stratum is not None:  # rank V < n
         # Generic x never hits the stratum where the zero condition is
         # row-free; sample it explicitly or its contribution is lost.
         d = stratum.shape[1]
-        for _ in range((d * d + d + 4) * max(1, stage + 1)):
-            c = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-            x = stratum @ (c / np.linalg.norm(c))
-            xs.append(x)
+        xs += [stratum @ _random_unit(rng, d) for _ in range((d * d + d + 4) * max(1, stage + 1))]
     # The h solutions at x are the kernel of its 1 x m row.
     rows = np.array([(x.conj() @ v) if transposed else (x @ v) for x in xs])
     solutions = _row_kernels(rows, sigma_top, tol)
@@ -288,10 +282,13 @@ def _oracle_generators(v, transposed, sigma_top, stratum, grid, tol, seed, stage
     return np.hstack(blocks)
 
 
+# x points the oracle samples at its first stage; each further stage doubles them.
+_ORACLE_GRID = 200
+
+
 def brute_force_strong_dim_oracle(
     v,
     transposed: bool = True,
-    grid_size: int = 200,
     tol: ToleranceConfig = DEFAULT_TOL,
     seed: int = 0,
 ) -> int:
@@ -306,13 +303,11 @@ def brute_force_strong_dim_oracle(
     v = as_matrix(v)
     if not np.any(v):
         raise ZeroOperator("the zero operator has no zero structure worth measuring")
-    if grid_size < 8:
-        raise ValueError("grid_size must be at least 8")
     s = np.linalg.svd(v, compute_uv=False)  # sigma_max and rank of V, once per call
     full_rank = _rank_from_singular_values(s, tol) == v.shape[0]
     stratum = None if full_rank else kernel_basis(v.conj().T if transposed else v.T, tol)
     previous = None
-    grid = grid_size
+    grid = _ORACLE_GRID
     for stage in range(5):
         generators = _oracle_generators(v, transposed, float(s[0]), stratum, grid, tol, seed, stage)
         dim = span_dimension(generators, tol)

@@ -17,7 +17,7 @@ and ``dephasing_map`` write their block matrices in closed form.
 
 The alternating descent on g(x, h) = <h| Phi(|conj(x)><conj(x)|) |h> lives
 here: the positivity heuristic refines its worst sample with it, and
-``zeros`` runs it from many starts to find ZeroPairs (g = 0).
+``zeros`` runs it from many starts to find zero pairs (g = 0).
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ __all__ = [
     "unital_normalization",
     "is_completely_positive",
     "is_positive_heuristic",
-    "ZeroPair",
     "SearchOutcome",
     "identity_map",
     "transpose_map",
@@ -54,10 +53,10 @@ class MapOperator:
     """A linear map between matrix algebras in block (Choi) form.
 
     Immutable value object: the stored block matrix is set read-only, so a
-    MapOperator can be shared freely across threads.  It memoizes its
-    adjoint and spectral scale on first use, for every caller to share;
-    both are pure functions of that matrix, so racing threads compute equal
-    values and sharing stays safe.
+    MapOperator can be shared freely across threads.  It memoizes the block
+    array of its adjoint and its spectral scale on first use, for every
+    caller to share; both are pure functions of that matrix, so racing
+    threads compute equal values and sharing stays safe.
     """
 
     dim_in: int
@@ -80,11 +79,13 @@ class MapOperator:
         object.__setattr__(self, "choi", choi)
 
     @cached_property
-    def _adjoint(self) -> MapOperator:
-        """Phi* under the trace pairing Tr(b^H Phi(a)) = Tr(Phi*(b)^H a)."""
+    def _adjoint(self) -> np.ndarray:
+        """Phi* under Tr(b^H Phi(a)) = Tr(Phi*(b)^H a), as the read-only C-order (m, n, m, n) array
+        adjoint[k, i, l, j] = conj(blocks[i, k, j, l]); finite and Hermitian as the block matrix is."""
         n, m = self.dim_in, self.dim_out
-        blocks = self.choi.reshape(n, m, n, m)
-        return MapOperator(m, n, blocks.transpose(1, 0, 3, 2).conj().reshape(n * m, n * m))
+        adjoint = np.conj(self.choi.reshape(n, m, n, m).transpose(1, 0, 3, 2), order="C")
+        adjoint.setflags(write=False)
+        return adjoint
 
     @cached_property
     def _scale(self) -> float:
@@ -132,34 +133,19 @@ class PositivityReport:
 
 
 @dataclass(frozen=True)
-class ZeroPair:
-    """Unit vectors (x, h) with Phi(|conj(x)><conj(x)|) h ~ 0."""
-
-    x: np.ndarray
-    h: np.ndarray
-    residual: float
-
-    def weak_vector(self) -> np.ndarray:
-        return _weak_vector(self.x, self.h)
-
-    def strong_vector(self) -> np.ndarray:
-        return _strong_vector(self.x, self.h)
-
-
-@dataclass(frozen=True)
 class SearchOutcome:
     """Result of one alternating descent.
 
     ``succeeded`` means the final pair is a zero within tolerance (residual
     at most residual_rel_tol times the spectral scale of the map); callers
     treat a non-succeeded outcome as "no zero found from this start".
-    ``converged`` only says the objective stalled.  ``history`` holds the
-    objective value after every half step; it is nonincreasing up to
-    eigensolver roundoff.  ``image`` is Phi(|conj(x)><conj(x)|) at the final
-    x and ``spectrum`` the eigendecomposition (w, u) of its Hermitian part,
-    with h = u[:, 0]; ``adjoint_spectrum`` is that of Phi*(|h><h|) when the
-    descent computed it, else None.  Callers that examine the final pair
-    further read these instead of evaluating the map again.
+    ``converged`` only says the objective stalled; the objective is
+    nonincreasing over the half steps up to eigensolver roundoff.
+    ``image`` is Phi(|conj(x)><conj(x)|) at the final x and ``spectrum``
+    the eigendecomposition (w, u) of its Hermitian part, with h = u[:, 0];
+    ``adjoint_spectrum`` is that of Phi*(|h><h|) when the descent computed
+    it, else None.  Callers that examine the final pair further read these
+    instead of evaluating the map again.
     """
 
     x: np.ndarray
@@ -168,16 +154,9 @@ class SearchOutcome:
     residual: float
     converged: bool
     succeeded: bool
-    iterations: int
-    history: list[float] = field(repr=False)
     image: np.ndarray = field(repr=False)
     spectrum: tuple = field(repr=False)
     adjoint_spectrum: tuple | None = field(repr=False)
-
-    def pair(self) -> ZeroPair | None:
-        if not self.succeeded:
-            return None
-        return ZeroPair(x=self.x, h=self.h, residual=self.residual)
 
 
 def _hermitize(m: np.ndarray) -> np.ndarray:
@@ -280,19 +259,10 @@ def is_completely_positive(phi: MapOperator, tol: ToleranceConfig = DEFAULT_TOL)
     return bool(eigvals[0] >= -tol.rank_rel_tol * scale)
 
 
-# Outer products with np.kron's operand shapes (a[:, None] * b[None, :]):
-# bitwise its result, without its per-call overhead.  numpy may pick another
-# complex multiply loop, with other roundings, for other broadcast shapes.
-
-
-def _weak_vector(x, h) -> np.ndarray:
-    """x (x) h."""
-    return (x[:, None] * h[None, :]).ravel()
-
-
-def _strong_vector(x, h) -> np.ndarray:
-    """conj(x) (x) x (x) h."""
-    return ((x.conj()[:, None] * x[None, :])[:, :, None] * h[None, None, :]).ravel()
+def _random_unit(rng, dim) -> np.ndarray:
+    """A normalized complex Gaussian draw: every random unit vector the package samples."""
+    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    return v / np.linalg.norm(v)
 
 
 def _normalize(v) -> np.ndarray:
@@ -311,9 +281,9 @@ def _h_step(phi, x):
 
 
 def _x_step(phi, h):
-    # g(x, h) = <conj(x)| Phi*(|h><h|) |conj(x)>, so the minimizer over x is
-    # the conjugate of the bottom eigenvector of the adjoint image.
-    return np.linalg.eigh(_hermitize(_image(phi._adjoint, h.conj())))
+    # g(x, h) = <conj(x)| Phi*(|h><h|) |conj(x)>, so the minimizer over x is the conjugate
+    # of the bottom eigenvector of the adjoint image: ``_image``'s einsum on Phi*'s blocks.
+    return np.linalg.eigh(_hermitize(np.einsum("ikjl,ij->kl", phi._adjoint, np.outer(h, h.conj()))))
 
 
 def _alternating_descent(phi, tol, x0=None, h0=None) -> SearchOutcome:
@@ -328,21 +298,19 @@ def _alternating_descent(phi, tol, x0=None, h0=None) -> SearchOutcome:
         raise ValueError("exactly one of x0 and h0 must be given")
     scale = phi._scale
     stall = tol.convergence_tol * max(scale, np.finfo(float).tiny)
-    history: list[float] = []
+    g_prev = None
     if h0 is not None:
         w_adj, u_adj = _x_step(phi, _normalize(h0))
         x = u_adj[:, 0].conj()
-        history.append(float(w_adj[0]))
+        g_prev = float(w_adj[0])
     else:
         x = _normalize(x0)
-    g_prev = history[-1] if history else None
     converged = False
-    for it in range(tol.max_iters):
+    for _ in range(tol.max_iters):
         pair_x = x
         image, (w, u) = _h_step(phi, x)
         adjoint = None
         g = float(w[0])
-        history.append(g)
         if g_prev is not None and abs(g_prev - g) <= stall:
             converged = True
             break
@@ -350,7 +318,6 @@ def _alternating_descent(phi, tol, x0=None, h0=None) -> SearchOutcome:
         adjoint = _x_step(phi, u[:, 0])
         w_adj, u_adj = adjoint
         g = float(w_adj[0])
-        history.append(g)
         if abs(g_prev - g) <= stall:
             converged = True
             break
@@ -365,8 +332,6 @@ def _alternating_descent(phi, tol, x0=None, h0=None) -> SearchOutcome:
         residual=residual,
         converged=converged,
         succeeded=residual <= tol.residual_rel_tol * scale,
-        iterations=it + 1,
-        history=history,
         image=image,
         spectrum=(w, u),
         adjoint_spectrum=adjoint,
@@ -397,8 +362,7 @@ def is_positive_heuristic(
     worst_value = np.inf
     worst_vector = None
     for _ in range(_POSITIVITY_SAMPLES):
-        y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        y /= np.linalg.norm(y)
+        y = _random_unit(rng, n)
         val = float(np.linalg.eigvalsh(_hermitize(_image(phi, y.conj())))[0])
         if val < worst_value:
             worst_value = val

@@ -55,10 +55,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import DEFAULT_TOL, ToleranceConfig, _rank_from_singular_values, _row_kernels, as_matrix, span_dimension
-from .maps import MapOperator, ZeroPair, choi_spectral_scale, from_conjugation
-from .maps import _alternating_descent, _image, _normalize, _strong_vector, _weak_vector, _x_step
+from .maps import MapOperator, choi_spectral_scale, from_conjugation
+from .maps import _alternating_descent, _image, _normalize, _random_unit, _x_step
 
 __all__ = [
+    "ZeroPair",
     "ZeroSet",
     "harvest_zeros",
     "analytic_zeros_conjugation",
@@ -72,6 +73,28 @@ _SCREEN_TOL = 1e-7
 
 # The harvest stops once this many consecutive starts admit nothing new.
 _STALL_BUDGET = 20
+
+
+@dataclass(frozen=True)
+class ZeroPair:
+    """Unit vectors (x, h) with Phi(|conj(x)><conj(x)|) h ~ 0."""
+
+    x: np.ndarray
+    h: np.ndarray
+    residual: float
+
+
+# Outer products with np.kron's operand shapes (a[:, None] * b[None, :]):
+# bitwise its result, without its per-call overhead.  numpy may pick another
+# complex multiply loop, with other roundings, for other broadcast shapes.
+def _weak_vector(x, h) -> np.ndarray:
+    """x (x) h."""
+    return (x[:, None] * h[None, :]).ravel()
+
+
+def _strong_vector(x, h) -> np.ndarray:
+    """conj(x) (x) x (x) h."""
+    return ((x.conj()[:, None] * x[None, :])[:, :, None] * h[None, None, :]).ravel()
 
 
 @dataclass(frozen=True)
@@ -96,19 +119,16 @@ class ZeroSet:
         """Stack the pairs' weak and strong vectors as rows."""
         pairs = list(pairs)
         k, nm = len(pairs), dim_in * dim_out
+        weak = [_weak_vector(p.x, p.h) for p in pairs]
+        strong = [_strong_vector(p.x, p.h) for p in pairs]
         return cls(
             dim_in=dim_in,
             dim_out=dim_out,
             pairs=pairs,
-            weak_vectors=np.array([p.weak_vector() for p in pairs], dtype=complex).reshape(k, nm),
-            strong_vectors=np.array([p.strong_vector() for p in pairs], dtype=complex).reshape(k, dim_in * nm),
+            weak_vectors=np.array(weak, dtype=complex).reshape(k, nm),
+            strong_vectors=np.array(strong, dtype=complex).reshape(k, dim_in * nm),
             saturated=bool(saturated),
         )
-
-
-def _random_unit(rng, dim) -> np.ndarray:
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return v / np.linalg.norm(v)
 
 
 class _Admission:

@@ -177,11 +177,12 @@ def test_analyze_prepares_the_map_once(tmp_path, monkeypatch, capsys):
     counts = PreparedMapCounts(monkeypatch)
     assert main(["analyze", path]) == 0
     capsys.readouterr()
-    # the map and its adjoint, each built once; one scale for the positivity
-    # heuristic and the harvest; SVDs: weak span, strong span, Phi(1) (its
-    # rank and its image projector), the commutant, the compressed commutant
+    # the map, built once (its adjoint is a block array, not a map); one
+    # scale for the positivity heuristic and the harvest; SVDs: weak span,
+    # strong span, Phi(1) (its rank and its image projector), the commutant,
+    # the compressed commutant
     assert counts.conjugations == 1
-    assert counts.operators == [(2, 3), (3, 2)]
+    assert counts.operators == [(2, 3)]
     assert counts.scales == 1
     assert counts.svds == 5
 
@@ -190,10 +191,9 @@ def test_sweep_prepares_each_cell_map_once(monkeypatch, capsys):
     counts = PreparedMapCounts(monkeypatch)
     assert main(["sweep", "--n-range", "2", "--m-range", "2..3"]) == 0
     capsys.readouterr()
-    # four cells; each builds one conjugation map, shared by both zero routes,
-    # and the harvest builds its adjoint
+    # four cells; each builds one conjugation map, shared by both zero routes
     assert counts.conjugations == 4
-    assert sorted(counts.operators) == [(2, 2)] * 4 + [(2, 3)] * 2 + [(3, 2)] * 2
+    assert sorted(counts.operators) == [(2, 2)] * 2 + [(2, 3)] * 2
     assert counts.scales == 4
 
 
@@ -332,8 +332,50 @@ def test_analyze_decodes_a_choi_document_once(tmp_path, monkeypatch, capsys):
                 monkeypatch.setattr(owner, name, counted)
     assert main(["analyze", str(path)]) == 0
     capsys.readouterr()
-    # one decode; the Hermiticity rule on the map and on its adjoint
-    assert calls == {"payload_to_matrix": 1, "_is_hermitian": 2}
+    # one decode; the Hermiticity rule on the map only: its adjoint is
+    # Hermitian by construction and is not validated again
+    assert calls == {"payload_to_matrix": 1, "_is_hermitian": 1}
+
+
+@pytest.mark.parametrize(
+    "kind,payload",
+    [
+        # every entry is finite; the block products V[i, k] conj(V[j, l]) overflow
+        ("conjugation", [[[1e308, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]),
+        ("kraus", [[[[1e200, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]),
+    ],
+)
+def test_analyze_reports_an_overflowing_payload_on_payload(kind, payload, tmp_path, capsys):
+    doc = {"kind": kind, "dim_in": 2, "dim_out": 2, "payload": payload}
+    if kind == "conjugation":
+        doc["transposed"] = True
+    path = write_doc(tmp_path, f"{kind}-overflow.json", doc)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["analyze", path]) == 2
+    assert [str(w.message) for w in caught] == []
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: payload:") and "1e+100" in err
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["analyze", "DOC", "--seed", "-1"], "--seed"),
+        (["analyze", "DOC", "--starts", "0"], "--starts"),
+        (["analyze", "DOC", "--starts", "-2"], "--starts"),
+        (["sweep", "--seed", "-3"], "--seed"),
+        (["generate", "--kind", "conjugation", "--n", "2", "--m", "2", "--seed", "-1"], "--seed"),
+    ],
+)
+def test_flag_errors_are_reported_before_any_output(argv, flag, tmp_path, capsys):
+    argv = [transpose_doc(tmp_path) if arg == "DOC" else arg for arg in argv]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"argument {flag}:" in err
 
 
 def test_analyze_rejects_bad_tol(tmp_path, capsys):

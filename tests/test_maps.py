@@ -146,7 +146,9 @@ def test_adjoint_map_trace_pairing():
     rng = np.random.default_rng(4)
     v = ginibre(rng, 2, 3)
     phi = from_conjugation(v, transposed=True)
-    adj = phi._adjoint
+    assert phi._adjoint.shape == (3, 2, 3, 2) and phi._adjoint.flags.c_contiguous
+    assert not phi._adjoint.flags.writeable
+    adj = MapOperator(3, 2, phi._adjoint.reshape(6, 6))
     for _ in range(5):
         a = random_hermitian(rng, 2)
         b = random_hermitian(rng, 3)
@@ -160,7 +162,7 @@ def test_memoized_adjoint_and_scale_under_racing_threads():
     # adjoint and scale that a single caller would, and later calls share one.
     rng = np.random.default_rng(6)
     v = ginibre(rng, 3, 4)
-    expected_adj = from_conjugation(v)._adjoint.choi
+    expected_adj = from_conjugation(v)._adjoint
     expected_scale = choi_spectral_scale(from_conjugation(v))
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -172,7 +174,7 @@ def test_memoized_adjoint_and_scale_under_racing_threads():
 
             def first_use(phi=phi, seen=seen, start=start):
                 start.wait(timeout=10)
-                seen.append((phi._adjoint.choi, choi_spectral_scale(phi)))
+                seen.append((phi._adjoint, choi_spectral_scale(phi)))
 
             threads = [threading.Thread(target=first_use) for _ in range(16)]
             for t in threads:
@@ -190,8 +192,8 @@ def test_memoized_adjoint_and_scale_under_racing_threads():
 def test_adjoint_is_an_involution():
     rng = np.random.default_rng(5)
     phi = from_conjugation(ginibre(rng, 2, 4))
-    again = phi._adjoint._adjoint
-    assert np.allclose(again.choi, phi.choi)
+    again = MapOperator(4, 2, phi._adjoint.reshape(8, 8))._adjoint
+    assert np.allclose(again.reshape(8, 8), phi.choi)
 
 
 def test_unital_normalization_reconstructs():

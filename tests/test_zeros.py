@@ -7,6 +7,7 @@ and cross-checked against the analytic enumeration before being frozen.
 import numpy as np
 import pytest
 
+import mapcert.maps
 import mapcert.zeros
 from mapcert.errors import ZeroOperator
 from mapcert.experiments import random_rank_operator, sweep_cells
@@ -227,21 +228,36 @@ def test_local_search_finds_zero_of_transpose():
     assert out.succeeded and out.converged
     assert out.residual <= 1e-9 * choi_spectral_scale(transpose_map(2))
     assert abs(np.vdot(out.x, out.h)) < 1e-9  # the known zero condition
-    assert out.pair() is not None
 
 
-def test_local_search_objective_never_increases():
+def test_local_search_objective_never_increases(monkeypatch):
+    # the objective after every half step: the bottom eigenvalue each step returns
+    history = []
+    h_step, x_step = mapcert.maps._h_step, mapcert.maps._x_step
+
+    def recorded_h_step(phi, x):
+        image, (w, u) = h_step(phi, x)
+        history.append(float(w[0]))
+        return image, (w, u)
+
+    def recorded_x_step(phi, h):
+        w, u = x_step(phi, h)
+        history.append(float(w[0]))
+        return w, u
+
+    monkeypatch.setattr(mapcert.maps, "_h_step", recorded_h_step)
+    monkeypatch.setattr(mapcert.maps, "_x_step", recorded_x_step)
     phi = from_conjugation(rank_operator(3, 4, 3, 12), transposed=True)
-    out = _alternating_descent(phi, DEFAULT_TOL, x0=_normalize(np.ones(3)))
+    _alternating_descent(phi, DEFAULT_TOL, x0=_normalize(np.ones(3)))
     scale = choi_spectral_scale(phi)
-    diffs = np.diff(out.history)
+    assert len(history) >= 2
+    diffs = np.diff(history)
     assert np.all(diffs <= 1e-12 * scale)
 
 
 def test_local_search_reports_failure_without_zeros():
     out = _alternating_descent(trace_map(2), DEFAULT_TOL, x0=_normalize(np.array([1.0, 1.0])))
     assert not out.succeeded
-    assert out.pair() is None
     assert out.residual > 0.1
 
 
