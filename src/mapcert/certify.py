@@ -64,7 +64,6 @@ class Certificate:
     measured_dim: int
     required_dim: int
     irreducible_on_image: bool | None
-    tolerances: ToleranceConfig
     conditional_note: str
     irreducible: bool | None = None
 
@@ -208,7 +207,6 @@ def certify_optimal(phi: MapOperator, zs: ZeroSet, tol: ToleranceConfig = DEFAUL
         measured_dim=measured,
         required_dim=required,
         irreducible_on_image=None,
-        tolerances=tol,
         conditional_note=_POSITIVITY_NOTE,
     )
 
@@ -255,7 +253,6 @@ def certify_exposed(phi: MapOperator, zs: ZeroSet, tol: ToleranceConfig = DEFAUL
         measured_dim=measured,
         required_dim=required,
         irreducible_on_image=irreducible_on_image,
-        tolerances=tol,
         conditional_note=note,
         irreducible=irreducible,
     )

@@ -42,13 +42,14 @@ from .experiments import (
     DEFAULT_M_RANGE,
     DEFAULT_N_RANGE,
     NEITHER_RULE,
+    _ginibre,
     random_kraus_operators,
     random_rank_operator,
     run_dimension_sweep,
     run_rank2_count_check,
     sweep_cells,
 )
-from .linalg import DEFAULT_TOL
+from .linalg import DEFAULT_TOL, ToleranceConfig
 from .maps import is_positive_heuristic
 from .zeros import harvest_zeros
 
@@ -81,6 +82,18 @@ def _integer_from(low: int):
     return integer
 
 
+def _rank_tolerance(text: str) -> ToleranceConfig:
+    """An argparse type: the tolerances with ``rank_rel_tol`` set, reported with its flag before any output."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+    try:
+        return ToleranceConfig(rank_rel_tol=value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mapcert",
@@ -92,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze = sub.add_parser("analyze", help="harvest zeros and certify one map document")
     analyze.add_argument("file", help="path to a map document (JSON)")
     analyze.add_argument("--seed", type=_integer_from(0), default=0)
-    analyze.add_argument("--tol", type=float, default=None, help="override rank_rel_tol")
+    analyze.add_argument("--tol", type=_rank_tolerance, default=DEFAULT_TOL, help="override rank_rel_tol")
     analyze.add_argument("--starts", type=_integer_from(1), default=None, help="harvest start budget")
     analyze.add_argument("--json", default=None, metavar="PATH", help="also write a JSON report")
     analyze.set_defaults(func=_cmd_analyze)
@@ -108,8 +121,8 @@ def build_parser() -> argparse.ArgumentParser:
     generate.add_argument("--kind", required=True, choices=("conjugation", "random-cp", "random-choi"))
     generate.add_argument("--n", type=_integer_from(1), required=True)
     generate.add_argument("--m", type=_integer_from(1), required=True)
-    generate.add_argument("--rank", type=int, default=None, help="conjugation only")
-    generate.add_argument("--kraus", type=int, default=None, help="random-cp only")
+    generate.add_argument("--rank", type=_integer_from(1), default=None, help="conjugation only")
+    generate.add_argument("--kraus", type=_integer_from(1), default=None, help="random-cp only")
     generate.add_argument(
         "--transposed",
         action=argparse.BooleanOptionalAction,
@@ -121,16 +134,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _tolerances(args):
-    if getattr(args, "tol", None) is None:
-        return DEFAULT_TOL
-    return dataclasses.replace(DEFAULT_TOL, rank_rel_tol=args.tol)
-
-
 def _cmd_analyze(args) -> int:
     data = Path(args.file).read_bytes()
     doc = parse_map_file(data)
-    tol = _tolerances(args)
     phi = to_map_operator(doc)
     digest = content_digest(doc)
     headline = f"map: {doc.kind} {phi.dim_in} -> {phi.dim_out}"
@@ -138,15 +144,15 @@ def _cmd_analyze(args) -> int:
         headline += " (transposed)" if doc.transposed else " (untransposed)"
     print(headline)
     print(f"digest: {digest}")
-    positivity = is_positive_heuristic(phi, tol=tol, seed=args.seed)
+    positivity = is_positive_heuristic(phi, seed=args.seed)
     if not positivity.passed:
         print(f"positivity heuristic: FAILED (worst value {positivity.worst_value:.6e})")
         print("worst input direction:", _format_vector(positivity.worst_vector))
         return 3
     print(f"positivity heuristic: passed (worst value {positivity.worst_value:.3e})")
-    zs = harvest_zeros(phi, seed=args.seed, tol=tol, starts=args.starts)
-    optimal = certify_optimal(phi, zs, tol)
-    exposed = certify_exposed(phi, zs, tol)
+    zs = harvest_zeros(phi, seed=args.seed, starts=args.starts)
+    optimal = certify_optimal(phi, zs, args.tol)
+    exposed = certify_exposed(phi, zs, args.tol)
     print(f"zero pairs kept: {len(zs.pairs)} (saturated: {'yes' if zs.saturated else 'no'})")
     print(f"irreducible: {'yes' if exposed.irreducible else 'no'}; "
           f"irreducible on image: {'yes' if exposed.irreducible_on_image else 'no'}")
@@ -160,7 +166,7 @@ def _cmd_analyze(args) -> int:
             zero_set_summary=zero_set_summary(zs, optimal.measured_dim, exposed.measured_dim),
             tool_version=__version__,
             seed=args.seed,
-            tolerances=dataclasses.asdict(tol),
+            tolerances=dataclasses.asdict(args.tol),
         )
         Path(args.json).write_bytes(render_certificate_document(report))
     return 0
@@ -227,6 +233,9 @@ def _cmd_generate(args) -> int:
         print("error: --kraus is only valid for --kind random-cp", file=sys.stderr)
         return 2
     n, m, seed = args.n, args.m, args.seed
+    if args.rank is not None and args.rank > min(n, m):
+        print(f"error: --rank must be at most min(--n, --m) = {min(n, m)}, got {args.rank}", file=sys.stderr)
+        return 2
     if args.kind == "conjugation":
         rank_v = args.rank if args.rank is not None else min(n, m)
         v = random_rank_operator(n, m, rank_v, seed=seed)
@@ -249,8 +258,7 @@ def _cmd_generate(args) -> int:
             meta={"generator": "random-cp", "kraus": str(count), "seed": str(seed)},
         )
     else:
-        rng = np.random.default_rng(seed)
-        g = rng.standard_normal((n * m, n * m)) + 1j * rng.standard_normal((n * m, n * m))
+        g = _ginibre(np.random.default_rng(seed), n * m, n * m)
         choi = g @ g.conj().T
         doc = MapDocument(
             kind="choi",

@@ -157,7 +157,7 @@ def run_dimension_sweep(
     v = random_rank_operator(n, m, rank_v, seed=seed, tol=tol)
     phi = from_conjugation(v, transposed=True)
     analytic = strong_span_dim(_conjugation_zeros(phi, v, transposed=True, tol=tol), tol)
-    harvested = strong_span_dim(harvest_zeros(phi, seed=seed, tol=tol), tol)
+    harvested = strong_span_dim(harvest_zeros(phi, seed=seed), tol)
     if analytic != harvested:
         raise CrossCheckError(
             f"cell n={n} m={m} rank={rank_v} seed={seed}: "

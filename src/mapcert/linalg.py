@@ -8,7 +8,7 @@ rescaling a matrix never changes a rank decision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -31,7 +31,9 @@ class ToleranceConfig:
     """Every numerical threshold used by the package, in one place.
 
     rank_rel_tol: singular values at or below ``rank_rel_tol * sigma_max``
-        count as zero, so it must be below 1 (or every rank is 0).
+        count as zero, so it must be below 1 (or every rank is 0).  It is the
+        one settable threshold; the others are fixed, and reports record all
+        four.
     residual_rel_tol: acceptable relative size of residuals (zero tests,
         reconstructions, projector leakage).
     convergence_tol: relative objective-stall threshold for iterative
@@ -40,17 +42,13 @@ class ToleranceConfig:
     """
 
     rank_rel_tol: float = 1e-8
-    residual_rel_tol: float = 1e-9
-    convergence_tol: float = 1e-12
-    max_iters: int = 500
+    residual_rel_tol: float = field(default=1e-9, init=False)
+    convergence_tol: float = field(default=1e-12, init=False)
+    max_iters: int = field(default=500, init=False)
 
     def __post_init__(self):
-        for name, upper in (("rank_rel_tol", 1), ("residual_rel_tol", np.inf), ("convergence_tol", np.inf)):
-            value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and 0 < value < upper):
-                raise ValueError(f"{name} must be a number in (0, {upper})")
-        if not (isinstance(self.max_iters, int) and self.max_iters >= 1):
-            raise ValueError("max_iters must be a positive integer")
+        if not (isinstance(self.rank_rel_tol, (int, float)) and 0 < self.rank_rel_tol < 1):
+            raise ValueError("rank_rel_tol must be a number in (0, 1)")
 
     def scaled(self, factor):
         """Copy with rank_rel_tol multiplied by ``factor``: a looser or tighter rank threshold."""

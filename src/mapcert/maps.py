@@ -138,9 +138,8 @@ class SearchOutcome:
 
     ``succeeded`` means the final pair is a zero within tolerance (residual
     at most residual_rel_tol times the spectral scale of the map); callers
-    treat a non-succeeded outcome as "no zero found from this start".
-    ``converged`` only says the objective stalled; the objective is
-    nonincreasing over the half steps up to eigensolver roundoff.
+    treat a non-succeeded outcome as "no zero found from this start".  The
+    objective is nonincreasing over the half steps up to eigensolver roundoff.
     ``image`` is Phi(|conj(x)><conj(x)|) at the final x and ``spectrum``
     the eigendecomposition (w, u) of its Hermitian part, with h = u[:, 0];
     ``adjoint_spectrum`` is that of Phi*(|h><h|) when the descent computed
@@ -152,7 +151,6 @@ class SearchOutcome:
     h: np.ndarray
     value: float
     residual: float
-    converged: bool
     succeeded: bool
     image: np.ndarray = field(repr=False)
     spectrum: tuple = field(repr=False)
@@ -286,18 +284,20 @@ def _x_step(phi, h):
     return np.linalg.eigh(_hermitize(np.einsum("ikjl,ij->kl", phi._adjoint, np.outer(h, h.conj()))))
 
 
-def _alternating_descent(phi, tol, x0=None, h0=None) -> SearchOutcome:
+def _alternating_descent(phi, x0=None, h0=None) -> SearchOutcome:
     """Minimize g(x, h) = <h| Phi(|conj(x)><conj(x)|) |h> by exact
     alternating eigenvector steps.
 
     The loop always exits holding a pair whose h is a bottom eigenvector of
     Phi(|conj(x)><conj(x)|); the pair residual therefore equals the bottom
-    eigenvalue magnitude rather than its square root.
+    eigenvalue magnitude rather than its square root.  The stall and
+    residual thresholds and the iteration cap are the fixed ones of
+    ``DEFAULT_TOL``.
     """
     if (x0 is None) == (h0 is None):
         raise ValueError("exactly one of x0 and h0 must be given")
     scale = phi._scale
-    stall = tol.convergence_tol * max(scale, np.finfo(float).tiny)
+    stall = DEFAULT_TOL.convergence_tol * max(scale, np.finfo(float).tiny)
     g_prev = None
     if h0 is not None:
         w_adj, u_adj = _x_step(phi, _normalize(h0))
@@ -305,21 +305,18 @@ def _alternating_descent(phi, tol, x0=None, h0=None) -> SearchOutcome:
         g_prev = float(w_adj[0])
     else:
         x = _normalize(x0)
-    converged = False
-    for _ in range(tol.max_iters):
+    for _ in range(DEFAULT_TOL.max_iters):
         pair_x = x
         image, (w, u) = _h_step(phi, x)
         adjoint = None
         g = float(w[0])
         if g_prev is not None and abs(g_prev - g) <= stall:
-            converged = True
             break
         g_prev = g
         adjoint = _x_step(phi, u[:, 0])
         w_adj, u_adj = adjoint
         g = float(w_adj[0])
         if abs(g_prev - g) <= stall:
-            converged = True
             break
         g_prev = g
         x = u_adj[:, 0].conj()
@@ -330,8 +327,7 @@ def _alternating_descent(phi, tol, x0=None, h0=None) -> SearchOutcome:
         h=pair_h,
         value=float(w[0]),
         residual=residual,
-        converged=converged,
-        succeeded=residual <= tol.residual_rel_tol * scale,
+        succeeded=residual <= DEFAULT_TOL.residual_rel_tol * scale,
         image=image,
         spectrum=(w, u),
         adjoint_spectrum=adjoint,
@@ -342,11 +338,7 @@ def _alternating_descent(phi, tol, x0=None, h0=None) -> SearchOutcome:
 _POSITIVITY_SAMPLES = 64
 
 
-def is_positive_heuristic(
-    phi: MapOperator,
-    tol: ToleranceConfig = DEFAULT_TOL,
-    seed: int = 0,
-) -> PositivityReport:
+def is_positive_heuristic(phi: MapOperator, seed: int = 0) -> PositivityReport:
     """Sampling-plus-descent check that Phi maps PSD matrices to PSD matrices.
 
     Minimizes the smallest eigenvalue of Phi(|y><y|) over
@@ -367,11 +359,11 @@ def is_positive_heuristic(
         if val < worst_value:
             worst_value = val
             worst_vector = y
-    outcome = _alternating_descent(phi, tol, x0=worst_vector.conj())
+    outcome = _alternating_descent(phi, x0=worst_vector.conj())
     if outcome.value < worst_value:
         worst_value = float(outcome.value)
         worst_vector = outcome.x.conj()
-    passed = worst_value >= -tol.residual_rel_tol * scale
+    passed = worst_value >= -DEFAULT_TOL.residual_rel_tol * scale
     return PositivityReport(passed=passed, worst_value=worst_value, worst_vector=worst_vector)
 
 

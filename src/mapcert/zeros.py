@@ -225,32 +225,29 @@ def _mine_candidates(phi, thr, outcome):
                     yield xj, hk, float(np.linalg.norm(_image(phi, xj) @ hk))
 
 
-def harvest_zeros(
-    phi: MapOperator,
-    seed: int = 0,
-    tol: ToleranceConfig = DEFAULT_TOL,
-    starts: int | None = None,
-) -> ZeroSet:
+def harvest_zeros(phi: MapOperator, seed: int = 0, starts: int | None = None) -> ZeroSet:
     """Multistart zero harvest; keeps a pair only if it grows the strong span.
 
     Runs alternating descents from ``starts`` seeded random starts (default
     50 * n * m), alternating x-side and h-side starts, and stops early once
     ``_STALL_BUDGET`` consecutive starts produce nothing new (this includes
     starts that found no zero at all, so maps without zeros stall quickly and
-    still report ``saturated=True``).  Deterministic for a fixed seed.
+    still report ``saturated=True``).  Deterministic for a fixed seed.  It
+    decides no rank, so it takes no tolerance: admission uses the fixed
+    ``residual_rel_tol`` of ``DEFAULT_TOL``.
     """
     n, m = phi.dim_in, phi.dim_out
     budget = 50 * n * m if starts is None else int(starts)
     if budget < 1:
         raise ValueError("starts must be at least 1")
-    thr = tol.residual_rel_tol * choi_spectral_scale(phi)
+    thr = DEFAULT_TOL.residual_rel_tol * choi_spectral_scale(phi)
     rng = np.random.default_rng(seed)
     admission = _Admission(n, m, thr)
 
     def produced():
         for start in range(budget):
             side = {"x0": _random_unit(rng, n)} if start % 2 == 0 else {"h0": _random_unit(rng, m)}
-            outcome = _alternating_descent(phi, tol, **side)
+            outcome = _alternating_descent(phi, **side)
             yield outcome.succeeded and admission.offer_all(_mine_candidates(phi, thr, outcome))
 
     return admission.zero_set(saturated=_saturates(produced(), _STALL_BUDGET))

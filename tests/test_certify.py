@@ -17,7 +17,6 @@ from mapcert.certify import (
     intertwiner_space,
 )
 from mapcert.errors import CrossCheckError, DimensionMismatch, EmptyZeroSet
-from mapcert.linalg import DEFAULT_TOL
 from mapcert.maps import (
     apply,
     cp_map_from_kraus,
@@ -238,7 +237,6 @@ def test_certificate_invariants_enforced():
             measured_dim=3,
             required_dim=4,
             irreducible_on_image=None,
-            tolerances=DEFAULT_TOL,
             conditional_note="",
         )
     with pytest.raises(ValueError):
@@ -248,7 +246,6 @@ def test_certificate_invariants_enforced():
             measured_dim=7,
             required_dim=6,
             irreducible_on_image=True,
-            tolerances=DEFAULT_TOL,
             conditional_note="",
         )
 

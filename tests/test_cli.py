@@ -368,14 +368,40 @@ def test_analyze_reports_an_overflowing_payload_on_payload(kind, payload, tmp_pa
         (["analyze", "DOC", "--starts", "-2"], "--starts"),
         (["sweep", "--seed", "-3"], "--seed"),
         (["generate", "--kind", "conjugation", "--n", "2", "--m", "2", "--seed", "-1"], "--seed"),
+        (["analyze", "DOC", "--tol", "2"], "--tol"),
+        (["analyze", "DOC", "--tol", "nan"], "--tol"),
+        (["analyze", "MISSING", "--tol", "2"], "--tol"),  # the flag error wins over the missing file
+        (["generate", "--kind", "random-cp", "--n", "2", "--m", "2", "--kraus", "0"], "--kraus"),
+        (["generate", "--kind", "random-cp", "--n", "2", "--m", "2", "--kraus", "-1"], "--kraus"),
+        (["generate", "--kind", "conjugation", "--n", "2", "--m", "2", "--rank", "0"], "--rank"),
     ],
 )
 def test_flag_errors_are_reported_before_any_output(argv, flag, tmp_path, capsys):
-    argv = [transpose_doc(tmp_path) if arg == "DOC" else arg for arg in argv]
-    assert main(argv) == 2
+    docs = {"DOC": transpose_doc(tmp_path), "MISSING": str(tmp_path / "missing.json")}
+    assert main([docs.get(arg, arg) for arg in argv]) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert f"argument {flag}:" in err
+
+
+def test_generate_rank_above_the_dimensions_names_the_flag(capsys):
+    assert main(["generate", "--kind", "conjugation", "--n", "2", "--m", "2", "--rank", "3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: --rank ")
+
+
+def test_reports_record_all_four_tolerances(tmp_path, capsys):
+    report_path = tmp_path / "report.json"
+    assert main(["analyze", transpose_doc(tmp_path), "--tol", "1e-7", "--json", str(report_path)]) == 0
+    assert json.loads(report_path.read_bytes())["tolerances"] == {
+        "convergence_tol": 1e-12, "max_iters": 500, "rank_rel_tol": 1e-7, "residual_rel_tol": 1e-9
+    }
+    assert main(["sweep", "--n-range", "2", "--m-range", "2", "--json", str(report_path)]) == 0
+    assert json.loads(report_path.read_bytes())["tolerances"] == {
+        "convergence_tol": 1e-12, "max_iters": 500, "rank_rel_tol": 1e-8, "residual_rel_tol": 1e-9
+    }
+    capsys.readouterr()
 
 
 def test_analyze_rejects_bad_tol(tmp_path, capsys):

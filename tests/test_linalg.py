@@ -38,12 +38,12 @@ def test_tolerance_defaults_and_scaling():
 def test_tolerance_rejects_nonpositive(bad):
     with pytest.raises(ValueError):
         ToleranceConfig(rank_rel_tol=bad)
-    if bad >= 1:  # only the rank threshold is bounded by 1
-        return
-    with pytest.raises(ValueError):
-        ToleranceConfig(residual_rel_tol=bad)
-    with pytest.raises(ValueError):
-        ToleranceConfig(convergence_tol=bad)
+
+
+@pytest.mark.parametrize("field", ["residual_rel_tol", "convergence_tol", "max_iters"])
+def test_tolerance_fixes_all_but_the_rank_threshold(field):
+    with pytest.raises(TypeError):
+        ToleranceConfig(**{field: 1})
 
 
 def test_as_matrix_accepts_nested_lists():

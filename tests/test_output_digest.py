@@ -58,3 +58,12 @@ def test_oracle_family_hashes_the_value_or_the_exception_class(monkeypatch):
     failing = tool.output_digest([], cells, [])
     assert failing["oracle"] == expected("OracleUnstable")
     assert [family for family in tool.FAMILIES if failing[family] != plain[family]] == ["oracle"]
+
+
+def test_default_inputs_rerun_the_seed_1_mixed_documents_at_another_rank_threshold():
+    tool = load_tool()
+    documents = tool.default_inputs()[2]
+    rerun = [document for document in documents if document[2:] == ("--tol", "1e-7")]
+    assert len(rerun) == 24 and all(seed == 1 for _, seed, *_ in rerun)
+    assert [text for text, *_ in rerun] == [text for text, *_ in documents[:24]]
+    assert all(len(document) == 2 for document in documents if document not in rerun)

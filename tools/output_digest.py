@@ -15,8 +15,9 @@ program outputs on a fixed input set:
   ``saturated``;
 * ``oracle``: ``brute_force_strong_dim_oracle`` on those 64 cells: the
   integer it returns, or the class name of the exception it raises;
-* ``analyze``: ``mapcert analyze --json`` on 241 documents: perfbench's
-  analyze-mixed entries at seeds 1-3 (72), its analyze-large entries (3),
+* ``analyze``: 265 runs of ``mapcert analyze --json``, on 241 documents:
+  perfbench's analyze-mixed entries at seeds 1-3 (72), the seed-1 ones
+  again with ``--tol 1e-7`` (24), its analyze-large entries (3),
   50 documents of each ``mapcert generate`` kind over n, m in 2..4 (150,
   whose generate bytes are hashed too) and 16 invalid documents, one per
   error path of the map-document parser (bad JSON, non-UTF-8 bytes, a
@@ -93,7 +94,8 @@ def output_digest(sweeps, cells, documents) -> dict[str, str]:
     ``sweeps``: argv lists of ``mapcert sweep`` (``--json`` is appended);
     ``cells``: (n, m, rank, seed) conjugation cells for both zero routes and
     the oracle;
-    ``documents``: (map document text or bytes, analyze seed) pairs.
+    ``documents``: (map document text or bytes, analyze seed, *flags)
+    tuples; the flags, if any, are passed on to ``analyze``.
     """
     from mapcert.experiments import brute_force_strong_dim_oracle, random_rank_operator
     from mapcert.maps import from_conjugation
@@ -118,11 +120,11 @@ def output_digest(sweeps, cells, documents) -> dict[str, str]:
                 oracle = type(exc).__name__
             hashers["oracle"].add(n, m, rank, seed, oracle)
         doc = Path(tmp) / "map.json"
-        for text, seed in documents:
+        for text, seed, *flags in documents:
             doc.write_bytes(text if isinstance(text, bytes) else text.encode())
-            outputs = _cli(["analyze", str(doc), "--seed", str(seed), "--json", str(report)])
-            hashers["analyze"].add(text, seed, *outputs)
-            hashers["analyze-json"].add(text, seed, report.read_bytes() if report.exists() else b"no report")
+            outputs = _cli(["analyze", str(doc), "--seed", str(seed), *flags, "--json", str(report)])
+            hashers["analyze"].add(text, seed, *flags, *outputs)
+            hashers["analyze-json"].add(text, seed, *flags, report.read_bytes() if report.exists() else b"no report")
             report.unlink(missing_ok=True)
     return {family: hasher.hexdigest() for family, hasher in hashers.items()}
 
@@ -177,7 +179,7 @@ def _invalid_documents() -> list[tuple[str | bytes, int]]:
     return [(document, 0) for document in documents]
 
 
-def _perfbench_documents() -> list[tuple[str, int]]:
+def _perfbench_documents() -> list[tuple]:
     sys.path.insert(0, str(PERFBENCH))
     try:
         import workloads
@@ -189,7 +191,8 @@ def _perfbench_documents() -> list[tuple[str, int]]:
     for index, (seed, spec) in enumerate(specs):
         rng = np.random.default_rng([seed, index])
         documents.append((json.dumps(workloads.make_document(rng, *spec)), seed))
-    return documents
+    # the rank threshold is the one settable tolerance: run it at ten times the default too
+    return documents + [(text, seed, "--tol", "1e-7") for text, seed in documents[: len(workloads.MIXED)]]
 
 
 def default_inputs():
