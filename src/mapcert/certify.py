@@ -22,7 +22,7 @@ from .linalg import (
     kernel_basis,
     span_dimension,
 )
-from .maps import MapOperator, _image_table, apply
+from .maps import MapOperator, _cp_rank, _image_table, apply
 from .zeros import ZeroSet, strong_span_dim, weak_span_dim
 
 __all__ = [
@@ -195,11 +195,20 @@ def certify_optimal(phi: MapOperator, zs: ZeroSet, tol: ToleranceConfig = DEFAUL
     """Certified when the weak vectors of the zero set span all of C^n (x) C^m.
 
     A shortfall yields Inconclusive: the map may still be optimal, the
-    spanning condition is not necessary.
+    spanning condition is not necessary.  When Phi is completely positive
+    (C positive semidefinite), every genuine zero has C (x (x) h) = 0, so the
+    weak span is at most nm - rank C; a measured dimension above that
+    ceiling raises CrossCheckError instead of certifying.
     """
     _check_compatible(phi, zs)
     measured = weak_span_dim(zs, tol)
     required = phi.dim_in * phi.dim_out
+    cp_rank = _cp_rank(phi, tol)
+    if cp_rank is not None and measured > required - cp_rank:
+        raise CrossCheckError(
+            f"weak span {measured} exceeds the weak ceiling {required - cp_rank} = nm - rank C "
+            "of a completely positive map; the zero set contains non-zeros or the rank tolerance is off"
+        )
     verdict = CERTIFIED if measured == required else INCONCLUSIVE
     return Certificate(
         claim=OPTIMAL,

@@ -51,7 +51,7 @@ from .experiments import (
 )
 from .linalg import DEFAULT_TOL, ToleranceConfig
 from .maps import is_positive_heuristic
-from .zeros import harvest_zeros
+from .zeros import find_zeros
 
 __all__ = ["build_parser", "main"]
 
@@ -102,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"mapcert {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    analyze = sub.add_parser("analyze", help="harvest zeros and certify one map document")
+    analyze = sub.add_parser("analyze", help="find zeros and certify one map document")
     analyze.add_argument("file", help="path to a map document (JSON)")
     analyze.add_argument("--seed", type=_integer_from(0), default=0)
     analyze.add_argument("--tol", type=_rank_tolerance, default=DEFAULT_TOL, help="override rank_rel_tol")
@@ -150,7 +150,7 @@ def _cmd_analyze(args) -> int:
         print("worst input direction:", _format_vector(positivity.worst_vector))
         return 3
     print(f"positivity heuristic: passed (worst value {positivity.worst_value:.3e})")
-    zs = harvest_zeros(phi, seed=args.seed, starts=args.starts)
+    zs = find_zeros(phi, seed=args.seed, starts=args.starts, tol=args.tol)
     optimal = certify_optimal(phi, zs, args.tol)
     exposed = certify_exposed(phi, zs, args.tol)
     print(f"zero pairs kept: {len(zs.pairs)} (saturated: {'yes' if zs.saturated else 'no'})")

@@ -74,6 +74,11 @@ def _rank_from_singular_values(s: np.ndarray, tol: ToleranceConfig) -> int:
     return int(np.count_nonzero(s > tol.rank_rel_tol * s[0]))
 
 
+def _rank_from_eigenvalues(w: np.ndarray, tol: ToleranceConfig) -> int:
+    """Rank of a Hermitian matrix from its eigenvalues, whose moduli are its singular values."""
+    return _rank_from_singular_values(np.sort(np.abs(w))[::-1], tol)
+
+
 def numerical_rank(matrix, tol: ToleranceConfig = DEFAULT_TOL) -> int:
     """Count of singular values above the relative threshold."""
     m = as_matrix(matrix)

@@ -28,7 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatch, ZeroMap, ZeroOperator
-from .linalg import DEFAULT_TOL, ToleranceConfig, as_matrix
+from .linalg import DEFAULT_TOL, ToleranceConfig, _rank_from_eigenvalues, as_matrix
 
 __all__ = [
     "MapOperator",
@@ -38,7 +38,6 @@ __all__ = [
     "from_conjugation",
     "cp_map_from_kraus",
     "unital_normalization",
-    "is_completely_positive",
     "is_positive_heuristic",
     "SearchOutcome",
     "identity_map",
@@ -54,9 +53,10 @@ class MapOperator:
 
     Immutable value object: the stored block matrix is set read-only, so a
     MapOperator can be shared freely across threads.  It memoizes the block
-    array of its adjoint and its spectral scale on first use, for every
-    caller to share; both are pure functions of that matrix, so racing
-    threads compute equal values and sharing stays safe.
+    array of its adjoint and the Hermitian eigendecomposition of its block
+    matrix on first use, for every caller to share, and reads its spectral
+    scale from that spectrum; all are pure functions of that matrix, kept
+    read-only, so racing threads compute equal values and sharing stays safe.
     """
 
     dim_in: int
@@ -88,8 +88,19 @@ class MapOperator:
         return adjoint
 
     @cached_property
+    def _spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """``np.linalg.eigh`` of the Hermitian part of the block matrix, as read-only arrays:
+        ascending eigenvalues w and orthonormal eigenvectors u; the one eigendecomposition of C."""
+        # halved before the sum, so that entries near the float maximum cannot overflow
+        w, u = np.linalg.eigh(0.5 * self.choi + 0.5 * self.choi.conj().T)
+        w.setflags(write=False)
+        u.setflags(write=False)
+        return w, u
+
+    @cached_property
     def _scale(self) -> float:
-        return float(np.linalg.norm(self.choi, 2))
+        w = self._spectrum[0]
+        return float(max(w[-1], -w[0]))
 
 
 def _is_hermitian(matrix: np.ndarray) -> bool:
@@ -162,7 +173,8 @@ def _hermitize(m: np.ndarray) -> np.ndarray:
 
 
 def choi_spectral_scale(phi: MapOperator) -> float:
-    """Largest singular value of the block matrix; the reference scale (memoized)."""
+    """Largest eigenvalue modulus (the largest singular value) of the block matrix; the reference
+    scale, read from the memoized spectrum."""
     return phi._scale
 
 
@@ -250,11 +262,13 @@ def unital_normalization(phi: MapOperator, tol: ToleranceConfig = DEFAULT_TOL) -
     return NormalForm(bridge=bridge, unital_part=unital_part, image_dim=k)
 
 
-def is_completely_positive(phi: MapOperator, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """Positive semidefiniteness of the block matrix, relative threshold."""
-    eigvals = np.linalg.eigvalsh(_hermitize(phi.choi))
-    scale = float(np.max(np.abs(eigvals))) if eigvals.size else 0.0
-    return bool(eigvals[0] >= -tol.rank_rel_tol * scale)
+def _cp_rank(phi: MapOperator, tol: ToleranceConfig = DEFAULT_TOL) -> int | None:
+    """Rank of the block matrix C when Phi is completely positive (C positive
+    semidefinite: lambda_min >= -rank_rel_tol * lambda_max), else None."""
+    w = phi._spectrum[0]
+    if w[0] < -tol.rank_rel_tol * w[-1]:
+        return None
+    return _rank_from_eigenvalues(w, tol)
 
 
 def _random_unit(rng, dim) -> np.ndarray:

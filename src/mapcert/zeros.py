@@ -28,6 +28,19 @@ Two enumeration routes are provided and are expected to agree:
   batch of points (base grid, filler) are cut by one ``linalg._row_kernels``
   solve, which the oracle shares.
 
+``find_zeros`` picks the route from the spectrum of C (the map's one
+cached ``eigh``), not from how the map was written down, trying in order:
+
+1. No zeros, proven: for unit x and h, ||Phi(|conj(x)><conj(x)|) h|| >=
+   <x (x) h| C |x (x) h> >= lambda_min(C), so when lambda_min(C) exceeds the
+   admission threshold the empty set is returned without a descent.
+2. Conjugation: when C, or else its partial transpose on the input factor,
+   has numerical rank 1 with a positive eigenvalue lambda (eigenvector u),
+   Phi is the (untransposed, or else transposed) conjugation by
+   V = conj(sqrt(lambda) u) reshaped n x m, and the analytic route runs on
+   that V, whatever kind of document wrote the map.
+3. Anything else: the harvest.
+
 Both routes evaluate Phi(|conj(x)><conj(x)|) once per point x, for all of
 its partners h, and offer every candidate with its residual to one
 admission object.  It keeps a pair only if the residual is within
@@ -54,13 +67,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, ToleranceConfig, _rank_from_singular_values, _row_kernels, as_matrix, span_dimension
+from .linalg import DEFAULT_TOL, ToleranceConfig, as_matrix, span_dimension
+from .linalg import _rank_from_eigenvalues, _rank_from_singular_values, _row_kernels
 from .maps import MapOperator, choi_spectral_scale, from_conjugation
 from .maps import _alternating_descent, _image, _normalize, _random_unit, _x_step
 
 __all__ = [
     "ZeroPair",
     "ZeroSet",
+    "find_zeros",
     "harvest_zeros",
     "analytic_zeros_conjugation",
     "weak_span_dim",
@@ -225,6 +240,37 @@ def _mine_candidates(phi, thr, outcome):
                     yield xj, hk, float(np.linalg.norm(_image(phi, xj) @ hk))
 
 
+def _budget(phi: MapOperator, starts: int | None) -> int:
+    """The harvest's start budget: ``starts``, by default 50 * n * m."""
+    budget = 50 * phi.dim_in * phi.dim_out if starts is None else int(starts)
+    if budget < 1:
+        raise ValueError("starts must be at least 1")
+    return budget
+
+
+def find_zeros(phi: MapOperator, seed: int = 0, starts: int | None = None, tol: ToleranceConfig = DEFAULT_TOL) -> ZeroSet:
+    """The zero set of Phi by the route its Choi spectrum proves (see the module docstring).
+
+    ``seed`` and ``starts`` are the harvest's.  A map proven zero-free reports
+    ``saturated`` as the harvest would: all of its starts fail, so it
+    saturates exactly when its budget reaches ``_STALL_BUDGET``.  ``tol``
+    decides the rank-1 test of the conjugation route and that route's ranks.
+    """
+    n, m = phi.dim_in, phi.dim_out
+    budget = _budget(phi, starts)
+    w, u = phi._spectrum
+    if w[0] > DEFAULT_TOL.residual_rel_tol * choi_spectral_scale(phi):
+        return ZeroSet.from_pairs(n, m, [], saturated=budget >= _STALL_BUDGET)
+    for transposed in (False, True):
+        if transposed:
+            w, u = np.linalg.eigh(phi.choi.reshape(n, m, n, m).transpose(2, 1, 0, 3).reshape(n * m, n * m))
+        # rank 1 with a positive kept eigenvalue: the kept one is then the last
+        if w[-1] > -w[0] and _rank_from_eigenvalues(w, tol) == 1:
+            v = np.conj(np.sqrt(w[-1]) * u[:, -1]).reshape(n, m)
+            return _conjugation_zeros(phi, v, transposed, tol)
+    return harvest_zeros(phi, seed=seed, starts=starts)
+
+
 def harvest_zeros(phi: MapOperator, seed: int = 0, starts: int | None = None) -> ZeroSet:
     """Multistart zero harvest; keeps a pair only if it grows the strong span.
 
@@ -237,9 +283,7 @@ def harvest_zeros(phi: MapOperator, seed: int = 0, starts: int | None = None) ->
     ``residual_rel_tol`` of ``DEFAULT_TOL``.
     """
     n, m = phi.dim_in, phi.dim_out
-    budget = 50 * n * m if starts is None else int(starts)
-    if budget < 1:
-        raise ValueError("starts must be at least 1")
+    budget = _budget(phi, starts)
     thr = DEFAULT_TOL.residual_rel_tol * choi_spectral_scale(phi)
     rng = np.random.default_rng(seed)
     admission = _Admission(n, m, thr)

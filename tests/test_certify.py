@@ -265,6 +265,22 @@ def test_exposed_cross_check_on_impossible_zero_set():
         certify_exposed(phi, fake)
 
 
+@pytest.mark.parametrize("phi,ceiling", [(identity_map(2), 3), (trace_map(2), 0)])
+def test_optimal_cross_check_on_a_weak_span_above_the_cp_ceiling(phi, ceiling):
+    # a genuine zero of a CP map has C (x (x) h) = 0, so its weak span is at
+    # most nm - rank C; four random pairs span all of C^4 and must be refused
+    rng = np.random.default_rng(8)
+    pairs = []
+    for _ in range(4):
+        x, h = ginibre(rng, 1, 2).ravel(), ginibre(rng, 1, 2).ravel()
+        pairs.append(ZeroPair(x=x / np.linalg.norm(x), h=h / np.linalg.norm(h), residual=0.0))
+    fake = ZeroSet.from_pairs(2, 2, pairs, saturated=False)
+    with pytest.raises(CrossCheckError, match=f"weak span 4 exceeds the weak ceiling {ceiling} "):
+        certify_optimal(phi, fake)
+    # the transpose map is not CP: no ceiling applies, and the full span certifies
+    assert certify_optimal(transpose_map(2), fake).certified
+
+
 def test_exposed_withheld_when_kept_pairs_exceed_the_span():
     # a kept pair that adds no strong direction makes the span count and the
     # admission count disagree; the full span alone must not certify then

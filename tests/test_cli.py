@@ -130,11 +130,13 @@ def test_analyze_measures_each_span_once(tmp_path, monkeypatch, capsys):
 
 class PreparedMapCounts:
     """Counts, at their lookup sites, of what preparing a map costs: conjugation
-    maps built, MapOperators constructed (dims), spectral-scale SVDs
-    (2-norms) and np.linalg.svd calls."""
+    maps built, MapOperators constructed (dims), 2-norms, np.linalg.svd calls
+    and spectra: np.linalg.eigh calls of side nm for a constructed n x m map,
+    which in these tests (n, m <= 3 < nm) are the eigendecompositions of a
+    block matrix or of its partial transpose."""
 
     def __init__(self, monkeypatch):
-        self.conjugations, self.operators, self.scales, self.svds = 0, [], 0, 0
+        self.conjugations, self.operators, self.scales, self.svds, self.spectra = 0, [], 0, 0, 0
         build = mapcert.maps.from_conjugation
 
         def conjugation(*args, **kwargs):
@@ -152,7 +154,7 @@ class PreparedMapCounts:
             validate(operator)
 
         monkeypatch.setattr(operator_type, "__post_init__", construct)
-        norm, svd = np.linalg.norm, np.linalg.svd
+        norm, svd, eigh = np.linalg.norm, np.linalg.svd, np.linalg.eigh
 
         def counted_norm(x, ord=None, *args, **kwargs):
             if ord == 2:
@@ -163,8 +165,14 @@ class PreparedMapCounts:
             self.svds += 1
             return svd(*args, **kwargs)
 
+        def counted_eigh(a, *args, **kwargs):
+            if a.shape[-1] in {n * m for n, m in self.operators}:
+                self.spectra += 1
+            return eigh(a, *args, **kwargs)
+
         monkeypatch.setattr(np.linalg, "norm", counted_norm)
         monkeypatch.setattr(np.linalg, "svd", counted_svd)
+        monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
 
 
 def test_analyze_prepares_the_map_once(tmp_path, monkeypatch, capsys):
@@ -177,24 +185,31 @@ def test_analyze_prepares_the_map_once(tmp_path, monkeypatch, capsys):
     counts = PreparedMapCounts(monkeypatch)
     assert main(["analyze", path]) == 0
     capsys.readouterr()
-    # the map, built once (its adjoint is a block array, not a map); one
-    # scale for the positivity heuristic and the harvest; SVDs: weak span,
-    # strong span, Phi(1) (its rank and its image projector), the commutant,
-    # the compressed commutant
+    # the map, built once (its adjoint is a block array, not a map); no
+    # 2-norm: the scale of the positivity heuristic and the zero search is
+    # read from the block matrix's one eigh, and the route decision adds the
+    # eigh of its partial transpose (rank 1: a transposed conjugation); SVDs:
+    # the conjugation route's V (read off that rank-1 spectrum) and its two
+    # row-kernel batches (base grid, filler), then weak span, strong span,
+    # Phi(1) (its rank and its image projector), the commutant, the
+    # compressed commutant
     assert counts.conjugations == 1
     assert counts.operators == [(2, 3)]
-    assert counts.scales == 1
-    assert counts.svds == 5
+    assert counts.scales == 0
+    assert counts.spectra == 2
+    assert counts.svds == 8
 
 
 def test_sweep_prepares_each_cell_map_once(monkeypatch, capsys):
     counts = PreparedMapCounts(monkeypatch)
     assert main(["sweep", "--n-range", "2", "--m-range", "2..3"]) == 0
     capsys.readouterr()
-    # four cells; each builds one conjugation map, shared by both zero routes
+    # four cells; each builds one conjugation map, shared by both zero routes,
+    # and decomposes its block matrix once, for the scale
     assert counts.conjugations == 4
     assert sorted(counts.operators) == [(2, 2)] * 2 + [(2, 3)] * 2
-    assert counts.scales == 4
+    assert counts.scales == 0
+    assert counts.spectra == 4
 
 
 def test_analyze_flags_negative_map(tmp_path, capsys):
@@ -607,6 +622,81 @@ def test_generate_cp_then_analyze(tmp_path, capsys):
     doc_text = capsys.readouterr().out
     path = tmp_path / "cp.json"
     path.write_text(doc_text)
-    assert main(["analyze", str(path)]) == 0
-    out = capsys.readouterr().out
+    # three Kraus operators (the default) with m = 3: the harvest admits inexact
+    # pairs whose weak span, 6, exceeds the ceiling nm - rank C = 3 of a CP map;
+    # that is an internal failure (exit 5), not a Certified optimality
+    assert main(["analyze", str(path)]) == 5
+    out, err = capsys.readouterr()
     assert "positivity heuristic: passed" in out
+    assert "Optimal:" not in out
+    assert err.startswith("error: weak span 6 exceeds the weak ceiling 3 ")
+
+
+@pytest.mark.parametrize("transposed", [False, True])
+def test_a_conjugation_analyzes_alike_whatever_document_writes_it(tmp_path, monkeypatch, capsys, transposed):
+    # the zero route is read off the block matrix's spectrum, not the document kind:
+    # a -> V^H a V as a conjugation, Choi or one-operator Kraus (K = V^H) document, and
+    # a -> V^H a^T V as a conjugation or Choi document (through the partial transpose);
+    # every one runs the analytic route, on V read back from the top eigenpair
+    routes = []
+    conjugation_zeros = mapcert.zeros._conjugation_zeros
+
+    def recorded(phi, v, transposed, tol):
+        zs = conjugation_zeros(phi, v, transposed, tol)
+        routes.append((transposed, max(p.residual for p in zs.pairs) / mapcert.maps.choi_spectral_scale(phi)))
+        return zs
+
+    def no_harvest(*args, **kwargs):
+        raise AssertionError("the harvest ran")
+
+    monkeypatch.setattr(mapcert.zeros, "_conjugation_zeros", recorded)
+    monkeypatch.setattr(mapcert.zeros, "harvest_zeros", no_harvest)
+    v = mapcert.experiments.random_rank_operator(3, 3, 2, seed=4)
+    choi = mapcert.maps.from_conjugation(v, transposed).choi
+    docs = [
+        {"kind": "conjugation", "dim_in": 3, "dim_out": 3, "payload": matrix_to_payload(v), "transposed": transposed},
+        {"kind": "choi", "dim_in": 3, "dim_out": 3, "payload": matrix_to_payload(choi)},
+    ]
+    if not transposed:
+        docs.append({"kind": "kraus", "dim_in": 3, "dim_out": 3, "payload": [matrix_to_payload(v.conj().T)]})
+    outputs = []
+    for index, doc in enumerate(docs):
+        report = tmp_path / f"report-{index}.json"
+        assert main(["analyze", write_doc(tmp_path, f"doc-{index}.json", doc), "--json", str(report)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        summary = json.loads(report.read_text())
+        outputs.append((lines[3:], summary["zero_set_summary"], summary["certificates"]))
+    assert [flag for flag, _ in routes] == [transposed] * len(docs)
+    assert all(residual <= 1e-12 for _, residual in routes)
+    assert all(output == outputs[0] for output in outputs)
+    # the analytic route on the document's own V, and the weak rule of conjugations
+    exact = conjugation_zeros(mapcert.maps.from_conjugation(v, transposed), v, transposed, mapcert.linalg.DEFAULT_TOL)
+    weak = 9 if transposed else 8
+    assert outputs[0][1] == {
+        "pairs": len(exact.pairs),
+        "weak_span_dim": weak,
+        "strong_span_dim": mapcert.zeros.strong_span_dim(exact),
+        "saturated": True,
+    }
+    assert outputs[0][0][2] == f"Optimal: {'Certified' if transposed else 'Inconclusive'}  (weak span {weak} / 9)"
+
+
+def test_a_weak_span_above_the_ceiling_of_a_cp_map_exits_5(tmp_path, capsys):
+    # three Kraus operators on 3x3: the harvest admits inexact pairs that span all
+    # of C^9, where every genuine zero lies in the 6-dimensional kernel of C
+    assert main(["generate", "--kind", "random-cp", "--n", "3", "--m", "3", "--kraus", "3", "--seed", "5"]) == 0
+    path = tmp_path / "cp.json"
+    path.write_text(capsys.readouterr().out)
+    assert main(["analyze", str(path)]) == 5
+    out, err = capsys.readouterr()
+    assert "Optimal:" not in out
+    assert err == (
+        "error: weak span 9 exceeds the weak ceiling 6 = nm - rank C of a completely positive map; "
+        "the zero set contains non-zeros or the rank tolerance is off\n"
+    )
+
+
+def test_a_conjugation_is_saturated_whatever_the_harvest_budget(tmp_path, capsys):
+    # --starts budgets the harvest, which a conjugation no longer runs
+    assert main(["analyze", transpose_doc(tmp_path), "--starts", "5"]) == 0
+    assert "zero pairs kept: 6 (saturated: yes)" in capsys.readouterr().out

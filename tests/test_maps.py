@@ -9,6 +9,7 @@ from mapcert.errors import DimensionMismatch, ZeroMap, ZeroOperator
 from mapcert.linalg import DEFAULT_TOL, numerical_rank
 from mapcert.maps import (
     MapOperator,
+    _cp_rank,
     _from_blocks,
     apply,
     choi_spectral_scale,
@@ -16,7 +17,6 @@ from mapcert.maps import (
     dephasing_map,
     from_conjugation,
     identity_map,
-    is_completely_positive,
     is_positive_heuristic,
     trace_map,
     transpose_map,
@@ -227,7 +227,7 @@ def test_cp_map_from_kraus_matches_sum():
     a = random_hermitian(rng, 2)
     expected = sum(k @ a @ k.conj().T for k in kraus)
     assert np.allclose(apply(phi, a), expected)
-    assert is_completely_positive(phi)
+    assert _cp_rank(phi) is not None
 
 
 def test_cp_map_from_kraus_validates():
@@ -238,9 +238,18 @@ def test_cp_map_from_kraus_validates():
 
 
 def test_complete_positivity_verdicts():
-    assert is_completely_positive(identity_map(2))
-    assert is_completely_positive(trace_map(2))
-    assert not is_completely_positive(transpose_map(2))
+    assert _cp_rank(identity_map(2)) is not None
+    assert _cp_rank(trace_map(2)) is not None
+    assert _cp_rank(transpose_map(2)) is None
+
+
+def test_cp_rank_reads_the_rank_of_a_positive_semidefinite_block_matrix():
+    assert _cp_rank(identity_map(3)) == 1
+    assert _cp_rank(trace_map(2, 3)) == 6
+    assert _cp_rank(dephasing_map(3)) == 3
+    rng = np.random.default_rng(9)
+    assert _cp_rank(cp_map_from_kraus([ginibre(rng, 4, 3) for _ in range(2)])) == 2
+    assert _cp_rank(transpose_map(3)) is None
 
 
 def test_positivity_heuristic_passes_positive_maps():

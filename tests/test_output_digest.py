@@ -67,3 +67,25 @@ def test_default_inputs_rerun_the_seed_1_mixed_documents_at_another_rank_thresho
     assert len(rerun) == 24 and all(seed == 1 for _, seed, *_ in rerun)
     assert [text for text, *_ in rerun] == [text for text, *_ in documents[:24]]
     assert all(len(document) == 2 for document in documents if document not in rerun)
+
+
+def test_run_listing_names_the_analyze_run_whose_bytes_moved():
+    tool = load_tool()
+
+    def doc(transposed):
+        return json.dumps(
+            {"kind": "conjugation", "dim_in": 2, "dim_out": 2, "payload": matrix_to_payload(np.eye(2)),
+             "transposed": transposed}
+        )
+
+    listings = []
+    for documents in ([(doc(True), 0), (doc(False), 0), (doc(True), 1)], [(doc(True), 0), (doc(True), 0), (doc(True), 1)]):
+        runs = []
+        digests = tool.output_digest([], [], documents, runs=runs)
+        assert len(runs) == len(documents)
+        assert all(len(run) == 64 and int(run, 16) >= 0 for run in runs)
+        listings.append((digests, runs))
+    (first, first_runs), (second, second_runs) = listings
+    assert [index for index, (a, b) in enumerate(zip(first_runs, second_runs)) if a != b] == [1]
+    assert first_runs[0] == second_runs[1]  # a run's digest depends on its inputs only, not its index
+    assert first["analyze"] != second["analyze"]

@@ -4,11 +4,16 @@ The integer expectations here were computed by the brute-force grid oracle
 and cross-checked against the analytic enumeration before being frozen.
 """
 
+import json
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import mapcert.maps
 import mapcert.zeros
+from mapcert.documents import parse_map_file, to_map_operator
 from mapcert.errors import ZeroOperator
 from mapcert.experiments import random_rank_operator, sweep_cells
 from mapcert.linalg import DEFAULT_TOL
@@ -28,6 +33,7 @@ from mapcert.zeros import (
     _strong_vector,
     _weak_vector,
     analytic_zeros_conjugation,
+    find_zeros,
     harvest_zeros,
     strong_span_dim,
     weak_span_dim,
@@ -276,3 +282,65 @@ def test_analytic_untransposed_full_rank():
     zs = analytic_zeros_conjugation(v, transposed=False)
     zh = harvest_zeros(from_conjugation(v, transposed=False), seed=0)
     assert strong_span_dim(zs) == strong_span_dim(zh) == 10
+
+
+def positive_definite_map(n, m, seed):
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((n * m, n * m)) + 1j * rng.standard_normal((n * m, n * m))
+    return MapOperator(n, m, g @ g.conj().T)
+
+
+@pytest.mark.parametrize("starts", [None, 5])
+def test_find_zeros_runs_no_descent_on_a_positive_definite_block_matrix(monkeypatch, starts):
+    # lambda_min(C) > residual_rel_tol * scale proves that no candidate could be admitted
+    phi = positive_definite_map(2, 3, 3)
+    w = phi._spectrum[0]
+    assert w[0] > DEFAULT_TOL.residual_rel_tol * choi_spectral_scale(phi)
+    harvested = harvest_zeros(phi, seed=0, starts=starts)
+    calls = []
+    descent = mapcert.zeros._alternating_descent
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs)
+        return descent(*args, **kwargs)
+
+    monkeypatch.setattr(mapcert.zeros, "_alternating_descent", counted)
+    zs = find_zeros(phi, seed=0, starts=starts)
+    assert calls == []
+    assert zs.pairs == harvested.pairs == []
+    assert zs.weak_vectors.shape == (0, 6) and zs.strong_vectors.shape == (0, 12)
+    # the harvest's byte: every start fails, so it saturates iff its budget reaches the stall window
+    assert zs.saturated == harvested.saturated == (starts is None)
+
+
+def test_find_zeros_rejects_an_empty_budget():
+    with pytest.raises(ValueError):
+        find_zeros(positive_definite_map(2, 2, 0), starts=0)
+
+
+def perfbench_maps(kinds):
+    """The map of each perfbench analyze-mixed and analyze-large entry of a kind in ``kinds``, at seed 1."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    for index, spec in enumerate(workloads.MIXED + workloads.LARGE):
+        if spec[0] in kinds:
+            document = workloads.make_document(np.random.default_rng([1, index]), *spec)
+            yield spec, to_map_operator(parse_map_file(json.dumps(document)))
+
+
+def test_find_zeros_and_the_harvest_referee_each_other_on_the_benchmark_documents(monkeypatch):
+    harvest = mapcert.zeros.harvest_zeros
+    harvested_inside = []
+    monkeypatch.setattr(mapcert.zeros, "harvest_zeros", lambda *a, **k: harvested_inside.append(a) or harvest(*a, **k))
+    checked = []
+    for spec, phi in perfbench_maps(("conjugation", "random-choi")):
+        found, harvested = find_zeros(phi, seed=1), harvest(phi, seed=1)
+        assert (weak_span_dim(found), strong_span_dim(found)) == (
+            weak_span_dim(harvested), strong_span_dim(harvested)), spec
+        checked.append(spec)
+    # every entry took a spectral route: 12 + 2 analyze-mixed entries, 3 analyze-large ones
+    assert harvested_inside == []
+    assert len(checked) == 17

@@ -1,10 +1,14 @@
 """Output-equivalence digest of one mapcert source tree.
 
-    python tools/output_digest.py SRC
+    python tools/output_digest.py SRC [--runs]
 
 imports mapcert from the directory SRC (a tree's ``src/``) and prints one
 SHA-256 per output family, as ``family digest`` lines, over what the
-program outputs on a fixed input set:
+program outputs on a fixed input set.  With ``--runs`` it then prints one
+``analyze <index> <digest>`` line per analyze run, over that run's inputs,
+outputs and report bytes, so that a diff of two trees' listings names the
+runs whose bytes moved (the index is the run's position in the document
+list of ``default_inputs``).  The families are:
 
 * ``sweep``: ``mapcert sweep`` at seeds 0 and 3 and with ``--n-range 2
   --m-range 2..3``: stdout, stderr and exit code;
@@ -88,14 +92,16 @@ def _add_zero_set(hasher, zs):
         hasher.add(pair.x, pair.h, repr(pair.residual))
 
 
-def output_digest(sweeps, cells, documents) -> dict[str, str]:
+def output_digest(sweeps, cells, documents, runs=None) -> dict[str, str]:
     """SHA-256 per family of the outputs of the imported mapcert on the inputs.
 
     ``sweeps``: argv lists of ``mapcert sweep`` (``--json`` is appended);
     ``cells``: (n, m, rank, seed) conjugation cells for both zero routes and
     the oracle;
     ``documents``: (map document text or bytes, analyze seed, *flags)
-    tuples; the flags, if any, are passed on to ``analyze``.
+    tuples; the flags, if any, are passed on to ``analyze``;
+    ``runs``: a list, if given, that receives one SHA-256 per document's
+    analyze run, in order.
     """
     from mapcert.experiments import brute_force_strong_dim_oracle, random_rank_operator
     from mapcert.maps import from_conjugation
@@ -123,9 +129,14 @@ def output_digest(sweeps, cells, documents) -> dict[str, str]:
         for text, seed, *flags in documents:
             doc.write_bytes(text if isinstance(text, bytes) else text.encode())
             outputs = _cli(["analyze", str(doc), "--seed", str(seed), *flags, "--json", str(report)])
+            report_bytes = report.read_bytes() if report.exists() else b"no report"
             hashers["analyze"].add(text, seed, *flags, *outputs)
-            hashers["analyze-json"].add(text, seed, *flags, report.read_bytes() if report.exists() else b"no report")
+            hashers["analyze-json"].add(text, seed, *flags, report_bytes)
             report.unlink(missing_ok=True)
+            if runs is not None:
+                run = _Hasher()
+                run.add(text, seed, *flags, *outputs, report_bytes)
+                runs.append(run.hexdigest())
     return {family: hasher.hexdigest() for family, hasher in hashers.items()}
 
 
@@ -204,7 +215,7 @@ def default_inputs():
 
 
 def main(argv) -> int:
-    if len(argv) != 2:
+    if len(argv) not in (2, 3) or argv[2:] not in ([], ["--runs"]):
         print(__doc__, file=sys.stderr)
         return 2
     src = Path(argv[1]).resolve()
@@ -214,8 +225,11 @@ def main(argv) -> int:
     if Path(mapcert.__file__).resolve().parent != src / "mapcert":
         print(f"error: mapcert was imported from {mapcert.__file__}, not {src}", file=sys.stderr)
         return 2
-    for family, digest in output_digest(*default_inputs()).items():
+    runs = [] if argv[2:] else None
+    for family, digest in output_digest(*default_inputs(), runs=runs).items():
         print(family, digest)
+    for index, digest in enumerate(runs or []):
+        print("analyze", index, digest)
     return 0
 
 
