@@ -91,8 +91,7 @@ class MapOperator:
     def _spectrum(self) -> tuple[np.ndarray, np.ndarray]:
         """``np.linalg.eigh`` of the Hermitian part of the block matrix, as read-only arrays:
         ascending eigenvalues w and orthonormal eigenvectors u; the one eigendecomposition of C."""
-        # halved before the sum, so that entries near the float maximum cannot overflow
-        w, u = np.linalg.eigh(0.5 * self.choi + 0.5 * self.choi.conj().T)
+        w, u = np.linalg.eigh(_hermitize(self.choi))
         w.setflags(write=False)
         u.setflags(write=False)
         return w, u
@@ -169,7 +168,8 @@ class SearchOutcome:
 
 
 def _hermitize(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + m.conj().T)
+    # halved before the sum, so that entries near the float maximum cannot overflow
+    return 0.5 * m + 0.5 * m.conj().T
 
 
 def choi_spectral_scale(phi: MapOperator) -> float:

@@ -38,7 +38,11 @@ cached ``eigh``), not from how the map was written down, trying in order:
    has numerical rank 1 with a positive eigenvalue lambda (eigenvector u),
    Phi is the (untransposed, or else transposed) conjugation by
    V = conj(sqrt(lambda) u) reshaped n x m, and the analytic route runs on
-   that V, whatever kind of document wrote the map.
+   that V, whatever kind of document wrote the map.  The eigenvalues left
+   out of V bound the residual of each of its pairs under Phi, so the
+   route is taken only when all of them are within the admission
+   threshold; a map of rank 1 at a larger ``rank_rel_tol`` but not there
+   goes on to the harvest.
 3. Anything else: the harvest.
 
 Both routes evaluate Phi(|conj(x)><conj(x)|) once per point x, for all of
@@ -258,14 +262,16 @@ def find_zeros(phi: MapOperator, seed: int = 0, starts: int | None = None, tol: 
     """
     n, m = phi.dim_in, phi.dim_out
     budget = _budget(phi, starts)
+    thr = DEFAULT_TOL.residual_rel_tol * choi_spectral_scale(phi)
     w, u = phi._spectrum
-    if w[0] > DEFAULT_TOL.residual_rel_tol * choi_spectral_scale(phi):
+    if w[0] > thr:
         return ZeroSet.from_pairs(n, m, [], saturated=budget >= _STALL_BUDGET)
     for transposed in (False, True):
         if transposed:
             w, u = np.linalg.eigh(phi.choi.reshape(n, m, n, m).transpose(2, 1, 0, 3).reshape(n * m, n * m))
-        # rank 1 with a positive kept eigenvalue: the kept one is then the last
-        if w[-1] > -w[0] and _rank_from_eigenvalues(w, tol) == 1:
+        # rank 1 with a positive kept eigenvalue, the kept one then the last; the discarded ones
+        # bound the residuals of the pairs of V, so they must be within admission too
+        if w[-1] > -w[0] and max(-w[0], w[-2]) <= thr and _rank_from_eigenvalues(w, tol) == 1:
             v = np.conj(np.sqrt(w[-1]) * u[:, -1]).reshape(n, m)
             return _conjugation_zeros(phi, v, transposed, tol)
     return harvest_zeros(phi, seed=seed, starts=starts)

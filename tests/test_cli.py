@@ -700,3 +700,21 @@ def test_a_conjugation_is_saturated_whatever_the_harvest_budget(tmp_path, capsys
     # --starts budgets the harvest, which a conjugation no longer runs
     assert main(["analyze", transpose_doc(tmp_path), "--starts", "5"]) == 0
     assert "zero pairs kept: 6 (saturated: yes)" in capsys.readouterr().out
+
+
+def test_a_block_matrix_of_rank_1_only_at_a_coarse_tol_is_harvested(tmp_path, capsys):
+    # C = vv* + 1e-4 ww* has rank 1 under --tol 1e-3, but the analytic route on the V of vv*
+    # admits none of its pairs (residuals near 1e-4 * scale); the harvest finds the zeros in
+    # ker C, which span nm - 2 = 4
+    rng = np.random.default_rng(11)
+    v, w = (rng.standard_normal(6) + 1j * rng.standard_normal(6) for _ in range(2))
+    v /= np.linalg.norm(v)
+    w -= (v.conj() @ w) * v
+    w /= np.linalg.norm(w)
+    choi = np.outer(v, v.conj()) + 1e-4 * np.outer(w, w.conj())
+    doc = write_doc(tmp_path, "doc.json", {"kind": "choi", "dim_in": 2, "dim_out": 3, "payload": matrix_to_payload(choi)})
+    report = tmp_path / "report.json"
+    assert main(["analyze", doc, "--tol", "1e-3", "--json", str(report)]) == 0
+    summary = json.loads(report.read_text())["zero_set_summary"]
+    assert summary["saturated"] and summary["pairs"] > 0 and summary["weak_span_dim"] == 4
+    assert "(saturated: yes)" in capsys.readouterr().out

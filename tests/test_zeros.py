@@ -16,7 +16,7 @@ import mapcert.zeros
 from mapcert.documents import parse_map_file, to_map_operator
 from mapcert.errors import ZeroOperator
 from mapcert.experiments import random_rank_operator, sweep_cells
-from mapcert.linalg import DEFAULT_TOL
+from mapcert.linalg import DEFAULT_TOL, ToleranceConfig
 from mapcert.maps import (
     _alternating_descent,
     _normalize,
@@ -316,6 +316,32 @@ def test_find_zeros_runs_no_descent_on_a_positive_definite_block_matrix(monkeypa
 def test_find_zeros_rejects_an_empty_budget():
     with pytest.raises(ValueError):
         find_zeros(positive_definite_map(2, 2, 0), starts=0)
+
+
+@pytest.mark.parametrize("eps, rank_rel_tol", [(5e-9, 1e-8), (1e-4, 1e-3)])
+def test_find_zeros_harvests_a_rank_1_block_matrix_whose_other_eigenvalue_fails_admission(monkeypatch, eps, rank_rel_tol):
+    # C = vv* + eps ww* has rank 1 at rank_rel_tol, but eps is above admission (1e-9 * scale):
+    # the pairs of the V read off vv* have residuals up to eps * scale (at 1e-4 the analytic
+    # route admitted none of them), while the genuine zeros span ker C, of dimension nm - 2
+    rng = np.random.default_rng(11)
+    n, m = 2, 3
+    v = _normalize(rng.standard_normal(n * m) + 1j * rng.standard_normal(n * m))
+    w = rng.standard_normal(n * m) + 1j * rng.standard_normal(n * m)
+    w = _normalize(w - (v.conj() @ w) * v)
+    phi = MapOperator(n, m, np.outer(v, v.conj()) + eps * np.outer(w, w.conj()))
+
+    def no_conjugation(*args):
+        raise AssertionError("the conjugation route ran")
+
+    harvest = mapcert.zeros.harvest_zeros
+    harvested = []
+    monkeypatch.setattr(mapcert.zeros, "_conjugation_zeros", no_conjugation)
+    monkeypatch.setattr(mapcert.zeros, "harvest_zeros", lambda *a, **k: harvested.append(a) or harvest(*a, **k))
+    zs = find_zeros(phi, seed=0, tol=ToleranceConfig(rank_rel_tol))
+    assert len(harvested) == 1
+    reference = harvest(phi, seed=0)
+    assert [(p.x.tobytes(), p.h.tobytes()) for p in zs.pairs] == [(p.x.tobytes(), p.h.tobytes()) for p in reference.pairs]
+    assert zs.saturated and weak_span_dim(zs) >= n * m - 2
 
 
 def perfbench_maps(kinds):

@@ -1,14 +1,15 @@
 """Output-equivalence digest of one mapcert source tree.
 
-    python tools/output_digest.py SRC [--runs]
+    python tools/output_digest.py SRC
 
 imports mapcert from the directory SRC (a tree's ``src/``) and prints one
 SHA-256 per output family, as ``family digest`` lines, over what the
-program outputs on a fixed input set.  With ``--runs`` it then prints one
+program outputs on a fixed input set.  After those six lines it prints one
 ``analyze <index> <digest>`` line per analyze run, over that run's inputs,
 outputs and report bytes, so that a diff of two trees' listings names the
 runs whose bytes moved (the index is the run's position in the document
-list of ``default_inputs``).  The families are:
+list of ``default_inputs``); ``head -6`` keeps the families alone.  The
+families are:
 
 * ``sweep``: ``mapcert sweep`` at seeds 0 and 3 and with ``--n-range 2
   --m-range 2..3``: stdout, stderr and exit code;
@@ -215,7 +216,7 @@ def default_inputs():
 
 
 def main(argv) -> int:
-    if len(argv) not in (2, 3) or argv[2:] not in ([], ["--runs"]):
+    if len(argv) != 2:
         print(__doc__, file=sys.stderr)
         return 2
     src = Path(argv[1]).resolve()
@@ -225,10 +226,10 @@ def main(argv) -> int:
     if Path(mapcert.__file__).resolve().parent != src / "mapcert":
         print(f"error: mapcert was imported from {mapcert.__file__}, not {src}", file=sys.stderr)
         return 2
-    runs = [] if argv[2:] else None
+    runs = []
     for family, digest in output_digest(*default_inputs(), runs=runs).items():
         print(family, digest)
-    for index, digest in enumerate(runs or []):
+    for index, digest in enumerate(runs):
         print("analyze", index, digest)
     return 0
 
