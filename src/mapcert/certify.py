@@ -5,6 +5,11 @@ optimality, and a full strong span plus irreducibility on the image
 certifies exposedness.  When the test quantity falls short the verdict is
 Inconclusive, never a refutation: the conditions are sufficient only, and
 there are exposed maps (rank-deficient conjugations) that fail them.
+
+Irreducibility is decided on the map compressed to the image of Phi(1),
+a -> Q^H Phi(a) Q, whose commutant is screened by the eigenvalues of a small
+Gram operator; the commutant of the whole map (``commutant_basis``) is not
+solved on that path.
 """
 
 from __future__ import annotations
@@ -15,14 +20,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import CrossCheckError, DimensionMismatch, EmptyZeroSet
-from .linalg import (
-    DEFAULT_TOL,
-    ToleranceConfig,
-    _rank_from_singular_values,
-    kernel_basis,
-    span_dimension,
-)
-from .maps import MapOperator, _cp_rank, _image_table, apply
+from .linalg import DEFAULT_TOL, ToleranceConfig, _rank_from_singular_values, kernel_basis
+from .maps import MapOperator, _cp_rank, _image_table, _unit_image, apply
 from .zeros import ZeroSet, strong_span_dim, weak_span_dim
 
 __all__ = [
@@ -54,7 +53,9 @@ class Certificate:
     dimension the condition demands; Certified requires exact equality (and,
     for the Exposed claim, irreducibility on the image).  ``irreducible``
     (trivial commutant on all of M_m) is reported beside it for the Exposed
-    claim, from the same commutant solve; it does not enter the verdict.
+    claim: irreducibility on the image with Phi(1) of full rank, since the
+    commutant of a positive map is that of its compression plus M_(m-r).
+    It does not enter the verdict.
     The note records the standing caveats of the check, chiefly that
     positivity of the input is only ever verified heuristically.
     """
@@ -105,29 +106,29 @@ class IntertwinerSpace:
     basis: list[np.ndarray]
 
 
-def _kron_stacks(phi: MapOperator) -> tuple[np.ndarray, np.ndarray]:
-    """G kron 1 and 1 kron G^T for every image G = Phi(E_ij), row-major in (i, j).
+def _kron_stacks(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """G kron 1 and 1 kron G^T for every image G = table[i, j], row-major in (i, j).
 
     Both are (n, n, m, m, m, m) arrays indexed (i, j, row a, row b, col c,
     col d), each Kronecker product broadcast as np.kron forms it.  The
     commutant and intertwiner conditions are complex-linear in the argument
     a, so the matrix units E_ij give the same solution spaces as a Hermitian
-    basis, and the images are read from the map's table, not evaluated.
+    basis, and the images are read from a table (the map's, or its
+    compression), not evaluated.
     """
-    table = _image_table(phi)
-    eye = np.eye(phi.dim_out, dtype=complex)
+    eye = np.eye(table.shape[-1], dtype=complex)
     # C order, so that the stacks reshape into systems without a copy
     kron_g_1 = np.multiply(table[:, :, :, None, :, None], eye[:, None, :], order="C")
     kron_1_gt = np.multiply(eye[:, None, :, None], table.swapaxes(2, 3)[:, :, None, :, None, :], order="C")
     return kron_g_1, kron_1_gt
 
 
-def _commutant_system(phi: MapOperator) -> np.ndarray:
-    """The stacked n^2 m^2 x m^2 commutator system of ``commutant_basis``."""
+def _commutant_system(table: np.ndarray) -> np.ndarray:
+    """The stacked n^2 m^2 x m^2 commutator system of the images in an (n, n, m, m) table."""
     # row-major vec: vec(GX - XG) = (G kron 1 - 1 kron G^T) vec(X), built in place
-    system, kron_1_gt = _kron_stacks(phi)
+    system, kron_1_gt = _kron_stacks(table)
     system -= kron_1_gt
-    return system.reshape(-1, phi.dim_out**2)
+    return system.reshape(-1, table.shape[-1] ** 2)
 
 
 def commutant_basis(phi: MapOperator, tol: ToleranceConfig = DEFAULT_TOL) -> list[np.ndarray]:
@@ -138,22 +139,32 @@ def commutant_basis(phi: MapOperator, tol: ToleranceConfig = DEFAULT_TOL) -> lis
     contains the identity, so the result is nonempty.
     """
     m = phi.dim_out
-    cols = kernel_basis(_commutant_system(phi), tol)
+    cols = kernel_basis(_commutant_system(_image_table(phi)), tol)
     return [cols[:, k].reshape(m, m) for k in range(cols.shape[1])]
 
 
-def _unit_image(phi: MapOperator, tol: ToleranceConfig) -> tuple[int, np.ndarray]:
-    """Rank of Phi(1) and the orthogonal projector onto its image, from one SVD."""
-    u, s, _ = np.linalg.svd(apply(phi, np.eye(phi.dim_in, dtype=complex)), full_matrices=False)
-    u = u[:, : _rank_from_singular_values(s, tol)]
-    return u.shape[1], u @ u.conj().T
+def _irreducible_on_image(g: np.ndarray, tol: ToleranceConfig) -> bool:
+    """Whether the compressed images g[i, j] = Q^H Phi(E_ij) Q have only scalars as commutant.
 
-
-def _irreducibility(phi: MapOperator, p: np.ndarray, tol: ToleranceConfig) -> tuple[bool, bool]:
-    # Both flags from one commutant solve; p projects onto the image of Phi(1).
-    basis = commutant_basis(phi, tol)
-    compressed = np.column_stack([(p @ x @ p).ravel() for x in basis])
-    return len(basis) == 1, span_dimension(compressed, tol) == 1
+    The Gram operator L = A^H A of their commutator system A is S kron 1 +
+    1 kron conj(S') - K - K^H, with S = sum G^H G, S' = sum G G^H and
+    K = sum G kron conj(G).  The identity spans a kernel direction, so
+    lambda_2(L) > gate^2 lambda_max(L), gate = max(rank_rel_tol, 1e-6), proves
+    the kernel one-dimensional.  L cannot resolve singular values below about
+    sqrt(eps) sigma_max, so under the gate the SVD of A counts the kernel.
+    """
+    r = g.shape[-1]
+    if r <= 1:
+        return r == 1
+    gc = g.conj()
+    s_in, s_out = np.einsum("ijba,ijbc->ac", gc, g), np.einsum("ijab,ijcb->ac", g, gc)
+    k = np.einsum("ijac,ijbd->abcd", g, gc).reshape(r * r, r * r)
+    eye = np.eye(r)
+    gram = s_in[:, None, :, None] * eye[:, None] + eye[:, None, :, None] * s_out.conj()[:, None]
+    w = np.linalg.eigvalsh(gram.reshape(r * r, r * r) - k - k.conj().T)
+    if w[1] > max(tol.rank_rel_tol, 1e-6) ** 2 * w[-1]:
+        return True
+    return kernel_basis(_commutant_system(g), tol).shape[1] == 1
 
 
 def intertwiner_space(phi: MapOperator, tol: ToleranceConfig = DEFAULT_TOL) -> IntertwinerSpace:
@@ -168,7 +179,7 @@ def intertwiner_space(phi: MapOperator, tol: ToleranceConfig = DEFAULT_TOL) -> I
     # row-major vec: vec(X G) = A vec(X) with A = 1 kron G^T, and vec(G X^H) =
     # B conj(vec X) with B = G kron 1 read at column pair (d, c) for (c, d).
     # With vec X = u + iv the defect is (A - B) u + i (A + B) v, split into parts.
-    kron_g_1, a = _kron_stacks(phi)
+    kron_g_1, a = _kron_stacks(_image_table(phi))
     b = kron_g_1.swapaxes(4, 5)
     minus, plus = (a - b).reshape(-1, m * m), (a + b).reshape(-1, m * m)
     system = np.block([[minus.real, -plus.imag], [minus.imag, plus.real]])
@@ -235,14 +246,17 @@ def certify_exposed(phi: MapOperator, zs: ZeroSet, tol: ToleranceConfig = DEFAUL
     _check_compatible(phi, zs)
     n, m = phi.dim_in, phi.dim_out
     measured = strong_span_dim(zs, tol)
-    unit_rank, unit_projector = _unit_image(phi, tol)
+    lam, q = _unit_image(phi, tol)
+    unit_rank = len(lam)
     required = n * n * m - unit_rank
     if measured > required:
         raise CrossCheckError(
             f"strong span {measured} exceeds the kernel ceiling {required}; "
             "the zero set contains non-zeros or the rank tolerance is off"
         )
-    irreducible, irreducible_on_image = _irreducibility(phi, unit_projector, tol)
+    # comm(Phi) = comm(Q^H Phi Q) (+) M_(m-r), as every image of a positive map lies in that of Phi(1)
+    irreducible_on_image = _irreducible_on_image(q.conj().T @ _image_table(phi) @ q, tol)
+    irreducible = irreducible_on_image and unit_rank == m
     stable = len(zs.pairs) == measured
     verdict = CERTIFIED if (measured == required and irreducible_on_image and stable) else INCONCLUSIVE
     note = _POSITIVITY_NOTE

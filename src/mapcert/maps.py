@@ -235,6 +235,15 @@ def cp_map_from_kraus(kraus) -> MapOperator:
     return _from_blocks(sum(k.T[:, :, None, None] * k.conj().T[None, None, :, :] for k in ops))
 
 
+def _unit_image(phi: MapOperator, tol: ToleranceConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The one rank decision on Phi(1): its eigenvalues lam whose modulus (a singular value)
+    exceeds rank_rel_tol times the largest, ascending, and their orthonormal eigenvectors Q,
+    a basis of the image, from one eigh."""
+    w, v = np.linalg.eigh(_hermitize(apply(phi, np.eye(phi.dim_in))))
+    keep = np.abs(w) > tol.rank_rel_tol * np.max(np.abs(w))
+    return w[keep], v[:, keep]
+
+
 def unital_normalization(phi: MapOperator, tol: ToleranceConfig = DEFAULT_TOL) -> NormalForm:
     """Factor Phi through a unital map on the image of Phi(1).
 
@@ -244,22 +253,16 @@ def unital_normalization(phi: MapOperator, tol: ToleranceConfig = DEFAULT_TOL) -
     maps that are positive (the caller's obligation, checked heuristically
     elsewhere); a negative eigenvalue of A beyond tolerance is rejected.
     """
-    a = _hermitize(apply(phi, np.eye(phi.dim_in)))
-    eigvals, eigvecs = np.linalg.eigh(a)
-    top = float(eigvals[-1])
-    if top <= 0 or not np.any(eigvals > tol.rank_rel_tol * max(abs(eigvals[0]), top)):
+    lam, q = _unit_image(phi, tol)
+    if not np.any(lam > 0):
         raise ZeroMap("the map sends the identity to zero")
-    if eigvals[0] < -tol.rank_rel_tol * top:
+    if np.any(lam < 0):
         raise ValueError("Phi(1) has a negative eigenvalue; map is not positive")
-    keep = eigvals > tol.rank_rel_tol * top
-    lam = eigvals[keep]
-    q = eigvecs[:, keep]
-    k = int(lam.shape[0])
     inv_sqrt = 1.0 / np.sqrt(lam)
     images = q.conj().T @ _image_table(phi) @ q  # images[i, j] = Q^H Phi(E_ij) Q
     unital_part = _from_blocks(((inv_sqrt[:, None] * images) * inv_sqrt[None, :]).transpose(0, 2, 1, 3))
     bridge = np.sqrt(lam)[:, None] * q.conj().T
-    return NormalForm(bridge=bridge, unital_part=unital_part, image_dim=k)
+    return NormalForm(bridge=bridge, unital_part=unital_part, image_dim=len(lam))
 
 
 def _cp_rank(phi: MapOperator, tol: ToleranceConfig = DEFAULT_TOL) -> int | None:

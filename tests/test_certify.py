@@ -1,3 +1,7 @@
+import json
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -16,7 +20,9 @@ from mapcert.certify import (
     exposedness_functional,
     intertwiner_space,
 )
+from mapcert.documents import parse_map_file, to_map_operator
 from mapcert.errors import CrossCheckError, DimensionMismatch, EmptyZeroSet
+from mapcert.linalg import image_projector, span_dimension
 from mapcert.maps import (
     apply,
     cp_map_from_kraus,
@@ -75,7 +81,7 @@ def test_commutant_system_equals_kron_form_bitwise(n, m):
             for g in (apply(phi, e) for e in matrix_units(n))
         ]
     )
-    assert np.array_equal(_commutant_system(phi), expected)
+    assert np.array_equal(_commutant_system(mapcert.maps._image_table(phi)), expected)
 
 
 def test_commutant_contains_identity_direction():
@@ -114,7 +120,8 @@ def test_irreducible_on_image_for_thin_conjugation():
     assert irreducible_on_image(phi)
 
 
-def test_direct_sum_is_reducible_even_on_image():
+def direct_sum_blocks():
+    """Block array of a -> a^T (+) a^T, from M_2 into M_4: unital, reducible."""
     base = from_conjugation(np.eye(2), transposed=True)
     images = []
     for i in range(2):
@@ -125,9 +132,70 @@ def test_direct_sum_is_reducible_even_on_image():
             block[:2, :2] = apply(base, e)
             block[2:, 2:] = apply(base, e)
             images.append(block)
-    phi = mapcert.maps._from_blocks(np.array(images).reshape(2, 2, 4, 4).transpose(0, 2, 1, 3))
+    return np.array(images).reshape(2, 2, 4, 4).transpose(0, 2, 1, 3)
+
+
+def test_direct_sum_is_reducible_even_on_image():
+    phi = mapcert.maps._from_blocks(direct_sum_blocks())
     assert len(commutant_basis(phi)) != 1
     assert not irreducible_on_image(phi)
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-7])
+def test_commutant_svd_decides_below_the_gram_screen(eps, monkeypatch):
+    # eps = 0: the exact direct sum, whose commutant is M_2 (x) 1.  eps = 1e-7:
+    # plus a small irreducible CP map, which leaves the commutant's second
+    # singular value between rank_rel_tol and the screen's gate, so only the
+    # SVD can count it
+    rng = np.random.default_rng(3)
+    noise = cp_map_from_kraus([ginibre(rng, 4, 2) for _ in range(2)])
+    phi = mapcert.maps._from_blocks(direct_sum_blocks() + eps * noise.choi.reshape(2, 4, 2, 4))
+    solves = []
+    kernel_basis = mapcert.certify.kernel_basis
+    monkeypatch.setattr(mapcert.certify, "kernel_basis", lambda *a: solves.append(a) or kernel_basis(*a))
+    cert = certify_exposed(phi, ZeroSet.from_pairs(2, 4, [], True))
+    assert len(solves) == 1
+    monkeypatch.undo()
+    assert cert.irreducible_on_image == cert.irreducible == (len(commutant_basis(phi)) == 1) == (eps > 0)
+
+
+def test_zero_unit_image_is_reducible():
+    # Phi(a) = tr(a sigma_z) sigma_x: Hermiticity preserving, with Phi(1) = 0
+    sigma_x = np.array([[0, 1], [1, 0]], dtype=complex)
+    blocks = np.zeros((2, 2, 2, 2), dtype=complex)
+    blocks[0, :, 0, :], blocks[1, :, 1, :] = sigma_x, -sigma_x
+    cert = certify_exposed(mapcert.maps._from_blocks(blocks), ZeroSet.from_pairs(2, 2, [], True))
+    assert (cert.irreducible, cert.irreducible_on_image) == (False, False)
+    assert cert.required_dim == 8
+
+
+def benchmark_maps():
+    """The map of each perfbench analyze-mixed entry except negated-cp, and of
+    each analyze-large entry, at seeds 1 and 2: 52 maps."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    specs = [spec for spec in workloads.MIXED + workloads.LARGE if spec[0] != "negated-cp"]
+    for seed in (1, 2):
+        for index, spec in enumerate(specs):
+            document = workloads.make_document(np.random.default_rng([seed, index]), *spec)
+            yield spec, to_map_operator(parse_map_file(json.dumps(document)))
+
+
+def test_irreducibility_flags_agree_with_the_full_commutant_on_the_benchmark_maps():
+    # the reference rule: the commutant of the whole map on M_m, its basis
+    # compressed by the projector onto the image of Phi(1)
+    checked = 0
+    for spec, phi in benchmark_maps():
+        basis = commutant_basis(phi)
+        p = image_projector(apply(phi, np.eye(phi.dim_in)))
+        on_image = span_dimension(np.column_stack([(p @ x @ p).ravel() for x in basis])) == 1
+        cert = certify_exposed(phi, ZeroSet.from_pairs(phi.dim_in, phi.dim_out, [], True))
+        assert (cert.irreducible, cert.irreducible_on_image) == (len(basis) == 1, on_image), spec
+        checked += 1
+    assert checked == 52
 
 
 @pytest.mark.parametrize(

@@ -190,14 +190,15 @@ def test_analyze_prepares_the_map_once(tmp_path, monkeypatch, capsys):
     # read from the block matrix's one eigh, and the route decision adds the
     # eigh of its partial transpose (rank 1: a transposed conjugation); SVDs:
     # the conjugation route's V (read off that rank-1 spectrum) and its two
-    # row-kernel batches (base grid, filler), then weak span, strong span,
-    # Phi(1) (its rank and its image projector), the commutant, the
-    # compressed commutant
+    # row-kernel batches (base grid, filler), then weak span and strong span;
+    # none for irreducibility: Phi(1) is decomposed by one m x m eigh, and the
+    # eigvalsh of the compressed map's Gram operator proves its commutant
+    # trivial, so no commutant SVD runs
     assert counts.conjugations == 1
     assert counts.operators == [(2, 3)]
     assert counts.scales == 0
     assert counts.spectra == 2
-    assert counts.svds == 8
+    assert counts.svds == 5
 
 
 def test_sweep_prepares_each_cell_map_once(monkeypatch, capsys):
