@@ -237,8 +237,10 @@ def certify_exposed(phi: MapOperator, zs: ZeroSet, tol: ToleranceConfig = DEFAUL
 
     The ceiling is n^2 m - rank Phi(1): strong vectors always lie in the
     kernel of the operator a (x) h -> Phi(a) h, whose rank equals the rank of
-    Phi(1).  A measured dimension above the ceiling is impossible for genuine
-    zeros and raises CrossCheckError instead of certifying.  The kept pairs
+    Phi(1).  When Phi is completely positive, each strong vector is
+    conj(x) (x) (x (x) h) with x (x) h in ker C, so the span is also at most
+    n (nm - rank C).  A measured dimension above either ceiling is impossible
+    for genuine zeros and raises CrossCheckError instead of certifying.  The kept pairs
     were admitted one by one as independent strong vectors; when their count
     differs from the measured dimension the rank decision is fragile, and
     the verdict is Inconclusive.
@@ -253,6 +255,12 @@ def certify_exposed(phi: MapOperator, zs: ZeroSet, tol: ToleranceConfig = DEFAUL
         raise CrossCheckError(
             f"strong span {measured} exceeds the kernel ceiling {required}; "
             "the zero set contains non-zeros or the rank tolerance is off"
+        )
+    cp_rank = _cp_rank(phi, tol)
+    if cp_rank is not None and measured > n * (n * m - cp_rank):
+        raise CrossCheckError(
+            f"strong span {measured} exceeds the strong ceiling {n * (n * m - cp_rank)} = n(nm - rank C) "
+            "of a completely positive map; the zero set contains non-zeros or the rank tolerance is off"
         )
     # comm(Phi) = comm(Q^H Phi Q) (+) M_(m-r), as every image of a positive map lies in that of Phi(1)
     irreducible_on_image = _irreducible_on_image(q.conj().T @ _image_table(phi) @ q, tol)

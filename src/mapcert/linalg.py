@@ -100,14 +100,16 @@ def kernel_basis(matrix, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
 
 
 def _row_kernels(rows: np.ndarray, ref: float, tol: ToleranceConfig) -> list[np.ndarray]:
-    """Kernel basis (as columns) of each row of a K x m array, from one stacked SVD.
+    """Kernel basis (as columns) of each row of a K x m array, or of each k x m block of a
+    (K, k, m) array, from one stacked SVD.
 
-    A row of norm at most ``rank_rel_tol * ref`` is free: its kernel is all of
-    C^m.  Each other row is cut bitwise as ``kernel_basis`` cuts it alone.
+    A row (block) of norm at most ``rank_rel_tol * ref`` is free: its kernel is all of
+    C^m.  Each other one is cut bitwise as ``kernel_basis`` cuts it alone.
     """
-    free = np.linalg.norm(rows, axis=1) <= tol.rank_rel_tol * ref
-    kernels = [np.eye(rows.shape[1], dtype=complex)] * rows.shape[0]
-    _, s, vh = np.linalg.svd(rows[~free, None, :], full_matrices=True)
+    blocks = rows if rows.ndim == 3 else rows[:, None, :]
+    free = np.linalg.norm(blocks, axis=(1, 2)) <= tol.rank_rel_tol * ref
+    kernels = [np.eye(rows.shape[-1], dtype=complex)] * rows.shape[0]
+    _, s, vh = np.linalg.svd(blocks[~free], full_matrices=True)
     for i, s_i, vh_i in zip(np.flatnonzero(~free), s, vh):
         kernels[i] = vh_i[_rank_from_singular_values(s_i, tol):].conj().T
     return kernels

@@ -43,9 +43,26 @@ cached ``eigh``), not from how the map was written down, trying in order:
    route is taken only when all of them are within the admission
    threshold; a map of rank 1 at a larger ``rank_rel_tol`` but not there
    goes on to the harvest.
-3. Anything else: the harvest.
+3. Kraus stack: when C, or else its partial transpose, has numerical rank
+   k >= 2 under the same conditions, Phi(a) = sum_s K_s a K_s^H (or
+   K_s a^T K_s^H) with K_s = sqrt(lambda_s) u_s reshaped n x m and
+   transposed.  With y = conj(x) (transposed: y = x), (x, h) is a zero iff
+   h^H M(y) = 0 for M(y) = [K_1 y ... K_k y], m x k, of rank r at a generic
+   point.  If r < m, every x has partners: random points are drawn and
+   their left kernels cut by one stacked ``_row_kernels`` solve.  If r = m,
+   M(y) R (R = 1 at k = m, else a fixed random k x m matrix) is singular at
+   every zero, so on a line y = a + t b the zeros lie among the roots of
+   det(A + tB) = 0, the eigenvalues of -B^-1 A.  At n = 2 one line is all
+   of P^1 (with t = infinity, the point b): when no root is a zero the set
+   is proven empty, reported as a zero-free map is.  At n >= 3 with k = m,
+   random lines are drawn until a stall window admits nothing.  Points
+   where M drops below its generic rank are not sought; missing zeros can
+   only lower the spans.  k > m at n >= 3 goes on to the harvest.  Points
+   and lines come from a fixed generator, and every loop is capped at
+   n^2 m + window draws, the most a growing span can use.
+4. Anything else: the harvest.
 
-Both routes evaluate Phi(|conj(x)><conj(x)|) once per point x, for all of
+Every route evaluates Phi(|conj(x)><conj(x)|) once per point x, for all of
 its partners h, and offer every candidate with its residual to one
 admission object.  It keeps a pair only if the residual is within
 residual_rel_tol times the spectral scale of the map and the strong vector
@@ -60,9 +77,9 @@ span dimensions reported by ``weak_span_dim`` and ``strong_span_dim`` come
 from one SVD of those rows at the shared relative threshold
 ``rank_rel_tol``.  On exact zeros the strong count equals the number of
 kept pairs; ``certify_exposed`` issues no certificate when the two differ.
-Both routes stop by one rule, ``_saturates``: a window of consecutive
-starts or filler points that admit nothing ends the search, and nothing is
-drawn after it.
+Every search stops by one rule, ``_saturates``: a window of consecutive
+starts, filler points, points or lines that admit nothing ends it, and
+nothing is drawn after it.
 """
 
 from __future__ import annotations
@@ -255,10 +272,12 @@ def _budget(phi: MapOperator, starts: int | None) -> int:
 def find_zeros(phi: MapOperator, seed: int = 0, starts: int | None = None, tol: ToleranceConfig = DEFAULT_TOL) -> ZeroSet:
     """The zero set of Phi by the route its Choi spectrum proves (see the module docstring).
 
-    ``seed`` and ``starts`` are the harvest's.  A map proven zero-free reports
+    ``seed`` and ``starts`` are the harvest's; the other routes use neither.
+    A map proven zero-free, by its spectrum or by the P^1 pencil, reports
     ``saturated`` as the harvest would: all of its starts fail, so it
     saturates exactly when its budget reaches ``_STALL_BUDGET``.  ``tol``
-    decides the rank-1 test of the conjugation route and that route's ranks.
+    decides the rank k of C (or of its partial transpose) that picks the
+    conjugation (k = 1) or Kraus (k >= 2) route, and those routes' ranks.
     """
     n, m = phi.dim_in, phi.dim_out
     budget = _budget(phi, starts)
@@ -269,11 +288,18 @@ def find_zeros(phi: MapOperator, seed: int = 0, starts: int | None = None, tol: 
     for transposed in (False, True):
         if transposed:
             w, u = np.linalg.eigh(phi.choi.reshape(n, m, n, m).transpose(2, 1, 0, 3).reshape(n * m, n * m))
-        # rank 1 with a positive kept eigenvalue, the kept one then the last; the discarded ones
-        # bound the residuals of the pairs of V, so they must be within admission too
-        if w[-1] > -w[0] and max(-w[0], w[-2]) <= thr and _rank_from_eigenvalues(w, tol) == 1:
-            v = np.conj(np.sqrt(w[-1]) * u[:, -1]).reshape(n, m)
-            return _conjugation_zeros(phi, v, transposed, tol)
+        # k kept eigenvalues, the top ones and all positive; the discarded ones bound the
+        # residuals of the pairs of the Kraus stack, so they must be within admission too
+        k = _rank_from_eigenvalues(w, tol)
+        if k < n * m and w[-k] > -w[0] and max(-w[0], w[-k - 1]) <= thr:
+            if k == 1:
+                v = np.conj(np.sqrt(w[-1]) * u[:, -1]).reshape(n, m)
+                return _conjugation_zeros(phi, v, transposed, tol)
+            # K_s = sqrt(lambda_s) u_s reshaped n x m and transposed, stacked (k, m, n)
+            stack = (np.sqrt(w[-k:]) * u[:, -k:]).T.reshape(k, n, m).transpose(0, 2, 1)
+            zs = _kraus_zeros(phi, stack, transposed, tol, budget)
+            if zs is not None:
+                return zs
     return harvest_zeros(phi, seed=seed, starts=starts)
 
 
@@ -380,6 +406,61 @@ def _conjugation_zeros(phi: MapOperator, v: np.ndarray, transposed: bool, tol: T
     filler = np.array([_random_unit(ext_rng, n) for _ in range(3 * base_points)])
     produced = (admission.offer_all(_point_candidates(phi, x, hs)) for x, hs in frame_points(filler))
     return admission.zero_set(saturated=_saturates(produced, max(4, n)))
+
+
+# A pencil line whose B has sigma_min at or below this times sigma_max is redrawn: the
+# eigenvalues of -B^-1 A would be too inexact for the kernel cut at their points.
+_PENCIL_GATE = 1e-4
+
+
+def _kraus_zeros(phi: MapOperator, stack: np.ndarray, transposed: bool, tol: ToleranceConfig, budget: int) -> ZeroSet | None:
+    """Exact zero pairs of Phi(a) = sum_s K_s a K_s^H (``transposed``: K_s a^T K_s^H) from the (k, m, n)
+    Kraus stack, or None when no exact route applies (see the module docstring).
+
+    With y = conj(x) (``transposed``: y = x), (x, h) is a zero iff h^H M(y) = 0 for the m x k matrix
+    M(y) = [K_1 y ... K_k y]; the route is picked by the rank r of M at a generic point.
+    """
+    k, m, n = stack.shape
+    admission = _Admission(n, m, tol.residual_rel_tol * choi_spectral_scale(phi))
+    rng = np.random.default_rng(_EXTENSION_SEED)
+    window = max(4, n)
+    cap = n * n * m + window  # each productive point or line grows a span of dimension <= n^2 m
+    ref = np.linalg.norm(stack[-1])
+
+    def partners(ys):
+        """Each point y as its x, with the left kernel of M(y) as columns; all cut by one stacked SVD."""
+        ys = ys / np.linalg.norm(ys, axis=1, keepdims=True)
+        kernels = _row_kernels(np.einsum("smn,pn->psm", stack, ys).conj(), ref, tol)
+        return [(y if transposed else y.conj(), hs.T) for y, hs in zip(ys, kernels)]
+
+    def image_of(y):  # M(y)
+        return np.einsum("smn,n->ms", stack, y)
+
+    r = _rank_from_singular_values(np.linalg.svd(image_of(_random_unit(rng, n)), compute_uv=False), tol)
+    if r < m:  # every x has partners: row kernels at random points
+        points = partners(np.array([_random_unit(rng, n) for _ in range(cap)]))
+        offered = (admission.offer_all(_point_candidates(phi, x, hs)) for x, hs in points)
+        return admission.zero_set(saturated=_saturates(offered, window))
+    if n < 2 or (n > 2 and k > m):
+        return None
+    # det(M(y) R) = 0 on a line y = a + t b: the roots t are the eigenvalues of -B^-1 A
+    right = np.eye(k, m) if k == m else rng.standard_normal((k, m)) + 1j * rng.standard_normal((k, m))
+
+    def lines():
+        for _ in range(cap):
+            a, b = _random_unit(rng, n), _random_unit(rng, n)
+            pa, pb = image_of(a) @ right, image_of(b) @ right
+            s = np.linalg.svd(pb, compute_uv=False)
+            if s[-1] > _PENCIL_GATE * s[0]:
+                ys = a + np.linalg.eigvals(-np.linalg.solve(pb, pa))[:, None] * b
+                points = partners(np.vstack([ys, b]) if n == 2 else ys)
+                yield any([admission.offer_all(_point_candidates(phi, x, hs)) for x, hs in points])
+
+    if n > 2:
+        return admission.zero_set(saturated=_saturates(lines(), window))
+    # n = 2: the line is all of P^1, and t = infinity is b; no root passing proves the set empty
+    found = next(lines(), None)
+    return admission.zero_set(saturated=found is not None and (found or budget >= _STALL_BUDGET))
 
 
 def weak_span_dim(zero_set: ZeroSet, tol: ToleranceConfig = DEFAULT_TOL) -> int:

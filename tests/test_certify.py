@@ -22,6 +22,7 @@ from mapcert.certify import (
 )
 from mapcert.documents import parse_map_file, to_map_operator
 from mapcert.errors import CrossCheckError, DimensionMismatch, EmptyZeroSet
+from mapcert.experiments import random_cp_map
 from mapcert.linalg import image_projector, span_dimension
 from mapcert.maps import (
     apply,
@@ -347,6 +348,24 @@ def test_optimal_cross_check_on_a_weak_span_above_the_cp_ceiling(phi, ceiling):
         certify_optimal(phi, fake)
     # the transpose map is not CP: no ceiling applies, and the full span certifies
     assert certify_optimal(transpose_map(2), fake).certified
+
+
+def test_exposed_cross_check_on_a_strong_span_above_the_cp_ceiling():
+    # a genuine zero of a CP map has x (x) h in ker C, so its strong vector lies in
+    # C^n (x) ker C, of dimension n (nm - rank C): 0 for the trace map, whose kernel
+    # ceiling n^2 m - rank Phi(1) is 6
+    rng = np.random.default_rng(9)
+    pairs = []
+    for _ in range(3):
+        x, h = ginibre(rng, 1, 2).ravel(), ginibre(rng, 1, 2).ravel()
+        pairs.append(ZeroPair(x=x / np.linalg.norm(x), h=h / np.linalg.norm(h), residual=0.0))
+    fake = ZeroSet.from_pairs(2, 2, pairs, saturated=False)
+    with pytest.raises(CrossCheckError, match=r"strong span 3 exceeds the strong ceiling 0 = n\(nm - rank C\) "):
+        certify_exposed(trace_map(2), fake)
+    # the harvest on three Kraus operators on 3x3 admits inexact pairs: strong 23-24 against 18
+    phi = random_cp_map(3, 3, 3, seed=5)
+    with pytest.raises(CrossCheckError, match="exceeds the strong ceiling 18 "):
+        certify_exposed(phi, harvest_zeros(phi, seed=0))
 
 
 def test_exposed_withheld_when_kept_pairs_exceed_the_span():

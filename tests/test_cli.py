@@ -623,14 +623,15 @@ def test_generate_cp_then_analyze(tmp_path, capsys):
     doc_text = capsys.readouterr().out
     path = tmp_path / "cp.json"
     path.write_text(doc_text)
-    # three Kraus operators (the default) with m = 3: the harvest admits inexact
-    # pairs whose weak span, 6, exceeds the ceiling nm - rank C = 3 of a CP map;
-    # that is an internal failure (exit 5), not a Certified optimality
-    assert main(["analyze", str(path)]) == 5
+    # three Kraus operators (the default) with m = 3 on M_2: the P^1 pencil finds the exact
+    # zeros, whose weak span is the ceiling nm - rank C = 3 of a CP map (the harvest admitted
+    # inexact pairs spanning 6 there, an internal failure)
+    assert main(["analyze", str(path)]) == 0
     out, err = capsys.readouterr()
     assert "positivity heuristic: passed" in out
-    assert "Optimal:" not in out
-    assert err.startswith("error: weak span 6 exceeds the weak ceiling 3 ")
+    assert "zero pairs kept: 3 (saturated: yes)" in out
+    assert "Optimal: Inconclusive  (weak span 3 / 6)" in out
+    assert err == ""
 
 
 @pytest.mark.parametrize("transposed", [False, True])
@@ -682,19 +683,26 @@ def test_a_conjugation_analyzes_alike_whatever_document_writes_it(tmp_path, monk
     assert outputs[0][0][2] == f"Optimal: {'Certified' if transposed else 'Inconclusive'}  (weak span {weak} / 9)"
 
 
-def test_a_weak_span_above_the_ceiling_of_a_cp_map_exits_5(tmp_path, capsys):
+def test_a_cp_map_analyzes_within_the_weak_ceiling_that_its_harvest_exceeds(tmp_path, capsys):
     # three Kraus operators on 3x3: the harvest admits inexact pairs that span all
     # of C^9, where every genuine zero lies in the 6-dimensional kernel of C
     assert main(["generate", "--kind", "random-cp", "--n", "3", "--m", "3", "--kraus", "3", "--seed", "5"]) == 0
-    path = tmp_path / "cp.json"
-    path.write_text(capsys.readouterr().out)
-    assert main(["analyze", str(path)]) == 5
-    out, err = capsys.readouterr()
-    assert "Optimal:" not in out
-    assert err == (
-        "error: weak span 9 exceeds the weak ceiling 6 = nm - rank C of a completely positive map; "
-        "the zero set contains non-zeros or the rank tolerance is off\n"
+    text = capsys.readouterr().out
+    phi = mapcert.documents.to_map_operator(parse_map_file(text))
+    with pytest.raises(CrossCheckError) as raised:
+        mapcert.certify.certify_optimal(phi, mapcert.zeros.harvest_zeros(phi, seed=0))
+    assert str(raised.value) == (
+        "weak span 9 exceeds the weak ceiling 6 = nm - rank C of a completely positive map; "
+        "the zero set contains non-zeros or the rank tolerance is off"
     )
+    # analyze takes the line pencils on the Kraus stack read off C: exact zeros, at the ceiling
+    path = tmp_path / "cp.json"
+    path.write_text(text)
+    assert main(["analyze", str(path)]) == 0
+    out, err = capsys.readouterr()
+    assert "Optimal: Inconclusive  (weak span 6 / 9)" in out
+    assert "Exposed: Inconclusive  (strong span 18 / 24)" in out
+    assert err == ""
 
 
 def test_a_conjugation_is_saturated_whatever_the_harvest_budget(tmp_path, capsys):

@@ -13,9 +13,9 @@ import pytest
 
 import mapcert.maps
 import mapcert.zeros
-from mapcert.documents import parse_map_file, to_map_operator
+from mapcert.documents import matrix_to_payload, parse_map_file, to_map_operator
 from mapcert.errors import ZeroOperator
-from mapcert.experiments import random_rank_operator, sweep_cells
+from mapcert.experiments import random_kraus_operators, random_rank_operator, sweep_cells
 from mapcert.linalg import DEFAULT_TOL, ToleranceConfig
 from mapcert.maps import (
     _alternating_descent,
@@ -23,6 +23,7 @@ from mapcert.maps import (
     MapOperator,
     apply,
     choi_spectral_scale,
+    cp_map_from_kraus,
     from_conjugation,
     identity_map,
     trace_map,
@@ -344,13 +345,18 @@ def test_find_zeros_harvests_a_rank_1_block_matrix_whose_other_eigenvalue_fails_
     assert zs.saturated and weak_span_dim(zs) >= n * m - 2
 
 
-def perfbench_maps(kinds):
-    """The map of each perfbench analyze-mixed and analyze-large entry of a kind in ``kinds``, at seed 1."""
+def perfbench_workloads():
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
     try:
         import workloads
     finally:
         sys.path.pop(0)
+    return workloads
+
+
+def perfbench_maps(kinds):
+    """The map of each perfbench analyze-mixed and analyze-large entry of a kind in ``kinds``, at seed 1."""
+    workloads = perfbench_workloads()
     for index, spec in enumerate(workloads.MIXED + workloads.LARGE):
         if spec[0] in kinds:
             document = workloads.make_document(np.random.default_rng([1, index]), *spec)
@@ -358,15 +364,129 @@ def perfbench_maps(kinds):
 
 
 def test_find_zeros_and_the_harvest_referee_each_other_on_the_benchmark_documents(monkeypatch):
-    harvest = mapcert.zeros.harvest_zeros
-    harvested_inside = []
+    harvest, kraus_zeros = mapcert.zeros.harvest_zeros, mapcert.zeros._kraus_zeros
+    harvested_inside, kraus_specs = [], []
     monkeypatch.setattr(mapcert.zeros, "harvest_zeros", lambda *a, **k: harvested_inside.append(a) or harvest(*a, **k))
     checked = []
-    for spec, phi in perfbench_maps(("conjugation", "random-choi")):
+    for spec, phi in perfbench_maps(("conjugation", "random-choi", "random-cp")):
+        kind, n, m, k, _ = spec
+        if kind == "random-cp" and k >= m and n <= m:
+            continue  # 2x2 k=2 and 3x3 k=3, where the harvest admits inexact pairs; 2x2 k=3 and 2x3 k=4
+        monkeypatch.setattr(mapcert.zeros, "_kraus_zeros", lambda *a, spec=spec: kraus_specs.append(spec) or kraus_zeros(*a))
         found, harvested = find_zeros(phi, seed=1), harvest(phi, seed=1)
         assert (weak_span_dim(found), strong_span_dim(found)) == (
             weak_span_dim(harvested), strong_span_dim(harvested)), spec
         checked.append(spec)
-    # every entry took a spectral route: 12 + 2 analyze-mixed entries, 3 analyze-large ones
+    # every entry took a spectral route: 12 + 2 + 5 analyze-mixed entries (the random CP ones
+    # with k < m, and 3x2 and 4x3 with k = m), 3 analyze-large ones; only the random CP ones
+    # reached the Kraus route, the others were settled by the zero-free or rank-1 slot before it
     assert harvested_inside == []
-    assert len(checked) == 17
+    assert len(checked) == 22
+    assert kraus_specs == [spec for spec in checked if spec[0] == "random-cp"] and len(kraus_specs) == 5
+
+
+def counted_descents(monkeypatch):
+    calls = []
+    descent = mapcert.zeros._alternating_descent
+    monkeypatch.setattr(mapcert.zeros, "_alternating_descent", lambda *a, **k: calls.append(k) or descent(*a, **k))
+    return calls
+
+
+def test_find_zeros_runs_no_descent_on_the_analyze_mixed_cp_documents(monkeypatch):
+    # the documents perfbench's analyze-mixed builds, with their analyze seeds
+    workloads = perfbench_workloads()
+    calls = counted_descents(monkeypatch)
+    checked = 0
+    for seed in (1, 2, 3):
+        for index, spec in enumerate(workloads.MIXED * workloads.MIXED_COPIES):
+            rng = np.random.default_rng([seed, 2, index])
+            document = workloads.make_document(rng, *spec)
+            if spec[0] != "random-cp":
+                continue
+            kind, n, m, k, _ = spec
+            zs = find_zeros(to_map_operator(parse_map_file(json.dumps(document))), seed=int(rng.integers(2**31)))
+            assert zs.saturated and weak_span_dim(zs) <= n * m - k, (seed, index)
+            checked += 1
+    assert calls == []
+    assert checked == 3 * 9 * workloads.MIXED_COPIES
+
+
+def kraus_routes(monkeypatch):
+    """Record the ``transposed`` flag of every Kraus route that runs, and fail if the harvest does."""
+    routes = []
+    kraus_zeros = mapcert.zeros._kraus_zeros
+
+    def recorded(phi, stack, transposed, tol, budget):
+        routes.append(transposed)
+        return kraus_zeros(phi, stack, transposed, tol, budget)
+
+    def no_harvest(*args, **kwargs):
+        raise AssertionError("the harvest ran")
+
+    monkeypatch.setattr(mapcert.zeros, "_kraus_zeros", recorded)
+    monkeypatch.setattr(mapcert.zeros, "harvest_zeros", no_harvest)
+    return routes
+
+
+@pytest.mark.parametrize("n, m, k", [(2, 3, 2), (2, 2, 2), (3, 3, 3), (3, 2, 2)])
+def test_a_co_cp_choi_document_takes_the_transposed_kraus_route(monkeypatch, n, m, k):
+    # Phi(a) = sum K a^T K^H: the partial transpose of C is PSD of rank k, and (x, h) is a
+    # zero of Phi iff (conj(x), h) is one of the CP map a -> sum K a K^H, whose strong
+    # vectors are those of Phi with the first two factors swapped
+    cp = cp_map_from_kraus(random_kraus_operators(n, m, k, seed=4))
+    choi = cp.choi.reshape(n, m, n, m).transpose(2, 1, 0, 3).reshape(n * m, n * m)
+    document = {"kind": "choi", "dim_in": n, "dim_out": m, "payload": matrix_to_payload(choi)}
+    phi = to_map_operator(parse_map_file(json.dumps(document)))
+    routes = kraus_routes(monkeypatch)
+    zs, reference = find_zeros(phi), find_zeros(cp)
+    assert routes == [True, False]
+    assert zs.pairs and strong_span_dim(zs) == strong_span_dim(reference)
+    assert max(p.residual for p in zs.pairs) <= 1e-12 * choi_spectral_scale(phi)
+
+
+@pytest.mark.parametrize("m, k", [(2, 3), (3, 4)])
+@pytest.mark.parametrize("seed", range(4))
+def test_the_p1_pencil_proves_a_cp_map_on_m2_with_k_above_m_zero_free(monkeypatch, m, k, seed):
+    phi = cp_map_from_kraus(random_kraus_operators(2, m, k, seed=seed))
+    calls = counted_descents(monkeypatch)
+    for starts, saturated in [(None, True), (5, False)]:
+        zs = find_zeros(phi, seed=seed, starts=starts)
+        # no root of the pencil is a zero: the positive-definite route's empty set and its saturated rule
+        assert zs.pairs == [] and zs.saturated == saturated
+    assert calls == []
+
+
+@pytest.mark.parametrize("n, m, k", [(2, 2, 2), (3, 3, 3), (3, 3, 4), (2, 3, 4)])
+def test_a_cp_map_with_a_deficient_unit_image_takes_the_row_kernels(monkeypatch, n, m, k):
+    # K_s = P G_s with P of rank m - 1: M(y) has rank m - 1 < m at every y even where k >= m,
+    # so every x has the partners ker P, and no pencil (whose B would be singular) runs
+    rng = np.random.default_rng(3)
+    g = lambda a, b: rng.standard_normal((a, b)) + 1j * rng.standard_normal((a, b))
+    q = np.linalg.qr(g(m, m - 1))[0]
+    phi = cp_map_from_kraus([q @ q.conj().T @ g(m, n) for _ in range(k)])
+    harvested = harvest_zeros(phi, seed=0)
+
+    def no_pencil(*args):
+        raise AssertionError("a pencil ran")
+
+    routes = kraus_routes(monkeypatch)
+    monkeypatch.setattr(np.linalg, "eigvals", no_pencil)
+    zs = find_zeros(phi)
+    assert routes == [False] and zs.saturated
+    assert (weak_span_dim(zs), strong_span_dim(zs)) == (weak_span_dim(harvested), strong_span_dim(harvested)) == (n, n * n)
+
+
+def test_a_cp_map_with_k_above_m_at_n_3_is_harvested(monkeypatch):
+    phi = cp_map_from_kraus(random_kraus_operators(3, 2, 3, seed=0))
+    calls = counted_descents(monkeypatch)
+    zs = find_zeros(phi, seed=0)
+    assert calls and [(p.x.tobytes(), p.h.tobytes()) for p in zs.pairs] == [
+        (p.x.tobytes(), p.h.tobytes()) for p in harvest_zeros(phi, seed=0).pairs]
+
+
+@pytest.mark.parametrize("n, m, k", [(2, 3, 2), (2, 2, 2), (3, 3, 3), (4, 3, 3), (3, 4, 3)])
+def test_the_kraus_routes_keep_one_pair_list_at_every_seed(n, m, k):
+    # they draw from a fixed generator, not from --seed
+    phi = cp_map_from_kraus(random_kraus_operators(n, m, k, seed=2))
+    lists = {tuple((p.x.tobytes(), p.h.tobytes()) for p in find_zeros(phi, seed=seed).pairs) for seed in range(4)}
+    assert len(lists) == 1 and len(next(iter(lists))) == strong_span_dim(find_zeros(phi))
