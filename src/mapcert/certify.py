@@ -239,8 +239,11 @@ def certify_exposed(phi: MapOperator, zs: ZeroSet, tol: ToleranceConfig = DEFAUL
     kernel of the operator a (x) h -> Phi(a) h, whose rank equals the rank of
     Phi(1).  When Phi is completely positive, each strong vector is
     conj(x) (x) (x (x) h) with x (x) h in ker C, so the span is also at most
-    n (nm - rank C).  A measured dimension above either ceiling is impossible
-    for genuine zeros and raises CrossCheckError instead of certifying.  The kept pairs
+    n (nm - rank C); when Phi is co-CP, the same holds with the partial
+    transpose C^G of C, whose zeros are (conj(x), h), as their strong vectors
+    are Phi's with the first two factors swapped.  A measured dimension above
+    any ceiling is impossible for genuine zeros and raises CrossCheckError
+    instead of certifying.  The kept pairs
     were admitted one by one as independent strong vectors; when their count
     differs from the measured dimension the rank decision is fragile, and
     the verdict is Inconclusive.
@@ -256,12 +259,13 @@ def certify_exposed(phi: MapOperator, zs: ZeroSet, tol: ToleranceConfig = DEFAUL
             f"strong span {measured} exceeds the kernel ceiling {required}; "
             "the zero set contains non-zeros or the rank tolerance is off"
         )
-    cp_rank = _cp_rank(phi, tol)
-    if cp_rank is not None and measured > n * (n * m - cp_rank):
-        raise CrossCheckError(
-            f"strong span {measured} exceeds the strong ceiling {n * (n * m - cp_rank)} = n(nm - rank C) "
-            "of a completely positive map; the zero set contains non-zeros or the rank tolerance is off"
-        )
+    for transposed, block, kind in ((False, "C", "completely positive"), (True, "C^G", "co-CP")):
+        cp_rank = _cp_rank(phi, tol, transposed)
+        if cp_rank is not None and measured > n * (n * m - cp_rank):
+            raise CrossCheckError(
+                f"strong span {measured} exceeds the strong ceiling {n * (n * m - cp_rank)} = n(nm - rank {block}) "
+                f"of a {kind} map; the zero set contains non-zeros or the rank tolerance is off"
+            )
     # comm(Phi) = comm(Q^H Phi Q) (+) M_(m-r), as every image of a positive map lies in that of Phi(1)
     irreducible_on_image = _irreducible_on_image(q.conj().T @ _image_table(phi) @ q, tol)
     irreducible = irreducible_on_image and unit_rank == m

@@ -8,13 +8,13 @@ it against two closed-form candidates that disagree whenever n != m:
 * input rule:  n^2 m - n for rank >= 2, and n^2 m - (2n - 1) for rank 1;
 * output rule: m (n^2 - 1) for rank >= 2, and m n^2 - (2m - 1) for rank 1.
 
-Three routes produce the measured value: exact analytic enumeration, the
-structure-blind harvest, and a brute-force oracle that solves the zero
-condition exactly in h over a dense random grid of x.  The oracle is
-deliberately naive.  It shares ``linalg``'s row-kernel solve with the
-analytic route and ``span_dimension`` with both.  It shares neither the
-singular frame, nor the grid, nor admission, so it still catches a bug in
-any of those.
+Three routes produce the measured value: the exact Kraus route on the one
+operator K = V^H, the structure-blind harvest, and a brute-force oracle
+that solves the zero condition exactly in h over a dense random grid of x.
+The oracle is deliberately naive.  It shares ``linalg``'s row-kernel solve
+with the Kraus route and ``span_dimension`` with both.  It shares neither
+the Kraus stack, nor its points, nor admission, so it still catches a bug
+in any of those.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .linalg import (
     span_dimension,
 )
 from .maps import MapOperator, _random_unit, apply, choi_spectral_scale, cp_map_from_kraus, from_conjugation
-from .zeros import _conjugation_zeros, harvest_zeros, strong_span_dim
+from .zeros import _STALL_BUDGET, _kraus_zeros, harvest_zeros, strong_span_dim
 
 __all__ = [
     "SweepReport",
@@ -150,13 +150,13 @@ def run_dimension_sweep(
 ) -> SweepReport:
     """Measure the strong dimension of one random cell and classify it.
 
-    The analytic enumeration is the reported measurement; the harvest must
-    reproduce it exactly or the cell fails loudly, since a silent route
-    disagreement would poison every downstream conclusion.
+    The exact Kraus route (on K = V^H) is the reported measurement; the
+    harvest must reproduce it exactly or the cell fails loudly, since a
+    silent route disagreement would poison every downstream conclusion.
     """
     v = random_rank_operator(n, m, rank_v, seed=seed, tol=tol)
     phi = from_conjugation(v, transposed=True)
-    analytic = strong_span_dim(_conjugation_zeros(phi, v, transposed=True, tol=tol), tol)
+    analytic = strong_span_dim(_kraus_zeros(phi, v.conj().T[None], True, tol, _STALL_BUDGET), tol)
     harvested = strong_span_dim(harvest_zeros(phi, seed=seed), tol)
     if analytic != harvested:
         raise CrossCheckError(

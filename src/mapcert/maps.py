@@ -53,10 +53,11 @@ class MapOperator:
 
     Immutable value object: the stored block matrix is set read-only, so a
     MapOperator can be shared freely across threads.  It memoizes the block
-    array of its adjoint and the Hermitian eigendecomposition of its block
-    matrix on first use, for every caller to share, and reads its spectral
-    scale from that spectrum; all are pure functions of that matrix, kept
-    read-only, so racing threads compute equal values and sharing stays safe.
+    array of its adjoint and the eigendecompositions of its block matrix and
+    of its partial transpose on first use, for every caller to share, and
+    reads its spectral scale from the first; all are pure functions of that
+    matrix, kept read-only, so racing threads compute equal values and
+    sharing stays safe.
     """
 
     dim_in: int
@@ -92,6 +93,16 @@ class MapOperator:
         """``np.linalg.eigh`` of the Hermitian part of the block matrix, as read-only arrays:
         ascending eigenvalues w and orthonormal eigenvectors u; the one eigendecomposition of C."""
         w, u = np.linalg.eigh(_hermitize(self.choi))
+        w.setflags(write=False)
+        u.setflags(write=False)
+        return w, u
+
+    @cached_property
+    def _partial_transpose_spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """``np.linalg.eigh``, read-only as ``_spectrum``, of the partial transpose on the input
+        factor, the block matrix of a -> Phi(a^T): PSD exactly when Phi is co-CP."""
+        n, m = self.dim_in, self.dim_out
+        w, u = np.linalg.eigh(self.choi.reshape(n, m, n, m).transpose(2, 1, 0, 3).reshape(n * m, n * m))
         w.setflags(write=False)
         u.setflags(write=False)
         return w, u
@@ -265,10 +276,11 @@ def unital_normalization(phi: MapOperator, tol: ToleranceConfig = DEFAULT_TOL) -
     return NormalForm(bridge=bridge, unital_part=unital_part, image_dim=len(lam))
 
 
-def _cp_rank(phi: MapOperator, tol: ToleranceConfig = DEFAULT_TOL) -> int | None:
+def _cp_rank(phi: MapOperator, tol: ToleranceConfig = DEFAULT_TOL, transposed: bool = False) -> int | None:
     """Rank of the block matrix C when Phi is completely positive (C positive
-    semidefinite: lambda_min >= -rank_rel_tol * lambda_max), else None."""
-    w = phi._spectrum[0]
+    semidefinite: lambda_min >= -rank_rel_tol * lambda_max), else None; ``transposed``:
+    of its partial transpose, when Phi is co-CP."""
+    w = (phi._partial_transpose_spectrum if transposed else phi._spectrum)[0]
     if w[0] < -tol.rank_rel_tol * w[-1]:
         return None
     return _rank_from_eigenvalues(w, tol)

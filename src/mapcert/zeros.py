@@ -20,13 +20,12 @@ Two enumeration routes are provided and are expected to agree:
   converged pair the full near-null eigenspaces on both sides are mined for
   further candidates, from the eigendecompositions the descent already
   holds.
-* ``analytic_zeros_conjugation`` uses the singular frame of a conjugation map
-  to write down exact zeros on a deterministic grid, including the
-  degenerate-stratum family, and then verifies saturation numerically by
-  extending the grid with filler points until nothing new is admitted.  At
-  a fixed x the zero condition is one linear row in h; the rows of each
-  batch of points (base grid, filler) are cut by one ``linalg._row_kernels``
-  solve, which the oracle shares.
+* ``_kraus_zeros`` writes down exact zeros of Phi(a) = sum_s K_s a K_s^H
+  (or K_s a^T K_s^H) from its Kraus stack; a conjugation a -> V^H a V (or
+  V^H a^T V) is its one-operator case K = V^H, which
+  ``analytic_zeros_conjugation`` runs.  At a fixed x the zero condition is
+  linear in h; the rows of a batch of points are cut by one
+  ``linalg._row_kernels`` solve, which the oracle shares.
 
 ``find_zeros`` picks the route from the spectrum of C (the map's one
 cached ``eigh``), not from how the map was written down, trying in order:
@@ -34,33 +33,31 @@ cached ``eigh``), not from how the map was written down, trying in order:
 1. No zeros, proven: for unit x and h, ||Phi(|conj(x)><conj(x)|) h|| >=
    <x (x) h| C |x (x) h> >= lambda_min(C), so when lambda_min(C) exceeds the
    admission threshold the empty set is returned without a descent.
-2. Conjugation: when C, or else its partial transpose on the input factor,
-   has numerical rank 1 with a positive eigenvalue lambda (eigenvector u),
-   Phi is the (untransposed, or else transposed) conjugation by
-   V = conj(sqrt(lambda) u) reshaped n x m, and the analytic route runs on
-   that V, whatever kind of document wrote the map.  The eigenvalues left
-   out of V bound the residual of each of its pairs under Phi, so the
-   route is taken only when all of them are within the admission
-   threshold; a map of rank 1 at a larger ``rank_rel_tol`` but not there
-   goes on to the harvest.
-3. Kraus stack: when C, or else its partial transpose, has numerical rank
-   k >= 2 under the same conditions, Phi(a) = sum_s K_s a K_s^H (or
-   K_s a^T K_s^H) with K_s = sqrt(lambda_s) u_s reshaped n x m and
-   transposed.  With y = conj(x) (transposed: y = x), (x, h) is a zero iff
-   h^H M(y) = 0 for M(y) = [K_1 y ... K_k y], m x k, of rank r at a generic
-   point.  If r < m, every x has partners: random points are drawn and
-   their left kernels cut by one stacked ``_row_kernels`` solve.  If r = m,
-   M(y) R (R = 1 at k = m, else a fixed random k x m matrix) is singular at
-   every zero, so on a line y = a + t b the zeros lie among the roots of
+2. Kraus stack: when C, or else its partial transpose on the input factor
+   (cached beside it), is PSD of numerical rank k >= 1, with every
+   eigenvalue left out within the admission threshold (they bound the
+   residuals of the stack's pairs under Phi; a map of rank k only at a
+   larger ``rank_rel_tol`` goes on to the harvest), Phi(a) = sum_s K_s a
+   K_s^H (or K_s a^T K_s^H) with K_s = sqrt(lambda_s) u_s reshaped n x m
+   and transposed, whatever kind of document wrote the map.  With
+   y = conj(x) (transposed: y = x), (x, h) is a zero iff h^H M(y) = 0 for
+   M(y) = [K_1 y ... K_k y], m x k, of rank r at a generic point.  On the
+   common kernel of the K_s, M(y) = 0 and every h is a partner; random
+   points miss it, so it is sampled on its own.  If r < m (or n = 1, one
+   point), every x has partners: random points are drawn and their left
+   kernels cut by one stacked ``_row_kernels`` solve.  If r = m, M(y) R
+   (R = 1 at k = m, else a fixed random k x m matrix) is singular at every
+   zero, so on a line y = a + t b the zeros lie among the roots of
    det(A + tB) = 0, the eigenvalues of -B^-1 A.  At n = 2 one line is all
    of P^1 (with t = infinity, the point b): when no root is a zero the set
    is proven empty, reported as a zero-free map is.  At n >= 3 with k = m,
-   random lines are drawn until a stall window admits nothing.  Points
-   where M drops below its generic rank are not sought; missing zeros can
-   only lower the spans.  k > m at n >= 3 goes on to the harvest.  Points
-   and lines come from a fixed generator, and every loop is capped at
-   n^2 m + window draws, the most a growing span can use.
-4. Anything else: the harvest.
+   random lines are drawn until a stall window admits nothing.  Other
+   points where M drops below its generic rank are not sought; missing
+   zeros can only lower the spans.  k > m at n >= 3 goes on to the
+   harvest.  Points and lines come from a fixed generator, and every loop
+   is capped at n^2 m + window draws (d^2 m + window on a common kernel of
+   dimension d), the most a growing span there can use.
+3. Anything else: the harvest.
 
 Every route evaluates Phi(|conj(x)><conj(x)|) once per point x, for all of
 its partners h, and offer every candidate with its residual to one
@@ -78,7 +75,7 @@ from one SVD of those rows at the shared relative threshold
 ``rank_rel_tol``.  On exact zeros the strong count equals the number of
 kept pairs; ``certify_exposed`` issues no certificate when the two differ.
 Every search stops by one rule, ``_saturates``: a window of consecutive
-starts, filler points, points or lines that admit nothing ends it, and
+starts, points or lines that admit nothing ends it, and
 nothing is drawn after it.
 """
 
@@ -88,7 +85,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, ToleranceConfig, as_matrix, span_dimension
+from .linalg import DEFAULT_TOL, ToleranceConfig, as_matrix, kernel_basis, span_dimension
 from .linalg import _rank_from_eigenvalues, _rank_from_singular_values, _row_kernels
 from .maps import MapOperator, choi_spectral_scale, from_conjugation
 from .maps import _alternating_descent, _image, _normalize, _random_unit, _x_step
@@ -190,7 +187,7 @@ class _Admission:
         self._basis = np.empty((dim, dim), dtype=complex)
         self._strong = np.empty((dim, dim), dtype=complex)
         self._weak = np.empty((dim, n * m), dtype=complex)
-        self._pairs: list[ZeroPair] = []
+        self.pairs: list[ZeroPair] = []
 
     def offer(self, x, h, residual: float) -> bool:
         if residual > self._thr:
@@ -199,7 +196,7 @@ class _Admission:
         norm = np.linalg.norm(vec)
         if norm == 0:
             return False
-        k = len(self._pairs)
+        k = len(self.pairs)
         basis = self._basis[:k]
         resid = vec / norm
         for _ in range(2):
@@ -211,7 +208,7 @@ class _Admission:
         self._basis[k] = resid / rnorm
         self._strong[k] = vec
         self._weak[k] = _weak_vector(x, h)
-        self._pairs.append(ZeroPair(x=x, h=h, residual=residual))
+        self.pairs.append(ZeroPair(x=x, h=h, residual=residual))
         return True
 
     def offer_all(self, candidates) -> bool:
@@ -219,8 +216,8 @@ class _Admission:
         return any([self.offer(x, h, residual) for x, h, residual in candidates])
 
     def zero_set(self, saturated) -> ZeroSet:
-        k = len(self._pairs)
-        return ZeroSet(*self._dims, self._pairs, self._weak[:k], self._strong[:k], bool(saturated))
+        k = len(self.pairs)
+        return ZeroSet(*self._dims, self.pairs, self._weak[:k], self._strong[:k], bool(saturated))
 
 
 def _saturates(produced, window: int) -> bool:
@@ -277,24 +274,19 @@ def find_zeros(phi: MapOperator, seed: int = 0, starts: int | None = None, tol: 
     ``saturated`` as the harvest would: all of its starts fail, so it
     saturates exactly when its budget reaches ``_STALL_BUDGET``.  ``tol``
     decides the rank k of C (or of its partial transpose) that picks the
-    conjugation (k = 1) or Kraus (k >= 2) route, and those routes' ranks.
+    Kraus route, and that route's ranks.
     """
     n, m = phi.dim_in, phi.dim_out
     budget = _budget(phi, starts)
     thr = DEFAULT_TOL.residual_rel_tol * choi_spectral_scale(phi)
-    w, u = phi._spectrum
-    if w[0] > thr:
+    if phi._spectrum[0][0] > thr:
         return ZeroSet.from_pairs(n, m, [], saturated=budget >= _STALL_BUDGET)
     for transposed in (False, True):
-        if transposed:
-            w, u = np.linalg.eigh(phi.choi.reshape(n, m, n, m).transpose(2, 1, 0, 3).reshape(n * m, n * m))
+        w, u = phi._partial_transpose_spectrum if transposed else phi._spectrum
         # k kept eigenvalues, the top ones and all positive; the discarded ones bound the
         # residuals of the pairs of the Kraus stack, so they must be within admission too
         k = _rank_from_eigenvalues(w, tol)
         if k < n * m and w[-k] > -w[0] and max(-w[0], w[-k - 1]) <= thr:
-            if k == 1:
-                v = np.conj(np.sqrt(w[-1]) * u[:, -1]).reshape(n, m)
-                return _conjugation_zeros(phi, v, transposed, tol)
             # K_s = sqrt(lambda_s) u_s reshaped n x m and transposed, stacked (k, m, n)
             stack = (np.sqrt(w[-k:]) * u[:, -k:]).T.reshape(k, n, m).transpose(0, 2, 1)
             zs = _kraus_zeros(phi, stack, transposed, tol, budget)
@@ -329,83 +321,19 @@ def harvest_zeros(phi: MapOperator, seed: int = 0, starts: int | None = None) ->
     return admission.zero_set(saturated=_saturates(produced(), _STALL_BUDGET))
 
 
-# Deterministic grid nodes: distinct moduli and golden-angle phases give
-# distinct moments, so Vandermonde points built from them are generic.
-_GRID_RADII = (1.0, 1.3, 0.75, 1.6, 0.55, 1.15, 0.9)
-_GOLDEN = 0.6180339887498949
-_EXTENSION_SEED = 271828182845
+# The exact routes draw their points and lines from this fixed seed, never from ``--seed``.
+_POINT_SEED = 271828182845
 
 
-def _vandermonde_point(t: int, dim: int) -> np.ndarray:
-    radius = _GRID_RADII[t % len(_GRID_RADII)]
-    angle = 2.0 * np.pi * ((t * _GOLDEN + 0.1) % 1.0)
-    xi = (radius * complex(np.cos(angle), np.sin(angle))) ** np.arange(dim)
-    return xi / np.linalg.norm(xi)
+def analytic_zeros_conjugation(v, transposed: bool = False, tol: ToleranceConfig = DEFAULT_TOL) -> ZeroSet:
+    """Exact zero pairs of the conjugation map a -> V^H a V (``transposed``: V^H a^T V).
 
-
-def analytic_zeros_conjugation(
-    v,
-    transposed: bool = False,
-    tol: ToleranceConfig = DEFAULT_TOL,
-) -> ZeroSet:
-    """Exact zero pairs of a conjugation map from its singular frame.
-
-    In the frame V = U diag(s) W^H the zero condition reads
-    sum_i s_i conj(xi_i) eta_i = 0 (transposed) or sum_i s_i xi_i eta_i = 0,
-    with xi, eta the frame coordinates of x and h.  For each grid point xi
-    the eta solutions form an exact hyperplane (or everything, on the
-    degenerate stratum), so pairs come out with machine-precision residuals.
-    Each hyperplane already contains ker V, so h in ker V needs no family of
-    its own; when rank V < n the degenerate x-family is emitted explicitly.
-    Saturation is then verified by extending the grid until a stall window
-    admits nothing new.
+    It is the Kraus route on the one operator K = V^H: with y = conj(x)
+    (transposed: y = x), (x, h) is a zero iff h^H V^H y = 0, so every x has
+    the partners of one row, exactly, and on the kernel of V^H (when
+    rank V < n) every h is a partner.
     """
-    phi = from_conjugation(v, transposed)
-    return _conjugation_zeros(phi, as_matrix(v), transposed, tol)
-
-
-def _point_candidates(phi, x, hs):
-    """(x, h, residual) for each partner h of x, both normalized, from one image of x."""
-    x = _normalize(x)
-    image = _image(phi, x)
-    for h in hs:
-        h = _normalize(h)
-        yield x, h, float(np.linalg.norm(image @ h))
-
-
-def _conjugation_zeros(phi: MapOperator, v: np.ndarray, transposed: bool, tol: ToleranceConfig) -> ZeroSet:
-    """``analytic_zeros_conjugation`` on its conjugation map phi, built by the caller."""
-    n, m = v.shape
-    admission = _Admission(n, m, tol.residual_rel_tol * choi_spectral_scale(phi))
-    u_mat, s, w_h = np.linalg.svd(v)
-    w_mat = w_h.conj().T
-    r = _rank_from_singular_values(s, tol)
-    x_frame = u_mat if transposed else u_mat.conj()
-
-    def frame_points(xis):
-        """Each x with frame coordinates xi (a row of xis) and its partners, cut in one solve."""
-        rows = np.zeros((xis.shape[0], m), dtype=complex)
-        rows[:, :r] = s[:r] * (xis[:, :r].conj() if transposed else xis[:, :r])
-        for xi, eta in zip(xis, _row_kernels(rows, s[0], tol)):
-            yield x_frame @ xi, [w_mat @ eta[:, k] for k in range(eta.shape[1])]
-
-    base_points = n * n + n
-    for x, hs in frame_points(np.array([_vandermonde_point(t, n) for t in range(base_points)])):
-        admission.offer_all(_point_candidates(phi, x, hs))
-
-    # Degenerate stratum: when rank V < n there are x with V^H x = 0
-    # (or V^T x = 0), and then every h is a zero partner.
-    if r < n:
-        d = n - r
-        for t in range(d * d + d):
-            admission.offer_all(_point_candidates(phi, x_frame[:, r:] @ _vandermonde_point(t, d), list(w_mat.T)))
-
-    # Saturation check: deterministic generic filler points until nothing new
-    # is admitted for a full stall window.
-    ext_rng = np.random.default_rng(_EXTENSION_SEED)
-    filler = np.array([_random_unit(ext_rng, n) for _ in range(3 * base_points)])
-    produced = (admission.offer_all(_point_candidates(phi, x, hs)) for x, hs in frame_points(filler))
-    return admission.zero_set(saturated=_saturates(produced, max(4, n)))
+    return _kraus_zeros(from_conjugation(v, transposed), as_matrix(v).conj().T[None], transposed, tol, _STALL_BUDGET)
 
 
 # A pencil line whose B has sigma_min at or below this times sigma_max is redrawn: the
@@ -422,7 +350,7 @@ def _kraus_zeros(phi: MapOperator, stack: np.ndarray, transposed: bool, tol: Tol
     """
     k, m, n = stack.shape
     admission = _Admission(n, m, tol.residual_rel_tol * choi_spectral_scale(phi))
-    rng = np.random.default_rng(_EXTENSION_SEED)
+    rng = np.random.default_rng(_POINT_SEED)
     window = max(4, n)
     cap = n * n * m + window  # each productive point or line grows a span of dimension <= n^2 m
     ref = np.linalg.norm(stack[-1])
@@ -433,16 +361,32 @@ def _kraus_zeros(phi: MapOperator, stack: np.ndarray, transposed: bool, tol: Tol
         kernels = _row_kernels(np.einsum("smn,pn->psm", stack, ys).conj(), ref, tol)
         return [(y if transposed else y.conj(), hs.T) for y, hs in zip(ys, kernels)]
 
+    def offered(points):
+        """Whether each point admits a pair, lazily: every partner h of x is offered, both normalized,
+        with its residual under one image of x."""
+        for x, hs in points:
+            x = _normalize(x)
+            image = _image(phi, x)
+            yield admission.offer_all((x, h, float(np.linalg.norm(image @ h))) for h in map(_normalize, hs))
+
     def image_of(y):  # M(y)
         return np.einsum("smn,n->ms", stack, y)
 
+    def draw(count, dim):  # count complex Gaussian points of C^dim as rows, from one call; partners normalizes
+        g = rng.standard_normal((count, 2, dim))
+        return g[:, 0] + 1j * g[:, 1]
+
     r = _rank_from_singular_values(np.linalg.svd(image_of(_random_unit(rng, n)), compute_uv=False), tol)
-    if r < m:  # every x has partners: row kernels at random points
-        points = partners(np.array([_random_unit(rng, n) for _ in range(cap)]))
-        offered = (admission.offer_all(_point_candidates(phi, x, hs)) for x, hs in points)
-        return admission.zero_set(saturated=_saturates(offered, window))
-    if n < 2 or (n > 2 and k > m):
+    if r == m and n > 2 and k > m:
         return None
+    # The common kernel W of the K_s: there M(y) = 0, so every h is a partner (a free block of
+    # _row_kernels).  Random points and lines miss it.  Its strong span is at most d^2 m.
+    common = kernel_basis(stack.reshape(k * m, n), tol)
+    d = common.shape[1]
+    saturated = d == 0 or _saturates(offered(partners(draw(d * d * m + window, d) @ common.T)), window)
+    if r < m or n == 1:  # every x has partners (n = 1 has one x): row kernels at random points
+        points = partners(draw(cap, n))
+        return admission.zero_set(saturated=_saturates(offered(points), window) and saturated)
     # det(M(y) R) = 0 on a line y = a + t b: the roots t are the eigenvalues of -B^-1 A
     right = np.eye(k, m) if k == m else rng.standard_normal((k, m)) + 1j * rng.standard_normal((k, m))
 
@@ -453,14 +397,13 @@ def _kraus_zeros(phi: MapOperator, stack: np.ndarray, transposed: bool, tol: Tol
             s = np.linalg.svd(pb, compute_uv=False)
             if s[-1] > _PENCIL_GATE * s[0]:
                 ys = a + np.linalg.eigvals(-np.linalg.solve(pb, pa))[:, None] * b
-                points = partners(np.vstack([ys, b]) if n == 2 else ys)
-                yield any([admission.offer_all(_point_candidates(phi, x, hs)) for x, hs in points])
+                yield any(list(offered(partners(np.vstack([ys, b]) if n == 2 else ys))))
 
     if n > 2:
-        return admission.zero_set(saturated=_saturates(lines(), window))
-    # n = 2: the line is all of P^1, and t = infinity is b; no root passing proves the set empty
-    found = next(lines(), None)
-    return admission.zero_set(saturated=found is not None and (found or budget >= _STALL_BUDGET))
+        return admission.zero_set(saturated=_saturates(lines(), window) and saturated)
+    # n = 2: the line is all of P^1, and t = infinity is b; no pair admitted proves the set empty
+    drawn = next(lines(), None) is not None
+    return admission.zero_set(saturated=drawn and (bool(admission.pairs) or budget >= _STALL_BUDGET))
 
 
 def weak_span_dim(zero_set: ZeroSet, tol: ToleranceConfig = DEFAULT_TOL) -> int:

@@ -368,6 +368,19 @@ def test_exposed_cross_check_on_a_strong_span_above_the_cp_ceiling():
         certify_exposed(phi, harvest_zeros(phi, seed=0))
 
 
+def test_exposed_cross_check_on_a_strong_span_above_the_co_cp_ceiling():
+    # Phi(a) = Psi(a^T) for a CP map Psi: the partial transpose of C is Psi's block matrix, and
+    # Phi's strong vectors are Psi's with the first two factors swapped, so the span is at most
+    # n (nm - rank C^G) = 18 for three Kraus operators on 3x3; the harvest's inexact pairs span 24
+    psi = random_cp_map(3, 3, 3, seed=4)
+    phi = mapcert.maps.MapOperator(3, 3, psi.choi.reshape(3, 3, 3, 3).transpose(2, 1, 0, 3).reshape(9, 9))
+    assert mapcert.maps._cp_rank(phi) is None and mapcert.maps._cp_rank(phi, transposed=True) == 3
+    with pytest.raises(CrossCheckError, match=r"strong span 24 exceeds the strong ceiling 18 = n\(nm - rank C\^G\) of a co-CP map"):
+        certify_exposed(phi, harvest_zeros(phi, seed=0))
+    # the transpose map is co-CP with rank C^G = 1: its exact zeros fill the ceiling n (nm - 1) = 6
+    assert certify_exposed(transpose_map(2), analytic_zeros_conjugation(np.eye(2), transposed=True)).certified
+
+
 def test_exposed_withheld_when_kept_pairs_exceed_the_span():
     # a kept pair that adds no strong direction makes the span count and the
     # admission count disagree; the full span alone must not certify then

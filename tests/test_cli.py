@@ -639,19 +639,19 @@ def test_a_conjugation_analyzes_alike_whatever_document_writes_it(tmp_path, monk
     # the zero route is read off the block matrix's spectrum, not the document kind:
     # a -> V^H a V as a conjugation, Choi or one-operator Kraus (K = V^H) document, and
     # a -> V^H a^T V as a conjugation or Choi document (through the partial transpose);
-    # every one runs the analytic route, on V read back from the top eigenpair
+    # every one runs the Kraus route on the one operator K = V^H read back from the top eigenpair
     routes = []
-    conjugation_zeros = mapcert.zeros._conjugation_zeros
+    kraus_zeros = mapcert.zeros._kraus_zeros
 
-    def recorded(phi, v, transposed, tol):
-        zs = conjugation_zeros(phi, v, transposed, tol)
-        routes.append((transposed, max(p.residual for p in zs.pairs) / mapcert.maps.choi_spectral_scale(phi)))
+    def recorded(phi, stack, transposed, tol, budget):
+        zs = kraus_zeros(phi, stack, transposed, tol, budget)
+        routes.append((stack.shape, transposed, max(p.residual for p in zs.pairs) / mapcert.maps.choi_spectral_scale(phi)))
         return zs
 
     def no_harvest(*args, **kwargs):
         raise AssertionError("the harvest ran")
 
-    monkeypatch.setattr(mapcert.zeros, "_conjugation_zeros", recorded)
+    monkeypatch.setattr(mapcert.zeros, "_kraus_zeros", recorded)
     monkeypatch.setattr(mapcert.zeros, "harvest_zeros", no_harvest)
     v = mapcert.experiments.random_rank_operator(3, 3, 2, seed=4)
     choi = mapcert.maps.from_conjugation(v, transposed).choi
@@ -668,11 +668,11 @@ def test_a_conjugation_analyzes_alike_whatever_document_writes_it(tmp_path, monk
         lines = capsys.readouterr().out.splitlines()
         summary = json.loads(report.read_text())
         outputs.append((lines[3:], summary["zero_set_summary"], summary["certificates"]))
-    assert [flag for flag, _ in routes] == [transposed] * len(docs)
-    assert all(residual <= 1e-12 for _, residual in routes)
+    assert [(shape, flag) for shape, flag, _ in routes] == [((1, 3, 3), transposed)] * len(docs)
+    assert all(residual <= 1e-12 for _, _, residual in routes)
     assert all(output == outputs[0] for output in outputs)
-    # the analytic route on the document's own V, and the weak rule of conjugations
-    exact = conjugation_zeros(mapcert.maps.from_conjugation(v, transposed), v, transposed, mapcert.linalg.DEFAULT_TOL)
+    # the Kraus route on the document's own K = V^H, and the weak rule of conjugations
+    exact = mapcert.zeros.analytic_zeros_conjugation(v, transposed)
     weak = 9 if transposed else 8
     assert outputs[0][1] == {
         "pairs": len(exact.pairs),
@@ -681,6 +681,22 @@ def test_a_conjugation_analyzes_alike_whatever_document_writes_it(tmp_path, monk
         "saturated": True,
     }
     assert outputs[0][0][2] == f"Optimal: {'Certified' if transposed else 'Inconclusive'}  (weak span {weak} / 9)"
+
+
+def test_a_co_cp_map_whose_harvest_exceeds_the_strong_ceiling_exits_5(tmp_path, capsys):
+    # the partial transpose of a CP map with four Kraus operators on 3x3 (k > m at n >= 3: the
+    # harvest runs), as a Choi document: its 18 harvested pairs span 18 strong directions, above
+    # the co-CP ceiling n (nm - rank C^G) = 15, so no verdict is printed (it read weak span 9 / 9)
+    cp = mapcert.maps.cp_map_from_kraus(mapcert.experiments.random_kraus_operators(3, 3, 4, seed=0))
+    choi = cp.choi.reshape(3, 3, 3, 3).transpose(2, 1, 0, 3).reshape(9, 9)
+    doc = {"kind": "choi", "dim_in": 3, "dim_out": 3, "payload": matrix_to_payload(choi)}
+    assert main(["analyze", write_doc(tmp_path, "co-cp.json", doc)]) == 5
+    out, err = capsys.readouterr()
+    assert out.splitlines()[-1].startswith("positivity heuristic: passed")
+    assert err == (
+        "error: strong span 18 exceeds the strong ceiling 15 = n(nm - rank C^G) of a co-CP map; "
+        "the zero set contains non-zeros or the rank tolerance is off\n"
+    )
 
 
 def test_a_cp_map_analyzes_within_the_weak_ceiling_that_its_harvest_exceeds(tmp_path, capsys):

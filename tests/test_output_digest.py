@@ -89,3 +89,34 @@ def test_run_listing_names_the_analyze_run_whose_bytes_moved():
     assert [index for index, (a, b) in enumerate(zip(first_runs, second_runs)) if a != b] == [1]
     assert first_runs[0] == second_runs[1]  # a run's digest depends on its inputs only, not its index
     assert first["analyze"] != second["analyze"]
+
+
+def test_zero_set_dims_moves_only_when_a_count_or_dimension_does(monkeypatch):
+    import mapcert.zeros
+    from mapcert.zeros import ZeroPair, ZeroSet
+
+    tool = load_tool()
+    cells = [(2, 3, 1, 0)]
+    plain = tool.output_digest([], cells, [])
+    # both routes on the rank-1 2x3 cell: 9 pairs, weak span 5, strong span 9, saturated
+    expected = tool._Hasher()
+    expected.add(2, 3, 1, 0, 9, 5, 9, True, 9, 5, 9, True)
+    assert plain["zero-set-dims"] == expected.hexdigest()
+
+    # the same pairs with x rephased: other bytes, the same spans
+    analytic = mapcert.zeros.analytic_zeros_conjugation
+
+    def rephased(*args, **kwargs):
+        zs = analytic(*args, **kwargs)
+        pairs = [ZeroPair(x=1j * p.x, h=p.h, residual=p.residual) for p in zs.pairs]
+        return ZeroSet.from_pairs(zs.dim_in, zs.dim_out, pairs, zs.saturated)
+
+    monkeypatch.setattr(mapcert.zeros, "analytic_zeros_conjugation", rephased)
+    moved = tool.output_digest([], cells, [])
+    assert [family for family in tool.FAMILIES if moved[family] != plain[family]] == ["zero-sets"]
+
+    # a pair dropped: the count and the spans move too
+    monkeypatch.setattr(mapcert.zeros, "analytic_zeros_conjugation",
+                        lambda *a, **k: ZeroSet.from_pairs(2, 3, analytic(*a, **k).pairs[1:], True))
+    dropped = tool.output_digest([], cells, [])
+    assert [family for family in tool.FAMILIES if dropped[family] != plain[family]] == ["zero-sets", "zero-set-dims"]

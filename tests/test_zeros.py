@@ -185,7 +185,6 @@ def test_harvest_budget_exhaustion_reports_unsaturated():
 
 
 def test_analytic_svd_count_does_not_grow_with_the_grid(monkeypatch):
-    v = rank_operator(3, 4, 2, 5)
     counts = {"svd": 0, "points": 0}
     svd, image = np.linalg.svd, mapcert.zeros._image
 
@@ -199,13 +198,17 @@ def test_analytic_svd_count_does_not_grow_with_the_grid(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
     monkeypatch.setattr(mapcert.zeros, "_image", counted_image)
-    analytic_zeros_conjugation(v, transposed=True)
-    # V's singular frame, then one row-kernel solve for the base grid and
-    # one for the filler points, however many points each holds
-    assert counts["svd"] == 3
-    # while 12 base points, 2 on the degenerate stratum and at least a
-    # stall window (4) of filler points are evaluated
-    assert counts["points"] >= 12 + 2 + 4
+    for n, m in [(3, 4), (4, 5)]:
+        counts.update(svd=0, points=0)
+        zs = analytic_zeros_conjugation(rank_operator(n, m, 2, 5), transposed=True)
+        # the generic rank of M(y) = V^H y at one point, the common kernel of V^H, then one
+        # row-kernel solve for the points on that kernel and one for the generic points,
+        # however many points each holds
+        assert counts["svd"] == 4
+        # while the common kernel (rank V = 2 < n) and the generic points each take at least a
+        # stall window, and the generic ones at least one per m - 1 strong directions they add
+        window = max(4, n)
+        assert counts["points"] >= 2 * window + (strong_span_dim(zs) - m * (n - 2) ** 2) // (m - 1)
 
 
 @pytest.mark.parametrize("starts,descents", [(None, _STALL_BUDGET), (5, 5)])
@@ -322,8 +325,8 @@ def test_find_zeros_rejects_an_empty_budget():
 @pytest.mark.parametrize("eps, rank_rel_tol", [(5e-9, 1e-8), (1e-4, 1e-3)])
 def test_find_zeros_harvests_a_rank_1_block_matrix_whose_other_eigenvalue_fails_admission(monkeypatch, eps, rank_rel_tol):
     # C = vv* + eps ww* has rank 1 at rank_rel_tol, but eps is above admission (1e-9 * scale):
-    # the pairs of the V read off vv* have residuals up to eps * scale (at 1e-4 the analytic
-    # route admitted none of them), while the genuine zeros span ker C, of dimension nm - 2
+    # the pairs of the one operator read off vv* have residuals up to eps * scale (at 1e-4 the
+    # exact route admitted none of them), while the genuine zeros span ker C, of dimension nm - 2
     rng = np.random.default_rng(11)
     n, m = 2, 3
     v = _normalize(rng.standard_normal(n * m) + 1j * rng.standard_normal(n * m))
@@ -331,18 +334,49 @@ def test_find_zeros_harvests_a_rank_1_block_matrix_whose_other_eigenvalue_fails_
     w = _normalize(w - (v.conj() @ w) * v)
     phi = MapOperator(n, m, np.outer(v, v.conj()) + eps * np.outer(w, w.conj()))
 
-    def no_conjugation(*args):
-        raise AssertionError("the conjugation route ran")
+    def no_kraus(*args):
+        raise AssertionError("the Kraus route ran")
 
     harvest = mapcert.zeros.harvest_zeros
     harvested = []
-    monkeypatch.setattr(mapcert.zeros, "_conjugation_zeros", no_conjugation)
+    monkeypatch.setattr(mapcert.zeros, "_kraus_zeros", no_kraus)
     monkeypatch.setattr(mapcert.zeros, "harvest_zeros", lambda *a, **k: harvested.append(a) or harvest(*a, **k))
     zs = find_zeros(phi, seed=0, tol=ToleranceConfig(rank_rel_tol))
     assert len(harvested) == 1
     reference = harvest(phi, seed=0)
     assert [(p.x.tobytes(), p.h.tobytes()) for p in zs.pairs] == [(p.x.tobytes(), p.h.tobytes()) for p in reference.pairs]
     assert zs.saturated and weak_span_dim(zs) >= n * m - 2
+
+
+@pytest.mark.parametrize("transposed", [False, True])
+@pytest.mark.parametrize("v, dims", [(np.ones((1, 1)), 0), (rank_operator(1, 4, 1, 2), 3)])
+def test_a_conjugation_on_one_dimensional_input_has_the_partners_of_its_one_point(v, dims, transposed):
+    # n = 1: every x is one point up to phase, whose partners are the kernel of the 1 x m row
+    zs = analytic_zeros_conjugation(v, transposed=transposed)
+    assert (len(zs.pairs), weak_span_dim(zs), strong_span_dim(zs), zs.saturated) == (dims, dims, dims, True)
+
+
+def test_a_kraus_map_on_one_dimensional_input_runs_no_descent(monkeypatch):
+    # n = 1 with M(y) = [K_1 y K_2 y] of full rank m = 2: the row kernels at the one point are empty
+    calls = counted_descents(monkeypatch)
+    zs = find_zeros(cp_map_from_kraus(random_kraus_operators(1, 2, 2, seed=0)))
+    assert calls == [] and zs.pairs == [] and zs.saturated
+
+
+@pytest.mark.parametrize("n, m, k, d", [(4, 3, 2, 3), (3, 3, 2, 2)])
+def test_kraus_operators_with_a_common_kernel_give_every_partner_on_it(monkeypatch, n, m, k, d):
+    # K_s = G_s P with P of rank n - d: on ker P, M(y) = 0 and every h is a partner, where
+    # random points have m - 1; they miss it (the spans read 4 / 16 and 3 / 9 without it)
+    rng = np.random.default_rng(1)
+    g = lambda a, b: rng.standard_normal((a, b)) + 1j * rng.standard_normal((a, b))
+    q = np.linalg.qr(g(n, n - d))[0]
+    phi = cp_map_from_kraus([g(m, n) @ q @ q.conj().T for _ in range(k)])
+    harvested = harvest_zeros(phi, seed=0)
+    calls = counted_descents(monkeypatch)
+    zs = find_zeros(phi)
+    assert calls == [] and zs.saturated
+    assert (weak_span_dim(zs), strong_span_dim(zs)) == (weak_span_dim(harvested), strong_span_dim(harvested))
+    assert strong_span_dim(zs) == len(zs.pairs) == {4: 34, 3: 17}[n]
 
 
 def perfbench_workloads():
@@ -378,11 +412,11 @@ def test_find_zeros_and_the_harvest_referee_each_other_on_the_benchmark_document
             weak_span_dim(harvested), strong_span_dim(harvested)), spec
         checked.append(spec)
     # every entry took a spectral route: 12 + 2 + 5 analyze-mixed entries (the random CP ones
-    # with k < m, and 3x2 and 4x3 with k = m), 3 analyze-large ones; only the random CP ones
-    # reached the Kraus route, the others were settled by the zero-free or rank-1 slot before it
+    # with k < m, and 3x2 and 4x3 with k = m), 3 analyze-large ones; the conjugations (k = 1)
+    # and the random CP ones reached the Kraus route, the random Choi ones are zero-free
     assert harvested_inside == []
     assert len(checked) == 22
-    assert kraus_specs == [spec for spec in checked if spec[0] == "random-cp"] and len(kraus_specs) == 5
+    assert kraus_specs == [spec for spec in checked if spec[0] != "random-choi"] and len(kraus_specs) == 19
 
 
 def counted_descents(monkeypatch):

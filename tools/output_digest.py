@@ -4,12 +4,12 @@
 
 imports mapcert from the directory SRC (a tree's ``src/``) and prints one
 SHA-256 per output family, as ``family digest`` lines, over what the
-program outputs on a fixed input set.  After those six lines it prints one
-``analyze <index> <digest>`` line per analyze run, over that run's inputs,
-outputs and report bytes, so that a diff of two trees' listings names the
-runs whose bytes moved (the index is the run's position in the document
-list of ``default_inputs``); ``head -6`` keeps the families alone.  The
-families are:
+program outputs on a fixed input set.  After those seven lines it prints
+one ``analyze <index> <digest>`` line per analyze run, over that run's
+inputs, outputs and report bytes, so that a diff of two trees' listings
+names the runs whose bytes moved (the index is the run's position in the
+document list of ``default_inputs``); ``head -7`` keeps the families alone.
+The families are:
 
 * ``sweep``: ``mapcert sweep`` at seeds 0 and 3 and with ``--n-range 2
   --m-range 2..3``: stdout, stderr and exit code;
@@ -18,6 +18,9 @@ families are:
   the 32 default sweep cells at seeds 0 and 1: every kept pair's x, h and
   ``repr`` of its residual, the weak and strong rows with their shapes, and
   ``saturated``;
+* ``zero-set-dims``: of those same ZeroSets, only the pair count, the weak
+  and strong span dimensions and ``saturated``.  A change of route that
+  keeps every dimension moves ``zero-sets`` and leaves this one alone;
 * ``oracle``: ``brute_force_strong_dim_oracle`` on those 64 cells: the
   integer it returns, or the class name of the exception it raises;
 * ``analyze``: 265 runs of ``mapcert analyze --json``, on 241 documents:
@@ -57,7 +60,7 @@ SWEEPS = (
     ["sweep", "--n-range", "2", "--m-range", "2..3"],
 )
 
-FAMILIES = ("sweep", "sweep-json", "zero-sets", "oracle", "analyze", "analyze-json")
+FAMILIES = ("sweep", "sweep-json", "zero-sets", "zero-set-dims", "oracle", "analyze", "analyze-json")
 
 
 def _cli(argv) -> tuple[int, bytes, bytes]:
@@ -87,10 +90,13 @@ class _Hasher:
         return self._sha.hexdigest()
 
 
-def _add_zero_set(hasher, zs):
-    hasher.add(len(zs.pairs), zs.saturated, zs.weak_vectors, zs.strong_vectors)
+def _add_zero_set(hashers, zs):
+    from mapcert.zeros import strong_span_dim, weak_span_dim
+
+    hashers["zero-sets"].add(len(zs.pairs), zs.saturated, zs.weak_vectors, zs.strong_vectors)
     for pair in zs.pairs:
-        hasher.add(pair.x, pair.h, repr(pair.residual))
+        hashers["zero-sets"].add(pair.x, pair.h, repr(pair.residual))
+    hashers["zero-set-dims"].add(len(zs.pairs), weak_span_dim(zs), strong_span_dim(zs), zs.saturated)
 
 
 def output_digest(sweeps, cells, documents, runs=None) -> dict[str, str]:
@@ -115,12 +121,12 @@ def output_digest(sweeps, cells, documents, runs=None) -> dict[str, str]:
             hashers["sweep"].add(*argv, *_cli([*argv, "--json", str(report)]))
             hashers["sweep-json"].add(*argv, report.read_bytes())
             report.unlink()
-        zero_sets = hashers["zero-sets"]
         for n, m, rank, seed in cells:
             v = random_rank_operator(n, m, rank, seed=seed)
-            zero_sets.add(n, m, rank, seed)
-            _add_zero_set(zero_sets, analytic_zeros_conjugation(v, transposed=True))
-            _add_zero_set(zero_sets, harvest_zeros(from_conjugation(v, transposed=True), seed=seed))
+            hashers["zero-sets"].add(n, m, rank, seed)
+            hashers["zero-set-dims"].add(n, m, rank, seed)
+            _add_zero_set(hashers, analytic_zeros_conjugation(v, transposed=True))
+            _add_zero_set(hashers, harvest_zeros(from_conjugation(v, transposed=True), seed=seed))
             try:
                 oracle = brute_force_strong_dim_oracle(v, transposed=True, seed=seed)
             except Exception as exc:
