@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import CrossCheckError, DimensionMismatch, EmptyZeroSet
 from .linalg import DEFAULT_TOL, ToleranceConfig, _rank_from_singular_values, kernel_basis
-from .maps import MapOperator, _cp_rank, _image_table, _unit_image, apply
+from .maps import MapOperator, _cp_rank, _image_table, _positivity_proof, _unit_image, apply
 from .zeros import ZeroSet, strong_span_dim, weak_span_dim
 
 __all__ = [
@@ -56,8 +56,9 @@ class Certificate:
     claim: irreducibility on the image with Phi(1) of full rank, since the
     commutant of a positive map is that of its compression plus M_(m-r).
     It does not enter the verdict.
-    The note records the standing caveats of the check, chiefly that
-    positivity of the input is only ever verified heuristically.
+    The note records the standing caveats of the check, chiefly whether
+    positivity of the input is proven (C or its partial transpose C^G is
+    PSD: a CP or co-CP map) or only assumed, as for every other map.
     """
 
     claim: str
@@ -196,10 +197,12 @@ def _check_compatible(phi: MapOperator, zs: ZeroSet):
         )
 
 
-_POSITIVITY_NOTE = (
-    "sufficient condition only; positivity of the input map is assumed "
-    "(verified heuristically at best, never proven)"
-)
+def _positivity_note(phi: MapOperator) -> str:
+    """The standing caveat: positivity is proven for CP and co-CP maps, and only assumed otherwise."""
+    proof = _positivity_proof(phi)
+    if proof is not None:
+        return f"sufficient condition only; positivity of the input map is proven ({proof} is positive semidefinite)"
+    return "sufficient condition only; positivity of the input map is assumed (verified heuristically at best, never proven)"
 
 
 def certify_optimal(phi: MapOperator, zs: ZeroSet, tol: ToleranceConfig = DEFAULT_TOL) -> Certificate:
@@ -227,7 +230,7 @@ def certify_optimal(phi: MapOperator, zs: ZeroSet, tol: ToleranceConfig = DEFAUL
         measured_dim=measured,
         required_dim=required,
         irreducible_on_image=None,
-        conditional_note=_POSITIVITY_NOTE,
+        conditional_note=_positivity_note(phi),
     )
 
 
@@ -259,7 +262,8 @@ def certify_exposed(phi: MapOperator, zs: ZeroSet, tol: ToleranceConfig = DEFAUL
             f"strong span {measured} exceeds the kernel ceiling {required}; "
             "the zero set contains non-zeros or the rank tolerance is off"
         )
-    for transposed, block, kind in ((False, "C", "completely positive"), (True, "C^G", "co-CP")):
+    # every ceiling is at least 0, so a zero-free map needs neither spectrum here
+    for transposed, block, kind in ((False, "C", "completely positive"), (True, "C^G", "co-CP")) if measured else ():
         cp_rank = _cp_rank(phi, tol, transposed)
         if cp_rank is not None and measured > n * (n * m - cp_rank):
             raise CrossCheckError(
@@ -271,7 +275,7 @@ def certify_exposed(phi: MapOperator, zs: ZeroSet, tol: ToleranceConfig = DEFAUL
     irreducible = irreducible_on_image and unit_rank == m
     stable = len(zs.pairs) == measured
     verdict = CERTIFIED if (measured == required and irreducible_on_image and stable) else INCONCLUSIVE
-    note = _POSITIVITY_NOTE
+    note = _positivity_note(phi)
     if not stable:
         note += (
             f"; {len(zs.pairs)} zero pairs were admitted as independent but "

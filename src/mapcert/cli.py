@@ -2,13 +2,14 @@
 generate seeded test documents.
 
 Exit codes are a stable contract: 0 success, 2 parse/schema/flag errors,
-3 positivity-heuristic failure in analyze, 4 a sweep cell matching neither
-closed-form candidate, 5 an internal failure (two zero routes disagreeing,
-an oracle that does not settle, a linear-algebra routine that fails), which
-is never the input's fault, and 141 (128 + SIGPIPE, what a shell reports for
-a writer killed by a closed pipe) when stdout is closed before the output is
-written, as in ``mapcert analyze DOC | head -1``; nothing more is printed
-then.  Output is a pure function of (input, flags, seed, tool version);
+3 positivity-heuristic failure in analyze (which runs the heuristic only on
+maps that are neither CP nor co-CP: the Choi spectrum proves those
+positive), 4 a sweep cell matching neither closed-form candidate, 5 an
+internal failure (two zero routes disagreeing, an oracle that does not
+settle, a linear-algebra routine that fails), which is never the input's
+fault, and 141 (128 + SIGPIPE, what a shell reports for a writer killed by
+a closed pipe) when stdout is closed before the output is written, as in
+``mapcert analyze DOC | head -1``; nothing more is printed then.  Output is a pure function of (input, flags, seed, tool version);
 nothing time- or path-dependent is ever printed.
 """
 
@@ -50,7 +51,7 @@ from .experiments import (
     sweep_cells,
 )
 from .linalg import DEFAULT_TOL, ToleranceConfig
-from .maps import is_positive_heuristic
+from .maps import _positivity_proof, is_positive_heuristic
 from .zeros import find_zeros
 
 __all__ = ["build_parser", "main"]
@@ -144,12 +145,16 @@ def _cmd_analyze(args) -> int:
         headline += " (transposed)" if doc.transposed else " (untransposed)"
     print(headline)
     print(f"digest: {digest}")
-    positivity = is_positive_heuristic(phi, seed=args.seed)
-    if not positivity.passed:
-        print(f"positivity heuristic: FAILED (worst value {positivity.worst_value:.6e})")
-        print("worst input direction:", _format_vector(positivity.worst_vector))
-        return 3
-    print(f"positivity heuristic: passed (worst value {positivity.worst_value:.3e})")
+    proof = _positivity_proof(phi)
+    if proof is not None:
+        print(f"positivity: proven ({proof} is positive semidefinite)")
+    else:
+        positivity = is_positive_heuristic(phi, seed=args.seed)
+        if not positivity.passed:
+            print(f"positivity heuristic: FAILED (worst value {positivity.worst_value:.6e})")
+            print("worst input direction:", _format_vector(positivity.worst_vector))
+            return 3
+        print(f"positivity heuristic: passed (worst value {positivity.worst_value:.3e})")
     zs = find_zeros(phi, seed=args.seed, starts=args.starts, tol=args.tol)
     optimal = certify_optimal(phi, zs, args.tol)
     exposed = certify_exposed(phi, zs, args.tol)

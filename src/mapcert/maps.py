@@ -261,8 +261,9 @@ def unital_normalization(phi: MapOperator, tol: ToleranceConfig = DEFAULT_TOL) -
     With A = Phi(1) and Q an orthonormal eigenbasis of its image, the unital
     part is Phi_1(a) = D^{-1/2} Q^H Phi(a) Q D^{-1/2} and the bridge is
     D^{1/2} Q^H, so that bridge^H Phi_1(a) bridge = Phi(a).  Meaningful for
-    maps that are positive (the caller's obligation, checked heuristically
-    elsewhere); a negative eigenvalue of A beyond tolerance is rejected.
+    maps that are positive (the caller's obligation: ``_positivity_proof``
+    proves it for CP and co-CP maps, and the heuristic checks the rest); a
+    negative eigenvalue of A beyond tolerance is rejected.
     """
     lam, q = _unit_image(phi, tol)
     if not np.any(lam > 0):
@@ -284,6 +285,18 @@ def _cp_rank(phi: MapOperator, tol: ToleranceConfig = DEFAULT_TOL, transposed: b
     if w[0] < -tol.rank_rel_tol * w[-1]:
         return None
     return _rank_from_eigenvalues(w, tol)
+
+
+def _positivity_proof(phi: MapOperator) -> str | None:
+    """"C" when lambda_min(C) passes the heuristic's threshold -residual_rel_tol * scale, else "C^G"
+    when that of the partial transpose does (its spectrum is read only then), else None.  Either
+    proves Phi positive: <h|Phi(|y><y|)|h> = <conj(y) (x) h| C |conj(y) (x) h> = <y (x) h| C^G |y (x) h>."""
+    floor = -DEFAULT_TOL.residual_rel_tol * phi._scale
+    if phi._spectrum[0][0] >= floor:
+        return "C"
+    if phi._partial_transpose_spectrum[0][0] >= floor:
+        return "C^G"
+    return None
 
 
 def _random_unit(rng, dim) -> np.ndarray:

@@ -15,6 +15,7 @@ import mapcert.certify
 import mapcert.cli
 import mapcert.documents
 import mapcert.experiments
+import mapcert.maps
 import mapcert.zeros
 from mapcert.cli import main
 from mapcert.errors import CrossCheckError, OracleUnstable
@@ -628,7 +629,7 @@ def test_generate_cp_then_analyze(tmp_path, capsys):
     # inexact pairs spanning 6 there, an internal failure)
     assert main(["analyze", str(path)]) == 0
     out, err = capsys.readouterr()
-    assert "positivity heuristic: passed" in out
+    assert "positivity: proven (C is positive semidefinite)" in out
     assert "zero pairs kept: 3 (saturated: yes)" in out
     assert "Optimal: Inconclusive  (weak span 3 / 6)" in out
     assert err == ""
@@ -692,7 +693,7 @@ def test_a_co_cp_map_whose_harvest_exceeds_the_strong_ceiling_exits_5(tmp_path, 
     doc = {"kind": "choi", "dim_in": 3, "dim_out": 3, "payload": matrix_to_payload(choi)}
     assert main(["analyze", write_doc(tmp_path, "co-cp.json", doc)]) == 5
     out, err = capsys.readouterr()
-    assert out.splitlines()[-1].startswith("positivity heuristic: passed")
+    assert out.splitlines()[-1] == "positivity: proven (C^G is positive semidefinite)"
     assert err == (
         "error: strong span 18 exceeds the strong ceiling 15 = n(nm - rank C^G) of a co-CP map; "
         "the zero set contains non-zeros or the rank tolerance is off\n"
@@ -743,3 +744,106 @@ def test_a_block_matrix_of_rank_1_only_at_a_coarse_tol_is_harvested(tmp_path, ca
     summary = json.loads(report.read_text())["zero_set_summary"]
     assert summary["saturated"] and summary["pairs"] > 0 and summary["weak_span_dim"] == 4
     assert "(saturated: yes)" in capsys.readouterr().out
+
+
+def heuristic_never_runs(*args, **kwargs):
+    raise AssertionError("the positivity heuristic ran")
+
+
+def generated_doc(tmp_path, capsys, name, *argv):
+    assert main(["generate", *argv]) == 0
+    path = tmp_path / name
+    path.write_text(capsys.readouterr().out)
+    return str(path)
+
+
+def test_analyze_proves_cp_and_co_cp_maps_positive_without_the_heuristic(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(mapcert.cli, "is_positive_heuristic", heuristic_never_runs)
+    prepared, to_map_operator = [], mapcert.cli.to_map_operator
+
+    def recorded(doc):
+        prepared.append(to_map_operator(doc))
+        return prepared[-1]
+
+    monkeypatch.setattr(mapcert.cli, "to_map_operator", recorded)
+    docs = {
+        "C": [
+            generated_doc(tmp_path, capsys, "cp.json", "--kind", "random-cp", "--n", "2", "--m", "3", "--seed", "2"),
+            generated_doc(tmp_path, capsys, "conj.json", "--kind", "conjugation", "--n", "2", "--m", "3", "--no-transposed"),
+            generated_doc(tmp_path, capsys, "choi.json", "--kind", "random-choi", "--n", "4", "--m", "3", "--seed", "1"),
+        ],
+        "C^G": [generated_doc(tmp_path, capsys, "tconj.json", "--kind", "conjugation", "--n", "3", "--m", "3")],
+    }
+    for block, paths in docs.items():
+        for path in paths:
+            assert main(["analyze", path]) == 0
+            out, err = capsys.readouterr()
+            assert out.splitlines()[2] == f"positivity: proven ({block} is positive semidefinite)"
+            assert out.splitlines()[-1].startswith(
+                f"note: sufficient condition only; positivity of the input map is proven ({block} is positive semidefinite)"
+            )
+            assert err == ""
+    # the positive-definite Choi matrix is zero-free: no strong ceiling is checked, so the
+    # partial transpose is never decomposed
+    assert np.linalg.eigvalsh(prepared[2].choi)[0] > 0
+    assert "_partial_transpose_spectrum" not in prepared[2].__dict__
+
+
+def counted_heuristic(monkeypatch):
+    calls = []
+    heuristic = mapcert.cli.is_positive_heuristic
+
+    def counted(phi, seed=0):
+        calls.append(phi)
+        return heuristic(phi, seed=seed)
+
+    monkeypatch.setattr(mapcert.cli, "is_positive_heuristic", counted)
+    return calls
+
+
+def test_the_heuristic_decides_a_negated_cp_map(tmp_path, monkeypatch, capsys):
+    calls = counted_heuristic(monkeypatch)
+    cp = mapcert.maps.cp_map_from_kraus(mapcert.experiments.random_kraus_operators(2, 3, 2, seed=3))
+    doc = {"kind": "choi", "dim_in": 2, "dim_out": 3, "payload": matrix_to_payload(-cp.choi)}
+    assert main(["analyze", write_doc(tmp_path, "negated.json", doc)]) == 3
+    out = capsys.readouterr().out
+    assert len(calls) == 1
+    assert out.splitlines()[2].startswith("positivity heuristic: FAILED (worst value ")
+
+
+def test_the_heuristic_decides_the_choi_map(tmp_path, monkeypatch, capsys):
+    # Choi's map Phi[2,0,1] on M_3, X -> diag(2 x11 + x33, x11 + 2 x22, x22 + 2 x33) - X: positive, but
+    # neither CP nor co-CP, so neither C nor its partial transpose proves it
+    weights = np.array([[2, 1, 0], [0, 2, 1], [1, 0, 2]])  # weights[i, k]: the coefficient of x_ii in Phi(X)_kk
+    omega = np.eye(3).ravel()
+    choi = np.diag(weights.ravel()) - np.outer(omega, omega)
+    phi = mapcert.maps.MapOperator(3, 3, choi)
+    assert phi._spectrum[0][0] < -0.5 and phi._partial_transpose_spectrum[0][0] < -0.5
+    calls = counted_heuristic(monkeypatch)
+    doc = {"kind": "choi", "dim_in": 3, "dim_out": 3, "payload": matrix_to_payload(choi)}
+    assert main(["analyze", write_doc(tmp_path, "choi-map.json", doc)]) == 0
+    out = capsys.readouterr().out
+    assert len(calls) == 1
+    assert out.splitlines()[2].startswith("positivity heuristic: passed (worst value ")
+    assert out.splitlines()[-1] == (
+        "note: sufficient condition only; positivity of the input map is assumed "
+        "(verified heuristically at best, never proven)"
+    )
+
+
+@pytest.mark.parametrize("depth, proven", [(0.5e-9, True), (2e-9, False)])
+def test_a_choi_matrix_negative_past_the_pass_threshold_is_not_proven(tmp_path, monkeypatch, capsys, depth, proven):
+    # the PSD block matrix of a -> a + Tr(a) 1 on M_2 (eigenvalues 3, 1, 1, 1), with its singlet
+    # eigenvalue moved to -depth * scale; the partial transpose has eigenvalue about -1/2 there,
+    # and product vectors overlap the singlet by at most 1/2, so the map stays positive
+    omega, singlet = np.eye(2).ravel(), np.array([0, 1, -1, 0]) / np.sqrt(2)
+    choi = np.outer(omega, omega) + np.eye(4) - (1 + 3 * depth) * np.outer(singlet, singlet)
+    assert np.linalg.eigvalsh(choi)[0] == pytest.approx(-3 * depth, rel=1e-3)
+    calls = counted_heuristic(monkeypatch)
+    doc = {"kind": "choi", "dim_in": 2, "dim_out": 2, "payload": matrix_to_payload(choi)}
+    assert main(["analyze", write_doc(tmp_path, "edge.json", doc)]) == 0
+    line = capsys.readouterr().out.splitlines()[2]
+    if proven:
+        assert (len(calls), line) == (0, "positivity: proven (C is positive semidefinite)")
+    else:
+        assert len(calls) == 1 and line.startswith("positivity heuristic: passed (worst value ")

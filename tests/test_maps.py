@@ -11,6 +11,7 @@ from mapcert.maps import (
     MapOperator,
     _cp_rank,
     _from_blocks,
+    _positivity_proof,
     apply,
     choi_spectral_scale,
     cp_map_from_kraus,
@@ -250,6 +251,34 @@ def test_cp_rank_reads_the_rank_of_a_positive_semidefinite_block_matrix():
     rng = np.random.default_rng(9)
     assert _cp_rank(cp_map_from_kraus([ginibre(rng, 4, 3) for _ in range(2)])) == 2
     assert _cp_rank(transpose_map(3)) is None
+
+
+def partial_transpose(phi):
+    n, m = phi.dim_in, phi.dim_out
+    return MapOperator(n, m, phi.choi.reshape(n, m, n, m).transpose(2, 1, 0, 3).reshape(n * m, n * m))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_the_heuristic_never_reads_below_the_smallest_eigenvalue_it_proves_from(seed):
+    # <h|Phi(|y><y|)|h> = <conj(y) (x) h| C |conj(y) (x) h> = <y (x) h| C^G |y (x) h> for unit y, h:
+    # no sample or descent of the heuristic can read below lambda_min(C), or lambda_min(C^G)
+    rng = np.random.default_rng(seed)
+    n, m = 2 + seed % 2, 2 + seed // 2 % 2
+    for k in (1, m, n * m + 1):
+        cp = cp_map_from_kraus([ginibre(rng, m, n) for _ in range(k)])
+        for phi, w in ((cp, cp._spectrum[0]), (partial_transpose(cp), partial_transpose(cp)._partial_transpose_spectrum[0])):
+            assert is_positive_heuristic(phi, seed=seed).worst_value >= w[0] - 1e-12 * choi_spectral_scale(phi)
+
+
+def test_positivity_proof_names_the_block_matrix_that_is_positive_semidefinite():
+    rng = np.random.default_rng(4)
+    cp = cp_map_from_kraus([ginibre(rng, 3, 2) for _ in range(2)])
+    assert [_positivity_proof(phi) for phi in (cp, identity_map(3), trace_map(2, 3), dephasing_map(2))] == ["C"] * 4
+    assert [_positivity_proof(phi) for phi in (partial_transpose(cp), transpose_map(3))] == ["C^G"] * 2
+    # the reduction map a -> Tr(a) 1 - a is not CP, but its C^G = 1 - flip is PSD
+    omega = np.eye(2).ravel()
+    assert _positivity_proof(MapOperator(2, 2, np.eye(4) - np.outer(omega, omega))) == "C^G"
+    assert _positivity_proof(MapOperator(2, 3, -cp.choi)) is None
 
 
 def test_positivity_heuristic_passes_positive_maps():
