@@ -152,7 +152,8 @@ def _cmd_analyze(args) -> int:
         positivity = is_positive_heuristic(phi, seed=args.seed)
         if not positivity.passed:
             print(f"positivity heuristic: FAILED (worst value {positivity.worst_value:.6e})")
-            print("worst input direction:", _format_vector(positivity.worst_vector))
+            vector = ", ".join(f"{z.real:+.6f}{z.imag:+.6f}j" for z in positivity.worst_vector)
+            print(f"worst input direction: [{vector}]")
             return 3
         print(f"positivity heuristic: passed (worst value {positivity.worst_value:.3e})")
     zs = find_zeros(phi, seed=args.seed, starts=args.starts, tol=args.tol)
@@ -175,12 +176,6 @@ def _cmd_analyze(args) -> int:
         )
         Path(args.json).write_bytes(render_certificate_document(report))
     return 0
-
-
-def _format_vector(vec) -> str:
-    if vec is None:
-        return "(none)"
-    return "[" + ", ".join(f"{z.real:+.6f}{z.imag:+.6f}j" for z in vec) + "]"
 
 
 _SWEEP_HEADER = f"{'n':>3} {'m':>3} {'rank':>4} {'measured':>8} {'input-rule':>10} {'output-rule':>11} {'target':>6}  agrees"

@@ -23,25 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    CrossCheckError,
-    OracleUnstable,
-    RankInfeasible,
-    ZeroOperator,
-)
-from .linalg import (
-    DEFAULT_TOL,
-    ToleranceConfig,
-    _rank_from_singular_values,
-    _row_kernels,
-    as_matrix,
-    image_projector,
-    kernel_basis,
-    numerical_rank,
-    span_dimension,
-)
+from .errors import CrossCheckError, OracleUnstable, RankInfeasible, ZeroOperator
+from .linalg import DEFAULT_TOL, ToleranceConfig, _rank_from_singular_values, _row_kernels, as_matrix
+from .linalg import image_projector, kernel_basis, numerical_rank, span_dimension
 from .maps import MapOperator, _random_unit, apply, choi_spectral_scale, cp_map_from_kraus, from_conjugation
-from .zeros import _STALL_BUDGET, _kraus_zeros, harvest_zeros, strong_span_dim
+from .zeros import _kraus_zeros, harvest_zeros, strong_span_dim
 
 __all__ = [
     "SweepReport",
@@ -156,7 +142,7 @@ def run_dimension_sweep(
     """
     v = random_rank_operator(n, m, rank_v, seed=seed, tol=tol)
     phi = from_conjugation(v, transposed=True)
-    analytic = strong_span_dim(_kraus_zeros(phi, v.conj().T[None], True, tol, _STALL_BUDGET), tol)
+    analytic = strong_span_dim(_kraus_zeros(phi, v.conj().T[None], True, tol), tol)
     harvested = strong_span_dim(harvest_zeros(phi, seed=seed), tol)
     if analytic != harvested:
         raise CrossCheckError(

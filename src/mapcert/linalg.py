@@ -74,9 +74,14 @@ def _rank_from_singular_values(s: np.ndarray, tol: ToleranceConfig) -> int:
     return int(np.count_nonzero(s > tol.rank_rel_tol * s[0]))
 
 
+def _kept_eigenvalues(w: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
+    """Mask of the eigenvalues of a Hermitian matrix whose moduli, its singular values, pass the rank cut."""
+    return np.abs(w) > tol.rank_rel_tol * np.max(np.abs(w), initial=0.0)
+
+
 def _rank_from_eigenvalues(w: np.ndarray, tol: ToleranceConfig) -> int:
-    """Rank of a Hermitian matrix from its eigenvalues, whose moduli are its singular values."""
-    return _rank_from_singular_values(np.sort(np.abs(w))[::-1], tol)
+    """Rank of a Hermitian matrix from its eigenvalues, in any order."""
+    return int(np.count_nonzero(_kept_eigenvalues(w, tol)))
 
 
 def numerical_rank(matrix, tol: ToleranceConfig = DEFAULT_TOL) -> int:

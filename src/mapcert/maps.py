@@ -11,7 +11,9 @@ Evaluation recovers the map as Phi(a) = Tr_in[C (a^T (x) 1_m)].
 
 Constructors write the block array blocks[i, k, j, l] = Phi(E_ij)[k, l] with
 one broadcast product and make the MapOperator through ``_from_blocks``;
-``_image_table`` reads the images Phi(E_ij) back as a view.  No n^2 list of
+``_image_table`` reads the images Phi(E_ij) back as a view, and
+``_kraus_stack`` a Kraus stack off the spectrum of C (or of C^G), which
+only ``_is_psd`` tests for positive semidefiniteness.  No n^2 list of
 images is built, and no other module reads the block layout.  ``trace_map``
 and ``dephasing_map`` write their block matrices in closed form.
 
@@ -28,7 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatch, ZeroMap, ZeroOperator
-from .linalg import DEFAULT_TOL, ToleranceConfig, _rank_from_eigenvalues, as_matrix
+from .linalg import DEFAULT_TOL, ToleranceConfig, _kept_eigenvalues, _rank_from_eigenvalues, as_matrix
 
 __all__ = [
     "MapOperator",
@@ -99,10 +101,10 @@ class MapOperator:
 
     @cached_property
     def _partial_transpose_spectrum(self) -> tuple[np.ndarray, np.ndarray]:
-        """``np.linalg.eigh``, read-only as ``_spectrum``, of the partial transpose on the input
-        factor, the block matrix of a -> Phi(a^T): PSD exactly when Phi is co-CP."""
+        """``_spectrum`` of the partial transpose C^G on the input factor, the block matrix of
+        a -> Phi(a^T), taken of the same Hermitian part (partial transposition commutes with ^H)."""
         n, m = self.dim_in, self.dim_out
-        w, u = np.linalg.eigh(self.choi.reshape(n, m, n, m).transpose(2, 1, 0, 3).reshape(n * m, n * m))
+        w, u = np.linalg.eigh(_hermitize(self.choi).reshape(n, m, n, m).transpose(2, 1, 0, 3).reshape(n * m, n * m))
         w.setflags(write=False)
         u.setflags(write=False)
         return w, u
@@ -251,7 +253,7 @@ def _unit_image(phi: MapOperator, tol: ToleranceConfig) -> tuple[np.ndarray, np.
     exceeds rank_rel_tol times the largest, ascending, and their orthonormal eigenvectors Q,
     a basis of the image, from one eigh."""
     w, v = np.linalg.eigh(_hermitize(apply(phi, np.eye(phi.dim_in))))
-    keep = np.abs(w) > tol.rank_rel_tol * np.max(np.abs(w))
+    keep = _kept_eigenvalues(w, tol)
     return w[keep], v[:, keep]
 
 
@@ -277,25 +279,38 @@ def unital_normalization(phi: MapOperator, tol: ToleranceConfig = DEFAULT_TOL) -
     return NormalForm(bridge=bridge, unital_part=unital_part, image_dim=len(lam))
 
 
+def _block_spectrum(phi: MapOperator, transposed: bool) -> tuple[np.ndarray, np.ndarray]:
+    return phi._partial_transpose_spectrum if transposed else phi._spectrum
+
+
+def _is_psd(phi: MapOperator, transposed: bool) -> bool:
+    """The one PSD test of C (``transposed``: of C^G), which proves Phi CP (co-CP): lambda_min >=
+    -residual_rel_tol * scale, the heuristic's pass threshold, whatever the rank tolerance."""
+    return _block_spectrum(phi, transposed)[0][0] >= -DEFAULT_TOL.residual_rel_tol * phi._scale
+
+
 def _cp_rank(phi: MapOperator, tol: ToleranceConfig = DEFAULT_TOL, transposed: bool = False) -> int | None:
-    """Rank of the block matrix C when Phi is completely positive (C positive
-    semidefinite: lambda_min >= -rank_rel_tol * lambda_max), else None; ``transposed``:
-    of its partial transpose, when Phi is co-CP."""
-    w = (phi._partial_transpose_spectrum if transposed else phi._spectrum)[0]
-    if w[0] < -tol.rank_rel_tol * w[-1]:
+    """Rank of C when Phi is completely positive (``transposed``: of C^G, when co-CP), else None:
+    its eigenvalues above the rank cut, as negative ones that pass ``_is_psd`` are noise."""
+    if not _is_psd(phi, transposed):
         return None
-    return _rank_from_eigenvalues(w, tol)
+    return _rank_from_eigenvalues(np.maximum(_block_spectrum(phi, transposed)[0], 0.0), tol)
+
+
+def _kraus_stack(phi: MapOperator, k: int, transposed: bool) -> np.ndarray:
+    """The (k, m, n) stack K_s = sqrt(lambda_s) u_s (u_s reshaped n x m, then transposed) of the top k
+    eigenpairs of C (``transposed``: C^G): Phi(a) = sum_s K_s a K_s^H (a^T) when the rest vanish."""
+    n, m = phi.dim_in, phi.dim_out
+    w, u = _block_spectrum(phi, transposed)
+    return (np.sqrt(w[-k:]) * u[:, -k:]).T.reshape(k, n, m).transpose(0, 2, 1)
 
 
 def _positivity_proof(phi: MapOperator) -> str | None:
-    """"C" when lambda_min(C) passes the heuristic's threshold -residual_rel_tol * scale, else "C^G"
-    when that of the partial transpose does (its spectrum is read only then), else None.  Either
-    proves Phi positive: <h|Phi(|y><y|)|h> = <conj(y) (x) h| C |conj(y) (x) h> = <y (x) h| C^G |y (x) h>."""
-    floor = -DEFAULT_TOL.residual_rel_tol * phi._scale
-    if phi._spectrum[0][0] >= floor:
-        return "C"
-    if phi._partial_transpose_spectrum[0][0] >= floor:
-        return "C^G"
+    """"C" when C is PSD, else "C^G" when C^G is (its spectrum is read only then), else None.  Either proves
+    Phi positive: <h|Phi(|y><y|)|h> = <conj(y) (x) h| C |conj(y) (x) h> = <y (x) h| C^G |y (x) h>."""
+    for transposed, block in ((False, "C"), (True, "C^G")):
+        if _is_psd(phi, transposed):
+            return block
     return None
 
 

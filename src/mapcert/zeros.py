@@ -32,14 +32,13 @@ cached ``eigh``), not from how the map was written down, trying in order:
 
 1. No zeros, proven: for unit x and h, ||Phi(|conj(x)><conj(x)|) h|| >=
    <x (x) h| C |x (x) h> >= lambda_min(C), so when lambda_min(C) exceeds the
-   admission threshold the empty set is returned without a descent.
-2. Kraus stack: when C, or else its partial transpose on the input factor
-   (cached beside it), is PSD of numerical rank k >= 1, with every
-   eigenvalue left out within the admission threshold (they bound the
-   residuals of the stack's pairs under Phi; a map of rank k only at a
-   larger ``rank_rel_tol`` goes on to the harvest), Phi(a) = sum_s K_s a
-   K_s^H (or K_s a^T K_s^H) with K_s = sqrt(lambda_s) u_s reshaped n x m
-   and transposed, whatever kind of document wrote the map.  With
+   admission threshold the empty set is returned, saturated, without a descent.
+2. Kraus stack: when Phi is CP, or else co-CP, of rank 0 < k < nm (its top
+   k eigenvalues, ``maps._cp_rank``) with every other within the admission
+   threshold (they bound the residuals of the stack's pairs; a map of rank
+   k only at a larger ``rank_rel_tol`` goes on to the harvest), Phi(a) =
+   sum_s K_s a K_s^H (or K_s a^T K_s^H) for the stack ``maps._kraus_stack``,
+   whatever kind of document wrote the map.  With
    y = conj(x) (transposed: y = x), (x, h) is a zero iff h^H M(y) = 0 for
    M(y) = [K_1 y ... K_k y], m x k, of rank r at a generic point.  On the
    common kernel of the K_s, M(y) = 0 and every h is a partner; random
@@ -49,8 +48,8 @@ cached ``eigh``), not from how the map was written down, trying in order:
    (R = 1 at k = m, else a fixed random k x m matrix) is singular at every
    zero, so on a line y = a + t b the zeros lie among the roots of
    det(A + tB) = 0, the eigenvalues of -B^-1 A.  At n = 2 one line is all
-   of P^1 (with t = infinity, the point b): when no root is a zero the set
-   is proven empty, reported as a zero-free map is.  At n >= 3 with k = m,
+   of P^1 (with t = infinity, the point b): one drawn line finds every zero
+   off the common kernel, and saturates with it.  At n >= 3 with k = m,
    random lines are drawn until a stall window admits nothing.  Other
    points where M drops below its generic rank are not sought; missing
    zeros can only lower the spans.  k > m at n >= 3 goes on to the
@@ -86,8 +85,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import DEFAULT_TOL, ToleranceConfig, as_matrix, kernel_basis, span_dimension
-from .linalg import _rank_from_eigenvalues, _rank_from_singular_values, _row_kernels
-from .maps import MapOperator, choi_spectral_scale, from_conjugation
+from .linalg import _rank_from_singular_values, _row_kernels
+from .maps import MapOperator, _block_spectrum, _cp_rank, _kraus_stack, choi_spectral_scale, from_conjugation
 from .maps import _alternating_descent, _image, _normalize, _random_unit, _x_step
 
 __all__ = [
@@ -136,8 +135,8 @@ class ZeroSet:
 
     Row i of ``weak_vectors`` (k x nm) and of ``strong_vectors`` (k x n^2 m)
     belongs to ``pairs[i]``.  ``saturated`` records whether enumeration
-    stopped because further searching stopped producing new directions (as
-    opposed to running out of budget).
+    stopped because further searching stopped producing new directions, or
+    the set is proven complete (as opposed to running out of budget).
     """
 
     dim_in: int
@@ -269,27 +268,22 @@ def _budget(phi: MapOperator, starts: int | None) -> int:
 def find_zeros(phi: MapOperator, seed: int = 0, starts: int | None = None, tol: ToleranceConfig = DEFAULT_TOL) -> ZeroSet:
     """The zero set of Phi by the route its Choi spectrum proves (see the module docstring).
 
-    ``seed`` and ``starts`` are the harvest's; the other routes use neither.
-    A map proven zero-free, by its spectrum or by the P^1 pencil, reports
-    ``saturated`` as the harvest would: all of its starts fail, so it
-    saturates exactly when its budget reaches ``_STALL_BUDGET``.  ``tol``
-    decides the rank k of C (or of its partial transpose) that picks the
-    Kraus route, and that route's ranks.
+    ``seed`` and ``starts`` are the harvest's (an empty budget is rejected on
+    every route); a zero set the spectrum proves reports ``saturated``.
+    ``tol`` decides the rank k of C (or of C^G) that picks the Kraus route,
+    and that route's ranks.
     """
     n, m = phi.dim_in, phi.dim_out
-    budget = _budget(phi, starts)
+    _budget(phi, starts)
     thr = DEFAULT_TOL.residual_rel_tol * choi_spectral_scale(phi)
     if phi._spectrum[0][0] > thr:
-        return ZeroSet.from_pairs(n, m, [], saturated=budget >= _STALL_BUDGET)
+        return ZeroSet.from_pairs(n, m, [], saturated=True)
     for transposed in (False, True):
-        w, u = phi._partial_transpose_spectrum if transposed else phi._spectrum
-        # k kept eigenvalues, the top ones and all positive; the discarded ones bound the
-        # residuals of the pairs of the Kraus stack, so they must be within admission too
-        k = _rank_from_eigenvalues(w, tol)
-        if k < n * m and w[-k] > -w[0] and max(-w[0], w[-k - 1]) <= thr:
-            # K_s = sqrt(lambda_s) u_s reshaped n x m and transposed, stacked (k, m, n)
-            stack = (np.sqrt(w[-k:]) * u[:, -k:]).T.reshape(k, n, m).transpose(0, 2, 1)
-            zs = _kraus_zeros(phi, stack, transposed, tol, budget)
+        # Phi CP (co-CP) of rank k, kept as its top k eigenvalues; the discarded ones bound the
+        # residuals of the pairs of the Kraus stack, so they must be within admission (w[0] is)
+        k, w = _cp_rank(phi, tol, transposed), _block_spectrum(phi, transposed)[0]
+        if k is not None and 0 < k < n * m and w[-k - 1] <= thr:
+            zs = _kraus_zeros(phi, _kraus_stack(phi, k, transposed), transposed, tol)
             if zs is not None:
                 return zs
     return harvest_zeros(phi, seed=seed, starts=starts)
@@ -331,9 +325,9 @@ def analytic_zeros_conjugation(v, transposed: bool = False, tol: ToleranceConfig
     It is the Kraus route on the one operator K = V^H: with y = conj(x)
     (transposed: y = x), (x, h) is a zero iff h^H V^H y = 0, so every x has
     the partners of one row, exactly, and on the kernel of V^H (when
-    rank V < n) every h is a partner.
+    rank V < n) every h is a partner.  No start budget applies.
     """
-    return _kraus_zeros(from_conjugation(v, transposed), as_matrix(v).conj().T[None], transposed, tol, _STALL_BUDGET)
+    return _kraus_zeros(from_conjugation(v, transposed), as_matrix(v).conj().T[None], transposed, tol)
 
 
 # A pencil line whose B has sigma_min at or below this times sigma_max is redrawn: the
@@ -341,12 +335,13 @@ def analytic_zeros_conjugation(v, transposed: bool = False, tol: ToleranceConfig
 _PENCIL_GATE = 1e-4
 
 
-def _kraus_zeros(phi: MapOperator, stack: np.ndarray, transposed: bool, tol: ToleranceConfig, budget: int) -> ZeroSet | None:
+def _kraus_zeros(phi: MapOperator, stack: np.ndarray, transposed: bool, tol: ToleranceConfig) -> ZeroSet | None:
     """Exact zero pairs of Phi(a) = sum_s K_s a K_s^H (``transposed``: K_s a^T K_s^H) from the (k, m, n)
     Kraus stack, or None when no exact route applies (see the module docstring).
 
     With y = conj(x) (``transposed``: y = x), (x, h) is a zero iff h^H M(y) = 0 for the m x k matrix
-    M(y) = [K_1 y ... K_k y]; the route is picked by the rank r of M at a generic point.
+    M(y) = [K_1 y ... K_k y]; the route is picked by the rank r of M at a generic point.  The set is
+    ``saturated`` when each of its searches stalled, where at n = 2 one drawn pencil line is all of P^1.
     """
     k, m, n = stack.shape
     admission = _Admission(n, m, tol.residual_rel_tol * choi_spectral_scale(phi))
@@ -401,9 +396,9 @@ def _kraus_zeros(phi: MapOperator, stack: np.ndarray, transposed: bool, tol: Tol
 
     if n > 2:
         return admission.zero_set(saturated=_saturates(lines(), window) and saturated)
-    # n = 2: the line is all of P^1, and t = infinity is b; no pair admitted proves the set empty
+    # n = 2: the line is all of P^1, and t = infinity is b: one drawn line finds every zero off W
     drawn = next(lines(), None) is not None
-    return admission.zero_set(saturated=drawn and (bool(admission.pairs) or budget >= _STALL_BUDGET))
+    return admission.zero_set(saturated=drawn and saturated)
 
 
 def weak_span_dim(zero_set: ZeroSet, tol: ToleranceConfig = DEFAULT_TOL) -> int:

@@ -644,8 +644,8 @@ def test_a_conjugation_analyzes_alike_whatever_document_writes_it(tmp_path, monk
     routes = []
     kraus_zeros = mapcert.zeros._kraus_zeros
 
-    def recorded(phi, stack, transposed, tol, budget):
-        zs = kraus_zeros(phi, stack, transposed, tol, budget)
+    def recorded(phi, stack, transposed, tol):
+        zs = kraus_zeros(phi, stack, transposed, tol)
         routes.append((stack.shape, transposed, max(p.residual for p in zs.pairs) / mapcert.maps.choi_spectral_scale(phi)))
         return zs
 
@@ -726,6 +726,16 @@ def test_a_conjugation_is_saturated_whatever_the_harvest_budget(tmp_path, capsys
     # --starts budgets the harvest, which a conjugation no longer runs
     assert main(["analyze", transpose_doc(tmp_path), "--starts", "5"]) == 0
     assert "zero pairs kept: 6 (saturated: yes)" in capsys.readouterr().out
+
+
+def test_a_zero_free_map_is_saturated_whatever_the_harvest_budget(tmp_path, capsys):
+    # a positive definite block matrix proves the empty zero set, which no start budget changes
+    assert main(["generate", "--kind", "random-choi", "--n", "2", "--m", "3", "--seed", "2"]) == 0
+    path, report = tmp_path / "choi.json", tmp_path / "report.json"
+    path.write_text(capsys.readouterr().out)
+    assert main(["analyze", str(path), "--starts", "5", "--json", str(report)]) == 0
+    assert "zero pairs kept: 0 (saturated: yes)" in capsys.readouterr().out
+    assert json.loads(report.read_bytes())["zero_set_summary"]["saturated"] is True
 
 
 def test_a_block_matrix_of_rank_1_only_at_a_coarse_tol_is_harvested(tmp_path, capsys):
@@ -829,6 +839,20 @@ def test_the_heuristic_decides_the_choi_map(tmp_path, monkeypatch, capsys):
         "note: sufficient condition only; positivity of the input map is assumed "
         "(verified heuristically at best, never proven)"
     )
+
+
+@pytest.mark.parametrize("tol", ["1e-8", "1e-10"])
+def test_a_negative_eigenvalue_within_the_psd_bar_lowers_no_ceiling(tmp_path, capsys, tol):
+    # the identity map on M_2 (C = |omega><omega|, scale 2) with the eigenvalue of the product vector
+    # e_0 (x) e_1 moved to -1e-9 = -scale / 2e9: proven CP, and under --tol 1e-10 that eigenvalue's
+    # modulus is above the rank cut, yet rank C stays 1, so the zeros' weak span 3 meets nm - rank C
+    omega, product = np.eye(2).ravel(), np.eye(4)[1]
+    choi = np.outer(omega, omega) - 1e-9 * np.outer(product, product)
+    doc = {"kind": "choi", "dim_in": 2, "dim_out": 2, "payload": matrix_to_payload(choi)}
+    assert main(["analyze", write_doc(tmp_path, "edge.json", doc), "--tol", tol]) == 0
+    out = capsys.readouterr().out
+    assert "positivity: proven (C is positive semidefinite)" in out
+    assert "Optimal: Inconclusive  (weak span 3 / 4)" in out
 
 
 @pytest.mark.parametrize("depth, proven", [(0.5e-9, True), (2e-9, False)])

@@ -7,6 +7,8 @@ from mapcert.errors import DimensionMismatch, KernelInclusionViolated
 from mapcert.linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
+    _kept_eigenvalues,
+    _rank_from_eigenvalues,
     _row_kernels,
     as_matrix,
     image_projector,
@@ -66,6 +68,18 @@ def test_numerical_rank_on_constructed_matrices(rows, cols, rank):
 
 def test_numerical_rank_zero_matrix():
     assert numerical_rank(np.zeros((3, 3))) == 0
+
+
+@pytest.mark.parametrize(
+    "w, kept",
+    [([0.0, 0.0, 0.0], [False, False, False]), ([-5.0, -1e-10, 1e-9, 1e-7, 2.0], [True, False, False, True, True])],
+    ids=["all-zero", "mixed-sign"],
+)
+def test_eigenvalue_rank_cuts_the_moduli_as_the_singular_value_rank(w, kept):
+    # ascending eigenvalues, as eigh returns them: the largest modulus may come first
+    w = np.array(w)
+    assert _kept_eigenvalues(w, DEFAULT_TOL).tolist() == kept
+    assert _rank_from_eigenvalues(w, DEFAULT_TOL) == sum(kept) == numerical_rank(np.diag(w))
 
 
 def test_kernel_basis_spans_the_kernel():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mapcert.errors import DimensionMismatch, ZeroMap, ZeroOperator
-from mapcert.linalg import DEFAULT_TOL, numerical_rank
+from mapcert.linalg import DEFAULT_TOL, ToleranceConfig, numerical_rank
 from mapcert.maps import (
     MapOperator,
     _cp_rank,
@@ -268,6 +268,32 @@ def test_the_heuristic_never_reads_below_the_smallest_eigenvalue_it_proves_from(
         cp = cp_map_from_kraus([ginibre(rng, m, n) for _ in range(k)])
         for phi, w in ((cp, cp._spectrum[0]), (partial_transpose(cp), partial_transpose(cp)._partial_transpose_spectrum[0])):
             assert is_positive_heuristic(phi, seed=seed).worst_value >= w[0] - 1e-12 * choi_spectral_scale(phi)
+
+
+def test_both_spectra_read_the_hermitian_part_of_the_block_matrix():
+    # eigh reads one triangle of its argument, and the partial transpose moves entries across the
+    # diagonal: C^G is taken of the Hermitian part of C, as C's own spectrum is
+    rng = np.random.default_rng(5)
+    g = ginibre(rng, 6, 6)
+    choi = g @ g.conj().T + 1e-11 * np.triu(ginibre(rng, 6, 6), 1)
+    phi, hermitian = MapOperator(2, 3, choi), MapOperator(2, 3, (choi + choi.conj().T) / 2)
+    atol = 1e-14 * choi_spectral_scale(phi)
+    np.testing.assert_allclose(phi._spectrum[0], np.linalg.eigvalsh(hermitian.choi), rtol=0, atol=atol)
+    pt = partial_transpose(hermitian).choi
+    np.testing.assert_allclose(phi._partial_transpose_spectrum[0], np.linalg.eigvalsh(pt), rtol=0, atol=atol)
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-8, 1e-7])
+@pytest.mark.parametrize("depth, proven", [(0.5e-9, "C"), (2e-9, None), (5e-9, None)])
+def test_the_cp_ceilings_and_the_positivity_proof_read_one_psd_bar(depth, proven, tol):
+    # the block matrix of a -> a + Tr(a) 1 on M_2 (scale 3) with its singlet eigenvalue moved to
+    # -depth * scale, around the bar lambda_min >= -residual_rel_tol * scale; its C^G is not PSD
+    omega, singlet = np.eye(2).ravel(), np.array([0, 1, -1, 0]) / np.sqrt(2)
+    phi = MapOperator(2, 2, np.outer(omega, omega) + np.eye(4) - (1 + 3 * depth) * np.outer(singlet, singlet))
+    assert _positivity_proof(phi) == proven
+    # the CP ceilings are armed exactly when C is proven PSD, and the negative eigenvalue the bar
+    # lets pass is noise, not rank, even where tol keeps its modulus
+    assert _cp_rank(phi, ToleranceConfig(tol)) == (3 if proven == "C" else None)
 
 
 def test_positivity_proof_names_the_block_matrix_that_is_positive_semidefinite():
