@@ -14,7 +14,10 @@ that solves the zero condition exactly in h over a dense random grid of x.
 The oracle is deliberately naive.  It shares ``linalg``'s row-kernel solve
 with the Kraus route and ``span_dimension`` with both.  It shares neither
 the Kraus stack, nor its points, nor admission, so it still catches a bug
-in any of those.
+in any of those.  Each of its stages runs as whole-array steps (one draw per
+kind of point, one stacked row-kernel solve, one broadcast per kernel width),
+which change no math: the same points, the same kernels and the same one
+rank decision per stage as a loop over points.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import numpy as np
 from .errors import CrossCheckError, OracleUnstable, RankInfeasible, ZeroOperator
 from .linalg import DEFAULT_TOL, ToleranceConfig, _rank_from_singular_values, _row_kernels, as_matrix
 from .linalg import image_projector, kernel_basis, numerical_rank, span_dimension
-from .maps import MapOperator, _random_unit, apply, choi_spectral_scale, cp_map_from_kraus, from_conjugation
+from .maps import MapOperator, _gaussian_rows, apply, choi_spectral_scale, cp_map_from_kraus, from_conjugation
 from .zeros import _kraus_zeros, harvest_zeros, strong_span_dim
 
 __all__ = [
@@ -244,28 +247,39 @@ def check_image_inclusion(
     )
 
 
+def _unit_rows(rng, count, dim) -> np.ndarray:
+    g = _gaussian_rows(rng, count, dim)
+    return g / np.linalg.norm(g, axis=1, keepdims=True)
+
+
 def _oracle_generators(v, transposed, sigma_top, stratum, grid, tol, seed, stage) -> np.ndarray:
-    """Strong vectors of every sampled zero pair, as matrix columns."""
+    """Strong vectors of every sampled zero pair, as matrix columns in the order of the points.
+
+    Each step runs on the whole stage at once: one draw per kind of point, one
+    stacked row-kernel solve, one broadcast per kernel width.  Batching changes no
+    math: the points, their kernels and the columns are those of a loop over points
+    up to rounding, and the stage still ends in one rank decision.
+    """
     n, m = v.shape
     rng = np.random.default_rng([seed, stage])
-    xs = [_random_unit(rng, n) for _ in range(grid)]
+    xs = _unit_rows(rng, grid, n)
     if stratum is not None:  # rank V < n
         # Generic x never hits the stratum where the zero condition is
         # row-free; sample it explicitly or its contribution is lost.
         d = stratum.shape[1]
-        xs += [stratum @ _random_unit(rng, d) for _ in range((d * d + d + 4) * max(1, stage + 1))]
+        xs = np.vstack([xs, _unit_rows(rng, (d * d + d + 4) * max(1, stage + 1), d) @ stratum.T])
     # The h solutions at x are the kernel of its 1 x m row.
-    rows = np.array([(x.conj() @ v) if transposed else (x @ v) for x in xs])
-    solutions = _row_kernels(rows, sigma_top, tol)
-    # Columns conj(x) (x) x (x) hs[:, k], bitwise np.kron's: the same
-    # products with the same operand shapes, one (n, n, m, k) block per x.
-    blocks = [
-        (
-            (x.conj()[:, None] * x[None, :])[:, :, None, None] * hs[None, None, :, :]
-        ).reshape(n * n * m, hs.shape[1])
-        for x, hs in zip(xs, solutions)
-    ]
-    return np.hstack(blocks)
+    solutions = _row_kernels((xs.conj() if transposed else xs) @ v, sigma_top, tol)
+    widths = np.array([hs.shape[1] for hs in solutions])
+    groups = []
+    for width in np.unique(widths):  # m - 1 at generic x, m where the row is free
+        points = np.flatnonzero(widths == width)
+        x, hs = xs[points], np.stack([solutions[i] for i in points])
+        # conj(x) (x) x (x) hs[:, k] for every point and k, as an (n, n, m) block per column
+        block = (x.conj()[:, :, None] * x[:, None, :])[:, :, :, None, None] * hs[:, None, None, :, :]
+        block = block.reshape(len(points), n * n * m, width).transpose(1, 0, 2)
+        groups.append(block.reshape(n * n * m, len(points) * width))
+    return np.hstack(groups)
 
 
 # x points the oracle samples at its first stage; each further stage doubles them.

@@ -109,14 +109,16 @@ def _row_kernels(rows: np.ndarray, ref: float, tol: ToleranceConfig) -> list[np.
     (K, k, m) array, from one stacked SVD.
 
     A row (block) of norm at most ``rank_rel_tol * ref`` is free: its kernel is all of
-    C^m.  Each other one is cut bitwise as ``kernel_basis`` cuts it alone.
+    C^m.  Each other one is cut bitwise as ``kernel_basis`` cuts it alone: its nonzero
+    block has s[0] > 0, so one stacked count is ``_rank_from_singular_values`` of each.
     """
     blocks = rows if rows.ndim == 3 else rows[:, None, :]
     free = np.linalg.norm(blocks, axis=(1, 2)) <= tol.rank_rel_tol * ref
     kernels = [np.eye(rows.shape[-1], dtype=complex)] * rows.shape[0]
     _, s, vh = np.linalg.svd(blocks[~free], full_matrices=True)
-    for i, s_i, vh_i in zip(np.flatnonzero(~free), s, vh):
-        kernels[i] = vh_i[_rank_from_singular_values(s_i, tol):].conj().T
+    ranks = np.count_nonzero(s > tol.rank_rel_tol * s[:, :1], axis=1)
+    for i, rank, v in zip(np.flatnonzero(~free), ranks, vh.conj().transpose(0, 2, 1)):
+        kernels[i] = v[:, rank:]
     return kernels
 
 

@@ -320,6 +320,16 @@ def _random_unit(rng, dim) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
+def _gaussian_rows(rng, count, dim) -> np.ndarray:
+    """``count`` complex Gaussian points of C^dim as rows, unnormalized, from one call.
+
+    It reads the stream in the order of ``count`` calls of ``_random_unit`` (real part, then
+    imaginary part, per point), so normalizing its rows gives their draws up to rounding.
+    """
+    g = rng.standard_normal((count, 2, dim))
+    return g[:, 0] + 1j * g[:, 1]
+
+
 def _normalize(v) -> np.ndarray:
     v = np.asarray(v, dtype=complex).ravel()
     norm = np.linalg.norm(v)

@@ -43,8 +43,9 @@ cached ``eigh``), not from how the map was written down, trying in order:
    M(y) = [K_1 y ... K_k y], m x k, of rank r at a generic point.  On the
    common kernel of the K_s, M(y) = 0 and every h is a partner; random
    points miss it, so it is sampled on its own.  If r < m (or n = 1, one
-   point), every x has partners: random points are drawn and their left
-   kernels cut by one stacked ``_row_kernels`` solve.  If r = m, M(y) R
+   point), every x has partners: random points are drawn at once, and
+   their left kernels are cut by stacked ``_row_kernels`` solves over
+   growing batches, only as far as the search goes.  If r = m, M(y) R
    (R = 1 at k = m, else a fixed random k x m matrix) is singular at every
    zero, so on a line y = a + t b the zeros lie among the roots of
    det(A + tB) = 0, the eigenvalues of -B^-1 A.  At n = 2 one line is all
@@ -87,7 +88,7 @@ import numpy as np
 from .linalg import DEFAULT_TOL, ToleranceConfig, as_matrix, kernel_basis, span_dimension
 from .linalg import _rank_from_singular_values, _row_kernels
 from .maps import MapOperator, _block_spectrum, _cp_rank, _kraus_stack, choi_spectral_scale, from_conjugation
-from .maps import _alternating_descent, _image, _normalize, _random_unit, _x_step
+from .maps import _alternating_descent, _gaussian_rows, _image, _normalize, _random_unit, _x_step
 
 __all__ = [
     "ZeroPair",
@@ -356,6 +357,14 @@ def _kraus_zeros(phi: MapOperator, stack: np.ndarray, transposed: bool, tol: Tol
         kernels = _row_kernels(np.einsum("smn,pn->psm", stack, ys).conj(), ref, tol)
         return [(y if transposed else y.conj(), hs.T) for y, hs in zip(ys, kernels)]
 
+    def searched(ys):
+        """``partners`` of a search's points, drawn up front, lazily: the first ``window`` of them, then
+        twice as many, and so on, so that a search which saturates early cuts few of its points."""
+        start, size = 0, window
+        while start < len(ys):
+            yield from partners(ys[start : start + size])
+            start, size = start + size, 2 * size
+
     def offered(points):
         """Whether each point admits a pair, lazily: every partner h of x is offered, both normalized,
         with its residual under one image of x."""
@@ -367,10 +376,6 @@ def _kraus_zeros(phi: MapOperator, stack: np.ndarray, transposed: bool, tol: Tol
     def image_of(y):  # M(y)
         return np.einsum("smn,n->ms", stack, y)
 
-    def draw(count, dim):  # count complex Gaussian points of C^dim as rows, from one call; partners normalizes
-        g = rng.standard_normal((count, 2, dim))
-        return g[:, 0] + 1j * g[:, 1]
-
     r = _rank_from_singular_values(np.linalg.svd(image_of(_random_unit(rng, n)), compute_uv=False), tol)
     if r == m and n > 2 and k > m:
         return None
@@ -378,9 +383,11 @@ def _kraus_zeros(phi: MapOperator, stack: np.ndarray, transposed: bool, tol: Tol
     # _row_kernels).  Random points and lines miss it.  Its strong span is at most d^2 m.
     common = kernel_basis(stack.reshape(k * m, n), tol)
     d = common.shape[1]
-    saturated = d == 0 or _saturates(offered(partners(draw(d * d * m + window, d) @ common.T)), window)
+    saturated = d == 0 or _saturates(
+        offered(searched(_gaussian_rows(rng, d * d * m + window, d) @ common.T)), window
+    )
     if r < m or n == 1:  # every x has partners (n = 1 has one x): row kernels at random points
-        points = partners(draw(cap, n))
+        points = searched(_gaussian_rows(rng, cap, n))
         return admission.zero_set(saturated=_saturates(offered(points), window) and saturated)
     # det(M(y) R) = 0 on a line y = a + t b: the roots t are the eigenvalues of -B^-1 A
     right = np.eye(k, m) if k == m else rng.standard_normal((k, m)) + 1j * rng.standard_normal((k, m))

@@ -8,6 +8,7 @@ from mapcert.errors import RankInfeasible, ZeroOperator
 from mapcert.experiments import (
     BOTH_RULES,
     INPUT_RULE,
+    _oracle_generators,
     brute_force_strong_dim_oracle,
     candidate_dims,
     check_image_inclusion,
@@ -18,8 +19,8 @@ from mapcert.experiments import (
     run_rank2_count_check,
     sweep_cells,
 )
-from mapcert.linalg import numerical_rank
-from mapcert.maps import _cp_rank, from_conjugation
+from mapcert.linalg import DEFAULT_TOL, kernel_basis, numerical_rank, span_dimension
+from mapcert.maps import _cp_rank, _random_unit, from_conjugation
 
 
 def test_candidate_dims_formulas():
@@ -118,7 +119,7 @@ def test_oracle_agrees_with_analytic_routes():
     assert brute_force_strong_dim_oracle(v, seed=0) == report.measured_strong_dim
 
 
-@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
 def test_oracle_gives_the_input_rule_on_every_default_cell(seed):
     wrong = []
     for n, m, r in sweep_cells():
@@ -127,6 +128,41 @@ def test_oracle_gives_the_input_rule_on_every_default_cell(seed):
         if dim != candidate_dims(n, m, r)[0]:
             wrong.append((n, m, r, dim))
     assert wrong == []
+
+
+def per_point_generators(v, transposed, stratum, grid, seed, stage):
+    """The oracle's strong columns one point at a time: a ``_random_unit`` draw per x, its row's
+    kernel cut alone (all of C^m where the row is free) and ``np.kron`` per partner h."""
+    n, m = v.shape
+    sigma_top = np.linalg.svd(v, compute_uv=False)[0]
+    rng = np.random.default_rng([seed, stage])
+    xs = [_random_unit(rng, n) for _ in range(grid)]
+    if stratum is not None:
+        d = stratum.shape[1]
+        xs += [stratum @ _random_unit(rng, d) for _ in range((d * d + d + 4) * max(1, stage + 1))]
+    columns = []
+    for x in xs:
+        row = (x.conj() if transposed else x) @ v
+        free = np.linalg.norm(row) <= DEFAULT_TOL.rank_rel_tol * sigma_top
+        hs = np.eye(m) if free else kernel_basis(row[None], DEFAULT_TOL)
+        columns += [np.kron(np.kron(x.conj(), x), h) for h in hs.T]
+    return np.array(columns).T, len(xs) - grid
+
+
+@pytest.mark.parametrize("n,m,rank,transposed", [(3, 4, 3, True), (4, 3, 2, True), (3, 3, 2, False)])
+def test_batched_oracle_generators_equal_the_per_point_kronecker_construction(n, m, rank, transposed):
+    v = random_rank_operator(n, m, rank, seed=5)
+    sigma_top = float(np.linalg.svd(v, compute_uv=False)[0])
+    stratum = None if rank == n else kernel_basis(v.conj().T if transposed else v.T)
+    for stage in (0, 1):
+        batched = _oracle_generators(v, transposed, sigma_top, stratum, 30, DEFAULT_TOL, 5, stage)
+        reference, free_points = per_point_generators(v, transposed, stratum, 30, 5, stage)
+        # generic points give m - 1 partners, the stratum's free rows all m
+        assert (free_points > 0) == (stratum is not None)
+        assert batched.shape == reference.shape == (n * n * m, 30 * (m - 1) + free_points * m)
+        # not bitwise: a row norm over a stack may round the last bit otherwise than a 1-d norm
+        assert np.linalg.norm(batched - reference) <= 1e-13 * np.linalg.norm(reference)
+        assert span_dimension(batched) == span_dimension(reference)
 
 
 def test_oracle_workload_truth_check_passes(tmp_path):

@@ -11,7 +11,9 @@ from mapcert.maps import (
     MapOperator,
     _cp_rank,
     _from_blocks,
+    _gaussian_rows,
     _positivity_proof,
+    _random_unit,
     apply,
     choi_spectral_scale,
     cp_map_from_kraus,
@@ -328,3 +330,15 @@ def test_positivity_heuristic_deterministic():
     r1 = is_positive_heuristic(phi, seed=5)
     r2 = is_positive_heuristic(phi, seed=5)
     assert r1.worst_value == r2.worst_value
+
+
+@pytest.mark.parametrize("count,dim", [(1, 1), (7, 2), (40, 5), (0, 3)])
+def test_gaussian_rows_read_the_stream_as_count_random_unit_draws(count, dim):
+    batched, single = np.random.default_rng(11), np.random.default_rng(11)
+    rows = _gaussian_rows(batched, count, dim)
+    assert rows.shape == (count, dim) and rows.dtype == complex
+    units = np.array([_random_unit(single, dim) for _ in range(count)]).reshape(count, dim)
+    normalized = rows / np.linalg.norm(rows, axis=1, keepdims=True)
+    assert np.max(np.linalg.norm(normalized - units, axis=1), initial=0.0) <= 1e-15  # unit rows: relative
+    # both generators stand at the same place in the stream afterwards
+    assert batched.bit_generator.state == single.bit_generator.state

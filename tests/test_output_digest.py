@@ -1,6 +1,7 @@
 """tools/output_digest.py, the per-family output-equivalence digests of a source tree."""
 
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -120,3 +121,14 @@ def test_zero_set_dims_moves_only_when_a_count_or_dimension_does(monkeypatch):
                         lambda *a, **k: ZeroSet.from_pairs(2, 3, analytic(*a, **k).pairs[1:], True))
     dropped = tool.output_digest([], cells, [])
     assert [family for family in tool.FAMILIES if dropped[family] != plain[family]] == ["zero-sets", "zero-set-dims"]
+
+
+def test_a_reader_that_closes_the_pipe_ends_the_listing_quietly(monkeypatch):
+    tool = load_tool()
+    read, write = os.pipe()
+    os.close(read)
+    stdout = open(write, "w")
+    monkeypatch.setattr(sys, "stdout", stdout)
+    # more than stdout's buffer holds, so a print meets the closed pipe, not only the final flush
+    tool._print_listing({family: "0" * 64 for family in tool.FAMILIES}, ["1" * 64] * 4000)
+    stdout.close()  # the buffered rest goes to /dev/null without a BrokenPipeError

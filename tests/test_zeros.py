@@ -186,7 +186,9 @@ def test_harvest_budget_exhaustion_reports_unsaturated():
 
 def test_analytic_svd_count_does_not_grow_with_the_grid(monkeypatch):
     counts = {"svd": 0, "points": 0}
-    svd, image = np.linalg.svd, mapcert.zeros._image
+    events = []  # ("draw", count) per search, ("cut", rows) per row-kernel solve, ("point", None) per point
+    svd, image, row_kernels = np.linalg.svd, mapcert.zeros._image, mapcert.zeros._row_kernels
+    draw = mapcert.zeros._gaussian_rows
 
     def counted_svd(*args, **kwargs):
         counts["svd"] += 1
@@ -194,20 +196,46 @@ def test_analytic_svd_count_does_not_grow_with_the_grid(monkeypatch):
 
     def counted_image(*args):
         counts["points"] += 1
+        events.append(("point", None))
         return image(*args)
+
+    def counted_row_kernels(rows, *args):
+        events.append(("cut", rows.shape[0]))
+        return row_kernels(rows, *args)
+
+    def counted_draw(rng, count, dim):
+        events.append(("draw", count))
+        return draw(rng, count, dim)
 
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
     monkeypatch.setattr(mapcert.zeros, "_image", counted_image)
+    monkeypatch.setattr(mapcert.zeros, "_row_kernels", counted_row_kernels)
+    monkeypatch.setattr(mapcert.zeros, "_gaussian_rows", counted_draw)
     for n, m in [(3, 4), (4, 5)]:
         counts.update(svd=0, points=0)
+        events.clear()
         zs = analytic_zeros_conjugation(rank_operator(n, m, 2, 5), transposed=True)
-        # the generic rank of M(y) = V^H y at one point, the common kernel of V^H, then one
-        # row-kernel solve for the points on that kernel and one for the generic points,
-        # however many points each holds
-        assert counts["svd"] == 4
-        # while the common kernel (rank V = 2 < n) and the generic points each take at least a
-        # stall window, and the generic ones at least one per m - 1 strong directions they add
         window = max(4, n)
+        # two searches, the common kernel of V^H (rank V = 2 < n), then the generic points: each
+        # draws all its points at once, cuts them window, 2 window, 4 window, ... at a time, and
+        # only as far as it evaluates them, so its last batch holds the point where it stalled
+        starts = [i for i, (kind, _) in enumerate(events) if kind == "draw"]
+        assert len(starts) == 2 and starts[0] == 0
+        for search in (events[: starts[1]], events[starts[1] :]):
+            drawn, schedule, size = search[0][1], [], window
+            while sum(schedule) < drawn:
+                schedule.append(min(size, drawn - sum(schedule)))
+                size *= 2
+            sizes = [size for kind, size in search if kind == "cut"]
+            assert sizes == schedule[: len(sizes)]
+            evaluated = sum(kind == "point" for kind, _ in search)
+            assert sum(sizes[:-1]) < evaluated <= sum(sizes)
+        # the SVDs: the generic rank of M(y) = V^H y at one point, the common kernel of V^H, and
+        # one row-kernel solve per batch; no SVD per point
+        cuts = sum(kind == "cut" for kind, _ in events)
+        assert counts["svd"] == 2 + cuts < counts["points"]
+        # the common kernel and the generic points each take at least a stall window, and the
+        # generic ones at least one per m - 1 strong directions they add
         assert counts["points"] >= 2 * window + (strong_span_dim(zs) - m * (n - 2) ** 2) // (m - 1)
 
 

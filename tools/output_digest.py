@@ -46,6 +46,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -233,11 +234,24 @@ def main(argv) -> int:
         print(f"error: mapcert was imported from {mapcert.__file__}, not {src}", file=sys.stderr)
         return 2
     runs = []
-    for family, digest in output_digest(*default_inputs(), runs=runs).items():
-        print(family, digest)
-    for index, digest in enumerate(runs):
-        print("analyze", index, digest)
+    _print_listing(output_digest(*default_inputs(), runs=runs), runs)
     return 0
+
+
+def _print_listing(digests, runs) -> None:
+    """Print the family lines, then the per-run lines; a reader that stops early (``| head -7``)
+    ends the listing quietly."""
+    try:
+        for family, digest in digests.items():
+            print(family, digest)
+        for index, digest in enumerate(runs):
+            print("analyze", index, digest)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout's fd now writes to /dev/null, so the flush at exit finds no closed pipe either
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 if __name__ == "__main__":
