@@ -43,15 +43,13 @@ from .experiments import (
     DEFAULT_M_RANGE,
     DEFAULT_N_RANGE,
     NEITHER_RULE,
-    _ginibre,
     random_kraus_operators,
     random_rank_operator,
     run_dimension_sweep,
-    run_rank2_count_check,
     sweep_cells,
 )
 from .linalg import DEFAULT_TOL, ToleranceConfig
-from .maps import _positivity_proof, is_positive_heuristic
+from .maps import _ginibre, _positivity_proof, is_positive_heuristic
 from .zeros import find_zeros
 
 __all__ = ["build_parser", "main"]
@@ -66,8 +64,10 @@ def _parse_range(text: str) -> list[int]:
             lo = hi = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected N or N..M, got {text!r}")
-    if lo < 1 or hi < lo:
+    if hi < lo:
         raise argparse.ArgumentTypeError(f"bad range {text!r}")
+    if lo < 2:  # the closed-form candidates compare maps M_n -> M_m with n, m >= 2
+        raise argparse.ArgumentTypeError(f"must be at least 2, got {lo}")
     return list(range(lo, hi + 1))
 
 
@@ -195,9 +195,7 @@ def _cmd_sweep(args) -> int:
         print(f"rank-2 count check (n=2, target 4m-2), seed {args.seed}")
         print(_SWEEP_HEADER)
         for m in args.m_range:
-            if m < 2:
-                continue
-            rank2[m] = run_rank2_count_check(m, seed=args.seed)
+            rank2[m] = run_dimension_sweep(2, m, 2, seed=args.seed)
             print(_sweep_row(rank2[m]))
         print()
     print(f"dimension sweep, seed {args.seed}")

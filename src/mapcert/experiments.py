@@ -29,7 +29,7 @@ import numpy as np
 from .errors import CrossCheckError, OracleUnstable, RankInfeasible, ZeroOperator
 from .linalg import DEFAULT_TOL, ToleranceConfig, _rank_from_singular_values, _row_kernels, as_matrix
 from .linalg import image_projector, kernel_basis, numerical_rank, span_dimension
-from .maps import MapOperator, _gaussian_rows, apply, choi_spectral_scale, cp_map_from_kraus, from_conjugation
+from .maps import MapOperator, _gaussian_rows, _ginibre, apply, choi_spectral_scale, cp_map_from_kraus, from_conjugation
 from .zeros import _kraus_zeros, harvest_zeros, strong_span_dim
 
 __all__ = [
@@ -39,7 +39,6 @@ __all__ = [
     "random_rank_operator",
     "random_kraus_operators",
     "random_cp_map",
-    "run_rank2_count_check",
     "run_dimension_sweep",
     "sweep_cells",
     "check_image_inclusion",
@@ -89,10 +88,6 @@ def candidate_dims(n: int, m: int, rank_v: int) -> tuple[int, int]:
     if rank_v == 1:
         return n * n * m - (2 * n - 1), m * n * n - (2 * m - 1)
     return n * n * m - n, m * (n * n - 1)
-
-
-def _ginibre(rng, rows, cols) -> np.ndarray:
-    return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
 
 
 def random_rank_operator(
@@ -174,18 +169,6 @@ def run_dimension_sweep(
     )
 
 
-def run_rank2_count_check(m: int, seed: int = 0, tol: ToleranceConfig = DEFAULT_TOL) -> SweepReport:
-    """The 2 x m rank-2 count: the strong dimension should equal 4m - 2.
-
-    4m - 2 is the input-rule value at n = rank = 2, so the check passes
-    exactly when the report agrees with the input rule (or with both rules,
-    which happens at m = 2).
-    """
-    if m < 2:
-        raise RankInfeasible("rank 2 requires m >= 2")
-    return run_dimension_sweep(2, m, 2, seed=seed, tol=tol)
-
-
 # The default sweep ranges: small, fast, and formula-separating.
 DEFAULT_N_RANGE = (2, 3, 4)
 DEFAULT_M_RANGE = (2, 3, 4, 5)
@@ -235,7 +218,7 @@ def check_image_inclusion(
         p2 = image_projector(apply(phi, a2), tol)
         worst_gap = max(worst_gap, float(np.linalg.norm(p - p2)))
     passed = (
-        worst_inclusion <= tol.residual_rel_tol * scale
+        worst_inclusion <= phi._zero_bar
         and worst_gap <= tol.residual_rel_tol * max(1.0, scale)
     )
     return ImageInclusionReport(

@@ -17,6 +17,10 @@ only ``_is_psd`` tests for positive semidefiniteness.  No n^2 list of
 images is built, and no other module reads the block layout.  ``trace_map``
 and ``dephasing_map`` write their block matrices in closed form.
 
+A residual of the map is zero at or below its one zero bar,
+``MapOperator._zero_bar``: ``_is_psd``, the descent, the positivity
+heuristic and every zero test of ``zeros`` read it.
+
 The alternating descent on g(x, h) = <h| Phi(|conj(x)><conj(x)|) |h> lives
 here: the positivity heuristic refines its worst sample with it, and
 ``zeros`` runs it from many starts to find zero pairs (g = 0).
@@ -57,9 +61,9 @@ class MapOperator:
     MapOperator can be shared freely across threads.  It memoizes the block
     array of its adjoint and the eigendecompositions of its block matrix and
     of its partial transpose on first use, for every caller to share, and
-    reads its spectral scale from the first; all are pure functions of that
-    matrix, kept read-only, so racing threads compute equal values and
-    sharing stays safe.
+    reads its spectral scale and its zero bar from the first; all are pure
+    functions of that matrix, kept read-only, so racing threads compute
+    equal values and sharing stays safe.
     """
 
     dim_in: int
@@ -114,6 +118,11 @@ class MapOperator:
         w = self._spectrum[0]
         return float(max(w[-1], -w[0]))
 
+    @cached_property
+    def _zero_bar(self) -> float:
+        """residual_rel_tol * scale: the one bar at or below which a residual of this map is zero."""
+        return DEFAULT_TOL.residual_rel_tol * self._scale
+
 
 def _is_hermitian(matrix: np.ndarray) -> bool:
     """Hermitian within tolerance: the one, scale-free rule, which MapOperator applies
@@ -159,8 +168,8 @@ class PositivityReport:
 class SearchOutcome:
     """Result of one alternating descent.
 
-    ``succeeded`` means the final pair is a zero within tolerance (residual
-    at most residual_rel_tol times the spectral scale of the map); callers
+    ``succeeded`` means the final pair is a zero: its residual is at most
+    the map's ``_zero_bar``; callers
     treat a non-succeeded outcome as "no zero found from this start".  The
     objective is nonincreasing over the half steps up to eigensolver roundoff.
     ``image`` is Phi(|conj(x)><conj(x)|) at the final x and ``spectrum``
@@ -228,11 +237,9 @@ def from_conjugation(v, transposed: bool = False) -> MapOperator:
     v = as_matrix(v)
     if not np.any(v):
         raise ZeroOperator("conjugation by the zero operator is not a map")
-    if transposed:
-        # Phi(E_ij) = conj(v[j]) v[i]^T
-        return _from_blocks(v.conj().T[None, :, :, None] * v[:, None, None, :])
-    # Phi(E_ij) = conj(v[i]) v[j]^T
-    return _from_blocks(v.conj()[:, :, None, None] * v[None, None, :, :])
+    # Phi(E_ij) = conj(v[i]) v[j]^T; transposed, conj(v[j]) v[i]^T, the partial transpose
+    blocks = v.conj()[:, :, None, None] * v[None, None, :, :]
+    return _from_blocks(blocks.transpose(2, 1, 0, 3) if transposed else blocks)
 
 
 def cp_map_from_kraus(kraus) -> MapOperator:
@@ -285,8 +292,8 @@ def _block_spectrum(phi: MapOperator, transposed: bool) -> tuple[np.ndarray, np.
 
 def _is_psd(phi: MapOperator, transposed: bool) -> bool:
     """The one PSD test of C (``transposed``: of C^G), which proves Phi CP (co-CP): lambda_min >=
-    -residual_rel_tol * scale, the heuristic's pass threshold, whatever the rank tolerance."""
-    return _block_spectrum(phi, transposed)[0][0] >= -DEFAULT_TOL.residual_rel_tol * phi._scale
+    -``_zero_bar``, the heuristic's pass threshold, whatever the rank tolerance."""
+    return _block_spectrum(phi, transposed)[0][0] >= -phi._zero_bar
 
 
 def _cp_rank(phi: MapOperator, tol: ToleranceConfig = DEFAULT_TOL, transposed: bool = False) -> int | None:
@@ -314,9 +321,14 @@ def _positivity_proof(phi: MapOperator) -> str | None:
     return None
 
 
+def _ginibre(rng, *shape) -> np.ndarray:
+    """A complex Gaussian array of ``shape``: its whole real part drawn first, then its imaginary part."""
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
 def _random_unit(rng, dim) -> np.ndarray:
     """A normalized complex Gaussian draw: every random unit vector the package samples."""
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    v = _ginibre(rng, dim)
     return v / np.linalg.norm(v)
 
 
@@ -324,7 +336,9 @@ def _gaussian_rows(rng, count, dim) -> np.ndarray:
     """``count`` complex Gaussian points of C^dim as rows, unnormalized, from one call.
 
     It reads the stream in the order of ``count`` calls of ``_random_unit`` (real part, then
-    imaginary part, per point), so normalizing its rows gives their draws up to rounding.
+    imaginary part, per point), so normalizing its rows gives their draws up to rounding.  That
+    per-point layout is why it is not ``_ginibre(rng, count, dim)``, which reads every real part
+    before any imaginary one.
     """
     g = rng.standard_normal((count, 2, dim))
     return g[:, 0] + 1j * g[:, 1]
@@ -357,14 +371,13 @@ def _alternating_descent(phi, x0=None, h0=None) -> SearchOutcome:
 
     The loop always exits holding a pair whose h is a bottom eigenvector of
     Phi(|conj(x)><conj(x)|); the pair residual therefore equals the bottom
-    eigenvalue magnitude rather than its square root.  The stall and
-    residual thresholds and the iteration cap are the fixed ones of
-    ``DEFAULT_TOL``.
+    eigenvalue magnitude rather than its square root.  The stall threshold
+    and the iteration cap are the fixed ones of ``DEFAULT_TOL``, and the
+    residual is judged against the map's ``_zero_bar``.
     """
     if (x0 is None) == (h0 is None):
         raise ValueError("exactly one of x0 and h0 must be given")
-    scale = phi._scale
-    stall = DEFAULT_TOL.convergence_tol * max(scale, np.finfo(float).tiny)
+    stall = DEFAULT_TOL.convergence_tol * max(phi._scale, np.finfo(float).tiny)
     g_prev = None
     if h0 is not None:
         w_adj, u_adj = _x_step(phi, _normalize(h0))
@@ -394,7 +407,7 @@ def _alternating_descent(phi, x0=None, h0=None) -> SearchOutcome:
         h=pair_h,
         value=float(w[0]),
         residual=residual,
-        succeeded=residual <= DEFAULT_TOL.residual_rel_tol * scale,
+        succeeded=residual <= phi._zero_bar,
         image=image,
         spectrum=(w, u),
         adjoint_spectrum=adjoint,
@@ -417,7 +430,6 @@ def is_positive_heuristic(phi: MapOperator, seed: int = 0) -> PositivityReport:
     """
     n = phi.dim_in
     rng = np.random.default_rng(seed)
-    scale = choi_spectral_scale(phi)
     worst_value = np.inf
     worst_vector = None
     for _ in range(_POSITIVITY_SAMPLES):
@@ -430,7 +442,7 @@ def is_positive_heuristic(phi: MapOperator, seed: int = 0) -> PositivityReport:
     if outcome.value < worst_value:
         worst_value = float(outcome.value)
         worst_vector = outcome.x.conj()
-    passed = worst_value >= -DEFAULT_TOL.residual_rel_tol * scale
+    passed = worst_value >= -phi._zero_bar
     return PositivityReport(passed=passed, worst_value=worst_value, worst_vector=worst_vector)
 
 

@@ -24,18 +24,19 @@ Two enumeration routes are provided and are expected to agree:
   (or K_s a^T K_s^H) from its Kraus stack; a conjugation a -> V^H a V (or
   V^H a^T V) is its one-operator case K = V^H, which
   ``analytic_zeros_conjugation`` runs.  At a fixed x the zero condition is
-  linear in h; the rows of a batch of points are cut by one
-  ``linalg._row_kernels`` solve, which the oracle shares.
+  linear in h; a batch of points is row-normalized once and cut by one
+  ``linalg._row_kernels`` solve, which the oracle shares, and each point
+  and each of its orthonormal kernel columns is offered as it is.
 
 ``find_zeros`` picks the route from the spectrum of C (the map's one
 cached ``eigh``), not from how the map was written down, trying in order:
 
 1. No zeros, proven: for unit x and h, ||Phi(|conj(x)><conj(x)|) h|| >=
    <x (x) h| C |x (x) h> >= lambda_min(C), so when lambda_min(C) exceeds the
-   admission threshold the empty set is returned, saturated, without a descent.
+   map's zero bar the empty set is returned, saturated, without a descent.
 2. Kraus stack: when Phi is CP, or else co-CP, of rank 0 < k < nm (its top
-   k eigenvalues, ``maps._cp_rank``) with every other within the admission
-   threshold (they bound the residuals of the stack's pairs; a map of rank
+   k eigenvalues, ``maps._cp_rank``) with every other within the zero bar
+   (they bound the residuals of the stack's pairs; a map of rank
    k only at a larger ``rank_rel_tol`` goes on to the harvest), Phi(a) =
    sum_s K_s a K_s^H (or K_s a^T K_s^H) for the stack ``maps._kraus_stack``,
    whatever kind of document wrote the map.  With
@@ -60,23 +61,23 @@ cached ``eigh``), not from how the map was written down, trying in order:
 3. Anything else: the harvest.
 
 Every route evaluates Phi(|conj(x)><conj(x)|) once per point x, for all of
-its partners h, and offer every candidate with its residual to one
-admission object.  It keeps a pair only if the residual is within
-residual_rel_tol times the spectral scale of the map and the strong vector
-grows the running span, so the pair list of a ZeroSet is always a spanning
-subset.  Growth is decided by the residual of the normalized strong vector
-against an orthonormal basis of the kept ones (Gram-Schmidt, applied
-twice), at ``_SCREEN_TOL``; no SVD runs per candidate.  Each candidate's
-strong vector is built once, as an outer product reshaped flat (entry for
-entry the Kronecker product, without its per-call overhead), and the
-ZeroSet keeps the very vectors that were admitted, stacked as rows.  The
-span dimensions reported by ``weak_span_dim`` and ``strong_span_dim`` come
-from one SVD of those rows at the shared relative threshold
-``rank_rel_tol``.  On exact zeros the strong count equals the number of
-kept pairs; ``certify_exposed`` issues no certificate when the two differ.
-Every search stops by one rule, ``_saturates``: a window of consecutive
-starts, points or lines that admit nothing ends it, and
-nothing is drawn after it.
+its partners h, and offers every candidate with its residual to one
+admission object.  It keeps a pair only if the residual is within the map's
+zero bar, ``maps.MapOperator._zero_bar`` (residual_rel_tol times the
+spectral scale), and the strong vector grows the running span, so the pair
+list of a ZeroSet is always a spanning subset.  Growth is decided by the
+residual of the normalized strong vector against an orthonormal basis of
+the kept ones (Gram-Schmidt, applied twice), at ``_SCREEN_TOL``; no SVD
+runs per candidate.  Each candidate's strong vector is built once, as an
+outer product reshaped flat (entry for entry the Kronecker product, without
+its per-call overhead), and the ZeroSet keeps the very vectors that were
+admitted, stacked as rows.  The span dimensions reported by
+``weak_span_dim`` and ``strong_span_dim`` come from one SVD of those rows
+at the shared relative threshold ``rank_rel_tol``.  On exact zeros the
+strong count equals the number of kept pairs; ``certify_exposed`` issues no
+certificate when the two differ.  Every search stops by one rule,
+``_saturates``: a window of consecutive starts, points or lines that admit
+nothing ends it, and nothing is drawn after it.
 """
 
 from __future__ import annotations
@@ -87,8 +88,8 @@ import numpy as np
 
 from .linalg import DEFAULT_TOL, ToleranceConfig, as_matrix, kernel_basis, span_dimension
 from .linalg import _rank_from_singular_values, _row_kernels
-from .maps import MapOperator, _block_spectrum, _cp_rank, _kraus_stack, choi_spectral_scale, from_conjugation
-from .maps import _alternating_descent, _gaussian_rows, _image, _normalize, _random_unit, _x_step
+from .maps import MapOperator, _block_spectrum, _cp_rank, _kraus_stack, from_conjugation
+from .maps import _alternating_descent, _gaussian_rows, _ginibre, _image, _random_unit, _x_step
 
 __all__ = [
     "ZeroPair",
@@ -167,30 +168,32 @@ class ZeroSet:
 class _Admission:
     """The zero pairs admitted so far, and the one rule that admits them.
 
-    ``offer`` rejects a candidate whose residual exceeds ``thr``; otherwise
-    its normalized strong vector is projected off an orthonormal basis of
-    the admitted ones by classical Gram-Schmidt, twice: one pass loses
-    orthogonality in floating point, two restore it to working precision
-    ("twice is enough", Giraud, Langou and Rozloznik 2005).  The pair is
-    admitted only if the residual of both passes stays above
-    ``_SCREEN_TOL``; most rejections cost one pass.  The basis decides
-    admission only: the reported span dimension is the final SVD of the
-    kept vectors (``strong_span_dim``).  The weak and strong vectors of the
+    It is built on one map and reads its dimensions and its zero bar from
+    it.  ``offer`` rejects a candidate whose residual exceeds the map's
+    ``_zero_bar``; otherwise its normalized strong vector is projected off
+    an orthonormal basis of the admitted ones by classical Gram-Schmidt,
+    twice: one pass loses orthogonality in floating point, two restore it to
+    working precision ("twice is enough", Giraud, Langou and Rozloznik
+    2005).  The pair is admitted only if the residual of both passes stays
+    above ``_SCREEN_TOL``; most rejections cost one pass.  The basis decides
+    admission only: the reported span dimension is the final SVD of the kept
+    vectors (``strong_span_dim``).  The weak and strong vectors of the
     admitted pairs are the rows of preallocated arrays, which the ZeroSet
     takes without a copy.
     """
 
-    def __init__(self, n: int, m: int, thr: float):
+    def __init__(self, phi: MapOperator):
+        n, m = phi.dim_in, phi.dim_out
         dim = n * n * m
         self._dims = (n, m)
-        self._thr = thr
+        self._bar = phi._zero_bar
         self._basis = np.empty((dim, dim), dtype=complex)
         self._strong = np.empty((dim, dim), dtype=complex)
         self._weak = np.empty((dim, n * m), dtype=complex)
         self.pairs: list[ZeroPair] = []
 
     def offer(self, x, h, residual: float) -> bool:
-        if residual > self._thr:
+        if residual > self._bar:
             return False
         vec = _strong_vector(x, h)
         norm = np.linalg.norm(vec)
@@ -230,7 +233,7 @@ def _saturates(produced, window: int) -> bool:
     return False
 
 
-def _mine_candidates(phi, thr, outcome):
+def _mine_candidates(phi, outcome):
     """Candidate zero pairs (x, h, residual) at a converged pair.
 
     The bottom eigenspace of Phi(|conj(x)><conj(x)|) may be degenerate (it is
@@ -240,11 +243,11 @@ def _mine_candidates(phi, thr, outcome):
     one at h from its last x step when it ran.  Admission checks each
     residual, so mining can only add genuine zeros.
     """
-    x, image = outcome.x, outcome.image
+    x, image, bar = outcome.x, outcome.image, phi._zero_bar
     w, u = outcome.spectrum
     yield x, outcome.h, outcome.residual
     for i in range(w.shape[0]):
-        if abs(w[i]) <= thr:
+        if abs(w[i]) <= bar:
             hk = u[:, i]
             if i > 0:  # (x, u[:, 0]) is the pair itself, offered above
                 yield x, hk, float(np.linalg.norm(image @ hk))
@@ -253,7 +256,7 @@ def _mine_candidates(phi, thr, outcome):
             else:
                 w2, u2 = _x_step(phi, hk)
             for j in range(w2.shape[0]):
-                if abs(w2[j]) <= thr:
+                if abs(w2[j]) <= bar:
                     xj = u2[:, j].conj()
                     yield xj, hk, float(np.linalg.norm(_image(phi, xj) @ hk))
 
@@ -272,18 +275,18 @@ def find_zeros(phi: MapOperator, seed: int = 0, starts: int | None = None, tol: 
     ``seed`` and ``starts`` are the harvest's (an empty budget is rejected on
     every route); a zero set the spectrum proves reports ``saturated``.
     ``tol`` decides the rank k of C (or of C^G) that picks the Kraus route,
-    and that route's ranks.
+    and that route's ranks; the zero-free test and the Kraus route's check of
+    the discarded eigenvalues read the map's ``_zero_bar``, whatever ``tol``.
     """
     n, m = phi.dim_in, phi.dim_out
     _budget(phi, starts)
-    thr = DEFAULT_TOL.residual_rel_tol * choi_spectral_scale(phi)
-    if phi._spectrum[0][0] > thr:
+    if phi._spectrum[0][0] > phi._zero_bar:
         return ZeroSet.from_pairs(n, m, [], saturated=True)
     for transposed in (False, True):
         # Phi CP (co-CP) of rank k, kept as its top k eigenvalues; the discarded ones bound the
-        # residuals of the pairs of the Kraus stack, so they must be within admission (w[0] is)
+        # residuals of the pairs of the Kraus stack, so they must be within the zero bar (w[0] is)
         k, w = _cp_rank(phi, tol, transposed), _block_spectrum(phi, transposed)[0]
-        if k is not None and 0 < k < n * m and w[-k - 1] <= thr:
+        if k is not None and 0 < k < n * m and w[-k - 1] <= phi._zero_bar:
             zs = _kraus_zeros(phi, _kraus_stack(phi, k, transposed), transposed, tol)
             if zs is not None:
                 return zs
@@ -298,20 +301,19 @@ def harvest_zeros(phi: MapOperator, seed: int = 0, starts: int | None = None) ->
     ``_STALL_BUDGET`` consecutive starts produce nothing new (this includes
     starts that found no zero at all, so maps without zeros stall quickly and
     still report ``saturated=True``).  Deterministic for a fixed seed.  It
-    decides no rank, so it takes no tolerance: admission uses the fixed
-    ``residual_rel_tol`` of ``DEFAULT_TOL``.
+    decides no rank, so it takes no tolerance: descents, mining and admission
+    all read the map's ``_zero_bar``.
     """
     n, m = phi.dim_in, phi.dim_out
     budget = _budget(phi, starts)
-    thr = DEFAULT_TOL.residual_rel_tol * choi_spectral_scale(phi)
     rng = np.random.default_rng(seed)
-    admission = _Admission(n, m, thr)
+    admission = _Admission(phi)
 
     def produced():
         for start in range(budget):
             side = {"x0": _random_unit(rng, n)} if start % 2 == 0 else {"h0": _random_unit(rng, m)}
             outcome = _alternating_descent(phi, **side)
-            yield outcome.succeeded and admission.offer_all(_mine_candidates(phi, thr, outcome))
+            yield outcome.succeeded and admission.offer_all(_mine_candidates(phi, outcome))
 
     return admission.zero_set(saturated=_saturates(produced(), _STALL_BUDGET))
 
@@ -341,37 +343,36 @@ def _kraus_zeros(phi: MapOperator, stack: np.ndarray, transposed: bool, tol: Tol
     Kraus stack, or None when no exact route applies (see the module docstring).
 
     With y = conj(x) (``transposed``: y = x), (x, h) is a zero iff h^H M(y) = 0 for the m x k matrix
-    M(y) = [K_1 y ... K_k y]; the route is picked by the rank r of M at a generic point.  The set is
-    ``saturated`` when each of its searches stalled, where at n = 2 one drawn pencil line is all of P^1.
+    M(y) = [K_1 y ... K_k y]; the route is picked by the rank r of M at a generic point.  Each batch of
+    points is row-normalized and cut once, and each pair is offered as it is, against the map's
+    ``_zero_bar``.  The set is ``saturated`` when each of its searches stalled, where at n = 2 one drawn
+    pencil line is all of P^1.
     """
     k, m, n = stack.shape
-    admission = _Admission(n, m, tol.residual_rel_tol * choi_spectral_scale(phi))
+    admission = _Admission(phi)
     rng = np.random.default_rng(_POINT_SEED)
     window = max(4, n)
     cap = n * n * m + window  # each productive point or line grows a span of dimension <= n^2 m
     ref = np.linalg.norm(stack[-1])
 
-    def partners(ys):
-        """Each point y as its x, with the left kernel of M(y) as columns; all cut by one stacked SVD."""
+    def offered(ys):
+        """Whether each point y of a batch admits a pair, lazily.  The batch is row-normalized once and the
+        left kernels of its M(y) are cut by one stacked SVD; x (y, or conj(y)) is offered with every
+        orthonormal kernel column h as they are, each with its residual under one image of x."""
         ys = ys / np.linalg.norm(ys, axis=1, keepdims=True)
         kernels = _row_kernels(np.einsum("smn,pn->psm", stack, ys).conj(), ref, tol)
-        return [(y if transposed else y.conj(), hs.T) for y, hs in zip(ys, kernels)]
+        for y, hs in zip(ys, kernels):
+            x = y if transposed else y.conj()
+            image = _image(phi, x)
+            yield admission.offer_all((x, h, float(np.linalg.norm(image @ h))) for h in hs.T)
 
     def searched(ys):
-        """``partners`` of a search's points, drawn up front, lazily: the first ``window`` of them, then
+        """``offered`` over a search's points, drawn up front, lazily: the first ``window`` of them, then
         twice as many, and so on, so that a search which saturates early cuts few of its points."""
         start, size = 0, window
         while start < len(ys):
-            yield from partners(ys[start : start + size])
+            yield from offered(ys[start : start + size])
             start, size = start + size, 2 * size
-
-    def offered(points):
-        """Whether each point admits a pair, lazily: every partner h of x is offered, both normalized,
-        with its residual under one image of x."""
-        for x, hs in points:
-            x = _normalize(x)
-            image = _image(phi, x)
-            yield admission.offer_all((x, h, float(np.linalg.norm(image @ h))) for h in map(_normalize, hs))
 
     def image_of(y):  # M(y)
         return np.einsum("smn,n->ms", stack, y)
@@ -383,14 +384,12 @@ def _kraus_zeros(phi: MapOperator, stack: np.ndarray, transposed: bool, tol: Tol
     # _row_kernels).  Random points and lines miss it.  Its strong span is at most d^2 m.
     common = kernel_basis(stack.reshape(k * m, n), tol)
     d = common.shape[1]
-    saturated = d == 0 or _saturates(
-        offered(searched(_gaussian_rows(rng, d * d * m + window, d) @ common.T)), window
-    )
+    saturated = d == 0 or _saturates(searched(_gaussian_rows(rng, d * d * m + window, d) @ common.T), window)
     if r < m or n == 1:  # every x has partners (n = 1 has one x): row kernels at random points
         points = searched(_gaussian_rows(rng, cap, n))
-        return admission.zero_set(saturated=_saturates(offered(points), window) and saturated)
+        return admission.zero_set(saturated=_saturates(points, window) and saturated)
     # det(M(y) R) = 0 on a line y = a + t b: the roots t are the eigenvalues of -B^-1 A
-    right = np.eye(k, m) if k == m else rng.standard_normal((k, m)) + 1j * rng.standard_normal((k, m))
+    right = np.eye(k, m) if k == m else _ginibre(rng, k, m)
 
     def lines():
         for _ in range(cap):
@@ -399,7 +398,7 @@ def _kraus_zeros(phi: MapOperator, stack: np.ndarray, transposed: bool, tol: Tol
             s = np.linalg.svd(pb, compute_uv=False)
             if s[-1] > _PENCIL_GATE * s[0]:
                 ys = a + np.linalg.eigvals(-np.linalg.solve(pb, pa))[:, None] * b
-                yield any(list(offered(partners(np.vstack([ys, b]) if n == 2 else ys))))
+                yield any(list(offered(np.vstack([ys, b]) if n == 2 else ys)))
 
     if n > 2:
         return admission.zero_set(saturated=_saturates(lines(), window) and saturated)

@@ -392,6 +392,8 @@ def test_analyze_reports_an_overflowing_payload_on_payload(kind, payload, tmp_pa
         (["generate", "--kind", "random-cp", "--n", "2", "--m", "2", "--kraus", "0"], "--kraus"),
         (["generate", "--kind", "random-cp", "--n", "2", "--m", "2", "--kraus", "-1"], "--kraus"),
         (["generate", "--kind", "conjugation", "--n", "2", "--m", "2", "--rank", "0"], "--rank"),
+        (["sweep", "--n-range", "1"], "--n-range"),
+        (["sweep", "--m-range", "1..3"], "--m-range"),
     ],
 )
 def test_flag_errors_are_reported_before_any_output(argv, flag, tmp_path, capsys):

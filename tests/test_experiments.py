@@ -16,7 +16,6 @@ from mapcert.experiments import (
     random_kraus_operators,
     random_rank_operator,
     run_dimension_sweep,
-    run_rank2_count_check,
     sweep_cells,
 )
 from mapcert.linalg import DEFAULT_TOL, kernel_basis, numerical_rank, span_dimension
@@ -63,14 +62,14 @@ def test_random_kraus_and_cp_map():
 
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_rank2_count_matches_closed_form(m):
-    report = run_rank2_count_check(m, seed=0)
+    report = run_dimension_sweep(2, m, 2)
     assert report.measured_strong_dim == 4 * m - 2
     assert report.agrees_with in (INPUT_RULE, BOTH_RULES)
 
 
 def test_rank2_count_rejects_small_m():
     with pytest.raises(RankInfeasible):
-        run_rank2_count_check(1)
+        run_dimension_sweep(2, 1, 2)
 
 
 def test_sweep_cell_rank1():

@@ -19,6 +19,7 @@ from mapcert.experiments import random_kraus_operators, random_rank_operator, sw
 from mapcert.linalg import DEFAULT_TOL, ToleranceConfig
 from mapcert.maps import (
     _alternating_descent,
+    _is_psd,
     _normalize,
     MapOperator,
     apply,
@@ -26,11 +27,13 @@ from mapcert.maps import (
     cp_map_from_kraus,
     from_conjugation,
     identity_map,
+    is_positive_heuristic,
     trace_map,
     transpose_map,
 )
 from mapcert.zeros import (
     _STALL_BUDGET,
+    _Admission,
     _strong_vector,
     _weak_vector,
     analytic_zeros_conjugation,
@@ -344,6 +347,27 @@ def test_find_zeros_runs_no_descent_on_a_positive_definite_block_matrix(monkeypa
     # the proven empty set is complete whatever the budget; the harvest's, whose starts all fail,
     # saturates iff its budget reaches the stall window
     assert zs.saturated and harvested.saturated == (starts is None)
+
+
+def test_moving_the_maps_zero_bar_moves_every_reader():
+    # C = diag(1, 1, 1, +-1e-6) on 2 -> 2: scale 1, so the default bar is 1e-9.  Its one small
+    # eigenvalue sits at Phi(E_11) = diag(1, +-1e-6): a residual, worst value and lambda_min of 1e-6
+    def diagonal_map(last, bar=None):
+        phi = MapOperator(2, 2, np.diag([1.0, 1.0, 1.0, last]).astype(complex))
+        if bar is not None:
+            phi.__dict__["_zero_bar"] = bar  # overwrites the cached value before any reader asks
+        return phi
+
+    e1 = np.array([0.0, 1.0], dtype=complex)
+    for bar, zero in ((None, False), (2e-6, True)):
+        assert _is_psd(diagonal_map(-1e-6, bar), transposed=False) == zero
+        assert is_positive_heuristic(diagonal_map(-1e-6, bar)).passed == zero
+        assert _alternating_descent(diagonal_map(1e-6, bar), x0=e1).succeeded == zero
+        assert _Admission(diagonal_map(1e-6, bar)).offer(e1, e1, 1e-6) == zero
+        # lambda_min(C) = 1e-6 proves the map zero-free only above the bar; at or below it the
+        # harvest runs and finds the pair (e1, e1)
+        zs = find_zeros(diagonal_map(1e-6, bar), starts=20)
+        assert (len(zs.pairs) > 0) == zero
 
 
 def test_find_zeros_rejects_an_empty_budget():
