@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CrossCheckError, OracleUnstable, RankInfeasible, ZeroOperator
+from .errors import CrossCheckError, DimensionMismatch, OracleUnstable, RankInfeasible, ZeroOperator
 from .linalg import DEFAULT_TOL, ToleranceConfig, _rank_from_singular_values, _row_kernels, as_matrix
 from .linalg import image_projector, kernel_basis, numerical_rank, span_dimension
 from .maps import MapOperator, _gaussian_rows, _ginibre, apply, choi_spectral_scale, cp_map_from_kraus, from_conjugation
@@ -137,8 +137,12 @@ def run_dimension_sweep(
     The exact Kraus route (on K = V^H) is the reported measurement; the
     harvest must reproduce it exactly or the cell fails loudly, since a
     silent route disagreement would poison every downstream conclusion.
+    The closed-form candidates compare maps M_n -> M_m with n, m >= 2; a
+    smaller n or m (after the rank check) is a ``DimensionMismatch``.
     """
     v = random_rank_operator(n, m, rank_v, seed=seed, tol=tol)
+    if min(n, m) < 2:
+        raise DimensionMismatch(f"the sweep compares maps M_n -> M_m with n, m >= 2, got n={n} m={m}")
     phi = from_conjugation(v, transposed=True)
     analytic = strong_span_dim(_kraus_zeros(phi, v.conj().T[None], True, tol), tol)
     harvested = strong_span_dim(harvest_zeros(phi, seed=seed), tol)

@@ -23,7 +23,9 @@ heuristic and every zero test of ``zeros`` read it.
 
 The alternating descent on g(x, h) = <h| Phi(|conj(x)><conj(x)|) |h> lives
 here: the positivity heuristic refines its worst sample with it, and
-``zeros`` runs it from many starts to find zero pairs (g = 0).
+``zeros`` runs it from many starts to find zero pairs (g = 0).  It advances
+a stack of starts together, one einsum and one ``eigh`` per half step; a
+single start is a stack of one.
 """
 
 from __future__ import annotations
@@ -166,7 +168,7 @@ class PositivityReport:
 
 @dataclass(frozen=True)
 class SearchOutcome:
-    """Result of one alternating descent.
+    """Result of the alternating descent from one start.
 
     ``succeeded`` means the final pair is a zero: its residual is at most
     the map's ``_zero_bar``; callers
@@ -176,7 +178,9 @@ class SearchOutcome:
     the eigendecomposition (w, u) of its Hermitian part, with h = u[:, 0];
     ``adjoint_spectrum`` is that of Phi*(|h><h|) when the descent computed
     it, else None.  Callers that examine the final pair further read these
-    instead of evaluating the map again.
+    instead of evaluating the map again.  A stacked descent returns one
+    outcome per start, bitwise the outcome of that start alone; its arrays
+    are rows of the stack's, and no later step writes to them.
     """
 
     x: np.ndarray
@@ -190,8 +194,9 @@ class SearchOutcome:
 
 
 def _hermitize(m: np.ndarray) -> np.ndarray:
-    # halved before the sum, so that entries near the float maximum cannot overflow
-    return 0.5 * m + 0.5 * m.conj().T
+    # of a matrix or of each matrix of a stack; halved before the sum, so that entries near the float
+    # maximum cannot overflow
+    return 0.5 * m + 0.5 * m.conj().swapaxes(-1, -2)
 
 
 def choi_spectral_scale(phi: MapOperator) -> float:
@@ -352,66 +357,83 @@ def _normalize(v) -> np.ndarray:
     return v / norm
 
 
-def _h_step(phi, x):
-    """Phi(|conj(x)><conj(x)|) and the eigendecomposition of its Hermitian
-    part; the bottom eigenvector is the minimizer over h."""
-    image = _image(phi, x)
-    return image, np.linalg.eigh(_hermitize(image))
+def _h_step(phi, xs):
+    """Phi(|conj(x)><conj(x)|) for each row x of ``xs`` (``_image``'s einsum over the stack) and the
+    eigendecompositions of their Hermitian parts; each bottom eigenvector is the minimizer over h."""
+    n, m = phi.dim_in, phi.dim_out
+    images = np.einsum("ikjl,sij->skl", phi.choi.reshape(n, m, n, m), xs.conj()[:, :, None] * xs[:, None, :])
+    return images, np.linalg.eigh(_hermitize(images))
 
 
-def _x_step(phi, h):
-    # g(x, h) = <conj(x)| Phi*(|h><h|) |conj(x)>, so the minimizer over x is the conjugate
-    # of the bottom eigenvector of the adjoint image: ``_image``'s einsum on Phi*'s blocks.
-    return np.linalg.eigh(_hermitize(np.einsum("ikjl,ij->kl", phi._adjoint, np.outer(h, h.conj()))))
+def _x_step(phi, hs):
+    # g(x, h) = <conj(x)| Phi*(|h><h|) |conj(x)>, so the minimizer over x is the conjugate of the bottom
+    # eigenvector of the adjoint image: ``_h_step``'s einsum on Phi*'s blocks, for each row h of ``hs``.
+    return np.linalg.eigh(_hermitize(np.einsum("ikjl,sij->skl", phi._adjoint, hs[:, :, None] * hs.conj()[:, None, :])))
 
 
-def _alternating_descent(phi, x0=None, h0=None) -> SearchOutcome:
-    """Minimize g(x, h) = <h| Phi(|conj(x)><conj(x)|) |h> by exact
-    alternating eigenvector steps.
+def _alternating_descent(phi, starts) -> list[SearchOutcome]:
+    """Minimize g(x, h) = <h| Phi(|conj(x)><conj(x)|) |h> by exact alternating eigenvector steps, from
+    each start of ``starts``, a sequence of ("x", x0) and ("h", h0) pairs; one outcome per start, in order.
 
-    The loop always exits holding a pair whose h is a bottom eigenvector of
-    Phi(|conj(x)><conj(x)|); the pair residual therefore equals the bottom
-    eigenvalue magnitude rather than its square root.  The stall threshold
-    and the iteration cap are the fixed ones of ``DEFAULT_TOL``, and the
-    residual is judged against the map's ``_zero_bar``.
+    The starts advance as one stack: each half step is one einsum and one ``eigh`` over the starts still
+    running, and a start leaves the stack when it stalls.  Each start stops by its own rule and keeps its
+    own numbers, bitwise those of a stack of one.  The loop always exits holding a pair whose h is a
+    bottom eigenvector of Phi(|conj(x)><conj(x)|); the pair residual therefore equals the bottom
+    eigenvalue magnitude rather than its square root.  The stall threshold and the iteration cap are the
+    fixed ones of ``DEFAULT_TOL``, and the residual is judged against the map's ``_zero_bar``.
     """
-    if (x0 is None) == (h0 is None):
-        raise ValueError("exactly one of x0 and h0 must be given")
     stall = DEFAULT_TOL.convergence_tol * max(phi._scale, np.finfo(float).tiny)
-    g_prev = None
-    if h0 is not None:
-        w_adj, u_adj = _x_step(phi, _normalize(h0))
-        x = u_adj[:, 0].conj()
-        g_prev = float(w_adj[0])
-    else:
-        x = _normalize(x0)
+    count = len(starts)
+    on_x = [i for i, (side, _) in enumerate(starts) if side == "x"]
+    on_h = [i for i, (side, _) in enumerate(starts) if side == "h"]
+    x = np.empty((count, phi.dim_in), dtype=complex)
+    g_prev = np.full(count, np.nan)  # the objective before the first h step: none on the x side
+    if on_x:
+        x[on_x] = [_normalize(starts[i][1]) for i in on_x]
+    if on_h:
+        w_adj, u_adj = _x_step(phi, np.array([_normalize(starts[i][1]) for i in on_h]))
+        x[on_h] = u_adj[:, :, 0].conj()
+        g_prev[on_h] = w_adj[:, 0]
+    outcomes = [None] * count
+    rows = np.arange(count)  # the start of each row of the stack still running
+
+    def leave(stopped, pair_x, images, w, u, adjoint):
+        for r in np.flatnonzero(stopped):
+            residual = float(np.linalg.norm(images[r] @ u[r][:, 0]))
+            outcomes[rows[r]] = SearchOutcome(
+                x=pair_x[r].copy(),  # the outcome holds no view of the stack
+                h=u[r][:, 0],
+                value=float(w[r, 0]),
+                residual=residual,
+                succeeded=residual <= phi._zero_bar,
+                image=images[r],
+                spectrum=(w[r], u[r]),
+                adjoint_spectrum=None if adjoint is None else (adjoint[0][r], adjoint[1][r]),
+            )
+
     for _ in range(DEFAULT_TOL.max_iters):
-        pair_x = x
-        image, (w, u) = _h_step(phi, x)
-        adjoint = None
-        g = float(w[0])
-        if g_prev is not None and abs(g_prev - g) <= stall:
-            break
-        g_prev = g
-        adjoint = _x_step(phi, u[:, 0])
-        w_adj, u_adj = adjoint
-        g = float(w_adj[0])
-        if abs(g_prev - g) <= stall:
-            break
-        g_prev = g
-        x = u_adj[:, 0].conj()
-    pair_h = u[:, 0]
-    residual = float(np.linalg.norm(image @ pair_h))
-    return SearchOutcome(
-        x=pair_x,
-        h=pair_h,
-        value=float(w[0]),
-        residual=residual,
-        succeeded=residual <= phi._zero_bar,
-        image=image,
-        spectrum=(w, u),
-        adjoint_spectrum=adjoint,
-    )
+        images, (w, u) = _h_step(phi, x)
+        stopped = np.abs(g_prev - w[:, 0]) <= stall
+        if stopped.any():
+            leave(stopped, x, images, w, u, None)
+            going = ~stopped
+            rows, x, images, w, u = rows[going], x[going], images[going], w[going], u[going]
+            if not rows.size:
+                break
+        adjoint = _x_step(phi, u[:, :, 0])
+        stopped = np.abs(w[:, 0] - adjoint[0][:, 0]) <= stall
+        if stopped.any():
+            leave(stopped, x, images, w, u, adjoint)
+            going = ~stopped
+            rows, x, images, w, u = rows[going], x[going], images[going], w[going], u[going]
+            adjoint = (adjoint[0][going], adjoint[1][going])
+            if not rows.size:
+                break
+        g_prev = adjoint[0][:, 0]
+        pair_x, x = x, adjoint[1][:, :, 0].conj()
+    else:  # the iteration cap: each pair is at the x before the last x step
+        leave(np.ones(rows.size, dtype=bool), pair_x, images, w, u, adjoint)
+    return outcomes
 
 
 # Random unit vectors the positivity heuristic samples before its descent.
@@ -438,7 +460,7 @@ def is_positive_heuristic(phi: MapOperator, seed: int = 0) -> PositivityReport:
         if val < worst_value:
             worst_value = val
             worst_vector = y
-    outcome = _alternating_descent(phi, x0=worst_vector.conj())
+    outcome = _alternating_descent(phi, [("x", worst_vector.conj())])[0]
     if outcome.value < worst_value:
         worst_value = float(outcome.value)
         worst_vector = outcome.x.conj()

@@ -16,10 +16,15 @@ Two enumeration routes are provided and are expected to agree:
   (smallest-eigenvalue eigenvector), so g is nonincreasing along the
   iteration.  Starts alternate between the x side and the h side: h-side
   starts are what reach the degenerate stratum of rank-deficient
-  conjugation maps, which is invisible from generic x starts.  At every
-  converged pair the full near-null eigenspaces on both sides are mined for
-  further candidates, from the eigendecompositions the descent already
-  holds.
+  conjugation maps, which is invisible from generic x starts.  The starts
+  run in chunks, each descended as one stack, and a chunk is never longer
+  than what is left of the stall window, so no start is drawn that a
+  start-by-start loop would skip.  At every converged pair the full
+  near-null eigenspaces on both sides are mined for further candidates,
+  from the eigendecompositions the descent already holds and one stacked
+  x step at the other near-null h's.  One projection screens the pair's
+  candidates against the admitted basis first: one whose strong vector
+  already lies in the span is dropped before its residual is computed.
 * ``_kraus_zeros`` writes down exact zeros of Phi(a) = sum_s K_s a K_s^H
   (or K_s a^T K_s^H) from its Kraus stack; a conjugation a -> V^H a V (or
   V^H a^T V) is its one-operator case K = V^H, which
@@ -62,22 +67,25 @@ cached ``eigh``), not from how the map was written down, trying in order:
 
 Every route evaluates Phi(|conj(x)><conj(x)|) once per point x, for all of
 its partners h, and offers every candidate with its residual to one
-admission object.  It keeps a pair only if the residual is within the map's
-zero bar, ``maps.MapOperator._zero_bar`` (residual_rel_tol times the
-spectral scale), and the strong vector grows the running span, so the pair
-list of a ZeroSet is always a spanning subset.  Growth is decided by the
-residual of the normalized strong vector against an orthonormal basis of
-the kept ones (Gram-Schmidt, applied twice), at ``_SCREEN_TOL``; no SVD
-runs per candidate.  Each candidate's strong vector is built once, as an
-outer product reshaped flat (entry for entry the Kronecker product, without
-its per-call overhead), and the ZeroSet keeps the very vectors that were
-admitted, stacked as rows.  The span dimensions reported by
-``weak_span_dim`` and ``strong_span_dim`` come from one SVD of those rows
-at the shared relative threshold ``rank_rel_tol``.  On exact zeros the
+admission object; the harvest offers only the candidates its screen keeps,
+as the others would be rejected.  It keeps a pair only if the residual is
+within the map's zero bar, ``maps.MapOperator._zero_bar`` (residual_rel_tol
+times the spectral scale), and the strong vector grows the running span, so
+the pair list of a ZeroSet is always a spanning subset.  Growth is decided
+by the residual of the normalized strong vector against an orthonormal
+basis of the kept ones (Gram-Schmidt, applied twice), at ``_SCREEN_TOL``;
+no SVD runs per candidate.  ``offer`` builds each candidate's strong vector
+once, as an outer product reshaped flat (entry for entry the Kronecker
+product, without its per-call overhead), and the ZeroSet keeps the very
+vectors that were admitted, stacked as rows.  The span dimensions reported
+by ``weak_span_dim`` and ``strong_span_dim`` come from one SVD of those
+rows at the shared relative threshold ``rank_rel_tol``.  On exact zeros the
 strong count equals the number of kept pairs; ``certify_exposed`` issues no
-certificate when the two differ.  Every search stops by one rule,
-``_saturates``: a window of consecutive starts, points or lines that admit
-nothing ends it, and nothing is drawn after it.
+certificate when the two differ.  Every search stops by one rule: a window
+of consecutive starts, points or lines that admit nothing ends it, and
+nothing is drawn after it.  The exact routes count it with ``_saturates``;
+the harvest, whose chunks must not outrun the window, counts it in its
+loop.
 """
 
 from __future__ import annotations
@@ -104,6 +112,10 @@ __all__ = [
 # Admission threshold of the span basis: a unit candidate whose residual
 # against the admitted basis is at or below this is dependent.
 _SCREEN_TOL = 1e-7
+
+# The harvest's screen drops a candidate whose residual against the admitted basis is at or below
+# this: ``offer`` would reject it too, as the basis only grows while a screened block is offered.
+_SCREEN_DROP = 1e-2 * _SCREEN_TOL
 
 # The harvest stops once this many consecutive starts admit nothing new.
 _STALL_BUDGET = 20
@@ -214,6 +226,15 @@ class _Admission:
         self.pairs.append(ZeroPair(x=x, h=h, residual=residual))
         return True
 
+    def screen(self, xs, hs) -> np.ndarray:
+        """Whether each candidate (xs[i], hs[i]) may grow the span: False where the residual of its
+        normalized strong vector against the admitted basis is at or below ``_SCREEN_DROP``.  One
+        broadcast builds the vectors and one product projects them."""
+        strong = ((xs.conj()[:, :, None] * xs[:, None, :])[:, :, :, None] * hs[:, None, None, :]).reshape(len(xs), -1)
+        strong /= np.linalg.norm(strong, axis=1, keepdims=True)
+        basis = self._basis[: len(self.pairs)]
+        return np.linalg.norm(strong - (strong @ basis.conj().T) @ basis, axis=1) > _SCREEN_DROP
+
     def offer_all(self, candidates) -> bool:
         """Offer every (x, h, residual) in turn; whether any was admitted."""
         return any([self.offer(x, h, residual) for x, h, residual in candidates])
@@ -234,31 +255,43 @@ def _saturates(produced, window: int) -> bool:
 
 
 def _mine_candidates(phi, outcome):
-    """Candidate zero pairs (x, h, residual) at a converged pair.
+    """Candidate zero pairs at a converged pair, as rows xs (c, n) and hs (c, m), and whether each
+    candidate's x is the pair's own (its image is ``outcome.image``) rather than a mined x_j.
 
     The bottom eigenspace of Phi(|conj(x)><conj(x)|) may be degenerate (it is
     m-1 dimensional for conjugation maps), and likewise on the adjoint side;
     every near-null eigenvector is a candidate.  The image at x and its
     eigendecomposition come from the descent's last h step, and the adjoint
-    one at h from its last x step when it ran.  Admission checks each
-    residual, so mining can only add genuine zeros.
+    one at h from its last x step when it ran; the x steps at the other
+    near-null h's run as one stack.  Admission checks each residual, so
+    mining can only add genuine zeros.
     """
-    x, image, bar = outcome.x, outcome.image, phi._zero_bar
+    x, bar = outcome.x, phi._zero_bar
     w, u = outcome.spectrum
-    yield x, outcome.h, outcome.residual
-    for i in range(w.shape[0]):
-        if abs(w[i]) <= bar:
-            hk = u[:, i]
-            if i > 0:  # (x, u[:, 0]) is the pair itself, offered above
-                yield x, hk, float(np.linalg.norm(image @ hk))
-            if i == 0 and outcome.adjoint_spectrum is not None:
-                w2, u2 = outcome.adjoint_spectrum  # its last x step, at h = u[:, 0]
-            else:
-                w2, u2 = _x_step(phi, hk)
-            for j in range(w2.shape[0]):
-                if abs(w2[j]) <= bar:
-                    xj = u2[:, j].conj()
-                    yield xj, hk, float(np.linalg.norm(_image(phi, xj) @ hk))
+    near = np.flatnonzero(np.abs(w) <= bar)
+    spectra = {} if outcome.adjoint_spectrum is None else {0: outcome.adjoint_spectrum}  # at h = u[:, 0]
+    stepped = [i for i in near if i not in spectra]
+    if stepped:
+        spectra.update(zip(stepped, zip(*_x_step(phi, u[:, stepped].T))))
+    candidates = [(x, outcome.h, True)]  # the pair itself
+    for i in near:
+        if i > 0:
+            candidates.append((x, u[:, i], True))
+        w2, u2 = spectra[i]
+        candidates += [(u2[:, j].conj(), u[:, i], False) for j in np.flatnonzero(np.abs(w2) <= bar)]
+    xs, hs, own = zip(*candidates)
+    return np.array(xs), np.array(hs), own
+
+
+def _offer_mined(phi, admission, outcome) -> bool:
+    """Offer the candidates mined at a converged pair that pass the admission's screen, in mining order,
+    each with its residual, computed only for them; whether any was admitted."""
+    xs, hs, own = _mine_candidates(phi, outcome)
+    admitted = False
+    for i in np.flatnonzero(admission.screen(xs, hs)):
+        image = outcome.image if own[i] else _image(phi, xs[i])
+        admitted |= admission.offer(xs[i], hs[i], float(np.linalg.norm(image @ hs[i])))
+    return admitted
 
 
 def _budget(phi: MapOperator, starts: int | None) -> int:
@@ -300,22 +333,29 @@ def harvest_zeros(phi: MapOperator, seed: int = 0, starts: int | None = None) ->
     50 * n * m), alternating x-side and h-side starts, and stops early once
     ``_STALL_BUDGET`` consecutive starts produce nothing new (this includes
     starts that found no zero at all, so maps without zeros stall quickly and
-    still report ``saturated=True``).  Deterministic for a fixed seed.  It
-    decides no rank, so it takes no tolerance: descents, mining and admission
-    all read the map's ``_zero_bar``.
+    still report ``saturated=True``).  The starts are drawn and descended in
+    chunks of min(``_STALL_BUDGET`` - stall, budget - done), one stacked
+    descent each, and their outcomes are offered one by one in start order:
+    the pairs, their order and ``saturated`` are those of a start-by-start
+    loop.  Each converged pair's candidates pass ``_Admission.screen``
+    before ``offer``.  Deterministic for a fixed seed.  It decides no rank,
+    so it takes no tolerance: descents, mining and admission all read the
+    map's ``_zero_bar``.
     """
     n, m = phi.dim_in, phi.dim_out
     budget = _budget(phi, starts)
     rng = np.random.default_rng(seed)
     admission = _Admission(phi)
-
-    def produced():
-        for start in range(budget):
-            side = {"x0": _random_unit(rng, n)} if start % 2 == 0 else {"h0": _random_unit(rng, m)}
-            outcome = _alternating_descent(phi, **side)
-            yield outcome.succeeded and admission.offer_all(_mine_candidates(phi, outcome))
-
-    return admission.zero_set(saturated=_saturates(produced(), _STALL_BUDGET))
+    done = stall = 0
+    while done < budget and stall < _STALL_BUDGET:
+        # no longer than the rest of the window: each start drawn is one a start-by-start loop draws too
+        size = min(_STALL_BUDGET - stall, budget - done)
+        chunk = [("x", _random_unit(rng, n)) if start % 2 == 0 else ("h", _random_unit(rng, m))
+                 for start in range(done, done + size)]
+        for outcome in _alternating_descent(phi, chunk):
+            stall = 0 if outcome.succeeded and _offer_mined(phi, admission, outcome) else stall + 1
+        done += size
+    return admission.zero_set(saturated=stall >= _STALL_BUDGET)
 
 
 # The exact routes draw their points and lines from this fixed seed, never from ``--seed``.

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mapcert.errors import RankInfeasible, ZeroOperator
+from mapcert.errors import DimensionMismatch, RankInfeasible, ZeroOperator
 from mapcert.experiments import (
     BOTH_RULES,
     INPUT_RULE,
@@ -70,6 +70,14 @@ def test_rank2_count_matches_closed_form(m):
 def test_rank2_count_rejects_small_m():
     with pytest.raises(RankInfeasible):
         run_dimension_sweep(2, 1, 2)
+
+
+@pytest.mark.parametrize("n, m, rank", [(4, 1, 1), (1, 3, 1), (1, 1, 1)])
+def test_the_sweep_rejects_a_one_dimensional_side(n, m, rank):
+    # a feasible rank with n or m below 2: with m = 1 the harvest used to miss strong directions,
+    # and (4, 1, 1) raised CrossCheckError (analytic strong dim 9 != harvested 6)
+    with pytest.raises(DimensionMismatch, match="n, m >= 2"):
+        run_dimension_sweep(n, m, rank)
 
 
 def test_sweep_cell_rank1():

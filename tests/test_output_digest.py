@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from mapcert.documents import matrix_to_payload
 
@@ -24,9 +25,10 @@ def test_output_digest_is_deterministic():
     doc = json.dumps(
         {"kind": "conjugation", "dim_in": 2, "dim_out": 2, "payload": matrix_to_payload(np.eye(2)), "transposed": True}
     )
-    first = ([["sweep", "--n-range", "2", "--m-range", "2"]], [(2, 2, 1, 0)], [(doc, 0)])
-    second = ([["sweep", "--n-range", "2", "--m-range", "2", "--seed", "1"]], [(2, 3, 2, 1)], [(doc, 1)])
-    reseeded = (first[0], first[1], second[2])
+    first = ([["sweep", "--n-range", "2", "--m-range", "2"]], [(2, 2, 1, 0)], [(doc, 0)], [("random-cp", (2, 2, 1), 0)])
+    second = ([["sweep", "--n-range", "2", "--m-range", "2", "--seed", "1"]], [(2, 3, 2, 1)], [(doc, 1)],
+              [("random-cp", (2, 2, 1), 1)])
+    reseeded = (first[0], first[1], second[2], first[3])
     digests = [tool.output_digest(*case) for case in (first, second, first, second, reseeded)]
     assert digests[:2] == digests[2:4]
     assert all(list(d) == list(tool.FAMILIES) for d in digests)
@@ -59,6 +61,47 @@ def test_oracle_family_hashes_the_value_or_the_exception_class(monkeypatch):
     failing = tool.output_digest([], cells, [])
     assert failing["oracle"] == expected("OracleUnstable")
     assert [family for family in tool.FAMILIES if failing[family] != plain[family]] == ["oracle"]
+
+
+def test_harvest_family_hashes_each_kept_pair_the_strong_rows_and_saturated():
+    from mapcert.zeros import harvest_zeros
+
+    tool = load_tool()
+    harvests = [("choi", (2.0, 1.0, 0.0), 0), ("random-cp", (3, 2, 3), 1)]
+    expected = tool._Hasher()
+    for kind, params, seed in harvests:
+        zs = harvest_zeros(tool._harvest_map(kind, params), seed=seed)
+        assert zs.pairs
+        expected.add(kind, *params, seed, len(zs.pairs), zs.saturated, zs.strong_vectors)
+        for pair in zs.pairs:
+            expected.add(pair.x, pair.h, repr(pair.residual))
+    digests = tool.output_digest([], [], [], harvests)
+    assert digests["harvest"] == expected.hexdigest()
+    assert [family for family in tool.FAMILIES if digests[family] != tool.output_digest([], [], [])[family]] == ["harvest"]
+
+
+def test_the_harvest_maps_are_the_generalized_choi_maps_and_random_cp_maps():
+    from mapcert.experiments import random_cp_map
+    from mapcert.maps import apply
+
+    tool = load_tool()
+    inputs = tool.default_inputs()[3]
+    assert len(inputs) == 3 * 4 + 3 * 2
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    for kind, params, seed in inputs:
+        phi = tool._harvest_map(kind, params)
+        if kind == "random-cp":
+            assert params in ((3, 3, 4), (3, 2, 3), (4, 3, 4)) and seed in (0, 1)
+            assert np.array_equal(phi.choi, random_cp_map(*params, seed=1).choi)
+            continue
+        a, b, c = params
+        assert a in (1.2, 1.5, 2.0) and seed in range(4)
+        assert a + b + c == pytest.approx(3) and b * c == pytest.approx((2 - a) ** 2) and b >= c
+        # Phi[a, b, c](X) = diag(a x11 + b x22 + c x33, c x11 + a x22 + b x33, b x11 + c x22 + a x33) - X
+        d = np.diag(x)
+        diagonal = [a * d[0] + b * d[1] + c * d[2], c * d[0] + a * d[1] + b * d[2], b * d[0] + c * d[1] + a * d[2]]
+        assert np.allclose(apply(phi, x), np.diag(diagonal) - x)
 
 
 def test_default_inputs_rerun_the_seed_1_mixed_documents_at_another_rank_threshold():

@@ -4,6 +4,7 @@ The integer expectations here were computed by the brute-force grid oracle
 and cross-checked against the analytic enumeration before being frozen.
 """
 
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -15,12 +16,13 @@ import mapcert.maps
 import mapcert.zeros
 from mapcert.documents import matrix_to_payload, parse_map_file, to_map_operator
 from mapcert.errors import ZeroOperator
-from mapcert.experiments import random_kraus_operators, random_rank_operator, sweep_cells
+from mapcert.experiments import random_cp_map, random_kraus_operators, random_rank_operator, sweep_cells
 from mapcert.linalg import DEFAULT_TOL, ToleranceConfig
 from mapcert.maps import (
     _alternating_descent,
     _is_psd,
     _normalize,
+    _random_unit,
     MapOperator,
     apply,
     choi_spectral_scale,
@@ -244,19 +246,117 @@ def test_analytic_svd_count_does_not_grow_with_the_grid(monkeypatch):
 
 @pytest.mark.parametrize("starts,descents", [(None, _STALL_BUDGET), (5, 5)])
 def test_harvest_draws_no_start_after_the_stall(monkeypatch, starts, descents):
-    calls = []
-    descent = mapcert.zeros._alternating_descent
-
-    def counted(*args, **kwargs):
-        calls.append(kwargs)
-        return descent(*args, **kwargs)
-
-    monkeypatch.setattr(mapcert.zeros, "_alternating_descent", counted)
+    calls = counted_descents(monkeypatch)
     zs = harvest_zeros(trace_map(2, 3), seed=0, starts=starts)
-    assert len(calls) == descents
+    sides = [side for call in calls for side in call]
+    assert len(sides) == descents
     # starts alternate between the x side and the h side
-    assert [list(kwargs) for kwargs in calls] == [["x0"], ["h0"]] * (descents // 2) + [["x0"]] * (descents % 2)
+    assert sides == ["x", "h"] * (descents // 2) + ["x"] * (descents % 2)
+    # no start admits anything, so the window left at a call is what the calls before it did not take
+    assert all(len(call) <= _STALL_BUDGET - sum(map(len, calls[:i])) for i, call in enumerate(calls))
     assert zs.saturated == (starts is None)
+
+
+def generalized_choi_map(a):
+    """Phi[a, b, c](X) = diag(a x11 + b x22 + c x33, c x11 + a x22 + b x33, b x11 + c x22 + a x33) - X on
+    M_3, with a + b + c = 3, bc = (2 - a)^2 and b >= c."""
+    s, p = 3 - a, (2 - a) ** 2
+    b, c = (s + np.sqrt(s * s - 4 * p)) / 2, (s - np.sqrt(s * s - 4 * p)) / 2
+    weights = np.array([[a, c, b], [b, a, c], [c, b, a]])  # weights[i, k]: the coefficient of x_ii in Phi(X)_kk
+    omega = np.eye(3).ravel()
+    return MapOperator(3, 3, np.diag(weights.ravel()) - np.outer(omega, omega))
+
+
+@pytest.mark.parametrize("phi, sides", [
+    (random_cp_map(3, 3, 4, seed=1), "xh"),
+    (from_conjugation(random_rank_operator(3, 4, 2, seed=1), transposed=True), "h"),
+], ids=["cp-3x3-k4", "conjugation-3x4-h-side"])
+def test_a_stack_of_descents_equals_its_starts_one_at_a_time_bitwise(monkeypatch, phi, sides):
+    rng = np.random.default_rng(1)
+    dims = {"x": phi.dim_in, "h": phi.dim_out}
+    starts = [(side, _random_unit(rng, dims[side])) for side in itertools.islice(itertools.cycle(sides), 60)]
+    stacked = _alternating_descent(phi, starts)
+    h_steps = []
+    h_step = mapcert.maps._h_step
+    monkeypatch.setattr(mapcert.maps, "_h_step", lambda *args: h_steps.append(None) or h_step(*args))
+    capped = []
+    for index, (start, outcome) in enumerate(zip(starts, stacked)):
+        h_steps.clear()
+        alone = _alternating_descent(phi, [start])[0]
+        if len(h_steps) == DEFAULT_TOL.max_iters:
+            capped.append(index)
+        for name in ("x", "h", "image"):
+            assert getattr(outcome, name).tobytes() == getattr(alone, name).tobytes(), (index, name)
+        # the image is the one at the pair's x, even where the state moved on after it
+        assert np.array_equal(outcome.image, mapcert.maps._image(phi, outcome.x)), index
+        assert (outcome.value, outcome.residual, outcome.succeeded) == (alone.value, alone.residual, alone.succeeded)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(outcome.spectrum, alone.spectrum))
+        assert (outcome.adjoint_spectrum is None) == (alone.adjoint_spectrum is None)
+        if alone.adjoint_spectrum is not None:
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(outcome.adjoint_spectrum, alone.adjoint_spectrum))
+    # at the iteration cap the pair's x is the state before the last x step
+    if sides == "xh":
+        assert capped == [6, 32, 45]
+
+
+@pytest.mark.parametrize("phi", [generalized_choi_map(1.5), random_cp_map(3, 3, 4, seed=1)], ids=["choi-1.5", "cp-3x3-k4"])
+def test_no_stacked_descent_takes_more_starts_than_the_window_has_left(monkeypatch, phi):
+    # each stacked call takes exactly min(window - stall, budget - done) starts, where stall counts the
+    # starts since the last one that admitted a pair: never a start that a start-by-start loop skips.
+    # These maps admit pairs late in a window, so some calls take less than a whole one
+    calls, admitted = [], {}
+    descent, offer_mined = mapcert.zeros._alternating_descent, mapcert.zeros._offer_mined
+
+    def recorded_descent(phi, starts):
+        calls.append(descent(phi, starts))
+        return calls[-1]
+
+    def recorded_offer(phi, admission, outcome):
+        admitted[id(outcome)] = offer_mined(phi, admission, outcome)
+        return admitted[id(outcome)]
+
+    monkeypatch.setattr(mapcert.zeros, "_alternating_descent", recorded_descent)
+    monkeypatch.setattr(mapcert.zeros, "_offer_mined", recorded_offer)
+    zs = harvest_zeros(phi, seed=0)
+    stall = done = 0
+    for outcomes in calls:
+        assert len(outcomes) == min(_STALL_BUDGET - stall, 50 * 3 * 3 - done)
+        for outcome in outcomes:
+            stall = 0 if admitted.get(id(outcome), False) else stall + 1
+        done += len(outcomes)
+    assert zs.saturated and stall == _STALL_BUDGET and zs.pairs
+    assert min(map(len, calls)) < max(map(len, calls)) == _STALL_BUDGET
+
+
+def pair_list(zs):
+    return [(p.x.tobytes(), p.h.tobytes(), repr(p.residual)) for p in zs.pairs]
+
+
+@pytest.mark.parametrize("phi, seed", [
+    (generalized_choi_map(1.5), 0),
+    (generalized_choi_map(1.5), 1),
+    (from_conjugation(random_rank_operator(3, 4, 2, seed=0), transposed=True), 0),
+    (from_conjugation(random_rank_operator(4, 5, 1, seed=1), transposed=True), 1),
+], ids=["choi-1.5-seed0", "choi-1.5-seed1", "cell-3x4-rank2", "cell-4x5-rank1"])
+def test_the_screen_never_changes_admission(monkeypatch, phi, seed):
+    # the screen drops only candidates that offer would reject: with its bar at 0 it drops none, and
+    # the same pairs are kept in the same order, with the same residuals
+    dropped = []
+    screen = _Admission.screen
+
+    def counted(self, xs, hs):
+        kept = screen(self, xs, hs)
+        dropped.append(int(np.sum(~kept)))
+        return kept
+
+    monkeypatch.setattr(_Admission, "screen", counted)
+    screened = harvest_zeros(phi, seed=seed)
+    assert sum(dropped) > 0
+    dropped.clear()
+    monkeypatch.setattr(mapcert.zeros, "_SCREEN_DROP", 0.0)
+    unscreened = harvest_zeros(phi, seed=seed)
+    assert sum(dropped) == 0
+    assert pair_list(screened) == pair_list(unscreened) and screened.saturated == unscreened.saturated
 
 
 def test_harvest_rejects_empty_budget():
@@ -265,7 +365,7 @@ def test_harvest_rejects_empty_budget():
 
 
 def test_local_search_finds_zero_of_transpose():
-    out = _alternating_descent(transpose_map(2), x0=_normalize(np.array([1.0, 0.5j])))
+    out = _alternating_descent(transpose_map(2), [("x", _normalize(np.array([1.0, 0.5j])))])[0]
     assert out.succeeded
     assert out.residual <= 1e-9 * choi_spectral_scale(transpose_map(2))
     assert abs(np.vdot(out.x, out.h)) < 1e-9  # the known zero condition
@@ -276,20 +376,20 @@ def test_local_search_objective_never_increases(monkeypatch):
     history = []
     h_step, x_step = mapcert.maps._h_step, mapcert.maps._x_step
 
-    def recorded_h_step(phi, x):
-        image, (w, u) = h_step(phi, x)
-        history.append(float(w[0]))
-        return image, (w, u)
+    def recorded_h_step(phi, xs):
+        images, (w, u) = h_step(phi, xs)
+        history.append(float(w[0, 0]))
+        return images, (w, u)
 
-    def recorded_x_step(phi, h):
-        w, u = x_step(phi, h)
-        history.append(float(w[0]))
+    def recorded_x_step(phi, hs):
+        w, u = x_step(phi, hs)
+        history.append(float(w[0, 0]))
         return w, u
 
     monkeypatch.setattr(mapcert.maps, "_h_step", recorded_h_step)
     monkeypatch.setattr(mapcert.maps, "_x_step", recorded_x_step)
     phi = from_conjugation(rank_operator(3, 4, 3, 12), transposed=True)
-    _alternating_descent(phi, x0=_normalize(np.ones(3)))
+    _alternating_descent(phi, [("x", _normalize(np.ones(3)))])  # a stack of one
     scale = choi_spectral_scale(phi)
     assert len(history) >= 2
     diffs = np.diff(history)
@@ -297,14 +397,14 @@ def test_local_search_objective_never_increases(monkeypatch):
 
 
 def test_local_search_reports_failure_without_zeros():
-    out = _alternating_descent(trace_map(2), x0=_normalize(np.array([1.0, 1.0])))
+    out = _alternating_descent(trace_map(2), [("x", _normalize(np.array([1.0, 1.0])))])[0]
     assert not out.succeeded
     assert out.residual > 0.1
 
 
 def test_local_search_rejects_bad_starts():
     with pytest.raises(ValueError):
-        _alternating_descent(transpose_map(2), x0=_normalize(np.zeros(2)))
+        _alternating_descent(transpose_map(2), [("x", np.zeros(2))])
 
 
 def test_analytic_rejects_zero_operator():
@@ -332,14 +432,7 @@ def test_find_zeros_runs_no_descent_on_a_positive_definite_block_matrix(monkeypa
     w = phi._spectrum[0]
     assert w[0] > DEFAULT_TOL.residual_rel_tol * choi_spectral_scale(phi)
     harvested = harvest_zeros(phi, seed=0, starts=starts)
-    calls = []
-    descent = mapcert.zeros._alternating_descent
-
-    def counted(*args, **kwargs):
-        calls.append(kwargs)
-        return descent(*args, **kwargs)
-
-    monkeypatch.setattr(mapcert.zeros, "_alternating_descent", counted)
+    calls = counted_descents(monkeypatch)
     zs = find_zeros(phi, seed=0, starts=starts)
     assert calls == []
     assert zs.pairs == harvested.pairs == []
@@ -362,7 +455,7 @@ def test_moving_the_maps_zero_bar_moves_every_reader():
     for bar, zero in ((None, False), (2e-6, True)):
         assert _is_psd(diagonal_map(-1e-6, bar), transposed=False) == zero
         assert is_positive_heuristic(diagonal_map(-1e-6, bar)).passed == zero
-        assert _alternating_descent(diagonal_map(1e-6, bar), x0=e1).succeeded == zero
+        assert _alternating_descent(diagonal_map(1e-6, bar), [("x", e1)])[0].succeeded == zero
         assert _Admission(diagonal_map(1e-6, bar)).offer(e1, e1, 1e-6) == zero
         # lambda_min(C) = 1e-6 proves the map zero-free only above the bar; at or below it the
         # harvest runs and finds the pair (e1, e1)
@@ -473,9 +566,11 @@ def test_find_zeros_and_the_harvest_referee_each_other_on_the_benchmark_document
 
 
 def counted_descents(monkeypatch):
+    """The sides ("x" or "h") of the starts of each stacked descent the harvest runs, one list per call."""
     calls = []
     descent = mapcert.zeros._alternating_descent
-    monkeypatch.setattr(mapcert.zeros, "_alternating_descent", lambda *a, **k: calls.append(k) or descent(*a, **k))
+    monkeypatch.setattr(mapcert.zeros, "_alternating_descent",
+                        lambda phi, starts: calls.append([side for side, _ in starts]) or descent(phi, starts))
     return calls
 
 

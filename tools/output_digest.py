@@ -4,11 +4,11 @@
 
 imports mapcert from the directory SRC (a tree's ``src/``) and prints one
 SHA-256 per output family, as ``family digest`` lines, over what the
-program outputs on a fixed input set.  After those seven lines it prints
+program outputs on a fixed input set.  After those eight lines it prints
 one ``analyze <index> <digest>`` line per analyze run, over that run's
 inputs, outputs and report bytes, so that a diff of two trees' listings
 names the runs whose bytes moved (the index is the run's position in the
-document list of ``default_inputs``); ``head -7`` keeps the families alone.
+document list of ``default_inputs``); ``head -8`` keeps the families alone.
 The families are:
 
 * ``sweep``: ``mapcert sweep`` at seeds 0 and 3 and with ``--n-range 2
@@ -32,7 +32,15 @@ The families are:
   non-object, V = 0, wrong shapes, an empty or non-list Kraus payload,
   non-Hermitian Choi matrices at two scales, bad entries and an unknown
   field): stdout, stderr and exit code;
-* ``analyze-json``: the report bytes of those analyze runs.
+* ``analyze-json``: the report bytes of those analyze runs;
+* ``harvest``: ``harvest_zeros`` on maps whose zeros are not exact, where
+  the descent's last bits decide which pairs are kept: the generalized
+  Choi maps Phi[a, b, c] on M_3 with a in {1.2, 1.5, 2}, a + b + c = 3,
+  bc = (2 - a)^2 and b >= c, at seeds 0-3, and ``random_cp_map(n, m, k,
+  seed=1)`` for 3->3 k=4, 3->2 k=3 and 4->3 k=4, at seeds 0-1: every kept
+  pair's x, h and ``repr`` of its residual, the strong rows and
+  ``saturated``.  ``zero-sets`` covers conjugation maps only, whose
+  zeros are exact.
 
 Equal digests of a family from two trees mean byte-identical outputs of that
 family, so a change that claims unchanged outputs is checked by running this
@@ -61,7 +69,7 @@ SWEEPS = (
     ["sweep", "--n-range", "2", "--m-range", "2..3"],
 )
 
-FAMILIES = ("sweep", "sweep-json", "zero-sets", "zero-set-dims", "oracle", "analyze", "analyze-json")
+FAMILIES = ("sweep", "sweep-json", "zero-sets", "zero-set-dims", "oracle", "analyze", "analyze-json", "harvest")
 
 
 def _cli(argv) -> tuple[int, bytes, bytes]:
@@ -100,7 +108,22 @@ def _add_zero_set(hashers, zs):
     hashers["zero-set-dims"].add(len(zs.pairs), weak_span_dim(zs), strong_span_dim(zs), zs.saturated)
 
 
-def output_digest(sweeps, cells, documents, runs=None) -> dict[str, str]:
+def _harvest_map(kind, params):
+    """The map of a ``harvest`` input: ``random_cp_map(n, m, k, seed=1)`` for kind "random-cp" and
+    params (n, m, k), or the generalized Choi map Phi[a, b, c] on M_3 for kind "choi" and params (a, b, c),
+    X -> diag(a x11 + b x22 + c x33, c x11 + a x22 + b x33, b x11 + c x22 + a x33) - X."""
+    from mapcert.experiments import random_cp_map
+    from mapcert.maps import MapOperator
+
+    if kind == "random-cp":
+        return random_cp_map(*params, seed=1)
+    a, b, c = params
+    weights = np.array([[a, c, b], [b, a, c], [c, b, a]])  # weights[i, k]: the coefficient of x_ii in Phi(X)_kk
+    omega = np.eye(3).ravel()
+    return MapOperator(3, 3, np.diag(weights.ravel()) - np.outer(omega, omega))
+
+
+def output_digest(sweeps, cells, documents, harvests=(), runs=None) -> dict[str, str]:
     """SHA-256 per family of the outputs of the imported mapcert on the inputs.
 
     ``sweeps``: argv lists of ``mapcert sweep`` (``--json`` is appended);
@@ -108,6 +131,8 @@ def output_digest(sweeps, cells, documents, runs=None) -> dict[str, str]:
     the oracle;
     ``documents``: (map document text or bytes, analyze seed, *flags)
     tuples; the flags, if any, are passed on to ``analyze``;
+    ``harvests``: (kind, params, seed) inputs of ``harvest_zeros``, the map
+    built by ``_harvest_map(kind, params)``;
     ``runs``: a list, if given, that receives one SHA-256 per document's
     analyze run, in order.
     """
@@ -133,6 +158,11 @@ def output_digest(sweeps, cells, documents, runs=None) -> dict[str, str]:
             except Exception as exc:
                 oracle = type(exc).__name__
             hashers["oracle"].add(n, m, rank, seed, oracle)
+        for kind, params, seed in harvests:
+            zs = harvest_zeros(_harvest_map(kind, params), seed=seed)
+            hashers["harvest"].add(kind, *params, seed, len(zs.pairs), zs.saturated, zs.strong_vectors)
+            for pair in zs.pairs:
+                hashers["harvest"].add(pair.x, pair.h, repr(pair.residual))
         doc = Path(tmp) / "map.json"
         for text, seed, *flags in documents:
             doc.write_bytes(text if isinstance(text, bytes) else text.encode())
@@ -214,12 +244,26 @@ def _perfbench_documents() -> list[tuple]:
     return documents + [(text, seed, "--tol", "1e-7") for text, seed in documents[: len(workloads.MIXED)]]
 
 
+def _harvest_inputs() -> list[tuple]:
+    """The generalized Choi maps with a + b + c = 3, bc = (2 - a)^2 and b >= c, at seeds 0-3, then three
+    random CP maps with more operators than output dimension where n >= 3, at seeds 0-1."""
+    inputs = []
+    for a in (1.2, 1.5, 2.0):
+        s, p = 3 - a, (2 - a) ** 2
+        root = np.sqrt(s * s - 4 * p)
+        inputs += [("choi", (a, (s + root) / 2, (s - root) / 2), seed) for seed in range(4)]
+    for shape in ((3, 3, 4), (3, 2, 3), (4, 3, 4)):
+        inputs += [("random-cp", shape, seed) for seed in range(2)]
+    return inputs
+
+
 def default_inputs():
-    """The full input set: (sweeps, cells, documents) for ``output_digest``."""
+    """The full input set: (sweeps, cells, documents, harvests) for ``output_digest``."""
     from mapcert.experiments import sweep_cells
 
     cells = [(n, m, r, seed) for seed in (0, 1) for n, m, r in sweep_cells()]
-    return list(SWEEPS), cells, _perfbench_documents() + _generated_documents() + _invalid_documents()
+    documents = _perfbench_documents() + _generated_documents() + _invalid_documents()
+    return list(SWEEPS), cells, documents, _harvest_inputs()
 
 
 def main(argv) -> int:
@@ -239,7 +283,7 @@ def main(argv) -> int:
 
 
 def _print_listing(digests, runs) -> None:
-    """Print the family lines, then the per-run lines; a reader that stops early (``| head -7``)
+    """Print the family lines, then the per-run lines; a reader that stops early (``| head -8``)
     ends the listing quietly."""
     try:
         for family, digest in digests.items():
