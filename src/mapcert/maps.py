@@ -24,8 +24,10 @@ heuristic and every zero test of ``zeros`` read it.
 The alternating descent on g(x, h) = <h| Phi(|conj(x)><conj(x)|) |h> lives
 here: the positivity heuristic refines its worst sample with it, and
 ``zeros`` runs it from many starts to find zero pairs (g = 0).  It advances
-a stack of starts together, one einsum and one ``eigh`` per half step; a
-single start is a stack of one.
+a stack of starts, one h step and one x step per iteration, and retires a
+start by one test; a single start is a stack of one.  Both steps, the
+heuristic's samples and every image ``zeros`` evaluates come from the one
+rank-one evaluator, ``_rank_one_images``.
 """
 
 from __future__ import annotations
@@ -170,27 +172,32 @@ class PositivityReport:
 class SearchOutcome:
     """Result of the alternating descent from one start.
 
-    ``succeeded`` means the final pair is a zero: its residual is at most
-    the map's ``_zero_bar``; callers
-    treat a non-succeeded outcome as "no zero found from this start".  The
-    objective is nonincreasing over the half steps up to eigensolver roundoff.
-    ``image`` is Phi(|conj(x)><conj(x)|) at the final x and ``spectrum``
-    the eigendecomposition (w, u) of its Hermitian part, with h = u[:, 0];
-    ``adjoint_spectrum`` is that of Phi*(|h><h|) when the descent computed
-    it, else None.  Callers that examine the final pair further read these
-    instead of evaluating the map again.  A stacked descent returns one
-    outcome per start, bitwise the outcome of that start alone; its arrays
-    are rows of the stack's, and no later step writes to them.
+    ``image`` is Phi(|conj(x)><conj(x)|) at the final x, ``spectrum`` the
+    eigendecomposition (w, u) of its Hermitian part and ``adjoint_spectrum``
+    that of Phi*(|h><h|), the x step at h; h = u[:, 0] and the objective
+    ``value`` = w[0] are read off ``spectrum``.  ``succeeded`` means the pair
+    is a zero: its residual is at most the map's ``_zero_bar``; callers treat
+    a non-succeeded outcome as "no zero found from this start".  The
+    objective is nonincreasing over the half steps up to eigensolver
+    roundoff.  A stacked descent returns one outcome per start, bitwise the
+    outcome of that start alone; its arrays are rows of the stack's, and no
+    later step writes to them.
     """
 
     x: np.ndarray
-    h: np.ndarray
-    value: float
     residual: float
     succeeded: bool
     image: np.ndarray = field(repr=False)
     spectrum: tuple = field(repr=False)
-    adjoint_spectrum: tuple | None = field(repr=False)
+    adjoint_spectrum: tuple = field(repr=False)
+
+    @property
+    def h(self) -> np.ndarray:
+        return self.spectrum[1][:, 0]
+
+    @property
+    def value(self) -> float:
+        return float(self.spectrum[0][0])
 
 
 def _hermitize(m: np.ndarray) -> np.ndarray:
@@ -212,13 +219,6 @@ def apply(phi: MapOperator, a) -> np.ndarray:
     if a.shape != (n, n):
         raise DimensionMismatch(f"argument has shape {a.shape}, expected {(n, n)}")
     return np.einsum("ikjl,ij->kl", phi.choi.reshape(n, m, n, m), a)
-
-
-def _image(phi: MapOperator, x) -> np.ndarray:
-    """Phi(|conj(x)><conj(x)|): the einsum of ``apply``, without revalidating
-    a vector the package built itself."""
-    n, m = phi.dim_in, phi.dim_out
-    return np.einsum("ikjl,ij->kl", phi.choi.reshape(n, m, n, m), np.outer(x.conj(), x))
 
 
 def _image_table(phi: MapOperator) -> np.ndarray:
@@ -357,30 +357,40 @@ def _normalize(v) -> np.ndarray:
     return v / norm
 
 
-def _h_step(phi, xs):
-    """Phi(|conj(x)><conj(x)|) for each row x of ``xs`` (``_image``'s einsum over the stack) and the
-    eigendecompositions of their Hermitian parts; each bottom eigenvector is the minimizer over h."""
+def _rank_one_images(phi, xs, adjoint=False) -> np.ndarray:
+    """Phi(|conj(x)><conj(x)|) for each row x of ``xs``, as one einsum over the stack (the einsum of
+    ``apply``, without revalidating vectors the package built itself); ``adjoint``: the same einsum on
+    Phi*'s blocks, which at the rows conj(h) gives Phi*(|h><h|).  The one rank-one evaluator."""
     n, m = phi.dim_in, phi.dim_out
-    images = np.einsum("ikjl,sij->skl", phi.choi.reshape(n, m, n, m), xs.conj()[:, :, None] * xs[:, None, :])
+    blocks = phi._adjoint if adjoint else phi.choi.reshape(n, m, n, m)
+    return np.einsum("ikjl,sij->skl", blocks, xs.conj()[:, :, None] * xs[:, None, :])
+
+
+def _h_step(phi, xs):
+    """The images of the rows x of ``xs`` and the eigendecompositions of their Hermitian parts; each
+    bottom eigenvector is the minimizer over h."""
+    images = _rank_one_images(phi, xs)
     return images, np.linalg.eigh(_hermitize(images))
 
 
 def _x_step(phi, hs):
     # g(x, h) = <conj(x)| Phi*(|h><h|) |conj(x)>, so the minimizer over x is the conjugate of the bottom
-    # eigenvector of the adjoint image: ``_h_step``'s einsum on Phi*'s blocks, for each row h of ``hs``.
-    return np.linalg.eigh(_hermitize(np.einsum("ikjl,sij->skl", phi._adjoint, hs[:, :, None] * hs.conj()[:, None, :])))
+    # eigenvector of the adjoint image, for each row h of ``hs``
+    return np.linalg.eigh(_hermitize(_rank_one_images(phi, hs.conj(), adjoint=True)))
 
 
 def _alternating_descent(phi, starts) -> list[SearchOutcome]:
     """Minimize g(x, h) = <h| Phi(|conj(x)><conj(x)|) |h> by exact alternating eigenvector steps, from
     each start of ``starts``, a sequence of ("x", x0) and ("h", h0) pairs; one outcome per start, in order.
 
-    The starts advance as one stack: each half step is one einsum and one ``eigh`` over the starts still
-    running, and a start leaves the stack when it stalls.  Each start stops by its own rule and keeps its
-    own numbers, bitwise those of a stack of one.  The loop always exits holding a pair whose h is a
-    bottom eigenvector of Phi(|conj(x)><conj(x)|); the pair residual therefore equals the bottom
-    eigenvalue magnitude rather than its square root.  The stall threshold and the iteration cap are the
-    fixed ones of ``DEFAULT_TOL``, and the residual is judged against the map's ``_zero_bar``.
+    The starts advance as one stack: each iteration is one h step and one x step over the starts still
+    running, each one einsum and one ``eigh``.  One test then retires a start: the objective stalled
+    across the h step or across the x step, or the iteration cap is reached.  A retired start's pair is
+    its x with h the bottom eigenvector of Phi(|conj(x)><conj(x)|), so the pair residual equals the
+    bottom eigenvalue magnitude rather than its square root, and its outcome carries the x step at that
+    h.  Each start keeps its own numbers, bitwise those of a stack of one.  The stall threshold and the
+    iteration cap are the fixed ones of ``DEFAULT_TOL``, and the residual is judged against the map's
+    ``_zero_bar``.
     """
     stall = DEFAULT_TOL.convergence_tol * max(phi._scale, np.finfo(float).tiny)
     count = len(starts)
@@ -396,43 +406,25 @@ def _alternating_descent(phi, starts) -> list[SearchOutcome]:
         g_prev[on_h] = w_adj[:, 0]
     outcomes = [None] * count
     rows = np.arange(count)  # the start of each row of the stack still running
-
-    def leave(stopped, pair_x, images, w, u, adjoint):
+    iteration = 0
+    while rows.size:
+        iteration += 1
+        images, (w, u) = _h_step(phi, x)
+        w_adj, u_adj = _x_step(phi, u[:, :, 0])
+        stalled = (np.abs(g_prev - w[:, 0]) <= stall) | (np.abs(w[:, 0] - w_adj[:, 0]) <= stall)
+        stopped = stalled | (iteration == DEFAULT_TOL.max_iters)
         for r in np.flatnonzero(stopped):
             residual = float(np.linalg.norm(images[r] @ u[r][:, 0]))
             outcomes[rows[r]] = SearchOutcome(
-                x=pair_x[r].copy(),  # the outcome holds no view of the stack
-                h=u[r][:, 0],
-                value=float(w[r, 0]),
+                x=x[r],
                 residual=residual,
                 succeeded=residual <= phi._zero_bar,
                 image=images[r],
                 spectrum=(w[r], u[r]),
-                adjoint_spectrum=None if adjoint is None else (adjoint[0][r], adjoint[1][r]),
+                adjoint_spectrum=(w_adj[r], u_adj[r]),
             )
-
-    for _ in range(DEFAULT_TOL.max_iters):
-        images, (w, u) = _h_step(phi, x)
-        stopped = np.abs(g_prev - w[:, 0]) <= stall
-        if stopped.any():
-            leave(stopped, x, images, w, u, None)
-            going = ~stopped
-            rows, x, images, w, u = rows[going], x[going], images[going], w[going], u[going]
-            if not rows.size:
-                break
-        adjoint = _x_step(phi, u[:, :, 0])
-        stopped = np.abs(w[:, 0] - adjoint[0][:, 0]) <= stall
-        if stopped.any():
-            leave(stopped, x, images, w, u, adjoint)
-            going = ~stopped
-            rows, x, images, w, u = rows[going], x[going], images[going], w[going], u[going]
-            adjoint = (adjoint[0][going], adjoint[1][going])
-            if not rows.size:
-                break
-        g_prev = adjoint[0][:, 0]
-        pair_x, x = x, adjoint[1][:, :, 0].conj()
-    else:  # the iteration cap: each pair is at the x before the last x step
-        leave(np.ones(rows.size, dtype=bool), pair_x, images, w, u, adjoint)
+        going = ~stopped
+        rows, g_prev, x = rows[going], w_adj[going, 0], u_adj[going, :, 0].conj()
     return outcomes
 
 
@@ -444,26 +436,21 @@ def is_positive_heuristic(phi: MapOperator, seed: int = 0) -> PositivityReport:
     """Sampling-plus-descent check that Phi maps PSD matrices to PSD matrices.
 
     Minimizes the smallest eigenvalue of Phi(|y><y|) over
-    ``_POSITIVITY_SAMPLES`` random unit vectors y, then refines the worst
-    sample by alternating eigenvector descent.  A certified "True" here is
-    still heuristic: it can be fooled by maps whose negativity region is
-    tiny, which is why certificates carry a conditional note.  The RNG seed
-    is explicit so results are reproducible.
+    ``_POSITIVITY_SAMPLES`` random unit vectors y, drawn one by one and
+    evaluated as one stack, then refines the worst sample (the first of
+    equal minima) by alternating eigenvector descent.  A certified "True"
+    here is still heuristic: it can be fooled by maps whose negativity
+    region is tiny, which is why certificates carry a conditional note.
+    The RNG seed is explicit so results are reproducible.
     """
-    n = phi.dim_in
     rng = np.random.default_rng(seed)
-    worst_value = np.inf
-    worst_vector = None
-    for _ in range(_POSITIVITY_SAMPLES):
-        y = _random_unit(rng, n)
-        val = float(np.linalg.eigvalsh(_hermitize(_image(phi, y.conj())))[0])
-        if val < worst_value:
-            worst_value = val
-            worst_vector = y
+    ys = np.array([_random_unit(rng, phi.dim_in) for _ in range(_POSITIVITY_SAMPLES)])
+    values = np.linalg.eigvalsh(_hermitize(_rank_one_images(phi, ys.conj())))[:, 0]
+    worst = int(np.argmin(values))
+    worst_value, worst_vector = float(values[worst]), ys[worst]
     outcome = _alternating_descent(phi, [("x", worst_vector.conj())])[0]
     if outcome.value < worst_value:
-        worst_value = float(outcome.value)
-        worst_vector = outcome.x.conj()
+        worst_value, worst_vector = outcome.value, outcome.x.conj()
     passed = worst_value >= -phi._zero_bar
     return PositivityReport(passed=passed, worst_value=worst_value, worst_vector=worst_vector)
 

@@ -21,10 +21,11 @@ Two enumeration routes are provided and are expected to agree:
   than what is left of the stall window, so no start is drawn that a
   start-by-start loop would skip.  At every converged pair the full
   near-null eigenspaces on both sides are mined for further candidates,
-  from the eigendecompositions the descent already holds and one stacked
-  x step at the other near-null h's.  One projection screens the pair's
-  candidates against the admitted basis first: one whose strong vector
-  already lies in the span is dropped before its residual is computed.
+  from the eigendecompositions at x and at h that every descent outcome
+  carries and one stacked x step at the other near-null h's.  One
+  projection screens the pair's candidates against the admitted basis
+  first: one whose strong vector already lies in the span is dropped
+  before its residual is computed.
 * ``_kraus_zeros`` writes down exact zeros of Phi(a) = sum_s K_s a K_s^H
   (or K_s a^T K_s^H) from its Kraus stack; a conjugation a -> V^H a V (or
   V^H a^T V) is its one-operator case K = V^H, which
@@ -65,10 +66,12 @@ cached ``eigh``), not from how the map was written down, trying in order:
    dimension d), the most a growing span there can use.
 3. Anything else: the harvest.
 
-Every route evaluates Phi(|conj(x)><conj(x)|) once per point x, for all of
-its partners h, and offers every candidate with its residual to one
-admission object; the harvest offers only the candidates its screen keeps,
-as the others would be rejected.  It keeps a pair only if the residual is
+Every route evaluates Phi(|conj(x)><conj(x)|) with ``maps._rank_one_images``,
+one stacked call per cut batch of points (Kraus routes) or per screened
+block of mined candidates (harvest), and offers every candidate with its
+residual under the image of its x to one admission object; the harvest
+offers only the candidates its screen keeps, as the others would be
+rejected.  It keeps a pair only if the residual is
 within the map's zero bar, ``maps.MapOperator._zero_bar`` (residual_rel_tol
 times the spectral scale), and the strong vector grows the running span, so
 the pair list of a ZeroSet is always a spanning subset.  Growth is decided
@@ -97,7 +100,7 @@ import numpy as np
 from .linalg import DEFAULT_TOL, ToleranceConfig, as_matrix, kernel_basis, span_dimension
 from .linalg import _rank_from_singular_values, _row_kernels
 from .maps import MapOperator, _block_spectrum, _cp_rank, _kraus_stack, from_conjugation
-from .maps import _alternating_descent, _gaussian_rows, _ginibre, _image, _random_unit, _x_step
+from .maps import _alternating_descent, _gaussian_rows, _ginibre, _random_unit, _rank_one_images, _x_step
 
 __all__ = [
     "ZeroPair",
@@ -255,43 +258,40 @@ def _saturates(produced, window: int) -> bool:
 
 
 def _mine_candidates(phi, outcome):
-    """Candidate zero pairs at a converged pair, as rows xs (c, n) and hs (c, m), and whether each
-    candidate's x is the pair's own (its image is ``outcome.image``) rather than a mined x_j.
+    """Candidate zero pairs at a converged pair, as rows xs (c, n) and hs (c, m).
 
     The bottom eigenspace of Phi(|conj(x)><conj(x)|) may be degenerate (it is
     m-1 dimensional for conjugation maps), and likewise on the adjoint side;
-    every near-null eigenvector is a candidate.  The image at x and its
-    eigendecomposition come from the descent's last h step, and the adjoint
-    one at h from its last x step when it ran; the x steps at the other
-    near-null h's run as one stack.  Admission checks each residual, so
-    mining can only add genuine zeros.
+    every near-null eigenvector is a candidate.  The eigendecompositions at x
+    and at h come with the outcome; the x steps at the other near-null h's
+    run as one stack.  Admission checks each residual, so mining can only add
+    genuine zeros.
     """
     x, bar = outcome.x, phi._zero_bar
     w, u = outcome.spectrum
     near = np.flatnonzero(np.abs(w) <= bar)
-    spectra = {} if outcome.adjoint_spectrum is None else {0: outcome.adjoint_spectrum}  # at h = u[:, 0]
-    stepped = [i for i in near if i not in spectra]
-    if stepped:
-        spectra.update(zip(stepped, zip(*_x_step(phi, u[:, stepped].T))))
-    candidates = [(x, outcome.h, True)]  # the pair itself
+    spectra = {0: outcome.adjoint_spectrum}  # at h = u[:, 0]
+    others = near[near > 0]
+    if others.size:
+        spectra.update(zip(others, zip(*_x_step(phi, u[:, others].T))))
+    candidates = [(x, outcome.h)]  # the pair itself
     for i in near:
         if i > 0:
-            candidates.append((x, u[:, i], True))
+            candidates.append((x, u[:, i]))
         w2, u2 = spectra[i]
-        candidates += [(u2[:, j].conj(), u[:, i], False) for j in np.flatnonzero(np.abs(w2) <= bar)]
-    xs, hs, own = zip(*candidates)
-    return np.array(xs), np.array(hs), own
+        candidates += [(u2[:, j].conj(), u[:, i]) for j in np.flatnonzero(np.abs(w2) <= bar)]
+    xs, hs = zip(*candidates)
+    return np.array(xs), np.array(hs)
 
 
 def _offer_mined(phi, admission, outcome) -> bool:
     """Offer the candidates mined at a converged pair that pass the admission's screen, in mining order,
-    each with its residual, computed only for them; whether any was admitted."""
-    xs, hs, own = _mine_candidates(phi, outcome)
-    admitted = False
-    for i in np.flatnonzero(admission.screen(xs, hs)):
-        image = outcome.image if own[i] else _image(phi, xs[i])
-        admitted |= admission.offer(xs[i], hs[i], float(np.linalg.norm(image @ hs[i])))
-    return admitted
+    each with its residual under one stacked image of their xs; whether any was admitted."""
+    xs, hs = _mine_candidates(phi, outcome)
+    kept = admission.screen(xs, hs)
+    xs, hs = xs[kept], hs[kept]
+    return admission.offer_all((x, h, float(np.linalg.norm(image @ h)))
+                               for x, h, image in zip(xs, hs, _rank_one_images(phi, xs)))
 
 
 def _budget(phi: MapOperator, starts: int | None) -> int:
@@ -396,14 +396,14 @@ def _kraus_zeros(phi: MapOperator, stack: np.ndarray, transposed: bool, tol: Tol
     ref = np.linalg.norm(stack[-1])
 
     def offered(ys):
-        """Whether each point y of a batch admits a pair, lazily.  The batch is row-normalized once and the
-        left kernels of its M(y) are cut by one stacked SVD; x (y, or conj(y)) is offered with every
-        orthonormal kernel column h as they are, each with its residual under one image of x."""
+        """Whether each point y of a batch admits a pair, lazily.  The batch is row-normalized once, the
+        left kernels of its M(y) are cut by one stacked SVD and the images of its points x (y, or conj(y))
+        are one stack; x is offered with every orthonormal kernel column h as they are, each with its
+        residual under the image of x."""
         ys = ys / np.linalg.norm(ys, axis=1, keepdims=True)
         kernels = _row_kernels(np.einsum("smn,pn->psm", stack, ys).conj(), ref, tol)
-        for y, hs in zip(ys, kernels):
-            x = y if transposed else y.conj()
-            image = _image(phi, x)
+        xs = ys if transposed else ys.conj()
+        for x, image, hs in zip(xs, _rank_one_images(phi, xs), kernels):
             yield admission.offer_all((x, h, float(np.linalg.norm(image @ h))) for h in hs.T)
 
     def searched(ys):

@@ -25,10 +25,11 @@ def test_output_digest_is_deterministic():
     doc = json.dumps(
         {"kind": "conjugation", "dim_in": 2, "dim_out": 2, "payload": matrix_to_payload(np.eye(2)), "transposed": True}
     )
-    first = ([["sweep", "--n-range", "2", "--m-range", "2"]], [(2, 2, 1, 0)], [(doc, 0)], [("random-cp", (2, 2, 1), 0)])
+    first = ([["sweep", "--n-range", "2", "--m-range", "2"]], [(2, 2, 1, 0)], [(doc, 0)], [("random-cp", (2, 2, 1), 0)],
+             [("random-pd", (2, 2, 1), 0)])
     second = ([["sweep", "--n-range", "2", "--m-range", "2", "--seed", "1"]], [(2, 3, 2, 1)], [(doc, 1)],
-              [("random-cp", (2, 2, 1), 1)])
-    reseeded = (first[0], first[1], second[2], first[3])
+              [("random-cp", (2, 2, 1), 1)], [("random-pd", (2, 2, 1), 1)])
+    reseeded = (first[0], first[1], second[2], first[3], first[4])
     digests = [tool.output_digest(*case) for case in (first, second, first, second, reseeded)]
     assert digests[:2] == digests[2:4]
     assert all(list(d) == list(tool.FAMILIES) for d in digests)
@@ -78,6 +79,29 @@ def test_harvest_family_hashes_each_kept_pair_the_strong_rows_and_saturated():
     digests = tool.output_digest([], [], [], harvests)
     assert digests["harvest"] == expected.hexdigest()
     assert [family for family in tool.FAMILIES if digests[family] != tool.output_digest([], [], [])[family]] == ["harvest"]
+
+
+def test_positivity_family_hashes_each_heuristic_report():
+    from mapcert.maps import is_positive_heuristic
+
+    tool = load_tool()
+    inputs = [("choi", (2.0, 1.0, 0.0), 0), ("random-pd", (2, 3, 1), 2), ("random-pd", (2, 3, -1), 2)]
+    expected = tool._Hasher()
+    reports = []
+    for kind, params, seed in inputs:
+        report = is_positive_heuristic(tool._harvest_map(kind, params), seed=seed)
+        reports.append(report)
+        expected.add(kind, *params, seed, report.passed, repr(report.worst_value), report.worst_vector.tobytes())
+    # the Choi map is positive with zeros, a positive-definite Choi matrix positive, its negation not
+    assert [report.passed for report in reports] == [True, True, False]
+    digests = tool.output_digest([], [], [], positivity=inputs)
+    assert digests["positivity"] == expected.hexdigest()
+    plain = tool.output_digest([], [], [])
+    assert [family for family in tool.FAMILIES if digests[family] != plain[family]] == ["positivity"]
+    *_, harvests, defaults = tool.default_inputs()
+    assert len(defaults) == (3 + 3 * 2) * 4
+    assert {(kind, params) for kind, params, _ in defaults if kind == "choi"} == {
+        (kind, params) for kind, params, _ in harvests if kind == "choi"}
 
 
 def test_the_harvest_maps_are_the_generalized_choi_maps_and_random_cp_maps():

@@ -191,18 +191,18 @@ def test_harvest_budget_exhaustion_reports_unsaturated():
 
 def test_analytic_svd_count_does_not_grow_with_the_grid(monkeypatch):
     counts = {"svd": 0, "points": 0}
-    events = []  # ("draw", count) per search, ("cut", rows) per row-kernel solve, ("point", None) per point
-    svd, image, row_kernels = np.linalg.svd, mapcert.zeros._image, mapcert.zeros._row_kernels
+    events = []  # ("draw", count) per search, ("cut", rows) per row-kernel solve, ("points", rows) per image call
+    svd, images, row_kernels = np.linalg.svd, mapcert.zeros._rank_one_images, mapcert.zeros._row_kernels
     draw = mapcert.zeros._gaussian_rows
 
     def counted_svd(*args, **kwargs):
         counts["svd"] += 1
         return svd(*args, **kwargs)
 
-    def counted_image(*args):
-        counts["points"] += 1
-        events.append(("point", None))
-        return image(*args)
+    def counted_images(phi, xs):
+        counts["points"] += len(xs)
+        events.append(("points", len(xs)))
+        return images(phi, xs)
 
     def counted_row_kernels(rows, *args):
         events.append(("cut", rows.shape[0]))
@@ -213,7 +213,7 @@ def test_analytic_svd_count_does_not_grow_with_the_grid(monkeypatch):
         return draw(rng, count, dim)
 
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
-    monkeypatch.setattr(mapcert.zeros, "_image", counted_image)
+    monkeypatch.setattr(mapcert.zeros, "_rank_one_images", counted_images)
     monkeypatch.setattr(mapcert.zeros, "_row_kernels", counted_row_kernels)
     monkeypatch.setattr(mapcert.zeros, "_gaussian_rows", counted_draw)
     for n, m in [(3, 4), (4, 5)]:
@@ -222,8 +222,8 @@ def test_analytic_svd_count_does_not_grow_with_the_grid(monkeypatch):
         zs = analytic_zeros_conjugation(rank_operator(n, m, 2, 5), transposed=True)
         window = max(4, n)
         # two searches, the common kernel of V^H (rank V = 2 < n), then the generic points: each
-        # draws all its points at once, cuts them window, 2 window, 4 window, ... at a time, and
-        # only as far as it evaluates them, so its last batch holds the point where it stalled
+        # draws all its points at once, cuts them window, 2 window, 4 window, ... at a time, only as
+        # far as it offers them, and evaluates each cut batch with one call
         starts = [i for i, (kind, _) in enumerate(events) if kind == "draw"]
         assert len(starts) == 2 and starts[0] == 0
         for search in (events[: starts[1]], events[starts[1] :]):
@@ -233,8 +233,7 @@ def test_analytic_svd_count_does_not_grow_with_the_grid(monkeypatch):
                 size *= 2
             sizes = [size for kind, size in search if kind == "cut"]
             assert sizes == schedule[: len(sizes)]
-            evaluated = sum(kind == "point" for kind, _ in search)
-            assert sum(sizes[:-1]) < evaluated <= sum(sizes)
+            assert [size for kind, size in search if kind == "points"] == sizes
         # the SVDs: the generic rank of M(y) = V^H y at one point, the common kernel of V^H, and
         # one row-kernel solve per batch; no SVD per point
         cuts = sum(kind == "cut" for kind, _ in events)
@@ -288,12 +287,12 @@ def test_a_stack_of_descents_equals_its_starts_one_at_a_time_bitwise(monkeypatch
         for name in ("x", "h", "image"):
             assert getattr(outcome, name).tobytes() == getattr(alone, name).tobytes(), (index, name)
         # the image is the one at the pair's x, even where the state moved on after it
-        assert np.array_equal(outcome.image, mapcert.maps._image(phi, outcome.x)), index
+        assert np.array_equal(outcome.image, mapcert.maps._rank_one_images(phi, outcome.x[None])[0]), index
         assert (outcome.value, outcome.residual, outcome.succeeded) == (alone.value, alone.residual, alone.succeeded)
         assert all(a.tobytes() == b.tobytes() for a, b in zip(outcome.spectrum, alone.spectrum))
-        assert (outcome.adjoint_spectrum is None) == (alone.adjoint_spectrum is None)
-        if alone.adjoint_spectrum is not None:
-            assert all(a.tobytes() == b.tobytes() for a, b in zip(outcome.adjoint_spectrum, alone.adjoint_spectrum))
+        # every outcome carries the x step at its h, whichever test stopped it
+        x_step = [a[0] for a in mapcert.maps._x_step(phi, outcome.h[None])]
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(outcome.adjoint_spectrum, x_step)), index
     # at the iteration cap the pair's x is the state before the last x step
     if sides == "xh":
         assert capped == [6, 32, 45]

@@ -4,11 +4,11 @@
 
 imports mapcert from the directory SRC (a tree's ``src/``) and prints one
 SHA-256 per output family, as ``family digest`` lines, over what the
-program outputs on a fixed input set.  After those eight lines it prints
+program outputs on a fixed input set.  After those nine lines it prints
 one ``analyze <index> <digest>`` line per analyze run, over that run's
 inputs, outputs and report bytes, so that a diff of two trees' listings
 names the runs whose bytes moved (the index is the run's position in the
-document list of ``default_inputs``); ``head -8`` keeps the families alone.
+document list of ``default_inputs``); ``head -9`` keeps the families alone.
 The families are:
 
 * ``sweep``: ``mapcert sweep`` at seeds 0 and 3 and with ``--n-range 2
@@ -40,7 +40,12 @@ The families are:
   seed=1)`` for 3->3 k=4, 3->2 k=3 and 4->3 k=4, at seeds 0-1: every kept
   pair's x, h and ``repr`` of its residual, the strong rows and
   ``saturated``.  ``zero-sets`` covers conjugation maps only, whose
-  zeros are exact.
+  zeros are exact;
+* ``positivity``: ``is_positive_heuristic`` at seeds 0-3 on those
+  generalized Choi maps and on random positive-definite Choi matrices of
+  shapes 2x2, 2x3 and 3x3 and their negations: ``passed``, ``repr`` of
+  ``worst_value`` and the bytes of ``worst_vector``.  The ``analyze``
+  family sees the heuristic only through its printed ``.3e`` value.
 
 Equal digests of a family from two trees mean byte-identical outputs of that
 family, so a change that claims unchanged outputs is checked by running this
@@ -69,7 +74,8 @@ SWEEPS = (
     ["sweep", "--n-range", "2", "--m-range", "2..3"],
 )
 
-FAMILIES = ("sweep", "sweep-json", "zero-sets", "zero-set-dims", "oracle", "analyze", "analyze-json", "harvest")
+FAMILIES = ("sweep", "sweep-json", "zero-sets", "zero-set-dims", "oracle", "analyze", "analyze-json", "harvest",
+            "positivity")
 
 
 def _cli(argv) -> tuple[int, bytes, bytes]:
@@ -109,21 +115,29 @@ def _add_zero_set(hashers, zs):
 
 
 def _harvest_map(kind, params):
-    """The map of a ``harvest`` input: ``random_cp_map(n, m, k, seed=1)`` for kind "random-cp" and
-    params (n, m, k), or the generalized Choi map Phi[a, b, c] on M_3 for kind "choi" and params (a, b, c),
+    """The map of a ``harvest`` or ``positivity`` input: ``random_cp_map(n, m, k, seed=1)`` for kind
+    "random-cp" and params (n, m, k); for kind "random-pd" and params (n, m, sign), sign times the
+    positive-definite Choi matrix G G^H of an nm x nm complex Gaussian G drawn from seed [n, m]; or the
+    generalized Choi map Phi[a, b, c] on M_3 for kind "choi" and params (a, b, c),
     X -> diag(a x11 + b x22 + c x33, c x11 + a x22 + b x33, b x11 + c x22 + a x33) - X."""
     from mapcert.experiments import random_cp_map
     from mapcert.maps import MapOperator
 
     if kind == "random-cp":
         return random_cp_map(*params, seed=1)
+    if kind == "random-pd":
+        n, m, sign = params
+        rng = np.random.default_rng([n, m])
+        g = rng.standard_normal((n * m, n * m)) + 1j * rng.standard_normal((n * m, n * m))
+        choi = g @ g.conj().T
+        return MapOperator(n, m, sign * 0.5 * (choi + choi.conj().T))
     a, b, c = params
     weights = np.array([[a, c, b], [b, a, c], [c, b, a]])  # weights[i, k]: the coefficient of x_ii in Phi(X)_kk
     omega = np.eye(3).ravel()
     return MapOperator(3, 3, np.diag(weights.ravel()) - np.outer(omega, omega))
 
 
-def output_digest(sweeps, cells, documents, harvests=(), runs=None) -> dict[str, str]:
+def output_digest(sweeps, cells, documents, harvests=(), positivity=(), runs=None) -> dict[str, str]:
     """SHA-256 per family of the outputs of the imported mapcert on the inputs.
 
     ``sweeps``: argv lists of ``mapcert sweep`` (``--json`` is appended);
@@ -133,11 +147,13 @@ def output_digest(sweeps, cells, documents, harvests=(), runs=None) -> dict[str,
     tuples; the flags, if any, are passed on to ``analyze``;
     ``harvests``: (kind, params, seed) inputs of ``harvest_zeros``, the map
     built by ``_harvest_map(kind, params)``;
+    ``positivity``: (kind, params, seed) inputs of ``is_positive_heuristic``,
+    the map built likewise;
     ``runs``: a list, if given, that receives one SHA-256 per document's
     analyze run, in order.
     """
     from mapcert.experiments import brute_force_strong_dim_oracle, random_rank_operator
-    from mapcert.maps import from_conjugation
+    from mapcert.maps import from_conjugation, is_positive_heuristic
     from mapcert.zeros import analytic_zeros_conjugation, harvest_zeros
 
     hashers = {family: _Hasher() for family in FAMILIES}
@@ -163,6 +179,10 @@ def output_digest(sweeps, cells, documents, harvests=(), runs=None) -> dict[str,
             hashers["harvest"].add(kind, *params, seed, len(zs.pairs), zs.saturated, zs.strong_vectors)
             for pair in zs.pairs:
                 hashers["harvest"].add(pair.x, pair.h, repr(pair.residual))
+        for kind, params, seed in positivity:
+            outcome = is_positive_heuristic(_harvest_map(kind, params), seed=seed)
+            hashers["positivity"].add(kind, *params, seed, outcome.passed, repr(outcome.worst_value),
+                                      outcome.worst_vector.tobytes())
         doc = Path(tmp) / "map.json"
         for text, seed, *flags in documents:
             doc.write_bytes(text if isinstance(text, bytes) else text.encode())
@@ -257,13 +277,21 @@ def _harvest_inputs() -> list[tuple]:
     return inputs
 
 
+def _positivity_inputs() -> list[tuple]:
+    """The generalized Choi maps of ``_harvest_inputs``, then random positive-definite Choi matrices and
+    their negations, each at seeds 0-3."""
+    maps = list(dict.fromkeys((kind, params) for kind, params, _ in _harvest_inputs() if kind == "choi"))
+    maps += [("random-pd", (n, m, sign)) for n, m in ((2, 2), (2, 3), (3, 3)) for sign in (1, -1)]
+    return [(kind, params, seed) for kind, params in maps for seed in range(4)]
+
+
 def default_inputs():
-    """The full input set: (sweeps, cells, documents, harvests) for ``output_digest``."""
+    """The full input set: (sweeps, cells, documents, harvests, positivity) for ``output_digest``."""
     from mapcert.experiments import sweep_cells
 
     cells = [(n, m, r, seed) for seed in (0, 1) for n, m, r in sweep_cells()]
     documents = _perfbench_documents() + _generated_documents() + _invalid_documents()
-    return list(SWEEPS), cells, documents, _harvest_inputs()
+    return list(SWEEPS), cells, documents, _harvest_inputs(), _positivity_inputs()
 
 
 def main(argv) -> int:
@@ -283,7 +311,7 @@ def main(argv) -> int:
 
 
 def _print_listing(digests, runs) -> None:
-    """Print the family lines, then the per-run lines; a reader that stops early (``| head -8``)
+    """Print the family lines, then the per-run lines; a reader that stops early (``| head -9``)
     ends the listing quietly."""
     try:
         for family, digest in digests.items():
