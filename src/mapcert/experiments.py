@@ -12,12 +12,13 @@ Three routes produce the measured value: the exact Kraus route on the one
 operator K = V^H, the structure-blind harvest, and a brute-force oracle
 that solves the zero condition exactly in h over a dense random grid of x.
 The oracle is deliberately naive.  It shares ``linalg``'s row-kernel solve
-with the Kraus route and ``span_dimension`` with both.  It shares neither
+with the Kraus route and ``numerical_rank`` with both.  It shares neither
 the Kraus stack, nor its points, nor admission, so it still catches a bug
 in any of those.  Each of its stages runs as whole-array steps (one draw per
 kind of point, one stacked row-kernel solve, one broadcast per kernel width),
-which change no math: the same points, the same kernels and the same one
-rank decision per stage as a loop over points.
+which change no math: the same points, kernels and columns as a loop over
+points.  The stages are nested, and each makes its one rank decision on a
+running triangular factor of every column drawn so far.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 
 from .errors import CrossCheckError, DimensionMismatch, OracleUnstable, RankInfeasible, ZeroOperator
 from .linalg import DEFAULT_TOL, ToleranceConfig, _rank_from_singular_values, _row_kernels, as_matrix
-from .linalg import image_projector, kernel_basis, numerical_rank, span_dimension
+from .linalg import image_projector, kernel_basis, numerical_rank
 from .maps import MapOperator, _gaussian_rows, _ginibre, apply, choi_spectral_scale, cp_map_from_kraus, from_conjugation
 from .zeros import _kraus_zeros, harvest_zeros, strong_span_dim
 
@@ -269,7 +270,8 @@ def _oracle_generators(v, transposed, sigma_top, stratum, grid, tol, seed, stage
     return np.hstack(groups)
 
 
-# x points the oracle samples at its first stage; each further stage doubles them.
+# x points the oracle draws at its first stage; each further stage draws as many
+# new points as all earlier stages together, so the totals double.
 _ORACLE_GRID = 200
 
 
@@ -284,24 +286,31 @@ def brute_force_strong_dim_oracle(
     For fixed x the zero condition of a conjugation map is a single linear
     constraint on h, solvable exactly; sampling x densely and accumulating
     every resulting strong vector reduces the question to one rank
-    computation.  The value is accepted only when two consecutive grid
-    doublings agree.
+    computation.  Each stage stacks its new columns, as rows, under the
+    running triangular factor R of all earlier ones (one QR, so R stays at
+    most n^2 m square) and takes the numerical rank of R, whose singular
+    values are those of every column so far; QR is backward stable, so the
+    cut is as sound as an SVD of the columns.  The value is accepted only
+    when two consecutive doublings of the points agree, that is, when a
+    doubling added no direction; otherwise ``OracleUnstable`` names each
+    stage's point total and dimension.
     """
     v = as_matrix(v)
     if not np.any(v):
         raise ZeroOperator("the zero operator has no zero structure worth measuring")
+    n, m = v.shape
     s = np.linalg.svd(v, compute_uv=False)  # sigma_max and rank of V, once per call
-    full_rank = _rank_from_singular_values(s, tol) == v.shape[0]
+    full_rank = _rank_from_singular_values(s, tol) == n
     stratum = None if full_rank else kernel_basis(v.conj().T if transposed else v.T, tol)
-    previous = None
-    grid = _ORACLE_GRID
+    r = np.zeros((0, n * n * m), dtype=complex)
+    drawn, stages = 0, []  # (points drawn so far, dimension) per stage
     for stage in range(5):
-        generators = _oracle_generators(v, transposed, float(s[0]), stratum, grid, tol, seed, stage)
-        dim = span_dimension(generators, tol)
-        if previous is not None and dim == previous:
-            return dim
-        previous = dim
-        grid *= 2
-    raise OracleUnstable(
-        f"oracle dimension kept changing up to grid {grid // 2}; last value {previous}"
-    )
+        fresh = max(drawn, _ORACLE_GRID)
+        generators = _oracle_generators(v, transposed, float(s[0]), stratum, fresh, tol, seed, stage)
+        r = np.linalg.qr(np.vstack([r, generators.T]), mode="r")
+        drawn += fresh
+        stages.append((drawn, numerical_rank(r, tol)))
+        if stage and stages[-1][1] == stages[-2][1]:
+            return stages[-1][1]
+    history = ", ".join(f"{points} -> {dim}" for points, dim in stages)
+    raise OracleUnstable(f"oracle dimension kept changing at every stage (points drawn -> dimension: {history})")

@@ -4,7 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mapcert.errors import DimensionMismatch, RankInfeasible, ZeroOperator
+from mapcert import experiments
+from mapcert.errors import DimensionMismatch, OracleUnstable, RankInfeasible, ZeroOperator
 from mapcert.experiments import (
     BOTH_RULES,
     INPUT_RULE,
@@ -170,6 +171,61 @@ def test_batched_oracle_generators_equal_the_per_point_kronecker_construction(n,
         # not bitwise: a row norm over a stack may round the last bit otherwise than a 1-d norm
         assert np.linalg.norm(batched - reference) <= 1e-13 * np.linalg.norm(reference)
         assert span_dimension(batched) == span_dimension(reference)
+
+
+@pytest.mark.parametrize("grid", [200, 8])
+@pytest.mark.parametrize("n,m,rank,transposed", [(3, 4, 3, True), (4, 3, 2, True), (3, 3, 2, False)])
+def test_each_oracle_stage_is_the_span_of_every_block_drawn_so_far(n, m, rank, transposed, grid, monkeypatch):
+    v = random_rank_operator(n, m, rank, seed=5)
+    blocks, dims = [], []
+
+    def drawn(*args):
+        blocks.append(_oracle_generators(*args))
+        return blocks[-1]
+
+    def rank_of_r(r, tol):
+        assert r.shape[1] == n * n * m and r.shape[0] <= n * n * m
+        dims.append(numerical_rank(r, tol))
+        return dims[-1]
+
+    monkeypatch.setattr(experiments, "_ORACLE_GRID", grid)
+    monkeypatch.setattr(experiments, "_oracle_generators", drawn)
+    monkeypatch.setattr(experiments, "numerical_rank", rank_of_r)
+    try:
+        brute_force_strong_dim_oracle(v, transposed=transposed, seed=5)
+    except OracleUnstable:
+        pass
+    assert len(dims) == len(blocks) >= 2
+    # grid 200 accepts at stage 1; grid 8 runs more stages, the stratum cell (4x3 rank 2) included
+    assert grid == 200 or len(dims) >= 3
+    assert dims == [span_dimension(np.hstack(blocks[: stage + 1])) for stage in range(len(dims))]
+    assert dims == sorted(dims)
+
+
+def test_the_oracle_never_runs_an_svd_wider_or_taller_than_n2m(monkeypatch):
+    n, m = 4, 5
+    shapes = []
+    svd = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    assert brute_force_strong_dim_oracle(random_rank_operator(n, m, 4, seed=1), seed=1) == n * n * m - n
+    assert max(max(shape[-2:]) for shape in shapes) == n * n * m  # the rank decisions, on R
+    assert (n * n * m, n * n * m) in shapes
+
+
+def test_an_oracle_that_never_settles_names_each_stage(monkeypatch):
+    # 4x5 rank 4 spans 76 dimensions; at most 16 points of 4 columns each cannot fill them
+    monkeypatch.setattr(experiments, "_ORACLE_GRID", 1)
+    with pytest.raises(OracleUnstable) as info:
+        brute_force_strong_dim_oracle(random_rank_operator(4, 5, 4, seed=0), seed=0)
+    assert str(info.value) == (
+        "oracle dimension kept changing at every stage "
+        "(points drawn -> dimension: 1 -> 4, 2 -> 8, 4 -> 16, 8 -> 32, 16 -> 64)"
+    )
 
 
 def test_oracle_workload_truth_check_passes(tmp_path):

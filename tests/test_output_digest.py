@@ -46,21 +46,21 @@ def test_oracle_family_hashes_the_value_or_the_exception_class(monkeypatch):
 
     tool = load_tool()
 
-    def expected(value):
+    def expected(transposed, untransposed):
         hasher = tool._Hasher()
-        hasher.add(2, 2, 1, 0, value)
+        hasher.add(2, 2, 1, 0, transposed, untransposed)
         return hasher.hexdigest()
 
     cells = [(2, 2, 1, 0)]
     plain = tool.output_digest([], cells, [])
-    assert plain["oracle"] == expected(5)  # n^2 m - (2n - 1) at rank 1
+    assert plain["oracle"] == expected(5, 5)  # n^2 m - (2n - 1) at rank 1, with and without the transpose
 
     def unstable(*args, **kwargs):
         raise OracleUnstable("kept changing")
 
     monkeypatch.setattr(mapcert.experiments, "brute_force_strong_dim_oracle", unstable)
     failing = tool.output_digest([], cells, [])
-    assert failing["oracle"] == expected("OracleUnstable")
+    assert failing["oracle"] == expected("OracleUnstable", "OracleUnstable")
     assert [family for family in tool.FAMILIES if failing[family] != plain[family]] == ["oracle"]
 
 

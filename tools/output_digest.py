@@ -21,8 +21,9 @@ The families are:
 * ``zero-set-dims``: of those same ZeroSets, only the pair count, the weak
   and strong span dimensions and ``saturated``.  A change of route that
   keeps every dimension moves ``zero-sets`` and leaves this one alone;
-* ``oracle``: ``brute_force_strong_dim_oracle`` on those 64 cells: the
-  integer it returns, or the class name of the exception it raises;
+* ``oracle``: ``brute_force_strong_dim_oracle`` on those 64 cells, with
+  ``transposed`` True and then False: the integer each call returns, or
+  the class name of the exception it raises;
 * ``analyze``: 265 runs of ``mapcert analyze --json``, on 241 documents:
   perfbench's analyze-mixed entries at seeds 1-3 (72), the seed-1 ones
   again with ``--tol 1e-7`` (24), its analyze-large entries (3),
@@ -169,11 +170,13 @@ def output_digest(sweeps, cells, documents, harvests=(), positivity=(), runs=Non
             hashers["zero-set-dims"].add(n, m, rank, seed)
             _add_zero_set(hashers, analytic_zeros_conjugation(v, transposed=True))
             _add_zero_set(hashers, harvest_zeros(from_conjugation(v, transposed=True), seed=seed))
-            try:
-                oracle = brute_force_strong_dim_oracle(v, transposed=True, seed=seed)
-            except Exception as exc:
-                oracle = type(exc).__name__
-            hashers["oracle"].add(n, m, rank, seed, oracle)
+            oracles = []
+            for transposed in (True, False):
+                try:
+                    oracles.append(brute_force_strong_dim_oracle(v, transposed=transposed, seed=seed))
+                except Exception as exc:
+                    oracles.append(type(exc).__name__)
+            hashers["oracle"].add(n, m, rank, seed, *oracles)
         for kind, params, seed in harvests:
             zs = harvest_zeros(_harvest_map(kind, params), seed=seed)
             hashers["harvest"].add(kind, *params, seed, len(zs.pairs), zs.saturated, zs.strong_vectors)
