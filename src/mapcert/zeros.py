@@ -17,20 +17,18 @@ Two enumeration routes are provided and are expected to agree:
   iteration.  Starts alternate between the x side and the h side: h-side
   starts are what reach the degenerate stratum of rank-deficient
   conjugation maps, which is invisible from generic x starts.  The starts
-  run in chunks, each descended as one stack, and a chunk is never longer
-  than what is left of the stall window, so no start is drawn that a
-  start-by-start loop would skip.  At every converged pair the full
-  near-null eigenspaces on both sides are mined for further candidates,
-  from the eigendecompositions at x and at h that every descent outcome
-  carries and one stacked x step at the other near-null h's.  One
-  projection screens the pair's candidates against the admitted basis
-  first: one whose strong vector already lies in the span is dropped
-  before its residual is computed.
+  run in the chunks of the stop rule below, each descended as one stack.
+  At every converged pair the full near-null eigenspaces on both sides are
+  mined for further candidates, from the eigendecompositions at x and at h
+  that every descent outcome carries and one stacked x step at the other
+  near-null h's.  One projection screens the pair's candidates against the
+  admitted basis first: one whose strong vector already lies in the span
+  is dropped before its residual is computed.
 * ``_kraus_zeros`` writes down exact zeros of Phi(a) = sum_s K_s a K_s^H
   (or K_s a^T K_s^H) from its Kraus stack; a conjugation a -> V^H a V (or
   V^H a^T V) is its one-operator case K = V^H, which
   ``analytic_zeros_conjugation`` runs.  At a fixed x the zero condition is
-  linear in h; a batch of points is row-normalized once and cut by one
+  linear in h; a chunk of points is row-normalized once and cut by one
   ``linalg._row_kernels`` solve, which the oracle shares, and each point
   and each of its orthonormal kernel columns is offered as it is.
 
@@ -51,8 +49,8 @@ cached ``eigh``), not from how the map was written down, trying in order:
    common kernel of the K_s, M(y) = 0 and every h is a partner; random
    points miss it, so it is sampled on its own.  If r < m (or n = 1, one
    point), every x has partners: random points are drawn at once, and
-   their left kernels are cut by stacked ``_row_kernels`` solves over
-   growing batches, only as far as the search goes.  If r = m, M(y) R
+   their left kernels are cut one chunk at a time, one ``_row_kernels``
+   solve per chunk, only as far as the search runs.  If r = m, M(y) R
    (R = 1 at k = m, else a fixed random k x m matrix) is singular at every
    zero, so on a line y = a + t b the zeros lie among the roots of
    det(A + tB) = 0, the eigenvalues of -B^-1 A.  At n = 2 one line is all
@@ -61,13 +59,13 @@ cached ``eigh``), not from how the map was written down, trying in order:
    random lines are drawn until a stall window admits nothing.  Other
    points where M drops below its generic rank are not sought; missing
    zeros can only lower the spans.  k > m at n >= 3 goes on to the
-   harvest.  Points and lines come from a fixed generator, and every loop
+   harvest.  Points and lines come from a fixed generator, and every search
    is capped at n^2 m + window draws (d^2 m + window on a common kernel of
    dimension d), the most a growing span there can use.
 3. Anything else: the harvest.
 
 Every route evaluates Phi(|conj(x)><conj(x)|) with ``maps._rank_one_images``,
-one stacked call per cut batch of points (Kraus routes) or per screened
+one stacked call per cut chunk of points (Kraus routes) or per screened
 block of mined candidates (harvest), and offers every candidate with its
 residual under the image of its x to one admission object; the harvest
 offers only the candidates its screen keeps, as the others would be
@@ -84,11 +82,13 @@ vectors that were admitted, stacked as rows.  The span dimensions reported
 by ``weak_span_dim`` and ``strong_span_dim`` come from one SVD of those
 rows at the shared relative threshold ``rank_rel_tol``.  On exact zeros the
 strong count equals the number of kept pairs; ``certify_exposed`` issues no
-certificate when the two differ.  Every search stops by one rule: a window
-of consecutive starts, points or lines that admit nothing ends it, and
-nothing is drawn after it.  The exact routes count it with ``_saturates``;
-the harvest, whose chunks must not outrun the window, counts it in its
-loop.
+certificate when the two differ.  Every search stops by one rule, owned by
+``_stalls``: a window of consecutive starts, points or lines that admit
+nothing ends it (``saturated``), or else its cap does.  Each route is a
+chunk function that the driver calls with chunks that never outrun the
+window, so nothing runs after the stall: the harvest descends a chunk of
+starts as one stack, the Kraus routes cut a chunk of points with one solve
+or draw a chunk of pencil lines.
 """
 
 from __future__ import annotations
@@ -247,14 +247,18 @@ class _Admission:
         return ZeroSet(*self._dims, self.pairs, self._weak[:k], self._strong[:k], bool(saturated))
 
 
-def _saturates(produced, window: int) -> bool:
-    """Whether ``produced`` holds ``window`` consecutive False flags; draws none after them."""
-    stall = 0
-    for flag in produced:
-        stall = 0 if flag else stall + 1
-        if stall >= window:
-            return True
-    return False
+def _stalls(offer, window: int, cap: int) -> bool:
+    """Run a search's units in chunks until ``window`` consecutive flags are False or ``cap`` units have
+    run; whether the stall reached the window.  ``offer(done, size)`` runs units done, ..., done + size - 1
+    and returns one admitted flag per unit that produced one.  A chunk is never longer than the rest of the
+    window, so every unit run is one a unit-by-unit loop runs too, and none runs after the stall."""
+    done = stall = 0
+    while done < cap and stall < window:
+        size = min(window - stall, cap - done)
+        for flag in offer(done, size):
+            stall = 0 if flag else stall + 1
+        done += size
+    return stall >= window
 
 
 def _mine_candidates(phi, outcome):
@@ -333,29 +337,25 @@ def harvest_zeros(phi: MapOperator, seed: int = 0, starts: int | None = None) ->
     50 * n * m), alternating x-side and h-side starts, and stops early once
     ``_STALL_BUDGET`` consecutive starts produce nothing new (this includes
     starts that found no zero at all, so maps without zeros stall quickly and
-    still report ``saturated=True``).  The starts are drawn and descended in
-    chunks of min(``_STALL_BUDGET`` - stall, budget - done), one stacked
-    descent each, and their outcomes are offered one by one in start order:
-    the pairs, their order and ``saturated`` are those of a start-by-start
-    loop.  Each converged pair's candidates pass ``_Admission.screen``
-    before ``offer``.  Deterministic for a fixed seed.  It decides no rank,
-    so it takes no tolerance: descents, mining and admission all read the
-    map's ``_zero_bar``.
+    still report ``saturated=True``).  ``_stalls`` runs the starts in
+    chunks, each drawn and descended as one stack, and their outcomes are
+    offered one by one in start order: the pairs, their order and
+    ``saturated`` are those of a start-by-start loop.  Each converged pair's
+    candidates pass ``_Admission.screen`` before ``offer``.  Deterministic
+    for a fixed seed.  It decides no rank, so it takes no tolerance:
+    descents, mining and admission all read the map's ``_zero_bar``.
     """
     n, m = phi.dim_in, phi.dim_out
     budget = _budget(phi, starts)
     rng = np.random.default_rng(seed)
     admission = _Admission(phi)
-    done = stall = 0
-    while done < budget and stall < _STALL_BUDGET:
-        # no longer than the rest of the window: each start drawn is one a start-by-start loop draws too
-        size = min(_STALL_BUDGET - stall, budget - done)
+
+    def descended(done, size):
         chunk = [("x", _random_unit(rng, n)) if start % 2 == 0 else ("h", _random_unit(rng, m))
                  for start in range(done, done + size)]
-        for outcome in _alternating_descent(phi, chunk):
-            stall = 0 if outcome.succeeded and _offer_mined(phi, admission, outcome) else stall + 1
-        done += size
-    return admission.zero_set(saturated=stall >= _STALL_BUDGET)
+        return [o.succeeded and _offer_mined(phi, admission, o) for o in _alternating_descent(phi, chunk)]
+
+    return admission.zero_set(saturated=_stalls(descended, _STALL_BUDGET, budget))
 
 
 # The exact routes draw their points and lines from this fixed seed, never from ``--seed``.
@@ -383,10 +383,10 @@ def _kraus_zeros(phi: MapOperator, stack: np.ndarray, transposed: bool, tol: Tol
     Kraus stack, or None when no exact route applies (see the module docstring).
 
     With y = conj(x) (``transposed``: y = x), (x, h) is a zero iff h^H M(y) = 0 for the m x k matrix
-    M(y) = [K_1 y ... K_k y]; the route is picked by the rank r of M at a generic point.  Each batch of
-    points is row-normalized and cut once, and each pair is offered as it is, against the map's
-    ``_zero_bar``.  The set is ``saturated`` when each of its searches stalled, where at n = 2 one drawn
-    pencil line is all of P^1.
+    M(y) = [K_1 y ... K_k y]; the route is picked by the rank r of M at a generic point.  Each search
+    runs under ``_stalls``: a chunk of points is row-normalized and cut once, a chunk of lines is drawn
+    line by line, and each pair is offered as it is, against the map's ``_zero_bar``.  The set is
+    ``saturated`` when each of its searches stalled, where at n = 2 one drawn pencil line is all of P^1.
     """
     k, m, n = stack.shape
     admission = _Admission(phi)
@@ -396,23 +396,18 @@ def _kraus_zeros(phi: MapOperator, stack: np.ndarray, transposed: bool, tol: Tol
     ref = np.linalg.norm(stack[-1])
 
     def offered(ys):
-        """Whether each point y of a batch admits a pair, lazily.  The batch is row-normalized once, the
+        """Whether each point y of a batch admits a pair.  The batch is row-normalized once, the
         left kernels of its M(y) are cut by one stacked SVD and the images of its points x (y, or conj(y))
         are one stack; x is offered with every orthonormal kernel column h as they are, each with its
         residual under the image of x."""
         ys = ys / np.linalg.norm(ys, axis=1, keepdims=True)
         kernels = _row_kernels(np.einsum("smn,pn->psm", stack, ys).conj(), ref, tol)
         xs = ys if transposed else ys.conj()
-        for x, image, hs in zip(xs, _rank_one_images(phi, xs), kernels):
-            yield admission.offer_all((x, h, float(np.linalg.norm(image @ h))) for h in hs.T)
+        return [admission.offer_all((x, h, float(np.linalg.norm(image @ h))) for h in hs.T)
+                for x, image, hs in zip(xs, _rank_one_images(phi, xs), kernels)]
 
-    def searched(ys):
-        """``offered`` over a search's points, drawn up front, lazily: the first ``window`` of them, then
-        twice as many, and so on, so that a search which saturates early cuts few of its points."""
-        start, size = 0, window
-        while start < len(ys):
-            yield from offered(ys[start : start + size])
-            start, size = start + size, 2 * size
+    def stalled(ys):  # whether a search over points drawn up front stalls
+        return _stalls(lambda done, size: offered(ys[done : done + size]), window, len(ys))
 
     def image_of(y):  # M(y)
         return np.einsum("smn,n->ms", stack, y)
@@ -424,26 +419,28 @@ def _kraus_zeros(phi: MapOperator, stack: np.ndarray, transposed: bool, tol: Tol
     # _row_kernels).  Random points and lines miss it.  Its strong span is at most d^2 m.
     common = kernel_basis(stack.reshape(k * m, n), tol)
     d = common.shape[1]
-    saturated = d == 0 or _saturates(searched(_gaussian_rows(rng, d * d * m + window, d) @ common.T), window)
+    saturated = d == 0 or stalled(_gaussian_rows(rng, d * d * m + window, d) @ common.T)
     if r < m or n == 1:  # every x has partners (n = 1 has one x): row kernels at random points
-        points = searched(_gaussian_rows(rng, cap, n))
-        return admission.zero_set(saturated=_saturates(points, window) and saturated)
+        return admission.zero_set(saturated=stalled(_gaussian_rows(rng, cap, n)) and saturated)
     # det(M(y) R) = 0 on a line y = a + t b: the roots t are the eigenvalues of -B^-1 A
     right = np.eye(k, m) if k == m else _ginibre(rng, k, m)
 
-    def lines():
-        for _ in range(cap):
+    def lines(_done, size):
+        """Draw ``size`` lines; one flag per line that passes ``_PENCIL_GATE``: whether it admitted a pair."""
+        flags = []
+        for _ in range(size):
             a, b = _random_unit(rng, n), _random_unit(rng, n)
             pa, pb = image_of(a) @ right, image_of(b) @ right
             s = np.linalg.svd(pb, compute_uv=False)
             if s[-1] > _PENCIL_GATE * s[0]:
                 ys = a + np.linalg.eigvals(-np.linalg.solve(pb, pa))[:, None] * b
-                yield any(list(offered(np.vstack([ys, b]) if n == 2 else ys)))
+                flags.append(any(offered(np.vstack([ys, b]) if n == 2 else ys)))
+        return flags
 
     if n > 2:
-        return admission.zero_set(saturated=_saturates(lines(), window) and saturated)
+        return admission.zero_set(saturated=_stalls(lines, window, cap) and saturated)
     # n = 2: the line is all of P^1, and t = infinity is b: one drawn line finds every zero off W
-    drawn = next(lines(), None) is not None
+    drawn = any(lines(0, 1) for _ in range(cap))
     return admission.zero_set(saturated=drawn and saturated)
 
 

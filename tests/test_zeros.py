@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mapcert.maps
 import mapcert.zeros
@@ -36,6 +38,7 @@ from mapcert.maps import (
 from mapcert.zeros import (
     _STALL_BUDGET,
     _Admission,
+    _stalls,
     _strong_vector,
     _weak_vector,
     analytic_zeros_conjugation,
@@ -191,9 +194,11 @@ def test_harvest_budget_exhaustion_reports_unsaturated():
 
 def test_analytic_svd_count_does_not_grow_with_the_grid(monkeypatch):
     counts = {"svd": 0, "points": 0}
-    events = []  # ("draw", count) per search, ("cut", rows) per row-kernel solve, ("points", rows) per image call
+    # ("draw", count) per search, ("cut", rows) per row-kernel solve, ("points", rows) per image call and
+    # ("offer", admitted) per point offered
+    events = []
     svd, images, row_kernels = np.linalg.svd, mapcert.zeros._rank_one_images, mapcert.zeros._row_kernels
-    draw = mapcert.zeros._gaussian_rows
+    draw, offer_all = mapcert.zeros._gaussian_rows, _Admission.offer_all
 
     def counted_svd(*args, **kwargs):
         counts["svd"] += 1
@@ -212,35 +217,84 @@ def test_analytic_svd_count_does_not_grow_with_the_grid(monkeypatch):
         events.append(("draw", count))
         return draw(rng, count, dim)
 
+    def counted_offer_all(self, candidates):
+        events.append(("offer", offer_all(self, candidates)))
+        return events[-1][1]
+
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
     monkeypatch.setattr(mapcert.zeros, "_rank_one_images", counted_images)
     monkeypatch.setattr(mapcert.zeros, "_row_kernels", counted_row_kernels)
     monkeypatch.setattr(mapcert.zeros, "_gaussian_rows", counted_draw)
+    monkeypatch.setattr(_Admission, "offer_all", counted_offer_all)
     for n, m in [(3, 4), (4, 5)]:
         counts.update(svd=0, points=0)
         events.clear()
         zs = analytic_zeros_conjugation(rank_operator(n, m, 2, 5), transposed=True)
         window = max(4, n)
         # two searches, the common kernel of V^H (rank V = 2 < n), then the generic points: each
-        # draws all its points at once, cuts them window, 2 window, 4 window, ... at a time, only as
-        # far as it offers them, and evaluates each cut batch with one call
+        # draws all its points at once and cuts them min(window - stall, drawn - done) at a time,
+        # where stall counts the points since the last one that admitted a pair, and evaluates each
+        # cut with one call; every point cut is offered, so none is cut after the stall
         starts = [i for i, (kind, _) in enumerate(events) if kind == "draw"]
         assert len(starts) == 2 and starts[0] == 0
         for search in (events[: starts[1]], events[starts[1] :]):
-            drawn, schedule, size = search[0][1], [], window
-            while sum(schedule) < drawn:
-                schedule.append(min(size, drawn - sum(schedule)))
-                size *= 2
+            drawn, done, stall = search[0][1], 0, 0
             sizes = [size for kind, size in search if kind == "cut"]
-            assert sizes == schedule[: len(sizes)]
             assert [size for kind, size in search if kind == "points"] == sizes
+            flags = [flag for kind, flag in search if kind == "offer"]
+            assert sum(sizes) == len(flags)
+            for size in sizes:
+                assert size == min(window - stall, drawn - done)
+                for flag in flags[done : done + size]:
+                    stall = 0 if flag else stall + 1
+                done += size
+            assert stall == window or done == drawn
         # the SVDs: the generic rank of M(y) = V^H y at one point, the common kernel of V^H, and
-        # one row-kernel solve per batch; no SVD per point
+        # one row-kernel solve per cut; no SVD per point
         cuts = sum(kind == "cut" for kind, _ in events)
         assert counts["svd"] == 2 + cuts < counts["points"]
         # the common kernel and the generic points each take at least a stall window, and the
         # generic ones at least one per m - 1 strong directions they add
         assert counts["points"] >= 2 * window + (strong_span_dim(zs) - m * (n - 2) ** 2) // (m - 1)
+
+
+def stall_after(flags):
+    """The stall of a unit-by-unit loop over ``flags`` (True, False, or None for a unit with no flag)."""
+    stall = 0
+    for flag in flags:
+        if flag is not None:
+            stall = 0 if flag else stall + 1
+    return stall
+
+
+def unit_by_unit(flags, window, cap):
+    """The stop rule one unit at a time: the units run, and whether the stall reached the window."""
+    ran = []
+    while len(ran) < cap and stall_after(flags[: len(ran)]) < window:
+        ran.append(len(ran))
+    return ran, stall_after(flags[: len(ran)]) >= window
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    flags=st.lists(st.sampled_from([True, False, None]), max_size=40),
+    window=st.integers(1, 8),
+    cap=st.integers(0, 40),
+)
+def test_the_driver_runs_the_units_of_a_unit_by_unit_loop(flags, window, cap):
+    # units with no flag (a pencil line the gate redraws) count against the cap and leave the stall as it is
+    cap = min(cap, len(flags))
+    ran = []
+
+    def offer(done, size):
+        assert done == len(ran)
+        assert 1 <= size <= min(window - stall_after(flags[:done]), cap - done)
+        ran.extend(range(done, done + size))
+        return [flag for flag in flags[done : done + size] if flag is not None]
+
+    saturated = _stalls(offer, window, cap)
+    # the same units, so none after the stall, and the same result
+    assert (ran, saturated) == unit_by_unit(flags, window, cap)
 
 
 @pytest.mark.parametrize("starts,descents", [(None, _STALL_BUDGET), (5, 5)])
