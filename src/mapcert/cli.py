@@ -10,13 +10,15 @@ settle, a linear-algebra routine that fails), which is never the input's
 fault, and 141 (128 + SIGPIPE, what a shell reports for a writer killed by
 a closed pipe) when stdout is closed before the output is written, as in
 ``mapcert analyze DOC | head -1``; nothing more is printed then.  Output is a pure function of (input, flags, seed, tool version);
-nothing time- or path-dependent is ever printed.
+nothing time- or path-dependent is ever printed.  The parser is built once per process, on first
+use, and never mutated: every in-process ``main`` call (tests, library users) parses with it.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import os
 import sys
 from pathlib import Path
@@ -95,6 +97,7 @@ def _rank_tolerance(text: str) -> ToleranceConfig:
         raise argparse.ArgumentTypeError(str(exc))
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mapcert",
@@ -221,15 +224,10 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    if args.rank is not None and args.kind != "conjugation":
-        print("error: --rank is only valid for --kind conjugation", file=sys.stderr)
-        return 2
-    if args.transposed is not None and args.kind != "conjugation":
-        print("error: --transposed is only valid for --kind conjugation", file=sys.stderr)
-        return 2
-    if args.kraus is not None and args.kind != "random-cp":
-        print("error: --kraus is only valid for --kind random-cp", file=sys.stderr)
-        return 2
+    for flag, kind in (("rank", "conjugation"), ("transposed", "conjugation"), ("kraus", "random-cp")):
+        if getattr(args, flag) is not None and args.kind != kind:
+            print(f"error: --{flag} is only valid for --kind {kind}", file=sys.stderr)
+            return 2
     n, m, seed = args.n, args.m, args.seed
     if args.rank is not None and args.rank > min(n, m):
         print(f"error: --rank must be at most min(--n, --m) = {min(n, m)}, got {args.rank}", file=sys.stderr)

@@ -13,7 +13,7 @@ import hashlib
 import json
 import math
 import typing
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -128,7 +128,10 @@ def _entry_to_complex(entry, path: str) -> complex:
         or any(isinstance(p, bool) or not isinstance(p, (int, float)) for p in entry)
     ):
         raise SchemaError(path, "entries must be [re, im] number pairs")
-    re, im = float(entry[0]), float(entry[1])
+    try:
+        re, im = float(entry[0]), float(entry[1])
+    except OverflowError:  # an integer beyond the float range
+        raise SchemaError(path, "entries must be finite") from None
     if not (math.isfinite(re) and math.isfinite(im)):
         raise SchemaError(path, "entries must be finite")
     return complex(re, im)
@@ -258,8 +261,8 @@ def zero_set_summary(zs: ZeroSet, weak_dim: int, strong_dim: int) -> dict:
 
 
 def render_certificate_document(doc: CertificateDocument | SweepDocument) -> bytes:
-    """Canonical bytes for a certificate or sweep report: its fields, as JSON."""
-    return _canonical_bytes(asdict(doc))
+    """Canonical bytes for a certificate or sweep report: its fields, which hold JSON values already, as JSON."""
+    return _canonical_bytes(vars(doc))
 
 
 def parse_certificate_document(data) -> CertificateDocument:

@@ -8,6 +8,7 @@ rescaling a matrix never changes a rank decision.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -72,6 +73,12 @@ def _rank_from_singular_values(s: np.ndarray, tol: ToleranceConfig) -> int:
     if s.size == 0 or s[0] <= 0:
         return 0
     return int(np.count_nonzero(s > tol.rank_rel_tol * s[0]))
+
+
+def _norm(v: np.ndarray) -> float:
+    """``np.linalg.norm(v)`` of a 1-d complex array, bitwise (its same two dot products), without its checks."""
+    v = v.ravel(order="K")
+    return math.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag))
 
 
 def _kept_eigenvalues(w: np.ndarray, tol: ToleranceConfig) -> np.ndarray:

@@ -38,7 +38,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatch, ZeroMap, ZeroOperator
-from .linalg import DEFAULT_TOL, ToleranceConfig, _kept_eigenvalues, _rank_from_eigenvalues, as_matrix
+from .linalg import DEFAULT_TOL, ToleranceConfig, _kept_eigenvalues, _norm, _rank_from_eigenvalues, as_matrix
 
 __all__ = [
     "MapOperator",
@@ -334,7 +334,7 @@ def _ginibre(rng, *shape) -> np.ndarray:
 def _random_unit(rng, dim) -> np.ndarray:
     """A normalized complex Gaussian draw: every random unit vector the package samples."""
     v = _ginibre(rng, dim)
-    return v / np.linalg.norm(v)
+    return v / _norm(v)
 
 
 def _gaussian_rows(rng, count, dim) -> np.ndarray:
@@ -414,7 +414,7 @@ def _alternating_descent(phi, starts) -> list[SearchOutcome]:
         stalled = (np.abs(g_prev - w[:, 0]) <= stall) | (np.abs(w[:, 0] - w_adj[:, 0]) <= stall)
         stopped = stalled | (iteration == DEFAULT_TOL.max_iters)
         for r in np.flatnonzero(stopped):
-            residual = float(np.linalg.norm(images[r] @ u[r][:, 0]))
+            residual = _norm(images[r] @ u[r][:, 0])
             outcomes[rows[r]] = SearchOutcome(
                 x=x[r],
                 residual=residual,

@@ -98,7 +98,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import DEFAULT_TOL, ToleranceConfig, as_matrix, kernel_basis, span_dimension
-from .linalg import _rank_from_singular_values, _row_kernels
+from .linalg import _norm, _rank_from_singular_values, _row_kernels
 from .maps import MapOperator, _block_spectrum, _cp_rank, _kraus_stack, from_conjugation
 from .maps import _alternating_descent, _gaussian_rows, _ginibre, _random_unit, _rank_one_images, _x_step
 
@@ -211,7 +211,7 @@ class _Admission:
         if residual > self._bar:
             return False
         vec = _strong_vector(x, h)
-        norm = np.linalg.norm(vec)
+        norm = _norm(vec)
         if norm == 0:
             return False
         k = len(self.pairs)
@@ -220,7 +220,7 @@ class _Admission:
         for _ in range(2):
             # coefficients <q_i, resid> as conj(Q conj(resid)): no copy of Q
             resid = resid - (basis @ resid.conj()).conj() @ basis
-            rnorm = np.linalg.norm(resid)
+            rnorm = _norm(resid)
             if rnorm <= _SCREEN_TOL:
                 return False
         self._basis[k] = resid / rnorm
@@ -294,7 +294,7 @@ def _offer_mined(phi, admission, outcome) -> bool:
     xs, hs = _mine_candidates(phi, outcome)
     kept = admission.screen(xs, hs)
     xs, hs = xs[kept], hs[kept]
-    return admission.offer_all((x, h, float(np.linalg.norm(image @ h)))
+    return admission.offer_all((x, h, _norm(image @ h))
                                for x, h, image in zip(xs, hs, _rank_one_images(phi, xs)))
 
 
@@ -403,7 +403,7 @@ def _kraus_zeros(phi: MapOperator, stack: np.ndarray, transposed: bool, tol: Tol
         ys = ys / np.linalg.norm(ys, axis=1, keepdims=True)
         kernels = _row_kernels(np.einsum("smn,pn->psm", stack, ys).conj(), ref, tol)
         xs = ys if transposed else ys.conj()
-        return [admission.offer_all((x, h, float(np.linalg.norm(image @ h))) for h in hs.T)
+        return [admission.offer_all((x, h, _norm(image @ h)) for h in hs.T)
                 for x, image, hs in zip(xs, _rank_one_images(phi, xs), kernels)]
 
     def stalled(ys):  # whether a search over points drawn up front stalls

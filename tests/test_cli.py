@@ -1,5 +1,6 @@
 """End-to-end exercises of the mapcert command line through main()."""
 
+import argparse
 import io
 import json
 import os
@@ -51,6 +52,41 @@ def transpose_doc(tmp_path, name="transpose.json"):
 def test_version_flag(capsys):
     assert main(["--version"]) == 0
     assert "mapcert" in capsys.readouterr().out
+
+
+def _parser_state(parser):
+    """The help text of a parser and of each subparser, with every default its actions and
+    ``set_defaults`` give."""
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return parser.format_help(), {
+        name: (sub.format_help(), {a.dest: a.default for a in sub._actions}, dict(sub._defaults))
+        for name, sub in subparsers.choices.items()
+    }
+
+
+def test_the_shared_parser_keeps_no_state_between_calls(tmp_path, monkeypatch, capsys):
+    # main parses with the one parser of the process: a sequence of calls through it prints the
+    # bytes and returns the codes of the same calls through a freshly built parser each
+    path = transpose_doc(tmp_path)
+    calls = [
+        ["analyze", path, "--seed", "3"],
+        ["analyze", path, "--seed", "-1"],
+        ["--version"],
+        ["sweep", "--n-range", "2", "--m-range", "2"],
+        ["analyze", path],
+    ]
+
+    def run(argv):
+        code = main(argv)
+        return code, capsys.readouterr()
+
+    shared = mapcert.cli.build_parser()
+    assert mapcert.cli.build_parser() is shared
+    through_shared = [run(argv) for argv in calls]
+    assert [code for code, _ in through_shared] == [0, 2, 0, 0, 0]
+    monkeypatch.setattr(mapcert.cli, "build_parser", mapcert.cli.build_parser.__wrapped__)
+    assert [run(argv) for argv in calls] == through_shared
+    assert _parser_state(shared) == _parser_state(mapcert.cli.build_parser())
 
 
 def test_missing_subcommand_is_a_usage_error(capsys):
@@ -241,6 +277,24 @@ def test_analyze_schema_error(tmp_path, capsys):
     path = write_doc(tmp_path, "broken.json", {"kind": "soup"})
     assert main(["analyze", path]) == 2
     assert "kind" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("entry", [10**400, -(10**400)], ids=["1e400", "-1e400"])
+def test_analyze_rejects_an_integer_entry_beyond_the_float_range_process(entry, tmp_path):
+    # float() of such a JSON integer raises OverflowError; the process exits 2 naming the
+    # entry, without a traceback
+    doc = {"kind": "conjugation", "dim_in": 2, "dim_out": 2, "payload": matrix_to_payload(np.eye(2))}
+    doc["payload"][0][0][0] = entry
+    src = Path(mapcert.cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-m", "mapcert.cli", "analyze", write_doc(tmp_path, "huge.json", doc)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (2, "", "error: payload[0][0]: entries must be finite\n")
 
 
 def test_analyze_rejects_zero_conjugation(tmp_path, capsys):

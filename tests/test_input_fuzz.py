@@ -22,9 +22,9 @@ KINDS = ("choi", "conjugation", "kraus")
 
 small = st.one_of(st.floats(-3, 3), st.integers(-3, 3))
 # a JSON value in an entry slot that is not a small number: not finite,
-# huge, or not a number at all
+# huge (integers beyond the float range too), or not a number at all
 odd_parts = st.one_of(
-    st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308, -0.0]),
+    st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308, -0.0, 10**400, -(10**400)]),
     st.booleans(),
     st.text(max_size=2),
     st.none(),

@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from mapcert.errors import DimensionMismatch, KernelInclusionViolated
 from mapcert.linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
     _kept_eigenvalues,
+    _norm,
     _rank_from_eigenvalues,
     _row_kernels,
     as_matrix,
@@ -202,3 +204,19 @@ def test_row_kernels_of_an_all_free_stack():
     assert len(kernels) == 3
     assert all(np.array_equal(kernel, np.eye(4)) for kernel in kernels)
     assert _row_kernels(rows[:0], 1.0, DEFAULT_TOL) == []
+
+
+@st.composite
+def complex_vectors(draw):
+    """A complex 1-d array of length 0-300, all zero or of drawn entries, contiguous or a strided view."""
+    length, step = draw(st.integers(0, 300)), draw(st.sampled_from([1, 2, 3, -1, -2]))
+    entries = st.complex_numbers(max_magnitude=1e150, allow_nan=False, allow_infinity=False)
+    base = draw(st.one_of(st.just(np.zeros(length * abs(step), dtype=complex)),
+                          arrays(complex, length * abs(step), elements=entries)))
+    return base[::step]
+
+
+@settings(deadline=None, max_examples=300)
+@given(v=complex_vectors())
+def test_norm_is_numpys_norm_bitwise(v):
+    assert np.float64(_norm(v)).tobytes() == np.linalg.norm(v).tobytes()
