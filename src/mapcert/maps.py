@@ -63,11 +63,11 @@ class MapOperator:
 
     Immutable value object: the stored block matrix is set read-only, so a
     MapOperator can be shared freely across threads.  It memoizes the block
-    array of its adjoint and the eigendecompositions of its block matrix and
-    of its partial transpose on first use, for every caller to share, and
-    reads its spectral scale and its zero bar from the first; all are pure
-    functions of that matrix, kept read-only, so racing threads compute
-    equal values and sharing stays safe.
+    array of its adjoint and the eigendecompositions of its block matrix, of
+    its partial transpose and of Phi(1) on first use, for every caller to
+    share, and reads its spectral scale and its zero bar from the first; all
+    are pure functions of that matrix, kept read-only, so racing threads
+    compute equal values and sharing stays safe.
     """
 
     dim_in: int
@@ -116,6 +116,15 @@ class MapOperator:
         w.setflags(write=False)
         u.setflags(write=False)
         return w, u
+
+    @cached_property
+    def _unit_spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """``np.linalg.eigh`` of the Hermitian part of Phi(1), as read-only arrays, which
+        ``_unit_image`` cuts at a tolerance."""
+        w, v = np.linalg.eigh(_hermitize(apply(self, np.eye(self.dim_in))))
+        w.setflags(write=False)
+        v.setflags(write=False)
+        return w, v
 
     @cached_property
     def _scale(self) -> float:
@@ -263,8 +272,8 @@ def cp_map_from_kraus(kraus) -> MapOperator:
 def _unit_image(phi: MapOperator, tol: ToleranceConfig) -> tuple[np.ndarray, np.ndarray]:
     """The one rank decision on Phi(1): its eigenvalues lam whose modulus (a singular value)
     exceeds rank_rel_tol times the largest, ascending, and their orthonormal eigenvectors Q,
-    a basis of the image, from one eigh."""
-    w, v = np.linalg.eigh(_hermitize(apply(phi, np.eye(phi.dim_in))))
+    a basis of the image, from the map's one eigh of Phi(1)."""
+    w, v = phi._unit_spectrum
     keep = _kept_eigenvalues(w, tol)
     return w[keep], v[:, keep]
 

@@ -61,7 +61,9 @@ cached ``eigh``), not from how the map was written down, trying in order:
    zeros can only lower the spans.  k > m at n >= 3 goes on to the
    harvest.  Points and lines come from a fixed generator, and every search
    is capped at n^2 m + window draws (d^2 m + window on a common kernel of
-   dimension d), the most a growing span there can use.
+   dimension d), the most a growing span there can use, and its strong span
+   has a proven ceiling: d^2 m on the common kernel, else
+   min(n^2 m - rank Phi(1), n(nm - k)), which ``certify_exposed`` checks.
 3. Anything else: the harvest.
 
 Every route evaluates Phi(|conj(x)><conj(x)|) with ``maps._rank_one_images``,
@@ -84,11 +86,14 @@ rows at the shared relative threshold ``rank_rel_tol``.  On exact zeros the
 strong count equals the number of kept pairs; ``certify_exposed`` issues no
 certificate when the two differ.  Every search stops by one rule, owned by
 ``_stalls``: a window of consecutive starts, points or lines that admit
-nothing ends it (``saturated``), or else its cap does.  Each route is a
-chunk function that the driver calls with chunks that never outrun the
-window, so nothing runs after the stall: the harvest descends a chunk of
-starts as one stack, the Kraus routes cut a chunk of points with one solve
-or draw a chunk of pencil lines.
+nothing ends it (``saturated``), on an exact route so does an admitted count
+that reaches the search's proven ceiling (``saturated``: the span is
+complete), or else its cap does.  Each route is a chunk function that the
+driver calls with chunks that never outrun the window, so nothing runs after
+the stall: the harvest descends a chunk of starts as one stack, the Kraus
+routes cut a chunk of points with one solve or draw a chunk of pencil lines;
+at the ceiling they offer no further point of a cut chunk.  The harvest has
+no ceiling: its overshoot of one is what shows that it admitted a non-zero.
 """
 
 from __future__ import annotations
@@ -99,7 +104,7 @@ import numpy as np
 
 from .linalg import DEFAULT_TOL, ToleranceConfig, as_matrix, kernel_basis, span_dimension
 from .linalg import _norm, _rank_from_singular_values, _row_kernels
-from .maps import MapOperator, _block_spectrum, _cp_rank, _kraus_stack, from_conjugation
+from .maps import MapOperator, _block_spectrum, _cp_rank, _kraus_stack, _unit_image, from_conjugation
 from .maps import _alternating_descent, _gaussian_rows, _ginibre, _random_unit, _rank_one_images, _x_step
 
 __all__ = [
@@ -247,18 +252,20 @@ class _Admission:
         return ZeroSet(*self._dims, self.pairs, self._weak[:k], self._strong[:k], bool(saturated))
 
 
-def _stalls(offer, window: int, cap: int) -> bool:
-    """Run a search's units in chunks until ``window`` consecutive flags are False or ``cap`` units have
-    run; whether the stall reached the window.  ``offer(done, size)`` runs units done, ..., done + size - 1
-    and returns one admitted flag per unit that produced one.  A chunk is never longer than the rest of the
-    window, so every unit run is one a unit-by-unit loop runs too, and none runs after the stall."""
+def _stalls(offer, window: int, cap: int, full=lambda: False) -> bool:
+    """Run a search's units in chunks until ``window`` consecutive flags are False, ``full()`` (an exact
+    route's admitted count reached its ceiling) holds or ``cap`` units have run; whether it stopped on
+    the window or on ``full()``.  ``offer(done, size)`` runs units done, ..., done + size - 1, none once
+    ``full()`` holds, and returns one admitted flag per unit that produced one.  A chunk is never longer
+    than the rest of the window, so every unit run is one a unit-by-unit loop runs too, and none runs
+    after the stall or the ceiling."""
     done = stall = 0
-    while done < cap and stall < window:
+    while done < cap and stall < window and not full():
         size = min(window - stall, cap - done)
         for flag in offer(done, size):
             stall = 0 if flag else stall + 1
         done += size
-    return stall >= window
+    return stall >= window or full()
 
 
 def _mine_candidates(phi, outcome):
@@ -386,7 +393,8 @@ def _kraus_zeros(phi: MapOperator, stack: np.ndarray, transposed: bool, tol: Tol
     M(y) = [K_1 y ... K_k y]; the route is picked by the rank r of M at a generic point.  Each search
     runs under ``_stalls``: a chunk of points is row-normalized and cut once, a chunk of lines is drawn
     line by line, and each pair is offered as it is, against the map's ``_zero_bar``.  The set is
-    ``saturated`` when each of its searches stalled, where at n = 2 one drawn pencil line is all of P^1.
+    ``saturated`` when each of its searches stalled or reached its ceiling, where at n = 2 one drawn
+    pencil line is all of P^1.
     """
     k, m, n = stack.shape
     admission = _Admission(phi)
@@ -394,20 +402,26 @@ def _kraus_zeros(phi: MapOperator, stack: np.ndarray, transposed: bool, tol: Tol
     window = max(4, n)
     cap = n * n * m + window  # each productive point or line grows a span of dimension <= n^2 m
     ref = np.linalg.norm(stack[-1])
+    # the proven ceiling of the strong span: the kernel ceiling n^2 m - rank Phi(1) and n(nm - k)
+    ceiling = min(n * n * m - len(_unit_image(phi, tol)[0]), n * (n * m - k))
 
-    def offered(ys):
-        """Whether each point y of a batch admits a pair.  The batch is row-normalized once, the
-        left kernels of its M(y) are cut by one stacked SVD and the images of its points x (y, or conj(y))
-        are one stack; x is offered with every orthonormal kernel column h as they are, each with its
-        residual under the image of x."""
+    def full(bound=ceiling):
+        return len(admission.pairs) >= bound
+
+    def offered(ys, bound):
+        """Whether each point y of a batch admits a pair, until the admitted count reaches ``bound``.
+        The batch is row-normalized once, the left kernels of its M(y) are cut by one stacked SVD and the
+        images of its points x (y, or conj(y)) are one stack; x is offered with every orthonormal kernel
+        column h as they are, each with its residual under the image of x."""
         ys = ys / np.linalg.norm(ys, axis=1, keepdims=True)
         kernels = _row_kernels(np.einsum("smn,pn->psm", stack, ys).conj(), ref, tol)
         xs = ys if transposed else ys.conj()
         return [admission.offer_all((x, h, _norm(image @ h)) for h in hs.T)
-                for x, image, hs in zip(xs, _rank_one_images(phi, xs), kernels)]
+                for x, image, hs in zip(xs, _rank_one_images(phi, xs), kernels) if not full(bound)]
 
-    def stalled(ys):  # whether a search over points drawn up front stalls
-        return _stalls(lambda done, size: offered(ys[done : done + size]), window, len(ys))
+    def stalled(ys, bound):  # whether a search over points drawn up front stalls or reaches ``bound``
+        return _stalls(lambda done, size: offered(ys[done : done + size], bound), window, len(ys),
+                       lambda: full(bound))
 
     def image_of(y):  # M(y)
         return np.einsum("smn,n->ms", stack, y)
@@ -416,31 +430,36 @@ def _kraus_zeros(phi: MapOperator, stack: np.ndarray, transposed: bool, tol: Tol
     if r == m and n > 2 and k > m:
         return None
     # The common kernel W of the K_s: there M(y) = 0, so every h is a partner (a free block of
-    # _row_kernels).  Random points and lines miss it.  Its strong span is at most d^2 m.
+    # _row_kernels).  Random points and lines miss it.  Its strong span is W-bar (x) W (x) C^m, of
+    # dimension d^2 m.
     common = kernel_basis(stack.reshape(k * m, n), tol)
     d = common.shape[1]
-    saturated = d == 0 or stalled(_gaussian_rows(rng, d * d * m + window, d) @ common.T)
+    saturated = d == 0 or stalled(_gaussian_rows(rng, d * d * m + window, d) @ common.T, d * d * m)
     if r < m or n == 1:  # every x has partners (n = 1 has one x): row kernels at random points
-        return admission.zero_set(saturated=stalled(_gaussian_rows(rng, cap, n)) and saturated)
+        return admission.zero_set(saturated=stalled(_gaussian_rows(rng, cap, n), ceiling) and saturated)
     # det(M(y) R) = 0 on a line y = a + t b: the roots t are the eigenvalues of -B^-1 A
     right = np.eye(k, m) if k == m else _ginibre(rng, k, m)
 
     def lines(_done, size):
-        """Draw ``size`` lines; one flag per line that passes ``_PENCIL_GATE``: whether it admitted a pair."""
+        """Draw ``size`` lines, none at the ceiling; one flag per line that passes ``_PENCIL_GATE``:
+        whether it admitted a pair."""
         flags = []
         for _ in range(size):
+            if full():
+                break
             a, b = _random_unit(rng, n), _random_unit(rng, n)
             pa, pb = image_of(a) @ right, image_of(b) @ right
             s = np.linalg.svd(pb, compute_uv=False)
             if s[-1] > _PENCIL_GATE * s[0]:
                 ys = a + np.linalg.eigvals(-np.linalg.solve(pb, pa))[:, None] * b
-                flags.append(any(offered(np.vstack([ys, b]) if n == 2 else ys)))
+                flags.append(any(offered(np.vstack([ys, b]) if n == 2 else ys, ceiling)))
         return flags
 
     if n > 2:
-        return admission.zero_set(saturated=_stalls(lines, window, cap) and saturated)
-    # n = 2: the line is all of P^1, and t = infinity is b: one drawn line finds every zero off W
-    drawn = any(lines(0, 1) for _ in range(cap))
+        return admission.zero_set(saturated=_stalls(lines, window, cap, full) and saturated)
+    # n = 2: the line is all of P^1, and t = infinity is b: one drawn line finds every zero off W;
+    # a ceiling reached before the line is drawn is as complete
+    drawn = any(full() or lines(0, 1) for _ in range(cap))
     return admission.zero_set(saturated=drawn and saturated)
 
 

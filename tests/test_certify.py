@@ -23,7 +23,7 @@ from mapcert.certify import (
 from mapcert.documents import parse_map_file, to_map_operator
 from mapcert.errors import CrossCheckError, DimensionMismatch, EmptyZeroSet
 from mapcert.experiments import random_cp_map
-from mapcert.linalg import image_projector, span_dimension
+from mapcert.linalg import ToleranceConfig, image_projector, span_dimension
 from mapcert.maps import (
     apply,
     cp_map_from_kraus,
@@ -33,7 +33,7 @@ from mapcert.maps import (
     trace_map,
     transpose_map,
 )
-from mapcert.zeros import ZeroPair, ZeroSet, analytic_zeros_conjugation, harvest_zeros
+from mapcert.zeros import ZeroPair, ZeroSet, analytic_zeros_conjugation, find_zeros, harvest_zeros
 
 
 def ginibre(rng, rows, cols):
@@ -379,6 +379,29 @@ def test_exposed_cross_check_on_a_strong_span_above_the_co_cp_ceiling():
         certify_exposed(phi, harvest_zeros(phi, seed=0))
     # the transpose map is co-CP with rank C^G = 1: its exact zeros fill the ceiling n (nm - 1) = 6
     assert certify_exposed(transpose_map(2), analytic_zeros_conjugation(np.eye(2), transposed=True)).certified
+
+
+def test_the_kraus_route_and_the_certificate_share_one_eigh_of_the_unit_image(monkeypatch):
+    # Phi(1) of a CP map with a rank-deficient unit image (K_s = P G_s, P of rank m - 1 = 2): the
+    # route's ceiling and the certificate cut the map's one read-only eigh, which is bitwise the
+    # eigh of the Hermitian part of Phi(1), at any tolerance
+    rng = np.random.default_rng(3)
+    q = np.linalg.qr(ginibre(rng, 3, 2))[0]
+    phi = cp_map_from_kraus([q @ q.conj().T @ ginibre(rng, 3, 3) for _ in range(3)])
+    unit = apply(phi, np.eye(3))
+    w, v = np.linalg.eigh(0.5 * unit + 0.5 * unit.conj().T)
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a, *args: calls.append(a.shape) or eigh(a, *args))
+    cert = certify_exposed(phi, find_zeros(phi))
+    assert calls.count((3, 3)) == 1
+    assert (cert.measured_dim, cert.required_dim) == (9, 25)
+    for tol in (ToleranceConfig(), ToleranceConfig(rank_rel_tol=0.5)):
+        lam, basis = mapcert.maps._unit_image(phi, tol)
+        keep = np.abs(w) > tol.rank_rel_tol * np.max(np.abs(w))
+        assert lam.tobytes() == w[keep].tobytes() and basis.tobytes() == v[:, keep].tobytes()
+    assert calls.count((3, 3)) == 1
+    assert [(a.tobytes(), a.flags.writeable) for a in phi._unit_spectrum] == [(w.tobytes(), False), (v.tobytes(), False)]
 
 
 def test_exposed_withheld_when_kept_pairs_exceed_the_span():

@@ -11,6 +11,7 @@ import json
 import math
 import warnings
 
+import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
@@ -23,8 +24,9 @@ KINDS = ("choi", "conjugation", "kraus")
 small = st.one_of(st.floats(-3, 3), st.integers(-3, 3))
 # a JSON value in an entry slot that is not a small number: not finite,
 # huge (integers beyond the float range too), or not a number at all
+ODD_CONSTANTS = [math.nan, math.inf, -math.inf, 1e308, -1e308, -0.0, 10**400, -(10**400)]
 odd_parts = st.one_of(
-    st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308, -0.0, 10**400, -(10**400)]),
+    st.sampled_from(ODD_CONSTANTS),
     st.booleans(),
     st.text(max_size=2),
     st.none(),
@@ -100,16 +102,35 @@ def documents(draw):
     return json.dumps(obj)  # NaN and Infinity included, which json.loads accepts
 
 
-@settings(deadline=None, max_examples=300, suppress_health_check=[HealthCheck.too_slow])
-@given(text=documents())
-def test_parse_map_file_accepts_or_raises_an_input_error(text):
+def parse_with_warnings_as_errors(text):
+    """``parse_map_file(text)``, or None when it raises an input error."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            doc = parse_map_file(text)
+            return parse_map_file(text)
         except (MapcertError, ValueError):
-            return
-    assert isinstance(doc, MapDocument)
+            return None
+
+
+@settings(deadline=None, max_examples=300, suppress_health_check=[HealthCheck.too_slow])
+@given(text=documents())
+def test_parse_map_file_accepts_or_raises_an_input_error(text):
+    doc = parse_with_warnings_as_errors(text)
+    assert doc is None or isinstance(doc, MapDocument)
+
+
+# every constant of ``odd_parts``, which the generated documents above reach only at some seeds
+@pytest.mark.parametrize("part", [*ODD_CONSTANTS, True, False, "", None],
+                         ids=["nan", "inf", "-inf", "1e308", "-1e308", "-0.0", "1e400", "-1e400", "True", "False", "empty", "None"])
+@pytest.mark.parametrize("kind", KINDS)
+def test_each_odd_part_in_an_entry_is_accepted_or_an_input_error(kind, part):
+    for index in (0, 1):  # the real part, then the imaginary part, of entry [0][0]
+        size = 4 if kind == "choi" else 2  # a valid 2 x 2 document: identity matrices in every slot
+        matrix = [[[float(i == j), 0.0] for j in range(size)] for i in range(size)]
+        matrix[0][0][index] = part
+        payload = [matrix] if kind == "kraus" else matrix
+        doc = parse_with_warnings_as_errors(json.dumps({"kind": kind, "dim_in": 2, "dim_out": 2, "payload": payload}))
+        assert doc is None or isinstance(doc, MapDocument)
 
 
 @st.composite

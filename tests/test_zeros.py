@@ -195,7 +195,7 @@ def test_harvest_budget_exhaustion_reports_unsaturated():
 def test_analytic_svd_count_does_not_grow_with_the_grid(monkeypatch):
     counts = {"svd": 0, "points": 0}
     # ("draw", count) per search, ("cut", rows) per row-kernel solve, ("points", rows) per image call and
-    # ("offer", admitted) per point offered
+    # ("offer", admitted, count) per point offered, with the admitted count after it
     events = []
     svd, images, row_kernels = np.linalg.svd, mapcert.zeros._rank_one_images, mapcert.zeros._row_kernels
     draw, offer_all = mapcert.zeros._gaussian_rows, _Admission.offer_all
@@ -218,8 +218,9 @@ def test_analytic_svd_count_does_not_grow_with_the_grid(monkeypatch):
         return draw(rng, count, dim)
 
     def counted_offer_all(self, candidates):
-        events.append(("offer", offer_all(self, candidates)))
-        return events[-1][1]
+        admitted = offer_all(self, candidates)
+        events.append(("offer", admitted, len(self.pairs)))
+        return admitted
 
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
     monkeypatch.setattr(mapcert.zeros, "_rank_one_images", counted_images)
@@ -230,32 +231,42 @@ def test_analytic_svd_count_does_not_grow_with_the_grid(monkeypatch):
         counts.update(svd=0, points=0)
         events.clear()
         zs = analytic_zeros_conjugation(rank_operator(n, m, 2, 5), transposed=True)
-        window = max(4, n)
-        # two searches, the common kernel of V^H (rank V = 2 < n), then the generic points: each
-        # draws all its points at once and cuts them min(window - stall, drawn - done) at a time,
-        # where stall counts the points since the last one that admitted a pair, and evaluates each
-        # cut with one call; every point cut is offered, so none is cut after the stall
-        starts = [i for i, (kind, _) in enumerate(events) if kind == "draw"]
+        window, d = max(4, n), n - 2
+        # two searches, the common kernel of V^H (rank V = 2 < n, so d = n - 2), then the generic
+        # points, with the ceilings d^2 m and min(n^2 m - rank Phi(1), n(nm - 1)) = n^2 m - n (rank
+        # Phi(1) = rank V = 2 <= n).  Each draws all its points at once and cuts them
+        # min(window - stall, drawn - done) at a time, where stall counts the points since the last
+        # one that admitted a pair, and evaluates each cut with one call.  Every point cut is offered
+        # until the admitted count reaches the ceiling, and none after it; a search cuts no chunk
+        # after its stall, its ceiling or its last point
+        starts = [i for i, (kind, *_) in enumerate(events) if kind == "draw"]
         assert len(starts) == 2 and starts[0] == 0
-        for search in (events[: starts[1]], events[starts[1] :]):
+        count = 0
+        for search, ceiling in ((events[: starts[1]], d * d * m), (events[starts[1] :], n * n * m - n)):
             drawn, done, stall = search[0][1], 0, 0
-            sizes = [size for kind, size in search if kind == "cut"]
-            assert [size for kind, size in search if kind == "points"] == sizes
-            flags = [flag for kind, flag in search if kind == "offer"]
-            assert sum(sizes) == len(flags)
-            for size in sizes:
+            cuts = [i for i, (kind, *_) in enumerate(search) if kind == "cut"]
+            for i, j in zip(cuts, cuts[1:] + [len(search)]):
+                assert stall < window and count < ceiling and done < drawn
+                size = search[i][1]
                 assert size == min(window - stall, drawn - done)
-                for flag in flags[done : done + size]:
+                assert search[i + 1] == ("points", size)
+                offers = search[i + 2 : j]
+                assert all(count < ceiling for *_, count in offers[:-1])
+                for _, flag, count in offers:
                     stall = 0 if flag else stall + 1
+                assert len(offers) == size or (len(offers) < size and count == ceiling)
                 done += size
-            assert stall == window or done == drawn
+            # each search stops at its ceiling here, not at its stall or its last point
+            assert count == ceiling
         # the SVDs: the generic rank of M(y) = V^H y at one point, the common kernel of V^H, and
         # one row-kernel solve per cut; no SVD per point
-        cuts = sum(kind == "cut" for kind, _ in events)
+        cuts = sum(kind == "cut" for kind, *_ in events)
         assert counts["svd"] == 2 + cuts < counts["points"]
-        # the common kernel and the generic points each take at least a stall window, and the
-        # generic ones at least one per m - 1 strong directions they add
-        assert counts["points"] >= 2 * window + (strong_span_dim(zs) - m * (n - 2) ** 2) // (m - 1)
+        assert zs.saturated and len(zs.pairs) == strong_span_dim(zs) == n * n * m - n
+        # a point of the common kernel adds at most m strong directions and a generic one (m - 1
+        # partners) at most m - 1, so each search offers at least that many points
+        offered = [sum(kind == "offer" for kind, *_ in search) for search in (events[: starts[1]], events[starts[1] :])]
+        assert offered[0] >= d * d and offered[1] >= (n * n * m - n - d * d * m) // (m - 1)
 
 
 def stall_after(flags):
@@ -267,12 +278,17 @@ def stall_after(flags):
     return stall
 
 
-def unit_by_unit(flags, window, cap):
-    """The stop rule one unit at a time: the units run, and whether the stall reached the window."""
+def unit_by_unit(flags, window, cap, ceiling=None):
+    """The stop rule one unit at a time: the units run, and whether the stall reached the window or the
+    count of True flags reached ``ceiling`` (None: no ceiling, as on the harvest)."""
     ran = []
-    while len(ran) < cap and stall_after(flags[: len(ran)]) < window:
+
+    def full():
+        return ceiling is not None and flags[: len(ran)].count(True) >= ceiling
+
+    while len(ran) < cap and stall_after(flags[: len(ran)]) < window and not full():
         ran.append(len(ran))
-    return ran, stall_after(flags[: len(ran)]) >= window
+    return ran, stall_after(flags[: len(ran)]) >= window or full()
 
 
 @settings(max_examples=300, deadline=None)
@@ -280,21 +296,38 @@ def unit_by_unit(flags, window, cap):
     flags=st.lists(st.sampled_from([True, False, None]), max_size=40),
     window=st.integers(1, 8),
     cap=st.integers(0, 40),
+    ceiling=st.one_of(st.none(), st.integers(0, 20)),
 )
-def test_the_driver_runs_the_units_of_a_unit_by_unit_loop(flags, window, cap):
-    # units with no flag (a pencil line the gate redraws) count against the cap and leave the stall as it is
+def test_the_driver_runs_the_units_of_a_unit_by_unit_loop(flags, window, cap, ceiling):
+    # units with no flag (a pencil line the gate redraws) count against the cap and leave the stall as it
+    # is; a True flag is an admitted pair, and the count of them is read against the ceiling
     cap = min(cap, len(flags))
     ran = []
+
+    def full():
+        return ceiling is not None and flags[: len(ran)].count(True) >= ceiling
 
     def offer(done, size):
         assert done == len(ran)
         assert 1 <= size <= min(window - stall_after(flags[:done]), cap - done)
-        ran.extend(range(done, done + size))
-        return [flag for flag in flags[done : done + size] if flag is not None]
+        produced = []
+        for unit in range(done, done + size):  # as a cut chunk of points: none offered after the ceiling
+            if full():
+                break
+            ran.append(unit)
+            if flags[unit] is not None:
+                produced.append(flags[unit])
+        return produced
 
-    saturated = _stalls(offer, window, cap)
-    # the same units, so none after the stall, and the same result
-    assert (ran, saturated) == unit_by_unit(flags, window, cap)
+    saturated = _stalls(offer, window, cap, full) if ceiling is not None else _stalls(offer, window, cap)
+    # the same units and the same result; none ran after the stall or after the ceiling
+    assert (ran, saturated) == unit_by_unit(flags, window, cap, ceiling)
+    for unit in ran:
+        assert stall_after(flags[:unit]) < window
+        assert ceiling is None or flags[:unit].count(True) < ceiling
+    # the span is proven complete at the ceiling
+    if full():
+        assert saturated
 
 
 @pytest.mark.parametrize("starts,descents", [(None, _STALL_BUDGET), (5, 5)])
@@ -562,14 +595,19 @@ def test_a_kraus_map_on_one_dimensional_input_runs_no_descent(monkeypatch):
     assert calls == [] and zs.pairs == [] and zs.saturated
 
 
+def common_kernel_cp_map(n, m, k, d, seed):
+    """A CP map whose k Kraus operators G_s P share the d-dimensional kernel of the projection P."""
+    rng = np.random.default_rng(seed)
+    g = lambda a, b: rng.standard_normal((a, b)) + 1j * rng.standard_normal((a, b))
+    q = np.linalg.qr(g(n, n - d))[0]
+    return cp_map_from_kraus([g(m, n) @ q @ q.conj().T for _ in range(k)])
+
+
 @pytest.mark.parametrize("n, m, k, d", [(4, 3, 2, 3), (3, 3, 2, 2)])
 def test_kraus_operators_with_a_common_kernel_give_every_partner_on_it(monkeypatch, n, m, k, d):
     # K_s = G_s P with P of rank n - d: on ker P, M(y) = 0 and every h is a partner, where
     # random points have m - 1; they miss it (the spans read 4 / 16 and 3 / 9 without it)
-    rng = np.random.default_rng(1)
-    g = lambda a, b: rng.standard_normal((a, b)) + 1j * rng.standard_normal((a, b))
-    q = np.linalg.qr(g(n, n - d))[0]
-    phi = cp_map_from_kraus([g(m, n) @ q @ q.conj().T for _ in range(k)])
+    phi = common_kernel_cp_map(n, m, k, d, seed=1)
     harvested = harvest_zeros(phi, seed=0)
     calls = counted_descents(monkeypatch)
     zs = find_zeros(phi)
@@ -725,3 +763,54 @@ def test_the_kraus_routes_keep_one_pair_list_at_every_seed(n, m, k):
     phi = cp_map_from_kraus(random_kraus_operators(n, m, k, seed=2))
     lists = {tuple((p.x.tobytes(), p.h.tobytes()) for p in find_zeros(phi, seed=seed).pairs) for seed in range(4)}
     assert len(lists) == 1 and len(next(iter(lists))) == strong_span_dim(find_zeros(phi))
+
+
+# (the map, its Kraus count k, and the rank of Phi(1) that the route is made to read, None for its own)
+CEILING_CASES = [
+    pytest.param(lambda: random_cp_map(2, 3, 2, seed=0), 2, None, id="rows-cp-2x3-k2"),
+    pytest.param(lambda: from_conjugation(rank_operator(3, 4, 2, 5), transposed=True), 1, None,
+                 id="common-kernel-conjugation-3x4-rank2"),
+    pytest.param(lambda: random_cp_map(3, 3, 3, seed=0), 3, None, id="line-pencils-cp-3x3-k3"),
+    # at n = 2 the P^1 pencil finds m pairs, below the ceiling 2(2m - k) = 2m, so the route reads a
+    # larger rank of Phi(1): a ceiling of 1, reached at the first root of the one line, and one of m = 2,
+    # reached by the common kernel before the line is drawn
+    pytest.param(lambda: random_cp_map(2, 2, 2, seed=0), 2, 7, id="p1-pencil-cp-2x2-k2-ceiling-1"),
+    pytest.param(lambda: common_kernel_cp_map(2, 2, 2, 1, seed=0), 2, 6, id="p1-pencil-common-kernel-ceiling-2"),
+]
+
+
+@pytest.mark.parametrize("make, k, unit_rank", CEILING_CASES)
+def test_an_exact_route_stops_saturated_at_its_ceiling(monkeypatch, make, k, unit_rank):
+    phi = make()
+    n, m = phi.dim_in, phi.dim_out
+    if unit_rank is None:
+        unit_rank = np.linalg.matrix_rank(apply(phi, np.eye(n)))
+    else:
+        monkeypatch.setattr(mapcert.zeros, "_unit_image", lambda phi, tol: (np.ones(unit_rank), None))
+    ceiling = min(n * n * m - unit_rank, n * (n * m - k))
+    # ("offer", admitted count after it, x) per offer and ("cut", admitted count) per row-kernel solve
+    events, admissions = [], []
+    offer, row_kernels = _Admission.offer, mapcert.zeros._row_kernels
+
+    def counted_offer(self, x, h, residual):
+        admissions[:] = [self]
+        admitted = offer(self, x, h, residual)
+        events.append(("offer", len(self.pairs), x))
+        return admitted
+
+    def counted_row_kernels(*args):
+        events.append(("cut", len(admissions[0].pairs) if admissions else 0, None))
+        return row_kernels(*args)
+
+    monkeypatch.setattr(_Admission, "offer", counted_offer)
+    monkeypatch.setattr(mapcert.zeros, "_row_kernels", counted_row_kernels)
+    calls = counted_descents(monkeypatch)
+    zs = find_zeros(phi)
+    assert calls == [] and zs.saturated
+    assert len(zs.pairs) == strong_span_dim(zs) == ceiling
+    # no cut once the count reached the ceiling, and no offer but the rest of the partner block of the
+    # point whose pair reached it
+    assert all(count < ceiling for kind, count, _ in events if kind == "cut")
+    offers = [(count, x) for kind, count, x in events if kind == "offer"]
+    reached = next(i for i, (count, _) in enumerate(offers) if count == ceiling)
+    assert all(x is offers[reached][1] for _, x in offers[reached:])
