@@ -232,37 +232,22 @@ def _cmd_generate(args) -> int:
     if args.rank is not None and args.rank > min(n, m):
         print(f"error: --rank must be at most min(--n, --m) = {min(n, m)}, got {args.rank}", file=sys.stderr)
         return 2
+    transposed = None
     if args.kind == "conjugation":
         rank_v = args.rank if args.rank is not None else min(n, m)
-        v = random_rank_operator(n, m, rank_v, seed=seed)
-        doc = MapDocument(
-            kind="conjugation",
-            dim_in=n,
-            dim_out=m,
-            payload=matrix_to_payload(v),
-            transposed=True if args.transposed is None else args.transposed,
-            meta={"generator": "random-rank", "rank": str(rank_v), "seed": str(seed)},
-        )
+        kind, payload = "conjugation", matrix_to_payload(random_rank_operator(n, m, rank_v, seed=seed))
+        transposed = True if args.transposed is None else args.transposed
+        meta = {"generator": "random-rank", "rank": str(rank_v)}
     elif args.kind == "random-cp":
         count = args.kraus if args.kraus is not None else 3
-        kraus = random_kraus_operators(n, m, count, seed=seed)
-        doc = MapDocument(
-            kind="kraus",
-            dim_in=n,
-            dim_out=m,
-            payload=[matrix_to_payload(k) for k in kraus],
-            meta={"generator": "random-cp", "kraus": str(count), "seed": str(seed)},
-        )
+        kind, payload = "kraus", [matrix_to_payload(k) for k in random_kraus_operators(n, m, count, seed=seed)]
+        meta = {"generator": "random-cp", "kraus": str(count)}
     else:
         g = _ginibre(np.random.default_rng(seed), n * m, n * m)
-        choi = g @ g.conj().T
-        doc = MapDocument(
-            kind="choi",
-            dim_in=n,
-            dim_out=m,
-            payload=matrix_to_payload(choi),
-            meta={"generator": "random-choi", "seed": str(seed)},
-        )
+        kind, payload = "choi", matrix_to_payload(g @ g.conj().T)
+        meta = {"generator": "random-choi"}
+    doc = MapDocument(kind=kind, dim_in=n, dim_out=m, payload=payload, transposed=transposed,
+                      meta={**meta, "seed": str(seed)})
     sys.stdout.write(render_map_document(doc).decode("utf-8"))
     return 0
 

@@ -100,31 +100,21 @@ class MapOperator:
 
     @cached_property
     def _spectrum(self) -> tuple[np.ndarray, np.ndarray]:
-        """``np.linalg.eigh`` of the Hermitian part of the block matrix, as read-only arrays:
-        ascending eigenvalues w and orthonormal eigenvectors u; the one eigendecomposition of C."""
-        w, u = np.linalg.eigh(_hermitize(self.choi))
-        w.setflags(write=False)
-        u.setflags(write=False)
-        return w, u
+        """``_read_only_eigh`` of the block matrix: ascending eigenvalues w and orthonormal
+        eigenvectors u of its Hermitian part; the one eigendecomposition of C."""
+        return _read_only_eigh(self.choi)
 
     @cached_property
     def _partial_transpose_spectrum(self) -> tuple[np.ndarray, np.ndarray]:
         """``_spectrum`` of the partial transpose C^G on the input factor, the block matrix of
-        a -> Phi(a^T), taken of the same Hermitian part (partial transposition commutes with ^H)."""
+        a -> Phi(a^T); partial transposition commutes with taking the Hermitian part entry by entry."""
         n, m = self.dim_in, self.dim_out
-        w, u = np.linalg.eigh(_hermitize(self.choi).reshape(n, m, n, m).transpose(2, 1, 0, 3).reshape(n * m, n * m))
-        w.setflags(write=False)
-        u.setflags(write=False)
-        return w, u
+        return _read_only_eigh(self.choi.reshape(n, m, n, m).transpose(2, 1, 0, 3).reshape(n * m, n * m))
 
     @cached_property
     def _unit_spectrum(self) -> tuple[np.ndarray, np.ndarray]:
-        """``np.linalg.eigh`` of the Hermitian part of Phi(1), as read-only arrays, which
-        ``_unit_image`` cuts at a tolerance."""
-        w, v = np.linalg.eigh(_hermitize(apply(self, np.eye(self.dim_in))))
-        w.setflags(write=False)
-        v.setflags(write=False)
-        return w, v
+        """``_read_only_eigh`` of Phi(1), which ``_unit_image`` cuts at a tolerance."""
+        return _read_only_eigh(apply(self, np.eye(self.dim_in)))
 
     @cached_property
     def _scale(self) -> float:
@@ -135,6 +125,14 @@ class MapOperator:
     def _zero_bar(self) -> float:
         """residual_rel_tol * scale: the one bar at or below which a residual of this map is zero."""
         return DEFAULT_TOL.residual_rel_tol * self._scale
+
+
+def _read_only_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.linalg.eigh`` of the Hermitian part of ``matrix``, as read-only arrays."""
+    w, u = np.linalg.eigh(_hermitize(matrix))
+    w.setflags(write=False)
+    u.setflags(write=False)
+    return w, u
 
 
 def _is_hermitian(matrix: np.ndarray) -> bool:
@@ -181,8 +179,8 @@ class PositivityReport:
 class SearchOutcome:
     """Result of the alternating descent from one start.
 
-    ``image`` is Phi(|conj(x)><conj(x)|) at the final x, ``spectrum`` the
-    eigendecomposition (w, u) of its Hermitian part and ``adjoint_spectrum``
+    ``spectrum`` is the eigendecomposition (w, u) of the Hermitian part of
+    Phi(|conj(x)><conj(x)|) at the final x and ``adjoint_spectrum``
     that of Phi*(|h><h|), the x step at h; h = u[:, 0] and the objective
     ``value`` = w[0] are read off ``spectrum``.  ``succeeded`` means the pair
     is a zero: its residual is at most the map's ``_zero_bar``; callers treat
@@ -196,7 +194,6 @@ class SearchOutcome:
     x: np.ndarray
     residual: float
     succeeded: bool
-    image: np.ndarray = field(repr=False)
     spectrum: tuple = field(repr=False)
     adjoint_spectrum: tuple = field(repr=False)
 
@@ -428,7 +425,6 @@ def _alternating_descent(phi, starts) -> list[SearchOutcome]:
                 x=x[r],
                 residual=residual,
                 succeeded=residual <= phi._zero_bar,
-                image=images[r],
                 spectrum=(w[r], u[r]),
                 adjoint_spectrum=(w_adj[r], u_adj[r]),
             )

@@ -79,13 +79,14 @@ by the residual of the normalized strong vector against an orthonormal
 basis of the kept ones (Gram-Schmidt, applied twice), at ``_SCREEN_TOL``;
 no SVD runs per candidate.  ``offer`` builds each candidate's strong vector
 once, as an outer product reshaped flat (entry for entry the Kronecker
-product, without its per-call overhead), and the ZeroSet keeps the very
-vectors that were admitted, stacked as rows.  The span dimensions reported
-by ``weak_span_dim`` and ``strong_span_dim`` come from one SVD of those
-rows at the shared relative threshold ``rank_rel_tol``.  On exact zeros the
-strong count equals the number of kept pairs; ``certify_exposed`` issues no
-certificate when the two differ.  Every search stops by one rule, owned by
-``_stalls``: a window of consecutive starts, points or lines that admit
+product, without its per-call overhead).  The ZeroSet keeps only the
+admitted pairs and builds their weak and strong vectors as rows, with the
+same builders over the stacked pairs, when they are read.  The span
+dimensions reported by ``weak_span_dim`` and ``strong_span_dim`` come from
+one SVD of those rows at the shared relative threshold ``rank_rel_tol``.
+On exact zeros the strong count equals the number of kept pairs;
+``certify_exposed`` issues no certificate when the two differ.  Every
+search stops by one rule, owned by ``_stalls``: a window of consecutive starts, points or lines that admit
 nothing ends it (``saturated``), on an exact route so does an admitted count
 that reaches the search's proven ceiling (``saturated``: the span is
 complete), or else its cap does.  Each route is a chunk function that the
@@ -141,48 +142,48 @@ class ZeroPair:
 # Outer products with np.kron's operand shapes (a[:, None] * b[None, :]):
 # bitwise its result, without its per-call overhead.  numpy may pick another
 # complex multiply loop, with other roundings, for other broadcast shapes.
+# Each builds the vector of one pair (x, h), or one row per pair of the
+# stacks xs (k, n) and hs (k, m).
 def _weak_vector(x, h) -> np.ndarray:
     """x (x) h."""
-    return (x[:, None] * h[None, :]).ravel()
+    return (x[..., :, None] * h[..., None, :]).reshape(*x.shape[:-1], x.shape[-1] * h.shape[-1])
 
 
 def _strong_vector(x, h) -> np.ndarray:
     """conj(x) (x) x (x) h."""
-    return ((x.conj()[:, None] * x[None, :])[:, :, None] * h[None, None, :]).ravel()
+    n, m = x.shape[-1], h.shape[-1]
+    return ((x.conj()[..., :, None] * x[..., None, :])[..., None] * h[..., None, None, :]).reshape(*x.shape[:-1], n * n * m)
 
 
 @dataclass(frozen=True)
 class ZeroSet:
     """A spanning collection of zero pairs of one map.
 
-    Row i of ``weak_vectors`` (k x nm) and of ``strong_vectors`` (k x n^2 m)
-    belongs to ``pairs[i]``.  ``saturated`` records whether enumeration
-    stopped because further searching stopped producing new directions, or
-    the set is proven complete (as opposed to running out of budget).
+    The pairs are all it stores: row i of ``weak_vectors`` (k x nm) and of
+    ``strong_vectors`` (k x n^2 m) is built from ``pairs[i]`` on each read,
+    in one broadcast over the stacked pairs.  ``saturated`` records whether
+    enumeration stopped because further searching stopped producing new
+    directions, or the set is proven complete (as opposed to running out of
+    budget).
     """
 
     dim_in: int
     dim_out: int
     pairs: list[ZeroPair]
-    weak_vectors: np.ndarray
-    strong_vectors: np.ndarray
     saturated: bool
 
-    @classmethod
-    def from_pairs(cls, dim_in, dim_out, pairs, saturated):
-        """Stack the pairs' weak and strong vectors as rows."""
-        pairs = list(pairs)
-        k, nm = len(pairs), dim_in * dim_out
-        weak = [_weak_vector(p.x, p.h) for p in pairs]
-        strong = [_strong_vector(p.x, p.h) for p in pairs]
-        return cls(
-            dim_in=dim_in,
-            dim_out=dim_out,
-            pairs=pairs,
-            weak_vectors=np.array(weak, dtype=complex).reshape(k, nm),
-            strong_vectors=np.array(strong, dtype=complex).reshape(k, dim_in * nm),
-            saturated=bool(saturated),
-        )
+    def _stacked(self) -> tuple[np.ndarray, np.ndarray]:
+        k = len(self.pairs)
+        xs = np.array([p.x for p in self.pairs], dtype=complex).reshape(k, self.dim_in)
+        return xs, np.array([p.h for p in self.pairs], dtype=complex).reshape(k, self.dim_out)
+
+    @property
+    def weak_vectors(self) -> np.ndarray:
+        return _weak_vector(*self._stacked())
+
+    @property
+    def strong_vectors(self) -> np.ndarray:
+        return _strong_vector(*self._stacked())
 
 
 class _Admission:
@@ -197,9 +198,8 @@ class _Admission:
     2005).  The pair is admitted only if the residual of both passes stays
     above ``_SCREEN_TOL``; most rejections cost one pass.  The basis decides
     admission only: the reported span dimension is the final SVD of the kept
-    vectors (``strong_span_dim``).  The weak and strong vectors of the
-    admitted pairs are the rows of preallocated arrays, which the ZeroSet
-    takes without a copy.
+    vectors (``strong_span_dim``).  It keeps only the admitted pairs and the
+    basis; the ZeroSet builds the kept vectors again from the pairs.
     """
 
     def __init__(self, phi: MapOperator):
@@ -208,8 +208,6 @@ class _Admission:
         self._dims = (n, m)
         self._bar = phi._zero_bar
         self._basis = np.empty((dim, dim), dtype=complex)
-        self._strong = np.empty((dim, dim), dtype=complex)
-        self._weak = np.empty((dim, n * m), dtype=complex)
         self.pairs: list[ZeroPair] = []
 
     def offer(self, x, h, residual: float) -> bool:
@@ -229,8 +227,6 @@ class _Admission:
             if rnorm <= _SCREEN_TOL:
                 return False
         self._basis[k] = resid / rnorm
-        self._strong[k] = vec
-        self._weak[k] = _weak_vector(x, h)
         self.pairs.append(ZeroPair(x=x, h=h, residual=residual))
         return True
 
@@ -238,7 +234,7 @@ class _Admission:
         """Whether each candidate (xs[i], hs[i]) may grow the span: False where the residual of its
         normalized strong vector against the admitted basis is at or below ``_SCREEN_DROP``.  One
         broadcast builds the vectors and one product projects them."""
-        strong = ((xs.conj()[:, :, None] * xs[:, None, :])[:, :, :, None] * hs[:, None, None, :]).reshape(len(xs), -1)
+        strong = _strong_vector(xs, hs)
         strong /= np.linalg.norm(strong, axis=1, keepdims=True)
         basis = self._basis[: len(self.pairs)]
         return np.linalg.norm(strong - (strong @ basis.conj().T) @ basis, axis=1) > _SCREEN_DROP
@@ -248,8 +244,7 @@ class _Admission:
         return any([self.offer(x, h, residual) for x, h, residual in candidates])
 
     def zero_set(self, saturated) -> ZeroSet:
-        k = len(self.pairs)
-        return ZeroSet(*self._dims, self.pairs, self._weak[:k], self._strong[:k], bool(saturated))
+        return ZeroSet(*self._dims, self.pairs, bool(saturated))
 
 
 def _stalls(offer, window: int, cap: int, full=lambda: False) -> bool:
@@ -325,7 +320,7 @@ def find_zeros(phi: MapOperator, seed: int = 0, starts: int | None = None, tol: 
     n, m = phi.dim_in, phi.dim_out
     _budget(phi, starts)
     if phi._spectrum[0][0] > phi._zero_bar:
-        return ZeroSet.from_pairs(n, m, [], saturated=True)
+        return ZeroSet(n, m, [], saturated=True)
     for transposed in (False, True):
         # Phi CP (co-CP) of rank k, kept as its top k eigenvalues; the discarded ones bound the
         # residuals of the pairs of the Kraus stack, so they must be within the zero bar (w[0] is)

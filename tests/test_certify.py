@@ -104,7 +104,7 @@ def test_commutant_elements_commute_with_image():
 
 def irreducible_on_image(phi):
     """The flag certify_exposed reports, here from an empty zero set."""
-    return certify_exposed(phi, ZeroSet.from_pairs(phi.dim_in, phi.dim_out, [], True)).irreducible_on_image
+    return certify_exposed(phi, ZeroSet(phi.dim_in, phi.dim_out, [], True)).irreducible_on_image
 
 
 def test_irreducibility_verdicts():
@@ -154,7 +154,7 @@ def test_commutant_svd_decides_below_the_gram_screen(eps, monkeypatch):
     solves = []
     kernel_basis = mapcert.certify.kernel_basis
     monkeypatch.setattr(mapcert.certify, "kernel_basis", lambda *a: solves.append(a) or kernel_basis(*a))
-    cert = certify_exposed(phi, ZeroSet.from_pairs(2, 4, [], True))
+    cert = certify_exposed(phi, ZeroSet(2, 4, [], True))
     assert len(solves) == 1
     monkeypatch.undo()
     assert cert.irreducible_on_image == cert.irreducible == (len(commutant_basis(phi)) == 1) == (eps > 0)
@@ -165,7 +165,7 @@ def test_zero_unit_image_is_reducible():
     sigma_x = np.array([[0, 1], [1, 0]], dtype=complex)
     blocks = np.zeros((2, 2, 2, 2), dtype=complex)
     blocks[0, :, 0, :], blocks[1, :, 1, :] = sigma_x, -sigma_x
-    cert = certify_exposed(mapcert.maps._from_blocks(blocks), ZeroSet.from_pairs(2, 2, [], True))
+    cert = certify_exposed(mapcert.maps._from_blocks(blocks), ZeroSet(2, 2, [], True))
     assert (cert.irreducible, cert.irreducible_on_image) == (False, False)
     assert cert.required_dim == 8
 
@@ -193,7 +193,7 @@ def test_irreducibility_flags_agree_with_the_full_commutant_on_the_benchmark_map
         basis = commutant_basis(phi)
         p = image_projector(apply(phi, np.eye(phi.dim_in)))
         on_image = span_dimension(np.column_stack([(p @ x @ p).ravel() for x in basis])) == 1
-        cert = certify_exposed(phi, ZeroSet.from_pairs(phi.dim_in, phi.dim_out, [], True))
+        cert = certify_exposed(phi, ZeroSet(phi.dim_in, phi.dim_out, [], True))
         assert (cert.irreducible, cert.irreducible_on_image) == (len(basis) == 1, on_image), spec
         checked += 1
     assert checked == 52
@@ -329,7 +329,7 @@ def test_exposed_cross_check_on_impossible_zero_set():
         x = ginibre(rng, 1, 2).ravel()
         h = ginibre(rng, 1, 2).ravel()
         pairs.append(ZeroPair(x=x / np.linalg.norm(x), h=h / np.linalg.norm(h), residual=0.0))
-    fake = ZeroSet.from_pairs(2, 2, pairs, saturated=False)
+    fake = ZeroSet(2, 2, pairs, saturated=False)
     with pytest.raises(CrossCheckError):
         certify_exposed(phi, fake)
 
@@ -343,7 +343,7 @@ def test_optimal_cross_check_on_a_weak_span_above_the_cp_ceiling(phi, ceiling):
     for _ in range(4):
         x, h = ginibre(rng, 1, 2).ravel(), ginibre(rng, 1, 2).ravel()
         pairs.append(ZeroPair(x=x / np.linalg.norm(x), h=h / np.linalg.norm(h), residual=0.0))
-    fake = ZeroSet.from_pairs(2, 2, pairs, saturated=False)
+    fake = ZeroSet(2, 2, pairs, saturated=False)
     with pytest.raises(CrossCheckError, match=f"weak span 4 exceeds the weak ceiling {ceiling} "):
         certify_optimal(phi, fake)
     # the transpose map is not CP: no ceiling applies, and the full span certifies
@@ -359,7 +359,7 @@ def test_exposed_cross_check_on_a_strong_span_above_the_cp_ceiling():
     for _ in range(3):
         x, h = ginibre(rng, 1, 2).ravel(), ginibre(rng, 1, 2).ravel()
         pairs.append(ZeroPair(x=x / np.linalg.norm(x), h=h / np.linalg.norm(h), residual=0.0))
-    fake = ZeroSet.from_pairs(2, 2, pairs, saturated=False)
+    fake = ZeroSet(2, 2, pairs, saturated=False)
     with pytest.raises(CrossCheckError, match=r"strong span 3 exceeds the strong ceiling 0 = n\(nm - rank C\) "):
         certify_exposed(trace_map(2), fake)
     # the harvest on three Kraus operators on 3x3 admits inexact pairs: strong 23-24 against 18
@@ -410,7 +410,7 @@ def test_exposed_withheld_when_kept_pairs_exceed_the_span():
     phi = transpose_map(2)
     zs = harvest_zeros(phi, seed=0)
     assert certify_exposed(phi, zs).certified
-    padded = ZeroSet.from_pairs(2, 2, zs.pairs + zs.pairs[:1], saturated=zs.saturated)
+    padded = ZeroSet(2, 2, zs.pairs + zs.pairs[:1], saturated=zs.saturated)
     cert = certify_exposed(phi, padded)
     assert cert.measured_dim == cert.required_dim == 6
     assert cert.verdict == INCONCLUSIVE

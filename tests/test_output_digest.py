@@ -177,7 +177,7 @@ def test_zero_set_dims_moves_only_when_a_count_or_dimension_does(monkeypatch):
     def rephased(*args, **kwargs):
         zs = analytic(*args, **kwargs)
         pairs = [ZeroPair(x=1j * p.x, h=p.h, residual=p.residual) for p in zs.pairs]
-        return ZeroSet.from_pairs(zs.dim_in, zs.dim_out, pairs, zs.saturated)
+        return ZeroSet(zs.dim_in, zs.dim_out, pairs, zs.saturated)
 
     monkeypatch.setattr(mapcert.zeros, "analytic_zeros_conjugation", rephased)
     moved = tool.output_digest([], cells, [])
@@ -185,7 +185,7 @@ def test_zero_set_dims_moves_only_when_a_count_or_dimension_does(monkeypatch):
 
     # a pair dropped: the count and the spans move too
     monkeypatch.setattr(mapcert.zeros, "analytic_zeros_conjugation",
-                        lambda *a, **k: ZeroSet.from_pairs(2, 3, analytic(*a, **k).pairs[1:], True))
+                        lambda *a, **k: ZeroSet(2, 3, analytic(*a, **k).pairs[1:], True))
     dropped = tool.output_digest([], cells, [])
     assert [family for family in tool.FAMILIES if dropped[family] != plain[family]] == ["zero-sets", "zero-set-dims"]
 

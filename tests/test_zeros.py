@@ -22,6 +22,7 @@ from mapcert.experiments import random_cp_map, random_kraus_operators, random_ra
 from mapcert.linalg import DEFAULT_TOL, ToleranceConfig
 from mapcert.maps import (
     _alternating_descent,
+    _ginibre,
     _is_psd,
     _normalize,
     _random_unit,
@@ -41,6 +42,8 @@ from mapcert.zeros import (
     _stalls,
     _strong_vector,
     _weak_vector,
+    ZeroPair,
+    ZeroSet,
     analytic_zeros_conjugation,
     find_zeros,
     harvest_zeros,
@@ -112,21 +115,55 @@ def test_vector_builders_equal_kron_bitwise():
             assert np.array_equal(_strong_vector(x, h), np.kron(np.kron(x.conj(), x), h))
 
 
-@pytest.mark.parametrize("cell", [(2, 3, 2), (3, 3, 1), (3, 4, 3), (4, 5, 2)])
-def test_zero_set_vectors_equal_kron_rebuild_bitwise(cell):
-    # The ZeroSet keeps the strong vectors built for admission; they must be
-    # exactly what a Kronecker rebuild from the kept pairs gives.
-    n, m, r = cell
+def found_zero_sets(n, m, r):
     v = random_rank_operator(n, m, r, seed=1)
-    for zs in (
-        analytic_zeros_conjugation(v, transposed=True),
-        harvest_zeros(from_conjugation(v, transposed=True), seed=1),
-    ):
-        assert zs.pairs
-        strong = np.array([np.kron(np.kron(p.x.conj(), p.x), p.h) for p in zs.pairs])
-        weak = np.array([np.kron(p.x, p.h) for p in zs.pairs])
-        assert np.array_equal(zs.strong_vectors, strong)
-        assert np.array_equal(zs.weak_vectors, weak)
+    return [analytic_zeros_conjugation(v, transposed=True), harvest_zeros(from_conjugation(v, transposed=True), seed=1)]
+
+
+def hand_built_zero_sets():
+    # the empty set, and the transpose map's set padded with a repeated pair
+    zs = harvest_zeros(transpose_map(2), seed=0)
+    return [ZeroSet(2, 3, [], True), ZeroSet(2, 2, zs.pairs + zs.pairs[:1], zs.saturated)]
+
+
+@pytest.mark.parametrize("cell", [(2, 3, 2), (3, 3, 1), (3, 4, 3), (4, 5, 2), pytest.param(None, id="hand-built")])
+def test_zero_set_vectors_equal_kron_rebuild_bitwise(cell):
+    # The ZeroSet builds its rows from its pairs; they must be exactly what a
+    # Kronecker rebuild from those pairs gives, on found and hand-built sets.
+    for zs in found_zero_sets(*cell) if cell else hand_built_zero_sets():
+        assert zs.pairs or cell is None
+        k, nm = len(zs.pairs), zs.dim_in * zs.dim_out
+        strong = np.array([np.kron(np.kron(p.x.conj(), p.x), p.h) for p in zs.pairs], dtype=complex)
+        weak = np.array([np.kron(p.x, p.h) for p in zs.pairs], dtype=complex)
+        assert np.array_equal(zs.strong_vectors, strong.reshape(k, zs.dim_in * nm))
+        assert np.array_equal(zs.weak_vectors, weak.reshape(k, nm))
+        assert zs.strong_vectors.dtype == zs.weak_vectors.dtype == complex
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 6), m=st.integers(1, 8), k=st.integers(0, 9), seed=st.integers(0, 2**32 - 1),
+       layouts=st.tuples(*[st.sampled_from(["rows", "columns", "eigenvector-columns"])] * 2))
+def test_stacked_vector_builders_equal_the_per_pair_builds_bitwise(n, m, k, seed, layouts):
+    # The ZeroSet's rows come from one broadcast over its stacked pairs, while admission builds each
+    # pair's vector alone, often from a strided view: a kernel column of hs.T or an eigenvector column
+    # u[:, i].  Every layout must give the bytes of the per-pair build, row for row.
+    rng = np.random.default_rng(seed)
+
+    def stack(dim, layout):  # k vectors of length dim as the rows of a (k, dim) array or view
+        if layout == "rows":
+            return _ginibre(rng, k, dim)
+        if layout == "columns":  # the columns of a (dim, k) matrix, as the kernel columns hs.T
+            return _ginibre(rng, dim, k).T
+        return _ginibre(rng, dim, max(dim, k))[:, :k].T  # columns u[:, i] of a square-or-wider matrix
+
+    xs, hs = stack(n, layouts[0]), stack(m, layouts[1])
+    weak = [_weak_vector(x, h).tobytes() for x, h in zip(xs, hs)]
+    strong = [_strong_vector(x, h).tobytes() for x, h in zip(xs, hs)]
+    zs = ZeroSet(n, m, [ZeroPair(x=x, h=h, residual=0.0) for x, h in zip(xs, hs)], True)
+    for rows_weak, rows_strong in [(_weak_vector(xs, hs), _strong_vector(xs, hs)), (zs.weak_vectors, zs.strong_vectors)]:
+        assert rows_weak.shape == (k, n * m) and rows_strong.shape == (k, n * n * m)
+        assert [row.tobytes() for row in rows_weak] == weak
+        assert [row.tobytes() for row in rows_strong] == strong
 
 
 def test_zero_pairs_are_verified_zeros():
@@ -371,10 +408,8 @@ def test_a_stack_of_descents_equals_its_starts_one_at_a_time_bitwise(monkeypatch
         alone = _alternating_descent(phi, [start])[0]
         if len(h_steps) == DEFAULT_TOL.max_iters:
             capped.append(index)
-        for name in ("x", "h", "image"):
+        for name in ("x", "h"):
             assert getattr(outcome, name).tobytes() == getattr(alone, name).tobytes(), (index, name)
-        # the image is the one at the pair's x, even where the state moved on after it
-        assert np.array_equal(outcome.image, mapcert.maps._rank_one_images(phi, outcome.x[None])[0]), index
         assert (outcome.value, outcome.residual, outcome.succeeded) == (alone.value, alone.residual, alone.succeeded)
         assert all(a.tobytes() == b.tobytes() for a, b in zip(outcome.spectrum, alone.spectrum))
         # every outcome carries the x step at its h, whichever test stopped it
