@@ -6,10 +6,14 @@ certifies exposedness.  When the test quantity falls short the verdict is
 Inconclusive, never a refutation: the conditions are sufficient only, and
 there are exposed maps (rank-deficient conjugations) that fail them.
 
-Irreducibility is decided on the map compressed to the image of Phi(1),
-a -> Q^H Phi(a) Q, whose commutant is screened by the eigenvalues of a small
-Gram operator; the commutant of the whole map (``commutant_basis``) is not
-solved on that path.
+Irreducibility is decided on the unital normal form of the map on the
+image of Phi(1), a -> L^(-1/2) Q^H Phi(a) Q L^(-1/2) for the eigenpairs
+(L, Q) that Phi(1) keeps, whose commutant is screened by the eigenvalues of
+a small Gram operator; the commutant of the whole map (``commutant_basis``)
+is not solved on that path.  A full strong span makes every map on the
+face X Phi(a) with X Phi(a) = Phi(a) X^H, and only irreducibility of the
+normal form (``intertwiner_space`` of real dimension 1) makes X a scalar;
+that of the compression Q^H Phi(a) Q certified sums of two CP maps.
 """
 
 from __future__ import annotations
@@ -51,11 +55,13 @@ class Certificate:
 
     ``measured_dim`` / ``required_dim`` are the span dimension found and the
     dimension the condition demands; Certified requires exact equality (and,
-    for the Exposed claim, irreducibility on the image).  ``irreducible``
-    (trivial commutant on all of M_m) is reported beside it for the Exposed
-    claim: irreducibility on the image with Phi(1) of full rank, since the
-    commutant of a positive map is that of its compression plus M_(m-r).
-    It does not enter the verdict.
+    for the Exposed claim, irreducibility on the image: the unital normal
+    form on the image of Phi(1) has only scalars in its commutant; it is
+    False when a negative eigenvalue of Phi(1) proves the map not positive,
+    as no normal form exists).  ``irreducible`` is reported beside it for
+    the Exposed claim: irreducibility on the image with Phi(1) of full rank,
+    the unital normal form irreducible on all of M_m.  It does not enter
+    the verdict.
     The note records the standing caveats of the check, chiefly whether
     positivity of the input is proven (C or its partial transpose C^G is
     PSD: a CP or co-CP map) or only assumed, as for every other map.
@@ -145,7 +151,8 @@ def commutant_basis(phi: MapOperator, tol: ToleranceConfig = DEFAULT_TOL) -> lis
 
 
 def _irreducible_on_image(g: np.ndarray, tol: ToleranceConfig) -> bool:
-    """Whether the compressed images g[i, j] = Q^H Phi(E_ij) Q have only scalars as commutant.
+    """Whether the images g[i, j] of the unital normal form on the image of Phi(1) have only scalars as
+    commutant.
 
     The Gram operator L = A^H A of their commutator system A is S kron 1 +
     1 kron conj(S') - K - K^H, with S = sum G^H G, S' = sum G G^H and
@@ -235,8 +242,8 @@ def certify_optimal(phi: MapOperator, zs: ZeroSet, tol: ToleranceConfig = DEFAUL
 
 
 def certify_exposed(phi: MapOperator, zs: ZeroSet, tol: ToleranceConfig = DEFAULT_TOL) -> Certificate:
-    """Certified when the strong span fills the kernel ceiling and the map is
-    irreducible on its image.
+    """Certified when the strong span fills the kernel ceiling and the map's
+    unital normal form is irreducible on the image of Phi(1).
 
     The ceiling is n^2 m - rank Phi(1): strong vectors always lie in the
     kernel of the operator a (x) h -> Phi(a) h, whose rank equals the rank of
@@ -249,7 +256,9 @@ def certify_exposed(phi: MapOperator, zs: ZeroSet, tol: ToleranceConfig = DEFAUL
     instead of certifying.  The kept pairs
     were admitted one by one as independent strong vectors; when their count
     differs from the measured dimension the rank decision is fragile, and
-    the verdict is Inconclusive.
+    the verdict is Inconclusive.  A CP or co-CP map of rank >= 2 is a sum of
+    two positive maps that are not proportional, so not extremal; a
+    certificate for one raises CrossCheckError.
     """
     _check_compatible(phi, zs)
     n, m = phi.dim_in, phi.dim_out
@@ -263,19 +272,30 @@ def certify_exposed(phi: MapOperator, zs: ZeroSet, tol: ToleranceConfig = DEFAUL
             "the zero set contains non-zeros or the rank tolerance is off"
         )
     # every ceiling is at least 0, so a zero-free map needs neither spectrum here
-    for transposed, block, kind in ((False, "C", "completely positive"), (True, "C^G", "co-CP")) if measured else ():
-        cp_rank = _cp_rank(phi, tol, transposed)
+    cp_ranks = [_cp_rank(phi, tol, transposed) for transposed in (False, True)] if measured else []
+    for cp_rank, block, kind in zip(cp_ranks, ("C", "C^G"), ("completely positive", "co-CP")):
         if cp_rank is not None and measured > n * (n * m - cp_rank):
             raise CrossCheckError(
                 f"strong span {measured} exceeds the strong ceiling {n * (n * m - cp_rank)} = n(nm - rank {block}) "
                 f"of a {kind} map; the zero set contains non-zeros or the rank tolerance is off"
             )
-    # comm(Phi) = comm(Q^H Phi Q) (+) M_(m-r), as every image of a positive map lies in that of Phi(1)
-    irreducible_on_image = _irreducible_on_image(q.conj().T @ _image_table(phi) @ q, tol)
+    # The unital normal form a -> L^(-1/2) Q^H Phi(a) Q L^(-1/2) on the image of Phi(1), where every image
+    # of a positive map lies.  A kept negative eigenvalue of Phi(1) proves Phi not positive: it has no
+    # unital normal form, and irreducibility is not claimed.
+    positive_unit = bool(np.all(lam > 0))
+    w = q / np.sqrt(np.abs(lam))  # W = Q L^(-1/2), so that the form is a -> W^H Phi(a) W
+    irreducible_on_image = positive_unit and _irreducible_on_image(w.conj().T @ _image_table(phi) @ w, tol)
     irreducible = irreducible_on_image and unit_rank == m
     stable = len(zs.pairs) == measured
     verdict = CERTIFIED if (measured == required and irreducible_on_image and stable) else INCONCLUSIVE
+    if verdict == CERTIFIED and any(cp_rank is not None and cp_rank >= 2 for cp_rank in cp_ranks):
+        raise CrossCheckError(
+            "Exposed would be certified on a completely positive or co-CP map of rank >= 2, a sum of two "
+            "positive maps that are not proportional and so not extremal; the irreducibility test is off"
+        )
     note = _positivity_note(phi)
+    if not positive_unit:
+        note += "; Phi(1) has a negative eigenvalue, so the map is not positive and has no unital normal form"
     if not stable:
         note += (
             f"; {len(zs.pairs)} zero pairs were admitted as independent but "

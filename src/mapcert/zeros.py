@@ -21,9 +21,9 @@ Two enumeration routes are provided and are expected to agree:
   At every converged pair the full near-null eigenspaces on both sides are
   mined for further candidates, from the eigendecompositions at x and at h
   that every descent outcome carries and one stacked x step at the other
-  near-null h's.  One projection screens the pair's candidates against the
-  admitted basis first: one whose strong vector already lies in the span
-  is dropped before its residual is computed.
+  near-null h's.  The pair's candidates are offered as one block, whose
+  one projection off the admitted basis drops a candidate whose strong
+  vector already lies in the span before its residual is computed.
 * ``_kraus_zeros`` writes down exact zeros of Phi(a) = sum_s K_s a K_s^H
   (or K_s a^T K_s^H) from its Kraus stack; a conjugation a -> V^H a V (or
   V^H a^T V) is its one-operator case K = V^H, which
@@ -67,17 +67,17 @@ cached ``eigh``), not from how the map was written down, trying in order:
 3. Anything else: the harvest.
 
 Every route evaluates Phi(|conj(x)><conj(x)|) with ``maps._rank_one_images``,
-one stacked call per cut chunk of points (Kraus routes) or per screened
-block of mined candidates (harvest), and offers every candidate with its
-residual under the image of its x to one admission object; the harvest
-offers only the candidates its screen keeps, as the others would be
-rejected.  It keeps a pair only if the residual is
+one stacked call per cut chunk of points (Kraus routes) or per block of
+mined candidates that the block's projection keeps (harvest), and offers
+every candidate with its residual under the image of its x to one
+admission object.  It keeps a pair only if the residual is
 within the map's zero bar, ``maps.MapOperator._zero_bar`` (residual_rel_tol
 times the spectral scale), and the strong vector grows the running span, so
 the pair list of a ZeroSet is always a spanning subset.  Growth is decided
 by the residual of the normalized strong vector against an orthonormal
-basis of the kept ones (Gram-Schmidt, applied twice), at ``_SCREEN_TOL``;
-no SVD runs per candidate.  ``offer`` builds each candidate's strong vector
+basis of the kept ones (classical Gram-Schmidt, with a second pass after
+heavy cancellation, see ``_Admission``), at ``_SCREEN_TOL``; no SVD runs
+per candidate.  ``offer`` builds each candidate's strong vector
 once, as an outer product reshaped flat (entry for entry the Kronecker
 product, without its per-call overhead).  The ZeroSet keeps only the
 admitted pairs and builds their weak and strong vectors as rows, with the
@@ -122,9 +122,9 @@ __all__ = [
 # against the admitted basis is at or below this is dependent.
 _SCREEN_TOL = 1e-7
 
-# The harvest's screen drops a candidate whose residual against the admitted basis is at or below
-# this: ``offer`` would reject it too, as the basis only grows while a screened block is offered.
-_SCREEN_DROP = 1e-2 * _SCREEN_TOL
+# Admission runs a second Gram-Schmidt pass only when the first leaves at most this fraction of the
+# unit candidate: below it the first pass may have lost orthogonality to the basis (kappa = 10).
+_REORTHOGONALIZE = 0.1
 
 # The harvest stops once this many consecutive starts admit nothing new.
 _STALL_BUDGET = 20
@@ -189,23 +189,29 @@ class ZeroSet:
 class _Admission:
     """The zero pairs admitted so far, and the one rule that admits them.
 
-    It is built on one map and reads its dimensions and its zero bar from
-    it.  ``offer`` rejects a candidate whose residual exceeds the map's
-    ``_zero_bar``; otherwise its normalized strong vector is projected off
-    an orthonormal basis of the admitted ones by classical Gram-Schmidt,
-    twice: one pass loses orthogonality in floating point, two restore it to
-    working precision ("twice is enough", Giraud, Langou and Rozloznik
-    2005).  The pair is admitted only if the residual of both passes stays
-    above ``_SCREEN_TOL``; most rejections cost one pass.  The basis decides
-    admission only: the reported span dimension is the final SVD of the kept
-    vectors (``strong_span_dim``).  It keeps only the admitted pairs and the
-    basis; the ZeroSet builds the kept vectors again from the pairs.
+    It is built on one map and reads its dimensions, its zero bar and its
+    rank-one images from it.  A candidate whose residual exceeds the map's
+    ``_zero_bar`` is rejected; otherwise its normalized strong vector is
+    projected off an orthonormal basis of the admitted ones by classical
+    Gram-Schmidt, and the pair is admitted if the residual stays above
+    ``_SCREEN_TOL``.  One pass loses orthogonality in floating point only in
+    proportion to the cancellation it suffered, so a second pass runs only
+    when the first leaves at most ``_REORTHOGONALIZE`` of the candidate's
+    norm (Kahan's criterion, Parlett 1980, section 6-9); two passes restore
+    orthogonality to working precision ("twice is enough", Giraud, Langou and
+    Rozloznik 2005).  ``offer`` takes one candidate; ``offer_block`` takes the
+    harvest's mined candidates, projects them all off the basis with one
+    product, drops those at or below ``_SCREEN_TOL`` before their residuals
+    are computed, and runs each survivor through the same rule against only
+    the rows admitted since.  The basis decides admission only: the reported
+    span dimension is the final SVD of the kept vectors
+    (``strong_span_dim``), which the ZeroSet builds again from the pairs.
     """
 
     def __init__(self, phi: MapOperator):
         n, m = phi.dim_in, phi.dim_out
         dim = n * n * m
-        self._dims = (n, m)
+        self._phi = phi
         self._bar = phi._zero_bar
         self._basis = np.empty((dim, dim), dtype=complex)
         self.pairs: list[ZeroPair] = []
@@ -215,36 +221,49 @@ class _Admission:
             return False
         vec = _strong_vector(x, h)
         norm = _norm(vec)
-        if norm == 0:
-            return False
+        return norm > 0 and self._admit(x, h, residual, vec / norm, 0)
+
+    def offer_block(self, xs, hs) -> bool:
+        """Offer every candidate (xs[i], hs[i]) in turn, each with its residual under one stacked image
+        of the xs that the first projection keeps; whether any was admitted."""
+        strong = _strong_vector(xs, hs)
+        strong /= np.linalg.norm(strong, axis=1, keepdims=True)
+        done = len(self.pairs)
+        resids = _project_off(strong, self._basis[:done])
+        kept = np.linalg.norm(resids, axis=1) > _SCREEN_TOL
+        xs, hs, resids = xs[kept], hs[kept], resids[kept]
+        residuals = [_norm(image @ h) for h, image in zip(hs, _rank_one_images(self._phi, xs))]
+        return any([residual <= self._bar and self._admit(x, h, residual, resid, done)
+                    for x, h, resid, residual in zip(xs, hs, resids, residuals)])
+
+    def _admit(self, x, h, residual: float, resid, done: int) -> bool:
+        """Admit (x, h) if ``resid``, its unit strong vector already projected off the first ``done``
+        basis rows, keeps a residual above ``_SCREEN_TOL`` off the rest, and after a second pass over
+        the whole basis when the first left at most ``_REORTHOGONALIZE``."""
         k = len(self.pairs)
-        basis = self._basis[:k]
-        resid = vec / norm
-        for _ in range(2):
-            # coefficients <q_i, resid> as conj(Q conj(resid)): no copy of Q
-            resid = resid - (basis @ resid.conj()).conj() @ basis
+        resid = _project_off(resid, self._basis[done:k])
+        rnorm = _norm(resid)
+        if _SCREEN_TOL < rnorm <= _REORTHOGONALIZE:
+            resid = _project_off(resid, self._basis[:k])
             rnorm = _norm(resid)
-            if rnorm <= _SCREEN_TOL:
-                return False
+        if rnorm <= _SCREEN_TOL:
+            return False
         self._basis[k] = resid / rnorm
         self.pairs.append(ZeroPair(x=x, h=h, residual=residual))
         return True
-
-    def screen(self, xs, hs) -> np.ndarray:
-        """Whether each candidate (xs[i], hs[i]) may grow the span: False where the residual of its
-        normalized strong vector against the admitted basis is at or below ``_SCREEN_DROP``.  One
-        broadcast builds the vectors and one product projects them."""
-        strong = _strong_vector(xs, hs)
-        strong /= np.linalg.norm(strong, axis=1, keepdims=True)
-        basis = self._basis[: len(self.pairs)]
-        return np.linalg.norm(strong - (strong @ basis.conj().T) @ basis, axis=1) > _SCREEN_DROP
 
     def offer_all(self, candidates) -> bool:
         """Offer every (x, h, residual) in turn; whether any was admitted."""
         return any([self.offer(x, h, residual) for x, h, residual in candidates])
 
     def zero_set(self, saturated) -> ZeroSet:
-        return ZeroSet(*self._dims, self.pairs, bool(saturated))
+        return ZeroSet(self._phi.dim_in, self._phi.dim_out, self.pairs, bool(saturated))
+
+
+def _project_off(vecs, basis) -> np.ndarray:
+    """A vector, or each row of a stack, minus its projection on the orthonormal rows of ``basis``; the
+    coefficients <q_i, v> are taken as conj(conj(v) Q^T), with no copy of Q."""
+    return vecs - (vecs.conj() @ basis.T).conj() @ basis
 
 
 def _stalls(offer, window: int, cap: int, full=lambda: False) -> bool:
@@ -291,13 +310,9 @@ def _mine_candidates(phi, outcome):
 
 
 def _offer_mined(phi, admission, outcome) -> bool:
-    """Offer the candidates mined at a converged pair that pass the admission's screen, in mining order,
-    each with its residual under one stacked image of their xs; whether any was admitted."""
-    xs, hs = _mine_candidates(phi, outcome)
-    kept = admission.screen(xs, hs)
-    xs, hs = xs[kept], hs[kept]
-    return admission.offer_all((x, h, _norm(image @ h))
-                               for x, h, image in zip(xs, hs, _rank_one_images(phi, xs)))
+    """Offer the candidates mined at a converged pair as one block, in mining order; whether any was
+    admitted."""
+    return admission.offer_block(*_mine_candidates(phi, outcome))
 
 
 def _budget(phi: MapOperator, starts: int | None) -> int:
@@ -343,7 +358,7 @@ def harvest_zeros(phi: MapOperator, seed: int = 0, starts: int | None = None) ->
     chunks, each drawn and descended as one stack, and their outcomes are
     offered one by one in start order: the pairs, their order and
     ``saturated`` are those of a start-by-start loop.  Each converged pair's
-    candidates pass ``_Admission.screen`` before ``offer``.  Deterministic
+    candidates go to ``_Admission.offer_block``.  Deterministic
     for a fixed seed.  It decides no rank, so it takes no tolerance:
     descents, mining and admission all read the map's ``_zero_bar``.
     """

@@ -22,7 +22,7 @@ from mapcert.certify import (
 )
 from mapcert.documents import parse_map_file, to_map_operator
 from mapcert.errors import CrossCheckError, DimensionMismatch, EmptyZeroSet
-from mapcert.experiments import random_cp_map
+from mapcert.experiments import random_cp_map, random_rank_operator, sweep_cells
 from mapcert.linalg import ToleranceConfig, image_projector, span_dimension
 from mapcert.maps import (
     apply,
@@ -368,17 +368,64 @@ def test_exposed_cross_check_on_a_strong_span_above_the_cp_ceiling():
         certify_exposed(phi, harvest_zeros(phi, seed=0))
 
 
+def partial_transpose(phi):
+    """The map a -> Phi(a^T): its block matrix is the partial transpose of Phi's."""
+    n, m = phi.dim_in, phi.dim_out
+    return mapcert.maps.MapOperator(n, m, phi.choi.reshape(n, m, n, m).transpose(2, 1, 0, 3).reshape(n * m, n * m))
+
+
 def test_exposed_cross_check_on_a_strong_span_above_the_co_cp_ceiling():
     # Phi(a) = Psi(a^T) for a CP map Psi: the partial transpose of C is Psi's block matrix, and
     # Phi's strong vectors are Psi's with the first two factors swapped, so the span is at most
     # n (nm - rank C^G) = 18 for three Kraus operators on 3x3; the harvest's inexact pairs span 24
-    psi = random_cp_map(3, 3, 3, seed=4)
-    phi = mapcert.maps.MapOperator(3, 3, psi.choi.reshape(3, 3, 3, 3).transpose(2, 1, 0, 3).reshape(9, 9))
+    phi = partial_transpose(random_cp_map(3, 3, 3, seed=4))
     assert mapcert.maps._cp_rank(phi) is None and mapcert.maps._cp_rank(phi, transposed=True) == 3
     with pytest.raises(CrossCheckError, match=r"strong span 24 exceeds the strong ceiling 18 = n\(nm - rank C\^G\) of a co-CP map"):
         certify_exposed(phi, harvest_zeros(phi, seed=0))
     # the transpose map is co-CP with rank C^G = 1: its exact zeros fill the ceiling n (nm - 1) = 6
     assert certify_exposed(transpose_map(2), analytic_zeros_conjugation(np.eye(2), transposed=True)).certified
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("n, m, k", [(2, 4, 2), (2, 5, 2), (3, 6, 2)])
+def test_a_cp_or_co_cp_map_of_rank_two_is_never_certified_exposed(n, m, k, seed):
+    # Phi = Phi_1 + Phi_2 with Phi_s = K_s . K_s^H is not extremal, so not exposed.  At nk <= m its
+    # strong span still fills the kernel ceiling, and only irreducibility of the unital normal form,
+    # which agrees with a one-dimensional intertwiner space, withholds the certificate
+    cp = random_cp_map(n, m, k, seed=seed)
+    for phi in (cp, partial_transpose(cp)):
+        cert = certify_exposed(phi, find_zeros(phi))
+        assert cert.measured_dim == cert.required_dim and cert.verdict == INCONCLUSIVE
+        assert cert.irreducible == cert.irreducible_on_image == (intertwiner_space(phi).real_dimension == 1) == False
+
+
+@pytest.mark.parametrize("transposed", [True, False])
+def test_irreducibility_agrees_with_the_intertwiner_space_on_the_sweep_cells(transposed):
+    for n, m, r in sweep_cells():
+        v = random_rank_operator(n, m, r, seed=0)
+        phi = from_conjugation(v, transposed=transposed)
+        cert = certify_exposed(phi, analytic_zeros_conjugation(v, transposed=transposed))
+        assert cert.irreducible == (intertwiner_space(phi).real_dimension == 1), (n, m, r)
+
+
+def test_exposed_cross_check_on_a_certificate_for_a_cp_map_of_rank_two(monkeypatch):
+    # a regression in the irreducibility test must not certify a map its Choi spectrum proves not extremal
+    phi = random_cp_map(2, 4, 2, seed=0)
+    zs = find_zeros(phi)
+    monkeypatch.setattr(mapcert.certify, "_irreducible_on_image", lambda g, tol: True)
+    with pytest.raises(CrossCheckError, match="not extremal"):
+        certify_exposed(phi, zs)
+
+
+def test_a_negative_eigenvalue_of_the_unit_image_claims_no_irreducibility():
+    # a -> -a^T sends 1 to -1, so it is not positive and has no unital normal form: the strong span
+    # of the transpose map's zeros fills its kernel ceiling, and the verdict is Inconclusive, not NaN
+    phi = mapcert.maps.MapOperator(2, 2, -transpose_map(2).choi)
+    with np.errstate(all="raise"):
+        cert = certify_exposed(phi, analytic_zeros_conjugation(np.eye(2), transposed=True))
+    assert (cert.measured_dim, cert.required_dim, cert.verdict) == (6, 6, INCONCLUSIVE)
+    assert (cert.irreducible, cert.irreducible_on_image) == (False, False)
+    assert "negative eigenvalue" in cert.conditional_note
 
 
 def test_the_kraus_route_and_the_certificate_share_one_eigh_of_the_unit_image(monkeypatch):

@@ -460,24 +460,113 @@ def pair_list(zs):
     (from_conjugation(random_rank_operator(4, 5, 1, seed=1), transposed=True), 1),
 ], ids=["choi-1.5-seed0", "choi-1.5-seed1", "cell-3x4-rank2", "cell-4x5-rank1"])
 def test_the_screen_never_changes_admission(monkeypatch, phi, seed):
-    # the screen drops only candidates that offer would reject: with its bar at 0 it drops none, and
-    # the same pairs are kept in the same order, with the same residuals
-    dropped = []
-    screen = _Admission.screen
+    # the block offer's first projection drops only candidates that its own rule would reject: with
+    # its cut at 0, every mined candidate is offered one by one with its residual, and the same pairs
+    # are kept in the same order, with the same residuals.  Dropped candidates are the mined rows
+    # whose image was never evaluated
+    mined, evaluated = [], []
+    mine, images = mapcert.zeros._mine_candidates, mapcert.zeros._rank_one_images
 
-    def counted(self, xs, hs):
-        kept = screen(self, xs, hs)
-        dropped.append(int(np.sum(~kept)))
-        return kept
+    def counted_mine(phi, outcome):
+        xs, hs = mine(phi, outcome)
+        mined.append(len(xs))
+        return xs, hs
 
-    monkeypatch.setattr(_Admission, "screen", counted)
+    def counted_images(phi, xs):
+        evaluated.append(len(xs))
+        return images(phi, xs)
+
+    def unscreened(phi, admission, outcome):
+        xs, hs = mapcert.zeros._mine_candidates(phi, outcome)
+        residuals = [float(np.linalg.norm(image @ h)) for h, image in zip(hs, mapcert.zeros._rank_one_images(phi, xs))]
+        return admission.offer_all(zip(xs, hs, residuals))
+
+    monkeypatch.setattr(mapcert.zeros, "_mine_candidates", counted_mine)
+    monkeypatch.setattr(mapcert.zeros, "_rank_one_images", counted_images)
     screened = harvest_zeros(phi, seed=seed)
-    assert sum(dropped) > 0
-    dropped.clear()
-    monkeypatch.setattr(mapcert.zeros, "_SCREEN_DROP", 0.0)
-    unscreened = harvest_zeros(phi, seed=seed)
-    assert sum(dropped) == 0
-    assert pair_list(screened) == pair_list(unscreened) and screened.saturated == unscreened.saturated
+    assert sum(mined) > sum(evaluated)
+    mined.clear()
+    evaluated.clear()
+    monkeypatch.setattr(mapcert.zeros, "_offer_mined", unscreened)
+    unscreened_set = harvest_zeros(phi, seed=seed)
+    assert sum(mined) == sum(evaluated)
+    assert pair_list(screened) == pair_list(unscreened_set) and screened.saturated == unscreened_set.saturated
+
+
+class GramSchmidtTwice:
+    """Reference admission: classical Gram-Schmidt applied twice to every candidate, which is admitted
+    when its normalized residual off the orthonormal basis of the admitted ones exceeds 1e-7."""
+
+    def __init__(self, dim):
+        self.basis = np.zeros((0, dim), dtype=complex)
+
+    def residual(self, vec):
+        resid = vec / np.linalg.norm(vec)
+        for _ in range(2):
+            resid = resid - self.basis.T @ (self.basis.conj() @ resid)
+        return resid
+
+    def offer(self, vec):
+        resid = self.residual(vec)
+        if np.linalg.norm(resid) <= 1e-7:
+            return False
+        self.basis = np.vstack([self.basis, resid / np.linalg.norm(resid)])
+        return True
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 3), m=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+       kinds=st.lists(st.sampled_from(["random", "repeat", "near-1e-5", "near-1e-9"]), min_size=1, max_size=40),
+       blocks=st.lists(st.integers(1, 8), min_size=1, max_size=40))
+def test_both_admission_entry_points_admit_what_gram_schmidt_twice_admits(n, m, seed, kinds, blocks):
+    # a stream of exact repeats, random directions and perturbations of earlier candidates that leave
+    # them about 1e-5 or 1e-9 off the admitted span; a candidate whose reference residual lies within
+    # 10x of the 1e-7 cut is left out of the stream, where rounding may decide it either way
+    rng = np.random.default_rng(seed)
+    reference, stream, expected = GramSchmidtTwice(n * n * m), [], []
+    for kind in kinds:
+        if kind == "random" or not stream:
+            x, h = _random_unit(rng, n), _random_unit(rng, m)
+        else:
+            x, h = stream[rng.integers(len(stream))]
+            if kind != "repeat":
+                delta = 1e-5 if kind == "near-1e-5" else 1e-9
+                x, h = _normalize(x + delta * _random_unit(rng, n)), _normalize(h + delta * _random_unit(rng, m))
+        if not 1e-8 <= np.linalg.norm(reference.residual(_strong_vector(x, h))) <= 1e-6:
+            stream.append((x, h))
+            if reference.offer(_strong_vector(x, h)):
+                expected.append((x.tobytes(), h.tobytes()))
+    phi = random_cp_map(n, m, 1, seed=0)
+    phi.__dict__["_zero_bar"] = np.inf  # every candidate passes the residual test
+    one_by_one, blocked = _Admission(phi), _Admission(phi)
+    one_by_one.offer_all((x, h, 0.0) for x, h in stream)
+    cuts = np.cumsum([0, *blocks])
+    cuts = [*cuts[cuts < len(stream)], len(stream)]
+    for lo, hi in zip(cuts, cuts[1:]):
+        xs, hs = zip(*stream[lo:hi])
+        blocked.offer_block(np.array(xs), np.array(hs))
+    for admission in (one_by_one, blocked):
+        assert [(p.x.tobytes(), p.h.tobytes()) for p in admission.pairs] == expected
+
+
+def test_the_admission_basis_stays_orthonormal_to_1e_10(monkeypatch):
+    # the second Gram-Schmidt pass runs only after heavy cancellation, which leaves the basis orthonormal
+    # to far better than the 1e-7 cut on the largest exact routes and on the harvest of every sweep cell
+    bases = []
+    zero_set = _Admission.zero_set
+
+    def recorded(self, saturated):
+        bases.append(self._basis[: len(self.pairs)].copy())
+        return zero_set(self, saturated)
+
+    monkeypatch.setattr(_Admission, "zero_set", recorded)
+    analytic_zeros_conjugation(random_rank_operator(6, 8, 5, seed=1), transposed=True)
+    analytic_zeros_conjugation(random_rank_operator(6, 6, 6, seed=1), transposed=False)
+    for n, m, r in sweep_cells():
+        harvest_zeros(from_conjugation(random_rank_operator(n, m, r, seed=1), transposed=True), seed=1)
+    assert len(bases) == 2 + len(sweep_cells()) and len(bases[0]) > 200
+    for basis in bases:
+        assert np.max(np.abs(basis @ basis.conj().T - np.eye(len(basis)))) <= 1e-10
 
 
 def test_harvest_rejects_empty_budget():
