@@ -11,14 +11,15 @@ it against two closed-form candidates that disagree whenever n != m:
 Three routes produce the measured value: the exact Kraus route on the one
 operator K = V^H, the structure-blind harvest, and a brute-force oracle
 that solves the zero condition exactly in h over a dense random grid of x.
-The oracle is deliberately naive.  It shares ``linalg``'s row-kernel solve
-with the Kraus route and ``numerical_rank`` with both.  It shares neither
-the Kraus stack, nor its points, nor admission, so it still catches a bug
-in any of those.  Each of its stages runs as whole-array steps (one draw per
-kind of point, one stacked row-kernel solve, one broadcast per kernel width),
-which change no math: the same points, kernels and columns as a loop over
-points.  The stages are nested, and each makes its one rank decision on a
-running triangular factor of every column drawn so far.
+The oracle is deliberately naive.  It shares ``linalg``'s free-row rule and
+closed-form row kernels with the Kraus route and ``numerical_rank`` with
+both.  It shares neither the Kraus stack, nor its points, nor admission, so
+it still catches a bug in any of those.  Each of its stages runs as
+whole-array steps (one draw per kind of point, one closed-form kernel block
+for its generic rows, one broadcast per kind of row), which change no math:
+the same points, kernel spans and columns as a loop over points.  The
+stages are nested, and each makes its one rank decision on a running
+triangular factor of every column drawn so far.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CrossCheckError, DimensionMismatch, OracleUnstable, RankInfeasible, ZeroOperator
-from .linalg import DEFAULT_TOL, ToleranceConfig, _rank_from_singular_values, _row_kernels, as_matrix
-from .linalg import image_projector, kernel_basis, numerical_rank
+from .linalg import DEFAULT_TOL, ToleranceConfig, _rank_from_singular_values, as_matrix, image_projector, numerical_rank
+from .linalg import _free_rows, _householder_kernels
 from .maps import MapOperator, _gaussian_rows, _ginibre, apply, choi_spectral_scale, cp_map_from_kraus, from_conjugation
 from .zeros import _kraus_zeros, harvest_zeros, strong_span_dim
 
@@ -241,12 +242,13 @@ def _unit_rows(rng, count, dim) -> np.ndarray:
 
 
 def _oracle_generators(v, transposed, sigma_top, stratum, grid, tol, seed, stage) -> np.ndarray:
-    """Strong vectors of every sampled zero pair, as matrix columns in the order of the points.
+    """Strong vectors of every sampled zero pair, as matrix columns: those of the points with a
+    generic row first, then those of the free rows, each in the order of the points.
 
-    Each step runs on the whole stage at once: one draw per kind of point, one
-    stacked row-kernel solve, one broadcast per kernel width.  Batching changes no
-    math: the points, their kernels and the columns are those of a loop over points
-    up to rounding, and the stage still ends in one rank decision.
+    Each step runs on the whole stage at once: one draw per kind of point, one closed-form
+    kernel per generic row, one broadcast per kind of row.  Batching changes no math: the
+    points, their kernels and the columns are those of a loop over points up to rounding, and
+    the stage still ends in one rank decision.
     """
     n, m = v.shape
     rng = np.random.default_rng([seed, stage])
@@ -256,18 +258,15 @@ def _oracle_generators(v, transposed, sigma_top, stratum, grid, tol, seed, stage
         # row-free; sample it explicitly or its contribution is lost.
         d = stratum.shape[1]
         xs = np.vstack([xs, _unit_rows(rng, (d * d + d + 4) * max(1, stage + 1), d) @ stratum.T])
-    # The h solutions at x are the kernel of its 1 x m row.
-    solutions = _row_kernels((xs.conj() if transposed else xs) @ v, sigma_top, tol)
-    widths = np.array([hs.shape[1] for hs in solutions])
-    groups = []
-    for width in np.unique(widths):  # m - 1 at generic x, m where the row is free
-        points = np.flatnonzero(widths == width)
-        x, hs = xs[points], np.stack([solutions[i] for i in points])
-        # conj(x) (x) x (x) hs[:, k] for every point and k, as an (n, n, m) block per column
-        block = (x.conj()[:, :, None] * x[:, None, :])[:, :, :, None, None] * hs[:, None, None, :, :]
-        block = block.reshape(len(points), n * n * m, width).transpose(1, 0, 2)
-        groups.append(block.reshape(n * n * m, len(points) * width))
-    return np.hstack(groups)
+    # The h solutions at x are the kernel of its 1 x m row: m - 1 columns, or all of C^m where it is free.
+    rows = (xs.conj() if transposed else xs) @ v
+    free = _free_rows(rows, sigma_top, tol)
+
+    def strong(x, hs):  # conj(x) (x) x (x) hs[:, :, j] for every point and j, as an (n, n, m) block per column
+        block = (x.conj()[:, :, None] * x[:, None, :])[:, :, :, None, None] * hs[:, None, None]
+        return block.reshape(len(x), n * n * m, hs.shape[-1]).transpose(1, 0, 2).reshape(n * n * m, -1)
+
+    return np.hstack([strong(xs[~free], _householder_kernels(rows[~free])), strong(xs[free], np.eye(m)[None])])
 
 
 # x points the oracle draws at its first stage; each further stage draws as many
@@ -299,9 +298,10 @@ def brute_force_strong_dim_oracle(
     if not np.any(v):
         raise ZeroOperator("the zero operator has no zero structure worth measuring")
     n, m = v.shape
-    s = np.linalg.svd(v, compute_uv=False)  # sigma_max and rank of V, once per call
-    full_rank = _rank_from_singular_values(s, tol) == n
-    stratum = None if full_rank else kernel_basis(v.conj().T if transposed else v.T, tol)
+    u, s, _ = np.linalg.svd(v)  # sigma_max, rank V and the stratum: one SVD per call
+    rank = _rank_from_singular_values(s, tol)
+    # the stratum is ker V^H = U[:, rank:] (transposed), else ker V^T, its conjugate
+    stratum = None if rank == n else (u[:, rank:] if transposed else u[:, rank:].conj())
     r = np.zeros((0, n * n * m), dtype=complex)
     drawn, stages = 0, []  # (points drawn so far, dimension) per stage
     for stage in range(5):

@@ -111,21 +111,45 @@ def kernel_basis(matrix, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     return vh[rank:].conj().T
 
 
-def _row_kernels(rows: np.ndarray, ref: float, tol: ToleranceConfig) -> list[np.ndarray]:
-    """Kernel basis (as columns) of each row of a K x m array, or of each k x m block of a
-    (K, k, m) array, from one stacked SVD.
+def _free_rows(blocks: np.ndarray, ref: float, tol: ToleranceConfig) -> np.ndarray:
+    """Mask of the rows (P x m) or k x m blocks (P, k, m) of norm at most ``rank_rel_tol * ref``: free, kernel C^m."""
+    return np.linalg.norm(blocks, axis=tuple(range(1, blocks.ndim))) <= tol.rank_rel_tol * ref
 
-    A row (block) of norm at most ``rank_rel_tol * ref`` is free: its kernel is all of
-    C^m.  Each other one is cut bitwise as ``kernel_basis`` cuts it alone: its nonzero
-    block has s[0] > 0, so one stacked count is ``_rank_from_singular_values`` of each.
+
+def _householder_kernels(rows: np.ndarray) -> np.ndarray:
+    """Orthonormal kernel basis of each nonzero row r of a P x m array, as one (P, m, m - 1) array.
+
+    A nonzero row has rank 1, so no rank is decided: with v = conj(r) / ||r|| and w = v + phase(v_1)
+    e_1 (phase 1 where v_1 = 0), the Householder reflector I - w w^H / (1 + |v_1|) maps v onto a
+    multiple of e_1 (Golub and Van Loan, Matrix Computations, 4th ed., 5.1.2), so its last m - 1
+    columns are orthonormal and orthogonal to v: a basis of the kernel of r."""
+    v = rows.conj() / np.abs(rows).max(axis=1, keepdims=True)  # largest modulus 1: the norm below cannot
+    v /= np.linalg.norm(v, axis=1, keepdims=True)  # overflow or underflow, whatever the scale of r
+    head = np.abs(v[:, 0])
+    w = v.copy()
+    w[:, 0] += np.divide(v[:, 0], head, out=np.ones_like(v[:, 0]), where=head > 0)
+    scaled = v[:, None, 1:].conj() / (1 + head)[:, None, None]
+    return np.eye(rows.shape[1], rows.shape[1] - 1, k=-1) - w[:, :, None] * scaled
+
+
+def _row_kernels(blocks: np.ndarray, ref: float, tol: ToleranceConfig) -> list[np.ndarray]:
+    """Kernel basis (as columns) of each k x m block of a (K, k, m) array.
+
+    A free block, see ``_free_rows``, has all of C^m as its kernel.  Blocks of height 1 (rows)
+    are cut in closed form by ``_householder_kernels``; taller blocks by one stacked SVD, each at
+    its own relative threshold: its nonzero block has s[0] > 0, so one stacked count is
+    ``_rank_from_singular_values`` of each.
     """
-    blocks = rows if rows.ndim == 3 else rows[:, None, :]
-    free = np.linalg.norm(blocks, axis=(1, 2)) <= tol.rank_rel_tol * ref
-    kernels = [np.eye(rows.shape[-1], dtype=complex)] * rows.shape[0]
-    _, s, vh = np.linalg.svd(blocks[~free], full_matrices=True)
-    ranks = np.count_nonzero(s > tol.rank_rel_tol * s[:, :1], axis=1)
-    for i, rank, v in zip(np.flatnonzero(~free), ranks, vh.conj().transpose(0, 2, 1)):
-        kernels[i] = v[:, rank:]
+    free = _free_rows(blocks, ref, tol)
+    kernels = [np.eye(blocks.shape[2], dtype=complex)] * len(blocks)
+    if blocks.shape[1] == 1:
+        cut = _householder_kernels(blocks[~free, 0])
+    else:
+        _, s, vh = np.linalg.svd(blocks[~free], full_matrices=True)
+        ranks = np.count_nonzero(s > tol.rank_rel_tol * s[:, :1], axis=1)
+        cut = [v[:, rank:] for rank, v in zip(ranks, vh.conj().transpose(0, 2, 1))]
+    for i, kernel in zip(np.flatnonzero(~free), cut):
+        kernels[i] = kernel
     return kernels
 
 

@@ -29,8 +29,9 @@ Two enumeration routes are provided and are expected to agree:
   V^H a^T V) is its one-operator case K = V^H, which
   ``analytic_zeros_conjugation`` runs.  At a fixed x the zero condition is
   linear in h; a chunk of points is row-normalized once and cut by one
-  ``linalg._row_kernels`` solve, which the oracle shares, and each point
-  and each of its orthonormal kernel columns is offered as it is.
+  ``linalg._row_kernels`` solve (a conjugation's rows in the closed form
+  the oracle shares), and each point and each of its orthonormal kernel
+  columns is offered as it is.
 
 ``find_zeros`` picks the route from the spectrum of C (the map's one
 cached ``eigh``), not from how the map was written down, trying in order:
@@ -50,7 +51,8 @@ cached ``eigh``), not from how the map was written down, trying in order:
    points miss it, so it is sampled on its own.  If r < m (or n = 1, one
    point), every x has partners: random points are drawn at once, and
    their left kernels are cut one chunk at a time, one ``_row_kernels``
-   solve per chunk, only as far as the search runs.  If r = m, M(y) R
+   solve per chunk (in closed form at k = 1, else one stacked SVD), only
+   as far as the search runs.  If r = m, M(y) R
    (R = 1 at k = m, else a fixed random k x m matrix) is singular at every
    zero, so on a line y = a + t b the zeros lie among the roots of
    det(A + tB) = 0, the eigenvalues of -B^-1 A.  At n = 2 one line is all
@@ -420,9 +422,9 @@ def _kraus_zeros(phi: MapOperator, stack: np.ndarray, transposed: bool, tol: Tol
 
     def offered(ys, bound):
         """Whether each point y of a batch admits a pair, until the admitted count reaches ``bound``.
-        The batch is row-normalized once, the left kernels of its M(y) are cut by one stacked SVD and the
-        images of its points x (y, or conj(y)) are one stack; x is offered with every orthonormal kernel
-        column h as they are, each with its residual under the image of x."""
+        The batch is row-normalized once, the left kernels of its M(y) are cut by one ``_row_kernels`` solve
+        and the images of its points x (y, or conj(y)) are one stack; x is offered with every orthonormal
+        kernel column h as they are, each with its residual under the image of x."""
         ys = ys / np.linalg.norm(ys, axis=1, keepdims=True)
         kernels = _row_kernels(np.einsum("smn,pn->psm", stack, ys).conj(), ref, tol)
         xs = ys if transposed else ys.conj()

@@ -227,11 +227,11 @@ def test_analyze_prepares_the_map_once(tmp_path, monkeypatch, capsys):
     # read from the block matrix's one eigh, and the route decision adds the
     # eigh of its partial transpose (rank 1: a transposed conjugation); SVDs:
     # the Kraus route's generic rank of M(y) and the common kernel of its
-    # stack (empty at rank V = n), its row-kernel cuts of 4 and 4 of its 16
-    # points (the admitted count reaches the ceiling n(nm - 1) = 10 at the
-    # 6th point, so the last two points of the second cut are not offered and
-    # no third cut runs; no cut outruns the window), then weak span and
-    # strong span;
+    # stack (empty at rank V = n), then weak span and strong span; none for
+    # its row-kernel cuts of 4 and 4 of its 16 points (k = 1: each point's
+    # kernel is one row's, cut in closed form; the admitted count reaches the
+    # ceiling n(nm - 1) = 10 at the 6th point, so the last two points of the
+    # second cut are not offered and no third cut runs);
     # none for irreducibility: Phi(1) is decomposed by one m x m eigh, and the
     # eigvalsh of the compressed map's Gram operator proves its commutant
     # trivial, so no commutant SVD runs
@@ -239,7 +239,7 @@ def test_analyze_prepares_the_map_once(tmp_path, monkeypatch, capsys):
     assert counts.operators == [(2, 3)]
     assert counts.scales == 0
     assert counts.spectra == 2
-    assert counts.svds == 6
+    assert counts.svds == 4
 
 
 def test_sweep_prepares_each_cell_map_once(monkeypatch, capsys):

@@ -121,6 +121,15 @@ def test_oracle_frozen_values(v, transposed, expected):
     assert brute_force_strong_dim_oracle(v, transposed=transposed, seed=0) == expected
 
 
+@pytest.mark.parametrize("scale", [1e-160, 1e160])
+def test_the_oracle_dimension_does_not_depend_on_the_scale_of_v(scale):
+    # each row's kernel is cut from the row scaled to its largest entry, so its norm neither
+    # overflows nor underflows; the free rule is relative to sigma_max, but its plain row norm
+    # still underflows to 0 below about 1e-162, where every row would read free
+    v = random_rank_operator(3, 4, 2, seed=1)
+    assert brute_force_strong_dim_oracle(scale * v, seed=0) == brute_force_strong_dim_oracle(v, seed=0) == 33
+
+
 def test_oracle_agrees_with_analytic_routes():
     v = random_rank_operator(2, 3, 2, seed=8)
     report = run_dimension_sweep(2, 3, 2, seed=8)
@@ -168,9 +177,39 @@ def test_batched_oracle_generators_equal_the_per_point_kronecker_construction(n,
         # generic points give m - 1 partners, the stratum's free rows all m
         assert (free_points > 0) == (stratum is not None)
         assert batched.shape == reference.shape == (n * n * m, 30 * (m - 1) + free_points * m)
-        # not bitwise: a row norm over a stack may round the last bit otherwise than a 1-d norm
-        assert np.linalg.norm(batched - reference) <= 1e-13 * np.linalg.norm(reference)
+        # each point's columns span its reference columns: both are orthonormal (a unit conj(x) (x) x
+        # times orthonormal partners), so their projectors are B B^H, whatever kernel basis was cut
+        ends = np.cumsum([m - 1] * 30 + [m] * free_points)
+        for b, r in zip(np.split(batched, ends[:-1], axis=1), np.split(reference, ends[:-1], axis=1)):
+            assert np.linalg.norm(b @ b.conj().T - r @ r.conj().T) <= 1e-13 * np.linalg.norm(r @ r.conj().T)
         assert span_dimension(batched) == span_dimension(reference)
+
+
+@pytest.mark.parametrize("grid", [200, 8])
+@pytest.mark.parametrize("n,m,rank,transposed", [(3, 4, 3, True), (4, 3, 2, True), (3, 3, 2, False), (3, 2, 1, False)])
+def test_one_oracle_call_runs_one_svd_of_v_and_one_per_stage(n, m, rank, transposed, grid, monkeypatch):
+    # sigma_max, rank V and the stratum come from one SVD of V, the kernels of the rows at the points
+    # need none, and each stage decides one rank; rank V < n (a stratum) costs no further SVD
+    v = random_rank_operator(n, m, rank, seed=5)
+    svd, generators = np.linalg.svd, experiments._oracle_generators
+    counts = {"svd": 0, "stages": 0}
+
+    def counted_svd(*args, **kwargs):
+        counts["svd"] += 1
+        return svd(*args, **kwargs)
+
+    def counted_generators(*args):
+        counts["stages"] += 1
+        return generators(*args)
+
+    monkeypatch.setattr(experiments, "_ORACLE_GRID", grid)
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    monkeypatch.setattr(experiments, "_oracle_generators", counted_generators)
+    try:
+        brute_force_strong_dim_oracle(v, transposed=transposed, seed=5)
+    except OracleUnstable:
+        pass
+    assert counts["stages"] >= 2 and counts["svd"] == 1 + counts["stages"]
 
 
 @pytest.mark.parametrize("grid", [200, 8])

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -180,30 +180,70 @@ def test_span_dimension_scale_and_order_invariant(seed, scale):
     assert span_dimension(vectors[:, ::-1]) == base
 
 
+def check_row_kernel(row, kernel):
+    """The contract of a non-free row's kernel: m - 1 orthonormal columns that the row annihilates,
+    spanning what ``kernel_basis`` spans."""
+    m = row.shape[0]
+    assert kernel.shape == (m, m - 1)
+    assert np.linalg.norm(kernel.conj().T @ kernel - np.eye(m - 1)) <= 1e-14
+    assert np.linalg.norm(row @ kernel) <= 1e-14 * np.linalg.norm(row)
+    basis = kernel_basis(row[None], DEFAULT_TOL)
+    assert np.linalg.norm(kernel @ kernel.conj().T - basis @ basis.conj().T) <= 1e-13
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 5])
-def test_row_kernels_equal_per_row_kernel_basis_bitwise(m):
+def test_row_kernels_free_rows_are_all_of_c_m_and_others_their_kernel(m):
     rng = np.random.default_rng(m)
     rows = ginibre(rng, 9, m)
     rows[[1, 4]] = 1e-12 * rows[[1, 4]]  # free at ref 1: all of C^m
     rows[6] = 0.0
-    kernels = _row_kernels(rows, 1.0, DEFAULT_TOL)
+    kernels = _row_kernels(rows[:, None], 1.0, DEFAULT_TOL)
     assert len(kernels) == 9
     for i, kernel in enumerate(kernels):
         if i in (1, 4, 6):
             assert np.array_equal(kernel, np.eye(m))
         else:
-            expected = kernel_basis(rows[i : i + 1], DEFAULT_TOL)
-            assert kernel.shape == (m, m - 1)
-            assert np.array_equal(kernel, expected)
+            check_row_kernel(rows[i], kernel)
+
+
+EDGE_ROWS = {
+    "leading-zero": [0.0, 1 - 2j, 0.5j, 3.0],
+    "e1": [1.0, 0.0, 0.0, 0.0],
+    "em": [0.0, 0.0, 0.0, 1.0],
+    "imaginary": [1j, -2j, 0.25j, 3j],
+}
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e45, 1e-45])
+@pytest.mark.parametrize("name", EDGE_ROWS)
+def test_row_kernels_of_edge_rows(name, scale):
+    # the reflector's phase is 1 where the leading entry is 0; the row and ref scale together
+    row = scale * np.array(EDGE_ROWS[name], dtype=complex)
+    [kernel] = _row_kernels(row[None, None], scale, DEFAULT_TOL)
+    check_row_kernel(row, kernel)
+
+
+@settings(deadline=None, max_examples=50)
+@given(rows=arrays(complex, st.tuples(st.integers(1, 4), st.integers(1, 6)), elements=st.one_of(
+    st.just(0j), st.complex_numbers(min_magnitude=1e-100, max_magnitude=1e100, allow_nan=False, allow_infinity=False))))
+def test_row_kernels_meet_their_contract_on_random_rows(rows):
+    norms = np.linalg.norm(rows, axis=1)
+    ref = float(norms.max())
+    assume(ref > 0)
+    for row, norm, kernel in zip(rows, norms, _row_kernels(rows[:, None], ref, DEFAULT_TOL)):
+        if norm <= DEFAULT_TOL.rank_rel_tol * ref:
+            assert np.array_equal(kernel, np.eye(rows.shape[1]))
+        else:
+            check_row_kernel(row, kernel)
 
 
 def test_row_kernels_of_an_all_free_stack():
     rows = np.zeros((3, 4), dtype=complex)
     rows[0, 0] = 1e-9
-    kernels = _row_kernels(rows, 1.0, DEFAULT_TOL)
+    kernels = _row_kernels(rows[:, None], 1.0, DEFAULT_TOL)
     assert len(kernels) == 3
     assert all(np.array_equal(kernel, np.eye(4)) for kernel in kernels)
-    assert _row_kernels(rows[:0], 1.0, DEFAULT_TOL) == []
+    assert _row_kernels(rows[:0, None], 1.0, DEFAULT_TOL) == []
 
 
 @st.composite

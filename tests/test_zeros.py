@@ -295,10 +295,9 @@ def test_analytic_svd_count_does_not_grow_with_the_grid(monkeypatch):
                 done += size
             # each search stops at its ceiling here, not at its stall or its last point
             assert count == ceiling
-        # the SVDs: the generic rank of M(y) = V^H y at one point, the common kernel of V^H, and
-        # one row-kernel solve per cut; no SVD per point
-        cuts = sum(kind == "cut" for kind, *_ in events)
-        assert counts["svd"] == 2 + cuts < counts["points"]
+        # the SVDs: the generic rank of M(y) = V^H y at one point and the common kernel of V^H; none
+        # per cut or per point, since at k = 1 each point's kernel is one row's, cut in closed form
+        assert counts["svd"] == 2 < counts["points"]
         assert zs.saturated and len(zs.pairs) == strong_span_dim(zs) == n * n * m - n
         # a point of the common kernel adds at most m strong directions and a generic one (m - 1
         # partners) at most m - 1, so each search offers at least that many points
