@@ -260,13 +260,13 @@ def _oracle_generators(v, transposed, sigma_top, stratum, grid, tol, seed, stage
         xs = np.vstack([xs, _unit_rows(rng, (d * d + d + 4) * max(1, stage + 1), d) @ stratum.T])
     # The h solutions at x are the kernel of its 1 x m row: m - 1 columns, or all of C^m where it is free.
     rows = (xs.conj() if transposed else xs) @ v
-    free = _free_rows(rows, sigma_top, tol)
+    free, top = _free_rows(rows, sigma_top, tol)
 
     def strong(x, hs):  # conj(x) (x) x (x) hs[:, :, j] for every point and j, as an (n, n, m) block per column
         block = (x.conj()[:, :, None] * x[:, None, :])[:, :, :, None, None] * hs[:, None, None]
         return block.reshape(len(x), n * n * m, hs.shape[-1]).transpose(1, 0, 2).reshape(n * n * m, -1)
 
-    return np.hstack([strong(xs[~free], _householder_kernels(rows[~free])), strong(xs[free], np.eye(m)[None])])
+    return np.hstack([strong(xs[~free], _householder_kernels(rows[~free], top[~free])), strong(xs[free], np.eye(m)[None])])
 
 
 # x points the oracle draws at its first stage; each further stage draws as many

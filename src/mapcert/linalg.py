@@ -111,19 +111,22 @@ def kernel_basis(matrix, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     return vh[rank:].conj().T
 
 
-def _free_rows(blocks: np.ndarray, ref: float, tol: ToleranceConfig) -> np.ndarray:
-    """Mask of the rows (P x m) or k x m blocks (P, k, m) of norm at most ``rank_rel_tol * ref``: free, kernel C^m."""
-    return np.linalg.norm(blocks, axis=tuple(range(1, blocks.ndim))) <= tol.rank_rel_tol * ref
+def _free_rows(blocks: np.ndarray, ref: float, tol: ToleranceConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Mask of the rows (P x m) or k x m blocks (P, k, m) of norm at most ``rank_rel_tol * ref``: free, kernel C^m;
+    and the largest modulus t of each.  The norm is taken as t || |block| / t ||: it neither overflows nor underflows."""
+    moduli = np.abs(blocks.reshape(len(blocks), math.prod(blocks.shape[1:])))
+    top = moduli.max(axis=1)
+    return top * np.linalg.norm(moduli / np.where(top > 0, top, 1)[:, None], axis=1) <= tol.rank_rel_tol * ref, top
 
 
-def _householder_kernels(rows: np.ndarray) -> np.ndarray:
+def _householder_kernels(rows: np.ndarray, top: np.ndarray) -> np.ndarray:
     """Orthonormal kernel basis of each nonzero row r of a P x m array, as one (P, m, m - 1) array.
 
     A nonzero row has rank 1, so no rank is decided: with v = conj(r) / ||r|| and w = v + phase(v_1)
     e_1 (phase 1 where v_1 = 0), the Householder reflector I - w w^H / (1 + |v_1|) maps v onto a
     multiple of e_1 (Golub and Van Loan, Matrix Computations, 4th ed., 5.1.2), so its last m - 1
     columns are orthonormal and orthogonal to v: a basis of the kernel of r."""
-    v = rows.conj() / np.abs(rows).max(axis=1, keepdims=True)  # largest modulus 1: the norm below cannot
+    v = rows.conj() / top[:, None]  # by each row's largest modulus, to 1: the norm below cannot
     v /= np.linalg.norm(v, axis=1, keepdims=True)  # overflow or underflow, whatever the scale of r
     head = np.abs(v[:, 0])
     w = v.copy()
@@ -140,10 +143,10 @@ def _row_kernels(blocks: np.ndarray, ref: float, tol: ToleranceConfig) -> list[n
     its own relative threshold: its nonzero block has s[0] > 0, so one stacked count is
     ``_rank_from_singular_values`` of each.
     """
-    free = _free_rows(blocks, ref, tol)
+    free, top = _free_rows(blocks, ref, tol)
     kernels = [np.eye(blocks.shape[2], dtype=complex)] * len(blocks)
     if blocks.shape[1] == 1:
-        cut = _householder_kernels(blocks[~free, 0])
+        cut = _householder_kernels(blocks[~free, 0], top[~free])
     else:
         _, s, vh = np.linalg.svd(blocks[~free], full_matrices=True)
         ranks = np.count_nonzero(s > tol.rank_rel_tol * s[:, :1], axis=1)

@@ -18,12 +18,12 @@ Two enumeration routes are provided and are expected to agree:
   starts are what reach the degenerate stratum of rank-deficient
   conjugation maps, which is invisible from generic x starts.  The starts
   run in the chunks of the stop rule below, each descended as one stack.
-  At every converged pair the full near-null eigenspaces on both sides are
-  mined for further candidates, from the eigendecompositions at x and at h
-  that every descent outcome carries and one stacked x step at the other
-  near-null h's.  The pair's candidates are offered as one block, whose
-  one projection off the admitted basis drops a candidate whose strong
-  vector already lies in the span before its residual is computed.
+  The full near-null eigenspaces on both sides of every converged pair are
+  mined for further candidates, from the eigendecompositions that every
+  descent outcome carries and one stacked x step at the other near-null h's
+  of the whole chunk.  The chunk's candidates are offered at once: one
+  projection off the admitted basis drops each whose strong vector already
+  lies in the span before its residual is computed.
 * ``_kraus_zeros`` writes down exact zeros of Phi(a) = sum_s K_s a K_s^H
   (or K_s a^T K_s^H) from its Kraus stack; a conjugation a -> V^H a V (or
   V^H a^T V) is its one-operator case K = V^H, which
@@ -69,8 +69,8 @@ cached ``eigh``), not from how the map was written down, trying in order:
 3. Anything else: the harvest.
 
 Every route evaluates Phi(|conj(x)><conj(x)|) with ``maps._rank_one_images``,
-one stacked call per cut chunk of points (Kraus routes) or per block of
-mined candidates that the block's projection keeps (harvest), and offers
+one stacked call per cut chunk of points (Kraus routes) or per converged
+pair's mined candidates that the chunk's projections keep (harvest), and offers
 every candidate with its residual under the image of its x to one
 admission object.  It keeps a pair only if the residual is
 within the map's zero bar, ``maps.MapOperator._zero_bar`` (residual_rel_tol
@@ -201,12 +201,12 @@ class _Admission:
     when the first leaves at most ``_REORTHOGONALIZE`` of the candidate's
     norm (Kahan's criterion, Parlett 1980, section 6-9); two passes restore
     orthogonality to working precision ("twice is enough", Giraud, Langou and
-    Rozloznik 2005).  ``offer`` takes one candidate; ``offer_block`` takes the
-    harvest's mined candidates, projects them all off the basis with one
-    product, drops those at or below ``_SCREEN_TOL`` before their residuals
-    are computed, and runs each survivor through the same rule against only
-    the rows admitted since.  The basis decides admission only: the reported
-    span dimension is the final SVD of the kept vectors
+    Rozloznik 2005).  ``offer`` takes one candidate; ``offer_chunk`` takes
+    the harvest's mined candidates of one descended chunk, projects them all
+    off the basis with one product, drops those at or below ``_SCREEN_TOL``
+    before their residuals are computed, and runs each survivor through the
+    same rule against only the rows admitted since.  The basis only admits:
+    the reported span dimension is the final SVD of the kept vectors
     (``strong_span_dim``), which the ZeroSet builds again from the pairs.
     """
 
@@ -225,18 +225,27 @@ class _Admission:
         norm = _norm(vec)
         return norm > 0 and self._admit(x, h, residual, vec / norm, 0)
 
-    def offer_block(self, xs, hs) -> bool:
-        """Offer every candidate (xs[i], hs[i]) in turn, each with its residual under one stacked image
-        of the xs that the first projection keeps; whether any was admitted."""
-        strong = _strong_vector(xs, hs)
-        strong /= np.linalg.norm(strong, axis=1, keepdims=True)
-        done = len(self.pairs)
-        resids = _project_off(strong, self._basis[:done])
-        kept = np.linalg.norm(resids, axis=1) > _SCREEN_TOL
-        xs, hs, resids = xs[kept], hs[kept], resids[kept]
-        residuals = [_norm(image @ h) for h, image in zip(hs, _rank_one_images(self._phi, xs))]
-        return any([residual <= self._bar and self._admit(x, h, residual, resid, done)
-                    for x, h, resid, residual in zip(xs, hs, resids, residuals)])
+    def offer_chunk(self, blocks) -> list[bool]:
+        """Offer each block (xs, hs) in turn, each candidate with its residual under one stacked image per
+        block; whether each block admitted any.  One product projects the chunk off the basis as it stood
+        at its start; a block's survivors are projected off the rows admitted since and screened again."""
+        start = len(self.pairs)
+        xs, hs = (np.concatenate(parts) for parts in zip(*blocks))
+        resids = _strong_vector(xs, hs)
+        resids /= np.linalg.norm(resids, axis=1, keepdims=True)
+        resids = _project_off(resids, self._basis[:start]) if start else resids
+        kept, flags, lo = np.linalg.norm(resids, axis=1) > _SCREEN_TOL, [], 0
+        for size in [len(block[0]) for block in blocks]:
+            rows, lo = lo + np.flatnonzero(kept[lo : lo + size]), lo + size
+            done = len(self.pairs)
+            if done > start and rows.size:  # off the rows admitted since the chunk's start
+                resids[rows] = _project_off(resids[rows], self._basis[start:done])
+                rows = rows[np.linalg.norm(resids[rows], axis=1) > _SCREEN_TOL]
+            images = _rank_one_images(self._phi, xs[rows]) if rows.size else ()
+            residuals = [_norm(image @ hs[i]) for i, image in zip(rows, images)]
+            flags.append(any([residual <= self._bar and self._admit(xs[i], hs[i], residual, resids[i], done)
+                              for i, residual in zip(rows, residuals)]))
+        return flags
 
     def _admit(self, x, h, residual: float, resid, done: int) -> bool:
         """Admit (x, h) if ``resid``, its unit strong vector already projected off the first ``done``
@@ -284,37 +293,31 @@ def _stalls(offer, window: int, cap: int, full=lambda: False) -> bool:
     return stall >= window or full()
 
 
-def _mine_candidates(phi, outcome):
-    """Candidate zero pairs at a converged pair, as rows xs (c, n) and hs (c, m).
+def _mine_chunk(phi, outcomes):
+    """Candidate zero pairs at the converged pairs of a chunk: one block per pair, rows xs (c, n) and hs (c, m).
 
-    The bottom eigenspace of Phi(|conj(x)><conj(x)|) may be degenerate (it is
-    m-1 dimensional for conjugation maps), and likewise on the adjoint side;
-    every near-null eigenvector is a candidate.  The eigendecompositions at x
-    and at h come with the outcome; the x steps at the other near-null h's
-    run as one stack.  Admission checks each residual, so mining can only add
-    genuine zeros.
-    """
-    x, bar = outcome.x, phi._zero_bar
-    w, u = outcome.spectrum
-    near = np.flatnonzero(np.abs(w) <= bar)
-    spectra = {0: outcome.adjoint_spectrum}  # at h = u[:, 0]
-    others = near[near > 0]
-    if others.size:
-        spectra.update(zip(others, zip(*_x_step(phi, u[:, others].T))))
-    candidates = [(x, outcome.h)]  # the pair itself
-    for i in near:
-        if i > 0:
-            candidates.append((x, u[:, i]))
-        w2, u2 = spectra[i]
-        candidates += [(u2[:, j].conj(), u[:, i]) for j in np.flatnonzero(np.abs(w2) <= bar)]
-    xs, hs = zip(*candidates)
-    return np.array(xs), np.array(hs)
-
-
-def _offer_mined(phi, admission, outcome) -> bool:
-    """Offer the candidates mined at a converged pair as one block, in mining order; whether any was
-    admitted."""
-    return admission.offer_block(*_mine_candidates(phi, outcome))
+    Every near-null eigenvector on either side is a candidate: the bottom eigenspace of
+    Phi(|conj(x)><conj(x)|) may be degenerate (m - 1 dimensional for conjugation maps), and likewise on
+    the adjoint side.  At each near-null h = u_i, in order, come (x, u_i) and then (conj(v_j), u_i) for
+    each near-null eigenvector v_j of the x step at u_i; slot 0, the pair itself, always comes first.
+    The x step at u_0 comes with the outcome, those at the chunk's other near-null h run as one stack.
+    Admission checks each residual, so mining can only add genuine zeros."""
+    bar, n = phi._zero_bar, phi.dim_in
+    w, u = (np.array(a) for a in zip(*[o.spectrum for o in outcomes]))
+    w_adj, u_adj = (np.array(a) for a in zip(*[o.adjoint_spectrum for o in outcomes]))
+    hs, near, first = u.swapaxes(1, 2), np.abs(w) <= bar, np.arange(w.shape[1]) == 0  # hs[p, i]: u_i of pair p
+    others = near & ~first
+    w2 = np.full((*w.shape, n), np.inf)  # the x step's eigenvalues at each near-null u_i, inf elsewhere
+    xs = np.empty((*w.shape, 1 + n, n), dtype=complex)  # at each u_i: x, then each eigenvector, conjugated
+    xs[:, :, 0] = np.array([o.x for o in outcomes])[:, None]
+    xs[:, 0, 1:], w2[:, 0] = u_adj.conj().swapaxes(1, 2), w_adj
+    if others.any():
+        w2[others], u2 = _x_step(phi, hs[others])
+        xs[others, 1:] = u2.conj().swapaxes(1, 2)
+    take = np.concatenate([(near | first)[:, :, None], (np.abs(w2) <= bar) & near[:, :, None]], axis=2)
+    xs, hs = xs[take], np.broadcast_to(hs[:, :, None], (*take.shape, hs.shape[-1]))[take]
+    ends = np.cumsum(take.sum(axis=(1, 2))).tolist()
+    return [(xs[lo:hi], hs[lo:hi]) for lo, hi in zip([0, *ends], ends)]
 
 
 def _budget(phi: MapOperator, starts: int | None) -> int:
@@ -359,10 +362,11 @@ def harvest_zeros(phi: MapOperator, seed: int = 0, starts: int | None = None) ->
     still report ``saturated=True``).  ``_stalls`` runs the starts in
     chunks, each drawn and descended as one stack, and their outcomes are
     offered one by one in start order: the pairs, their order and
-    ``saturated`` are those of a start-by-start loop.  Each converged pair's
-    candidates go to ``_Admission.offer_block``.  Deterministic
-    for a fixed seed.  It decides no rank, so it takes no tolerance:
-    descents, mining and admission all read the map's ``_zero_bar``.
+    ``saturated`` are those of a start-by-start loop.  A chunk's converged
+    pairs are mined by ``_mine_chunk`` and go to ``_Admission.offer_chunk``,
+    one block per pair.  Deterministic for a fixed seed.  It decides no
+    rank, so it takes no tolerance: descents, mining and admission all read
+    the map's ``_zero_bar``.
     """
     n, m = phi.dim_in, phi.dim_out
     budget = _budget(phi, starts)
@@ -372,7 +376,10 @@ def harvest_zeros(phi: MapOperator, seed: int = 0, starts: int | None = None) ->
     def descended(done, size):
         chunk = [("x", _random_unit(rng, n)) if start % 2 == 0 else ("h", _random_unit(rng, m))
                  for start in range(done, done + size)]
-        return [o.succeeded and _offer_mined(phi, admission, o) for o in _alternating_descent(phi, chunk)]
+        outcomes = _alternating_descent(phi, chunk)
+        found = [o for o in outcomes if o.succeeded]
+        flags = iter(admission.offer_chunk(_mine_chunk(phi, found)) if found else ())
+        return [o.succeeded and next(flags) for o in outcomes]
 
     return admission.zero_set(saturated=_stalls(descended, _STALL_BUDGET, budget))
 

@@ -121,11 +121,12 @@ def test_oracle_frozen_values(v, transposed, expected):
     assert brute_force_strong_dim_oracle(v, transposed=transposed, seed=0) == expected
 
 
-@pytest.mark.parametrize("scale", [1e-160, 1e160])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scale", [1e-170, 1e-160, 1e160])
 def test_the_oracle_dimension_does_not_depend_on_the_scale_of_v(scale):
-    # each row's kernel is cut from the row scaled to its largest entry, so its norm neither
-    # overflows nor underflows; the free rule is relative to sigma_max, but its plain row norm
-    # still underflows to 0 below about 1e-162, where every row would read free
+    # each row is scaled to its largest entry before its norm is taken, by the free rule and by the
+    # kernel cut, so no norm overflows (a RuntimeWarning fails the test) or underflows: a plain row
+    # norm reads 0 below about 1e-162, where every row would read free
     v = random_rank_operator(3, 4, 2, seed=1)
     assert brute_force_strong_dim_oracle(scale * v, seed=0) == brute_force_strong_dim_oracle(v, seed=0) == 33
 

@@ -424,19 +424,26 @@ def test_no_stacked_descent_takes_more_starts_than_the_window_has_left(monkeypat
     # each stacked call takes exactly min(window - stall, budget - done) starts, where stall counts the
     # starts since the last one that admitted a pair: never a start that a start-by-start loop skips.
     # These maps admit pairs late in a window, so some calls take less than a whole one
-    calls, admitted = [], {}
-    descent, offer_mined = mapcert.zeros._alternating_descent, mapcert.zeros._offer_mined
+    calls, admitted, mined = [], {}, []
+    descent, mine, offer_chunk = mapcert.zeros._alternating_descent, mapcert.zeros._mine_chunk, _Admission.offer_chunk
 
     def recorded_descent(phi, starts):
         calls.append(descent(phi, starts))
         return calls[-1]
 
-    def recorded_offer(phi, admission, outcome):
-        admitted[id(outcome)] = offer_mined(phi, admission, outcome)
-        return admitted[id(outcome)]
+    def recorded_mine(phi, outcomes):
+        assert all(outcome.succeeded for outcome in outcomes)
+        mined.append(outcomes)
+        return mine(phi, outcomes)
+
+    def recorded_offer(admission, blocks):
+        flags = offer_chunk(admission, blocks)
+        admitted.update((id(outcome), flag) for outcome, flag in zip(mined[-1], flags, strict=True))
+        return flags
 
     monkeypatch.setattr(mapcert.zeros, "_alternating_descent", recorded_descent)
-    monkeypatch.setattr(mapcert.zeros, "_offer_mined", recorded_offer)
+    monkeypatch.setattr(mapcert.zeros, "_mine_chunk", recorded_mine)
+    monkeypatch.setattr(_Admission, "offer_chunk", recorded_offer)
     zs = harvest_zeros(phi, seed=0)
     stall = done = 0
     for outcomes in calls:
@@ -459,37 +466,127 @@ def pair_list(zs):
     (from_conjugation(random_rank_operator(4, 5, 1, seed=1), transposed=True), 1),
 ], ids=["choi-1.5-seed0", "choi-1.5-seed1", "cell-3x4-rank2", "cell-4x5-rank1"])
 def test_the_screen_never_changes_admission(monkeypatch, phi, seed):
-    # the block offer's first projection drops only candidates that its own rule would reject: with
-    # its cut at 0, every mined candidate is offered one by one with its residual, and the same pairs
-    # are kept in the same order, with the same residuals.  Dropped candidates are the mined rows
-    # whose image was never evaluated
+    # the chunk offer's projections drop only candidates that its own rule would reject: with no
+    # screen, every mined candidate is offered one by one with its residual, and the same pairs are
+    # kept in the same order, with the same residuals.  Dropped candidates are the mined rows whose
+    # image was never evaluated
     mined, evaluated = [], []
-    mine, images = mapcert.zeros._mine_candidates, mapcert.zeros._rank_one_images
+    mine, images = mapcert.zeros._mine_chunk, mapcert.zeros._rank_one_images
 
-    def counted_mine(phi, outcome):
-        xs, hs = mine(phi, outcome)
-        mined.append(len(xs))
-        return xs, hs
+    def counted_mine(phi, outcomes):
+        blocks = mine(phi, outcomes)
+        mined.append(sum(len(xs) for xs, _ in blocks))
+        return blocks
 
     def counted_images(phi, xs):
         evaluated.append(len(xs))
         return images(phi, xs)
 
-    def unscreened(phi, admission, outcome):
-        xs, hs = mapcert.zeros._mine_candidates(phi, outcome)
-        residuals = [float(np.linalg.norm(image @ h)) for h, image in zip(hs, mapcert.zeros._rank_one_images(phi, xs))]
-        return admission.offer_all(zip(xs, hs, residuals))
+    def unscreened(admission, blocks):
+        flags = []
+        for xs, hs in blocks:
+            images = mapcert.zeros._rank_one_images(admission._phi, xs)
+            residuals = [float(np.linalg.norm(image @ h)) for h, image in zip(hs, images)]
+            flags.append(admission.offer_all(zip(xs, hs, residuals)))
+        return flags
 
-    monkeypatch.setattr(mapcert.zeros, "_mine_candidates", counted_mine)
+    monkeypatch.setattr(mapcert.zeros, "_mine_chunk", counted_mine)
     monkeypatch.setattr(mapcert.zeros, "_rank_one_images", counted_images)
     screened = harvest_zeros(phi, seed=seed)
     assert sum(mined) > sum(evaluated)
     mined.clear()
     evaluated.clear()
-    monkeypatch.setattr(mapcert.zeros, "_offer_mined", unscreened)
+    monkeypatch.setattr(_Admission, "offer_chunk", unscreened)
     unscreened_set = harvest_zeros(phi, seed=seed)
     assert sum(mined) == sum(evaluated)
     assert pair_list(screened) == pair_list(unscreened_set) and screened.saturated == unscreened_set.saturated
+
+
+CHOI_2 = generalized_choi_map(2)
+
+
+def mine_one_pair(phi, outcome):
+    """The candidates at one converged pair, mined on their own: at each near-null h = u_i, the pair
+    itself first, (x, u_i) and then (conj(v_j), u_i) for each near-null eigenvector v_j of the x step at
+    u_i.  The reference that ``_mine_chunk`` must equal bitwise, block by block."""
+    x, bar = outcome.x, phi._zero_bar
+    w, u = outcome.spectrum
+    near = np.flatnonzero(np.abs(w) <= bar)
+    spectra = {0: outcome.adjoint_spectrum}  # at h = u[:, 0]
+    others = near[near > 0]
+    if others.size:
+        spectra.update(zip(others, zip(*mapcert.maps._x_step(phi, u[:, others].T))))
+    candidates = [(x, outcome.h)]  # the pair itself
+    for i in near:
+        if i > 0:
+            candidates.append((x, u[:, i]))
+        w2, u2 = spectra[i]
+        candidates += [(u2[:, j].conj(), u[:, i]) for j in np.flatnonzero(np.abs(w2) <= bar)]
+    xs, hs = zip(*candidates)
+    return np.array(xs), np.array(hs)
+
+
+@pytest.mark.parametrize("phi", [
+    from_conjugation(random_rank_operator(3, 4, 2, seed=1), transposed=True),
+    from_conjugation(random_rank_operator(4, 5, 1, seed=1), transposed=True),
+    generalized_choi_map(1.5),
+    CHOI_2,
+], ids=["cell-3x4-rank2", "cell-4x5-rank1", "choi-1.5", "choi-2"])
+def test_the_chunk_miner_equals_mining_pair_by_pair_bitwise(monkeypatch, phi):
+    # one stacked x step per chunk gives each converged pair the candidates, in the order and with
+    # the bits, that mining it on its own gives.  The 4x5 rank-1 cell has several near-null h per
+    # pair; the Choi map (a = 2) has failed descents in its chunks, which are not mined
+    chunks, mined = [], []
+    descent, mine = mapcert.zeros._alternating_descent, mapcert.zeros._mine_chunk
+
+    def recorded_descent(phi, starts):
+        chunks.append(descent(phi, starts))
+        return chunks[-1]
+
+    def recorded_mine(phi, outcomes):
+        mined.append((outcomes, mine(phi, outcomes)))
+        return mined[-1][1]
+
+    monkeypatch.setattr(mapcert.zeros, "_alternating_descent", recorded_descent)
+    monkeypatch.setattr(mapcert.zeros, "_mine_chunk", recorded_mine)
+    harvest_zeros(phi, seed=1)
+    assert mined and all(len(blocks) == len(outcomes) for outcomes, blocks in mined)
+    for outcomes, blocks in mined:
+        for outcome, (xs, hs) in zip(outcomes, blocks):
+            ref_xs, ref_hs = mine_one_pair(phi, outcome)
+            assert (xs.shape, hs.shape) == (ref_xs.shape, ref_hs.shape)
+            assert xs.tobytes() == ref_xs.tobytes() and hs.tobytes() == ref_hs.tobytes()
+    if phi.dim_out == 5:  # the rank-1 cell: several near-null h at every pair
+        assert all(np.count_nonzero(np.abs(o.spectrum[0]) <= phi._zero_bar) > 1 for os, _ in mined for o in os)
+    assert any(not o.succeeded for outcomes in chunks for o in outcomes) == (phi is CHOI_2)
+
+
+@pytest.mark.parametrize("phi", [
+    from_conjugation(random_rank_operator(4, 5, 1, seed=1), transposed=True),
+    from_conjugation(random_rank_operator(3, 4, 2, seed=1), transposed=True),
+    generalized_choi_map(1.5),
+    CHOI_2,
+], ids=["cell-4x5-rank1", "cell-3x4-rank2", "choi-1.5", "choi-2"])
+def test_the_harvest_runs_at_most_one_mining_x_step_per_descended_chunk(monkeypatch, phi):
+    # the structure, not a timing: mining binds ``mapcert.zeros._x_step``, while the descent's own
+    # steps go through ``mapcert.maps._x_step`` and are not counted here
+    chunks, x_steps = [], []
+    descent, x_step = mapcert.zeros._alternating_descent, mapcert.zeros._x_step
+
+    def counted_descent(phi, starts):
+        chunks.append(len(starts))
+        return descent(phi, starts)
+
+    def counted_x_step(phi, hs):
+        x_steps.append(len(hs))
+        return x_step(phi, hs)
+
+    monkeypatch.setattr(mapcert.zeros, "_alternating_descent", counted_descent)
+    monkeypatch.setattr(mapcert.zeros, "_x_step", counted_x_step)
+    harvest_zeros(phi, seed=1)
+    assert len(x_steps) <= len(chunks)
+    if phi.dim_out == 5:  # at most four near-null h per pair besides its own: a longer stack holds several pairs'
+        assert x_steps and max(x_steps) > phi.dim_out - 1
 
 
 class GramSchmidtTwice:
@@ -516,11 +613,14 @@ class GramSchmidtTwice:
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 3), m=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
        kinds=st.lists(st.sampled_from(["random", "repeat", "near-1e-5", "near-1e-9"]), min_size=1, max_size=40),
-       blocks=st.lists(st.integers(1, 8), min_size=1, max_size=40))
-def test_both_admission_entry_points_admit_what_gram_schmidt_twice_admits(n, m, seed, kinds, blocks):
+       blocks=st.lists(st.integers(1, 8), min_size=1, max_size=40),
+       chunks=st.lists(st.integers(1, 6), min_size=1, max_size=40))
+def test_both_admission_entry_points_admit_what_gram_schmidt_twice_admits(n, m, seed, kinds, blocks, chunks):
     # a stream of exact repeats, random directions and perturbations of earlier candidates that leave
     # them about 1e-5 or 1e-9 off the admitted span; a candidate whose reference residual lies within
-    # 10x of the 1e-7 cut is left out of the stream, where rounding may decide it either way
+    # 10x of the 1e-7 cut is left out of the stream, where rounding may decide it either way.  The
+    # stream is cut into blocks, and the blocks into chunks of several, so that a block is also
+    # projected off the rows that earlier blocks of its chunk admitted
     rng = np.random.default_rng(seed)
     reference, stream, expected = GramSchmidtTwice(n * n * m), [], []
     for kind in kinds:
@@ -537,14 +637,18 @@ def test_both_admission_entry_points_admit_what_gram_schmidt_twice_admits(n, m, 
                 expected.append((x.tobytes(), h.tobytes()))
     phi = random_cp_map(n, m, 1, seed=0)
     phi.__dict__["_zero_bar"] = np.inf  # every candidate passes the residual test
-    one_by_one, blocked = _Admission(phi), _Admission(phi)
-    one_by_one.offer_all((x, h, 0.0) for x, h in stream)
+    one_by_one, chunked = _Admission(phi), _Admission(phi)
     cuts = np.cumsum([0, *blocks])
     cuts = [*cuts[cuts < len(stream)], len(stream)]
-    for lo, hi in zip(cuts, cuts[1:]):
-        xs, hs = zip(*stream[lo:hi])
-        blocked.offer_block(np.array(xs), np.array(hs))
-    for admission in (one_by_one, blocked):
+    pieces = [stream[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+    expected_flags = [one_by_one.offer_all((x, h, 0.0) for x, h in piece) for piece in pieces]
+    groups = np.cumsum([0, *chunks])
+    groups = [*groups[groups < len(pieces)], len(pieces)]
+    flags = []
+    for lo, hi in zip(groups, groups[1:]):
+        flags += chunked.offer_chunk([tuple(np.array(side) for side in zip(*piece)) for piece in pieces[lo:hi]])
+    assert flags == expected_flags
+    for admission in (one_by_one, chunked):
         assert [(p.x.tobytes(), p.h.tobytes()) for p in admission.pairs] == expected
 
 
