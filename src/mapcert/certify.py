@@ -24,8 +24,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import CrossCheckError, DimensionMismatch, EmptyZeroSet
-from .linalg import DEFAULT_TOL, ToleranceConfig, _rank_from_singular_values, kernel_basis
-from .maps import MapOperator, _cp_rank, _image_table, _positivity_proof, _unit_image, apply
+from .linalg import DEFAULT_TOL, ToleranceConfig, _rank, kernel_basis
+from .maps import MapOperator, _cp_rank, _image_table, _normal_form_table, _positivity_proof, _unit_image, apply
 from .zeros import ZeroSet, strong_span_dim, weak_span_dim
 
 __all__ = [
@@ -192,7 +192,7 @@ def intertwiner_space(phi: MapOperator, tol: ToleranceConfig = DEFAULT_TOL) -> I
     minus, plus = (a - b).reshape(-1, m * m), (a + b).reshape(-1, m * m)
     system = np.block([[minus.real, -plus.imag], [minus.imag, plus.real]])
     _, s, vh = np.linalg.svd(system, full_matrices=False)
-    null = vh[_rank_from_singular_values(s, tol):]
+    null = vh[_rank(s, tol):]
     mats = [(u + 1j * v).reshape(m, m) for u, v in zip(null[:, : m * m], null[:, m * m :])]
     return IntertwinerSpace(real_dimension=len(mats), basis=mats)
 
@@ -283,8 +283,7 @@ def certify_exposed(phi: MapOperator, zs: ZeroSet, tol: ToleranceConfig = DEFAUL
     # of a positive map lies.  A kept negative eigenvalue of Phi(1) proves Phi not positive: it has no
     # unital normal form, and irreducibility is not claimed.
     positive_unit = bool(np.all(lam > 0))
-    w = q / np.sqrt(np.abs(lam))  # W = Q L^(-1/2), so that the form is a -> W^H Phi(a) W
-    irreducible_on_image = positive_unit and _irreducible_on_image(w.conj().T @ _image_table(phi) @ w, tol)
+    irreducible_on_image = positive_unit and _irreducible_on_image(_normal_form_table(phi, lam, q), tol)
     irreducible = irreducible_on_image and unit_rank == m
     stable = len(zs.pairs) == measured
     verdict = CERTIFIED if (measured == required and irreducible_on_image and stable) else INCONCLUSIVE

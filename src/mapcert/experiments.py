@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CrossCheckError, DimensionMismatch, OracleUnstable, RankInfeasible, ZeroOperator
-from .linalg import DEFAULT_TOL, ToleranceConfig, _rank_from_singular_values, as_matrix, image_projector, numerical_rank
+from .linalg import DEFAULT_TOL, ToleranceConfig, _rank, as_matrix, image_projector, numerical_rank
 from .linalg import _free_rows, _householder_kernels
 from .maps import MapOperator, _gaussian_rows, _ginibre, apply, choi_spectral_scale, cp_map_from_kraus, from_conjugation
 from .zeros import _kraus_zeros, harvest_zeros, strong_span_dim
@@ -299,7 +299,7 @@ def brute_force_strong_dim_oracle(
         raise ZeroOperator("the zero operator has no zero structure worth measuring")
     n, m = v.shape
     u, s, _ = np.linalg.svd(v)  # sigma_max, rank V and the stratum: one SVD per call
-    rank = _rank_from_singular_values(s, tol)
+    rank = _rank(s, tol)
     # the stratum is ker V^H = U[:, rank:] (transposed), else ker V^T, its conjugate
     stratum = None if rank == n else (u[:, rank:] if transposed else u[:, rank:].conj())
     r = np.zeros((0, n * n * m), dtype=complex)

@@ -2,8 +2,9 @@
 
 Every rank, kernel, span, and pseudoinverse decision in the package routes
 through this module, so one relative threshold (``rank_rel_tol`` times the
-largest singular value) governs them all.  Thresholds are relative throughout:
-rescaling a matrix never changes a rank decision.
+largest singular value), applied by one cut, ``_kept``, governs them all.
+Thresholds are relative throughout: rescaling a matrix never changes a rank
+decision.
 """
 
 from __future__ import annotations
@@ -29,12 +30,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ToleranceConfig:
-    """Every numerical threshold used by the package, in one place.
+    """The rank threshold and the fixed settings that reports record; the other fixed gates sit by
+    what they gate (``_SCREEN_TOL``, ``_REORTHOGONALIZE`` and ``_PENCIL_GATE`` in ``zeros``, the Gram
+    gate of ``certify._irreducible_on_image``, ``_SCALE_WINDOW`` in ``documents``).
 
     rank_rel_tol: singular values at or below ``rank_rel_tol * sigma_max``
-        count as zero, so it must be below 1 (or every rank is 0).  It is the
-        one settable threshold; the others are fixed, and reports record all
-        four.
+        count as zero (cut by ``_kept``), so it must be below 1.  It is the
+        one settable threshold; the others are fixed.
     residual_rel_tol: acceptable relative size of residuals (zero tests,
         reconstructions, projector leakage).
     convergence_tol: relative objective-stall threshold for iterative
@@ -69,33 +71,28 @@ def as_matrix(entries) -> np.ndarray:
     return m
 
 
-def _rank_from_singular_values(s: np.ndarray, tol: ToleranceConfig) -> int:
-    if s.size == 0 or s[0] <= 0:
-        return 0
-    return int(np.count_nonzero(s > tol.rank_rel_tol * s[0]))
-
-
 def _norm(v: np.ndarray) -> float:
     """``np.linalg.norm(v)`` of a 1-d complex array, bitwise (its same two dot products), without its checks."""
     v = v.ravel(order="K")
     return math.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag))
 
 
-def _kept_eigenvalues(w: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
-    """Mask of the eigenvalues of a Hermitian matrix whose moduli, its singular values, pass the rank cut."""
-    return np.abs(w) > tol.rank_rel_tol * np.max(np.abs(w), initial=0.0)
+def _kept(values: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
+    """The one rank cut: a mask, along the last axis, of the singular values (in any order, or the
+    eigenvalues of a Hermitian matrix) whose moduli exceed ``rank_rel_tol`` times the largest."""
+    moduli = np.abs(values)
+    return moduli > tol.rank_rel_tol * np.max(moduli, axis=-1, keepdims=True, initial=0.0)
 
 
-def _rank_from_eigenvalues(w: np.ndarray, tol: ToleranceConfig) -> int:
-    """Rank of a Hermitian matrix from its eigenvalues, in any order."""
-    return int(np.count_nonzero(_kept_eigenvalues(w, tol)))
+def _rank(values: np.ndarray, tol: ToleranceConfig) -> int:
+    """The count of the 1-d ``values`` that ``_kept`` keeps."""
+    return int(np.count_nonzero(_kept(values, tol)))
 
 
 def numerical_rank(matrix, tol: ToleranceConfig = DEFAULT_TOL) -> int:
     """Count of singular values above the relative threshold."""
     m = as_matrix(matrix)
-    s = np.linalg.svd(m, compute_uv=False)
-    return _rank_from_singular_values(s, tol)
+    return _rank(np.linalg.svd(m, compute_uv=False), tol)
 
 
 def kernel_basis(matrix, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
@@ -107,7 +104,7 @@ def kernel_basis(matrix, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """
     m = as_matrix(matrix)
     _, s, vh = np.linalg.svd(m, full_matrices=m.shape[0] < m.shape[1])
-    rank = _rank_from_singular_values(s, tol)
+    rank = _rank(s, tol)
     return vh[rank:].conj().T
 
 
@@ -140,8 +137,7 @@ def _row_kernels(blocks: np.ndarray, ref: float, tol: ToleranceConfig) -> list[n
 
     A free block, see ``_free_rows``, has all of C^m as its kernel.  Blocks of height 1 (rows)
     are cut in closed form by ``_householder_kernels``; taller blocks by one stacked SVD, each at
-    its own relative threshold: its nonzero block has s[0] > 0, so one stacked count is
-    ``_rank_from_singular_values`` of each.
+    its own relative threshold by ``_kept``.
     """
     free, top = _free_rows(blocks, ref, tol)
     kernels = [np.eye(blocks.shape[2], dtype=complex)] * len(blocks)
@@ -149,7 +145,7 @@ def _row_kernels(blocks: np.ndarray, ref: float, tol: ToleranceConfig) -> list[n
         cut = _householder_kernels(blocks[~free, 0], top[~free])
     else:
         _, s, vh = np.linalg.svd(blocks[~free], full_matrices=True)
-        ranks = np.count_nonzero(s > tol.rank_rel_tol * s[:, :1], axis=1)
+        ranks = np.count_nonzero(_kept(s, tol), axis=1)
         cut = [v[:, rank:] for rank, v in zip(ranks, vh.conj().transpose(0, 2, 1))]
     for i, kernel in zip(np.flatnonzero(~free), cut):
         kernels[i] = kernel
@@ -160,7 +156,7 @@ def image_projector(matrix, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Orthogonal projector onto the column space at the working rank."""
     m = as_matrix(matrix)
     u, s, _ = np.linalg.svd(m, full_matrices=False)
-    rank = _rank_from_singular_values(s, tol)
+    rank = _rank(s, tol)
     u = u[:, :rank]
     return u @ u.conj().T
 
@@ -181,7 +177,7 @@ def kernel_inclusion_factor(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndar
         raise DimensionMismatch(f"A has shape {a.shape}, B has shape {b.shape}")
     sigma_a = float(np.linalg.norm(a, 2)) if a.size else 0.0
     u, s, vh = np.linalg.svd(b, full_matrices=b.shape[0] < b.shape[1])
-    rank = _rank_from_singular_values(s, tol)
+    rank = _rank(s, tol)
     kb = vh[rank:].conj().T
     if kb.shape[1]:
         residuals = np.linalg.norm(a @ kb, axis=0)
@@ -199,7 +195,7 @@ def kernel_inclusion_factor(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndar
 
 
 def span_dimension(vectors: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> int:
-    """Dimension of the span of the columns of a 2-d array; 0 when it has none."""
+    """Dimension of the span of the columns of a 2-d array; 0, with no SVD, when it has none."""
     if vectors.shape[1] == 0:
         return 0
     return numerical_rank(vectors, tol)

@@ -38,7 +38,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatch, ZeroMap, ZeroOperator
-from .linalg import DEFAULT_TOL, ToleranceConfig, _kept_eigenvalues, _norm, _rank_from_eigenvalues, as_matrix
+from .linalg import DEFAULT_TOL, ToleranceConfig, _kept, _norm, _rank, as_matrix
 
 __all__ = [
     "MapOperator",
@@ -271,8 +271,14 @@ def _unit_image(phi: MapOperator, tol: ToleranceConfig) -> tuple[np.ndarray, np.
     exceeds rank_rel_tol times the largest, ascending, and their orthonormal eigenvectors Q,
     a basis of the image, from the map's one eigh of Phi(1)."""
     w, v = phi._unit_spectrum
-    keep = _kept_eigenvalues(w, tol)
+    keep = _kept(w, tol)
     return w[keep], v[:, keep]
+
+
+def _normal_form_table(phi: MapOperator, lam: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The (n, n, r, r) table W^H Phi(E_ij) W of the unital normal form: W = Q L^(-1/2), L > 0 from ``_unit_image``."""
+    w = q / np.sqrt(lam)
+    return w.conj().T @ _image_table(phi) @ w
 
 
 def unital_normalization(phi: MapOperator, tol: ToleranceConfig = DEFAULT_TOL) -> NormalForm:
@@ -290,9 +296,7 @@ def unital_normalization(phi: MapOperator, tol: ToleranceConfig = DEFAULT_TOL) -
         raise ZeroMap("the map sends the identity to zero")
     if np.any(lam < 0):
         raise ValueError("Phi(1) has a negative eigenvalue; map is not positive")
-    inv_sqrt = 1.0 / np.sqrt(lam)
-    images = q.conj().T @ _image_table(phi) @ q  # images[i, j] = Q^H Phi(E_ij) Q
-    unital_part = _from_blocks(((inv_sqrt[:, None] * images) * inv_sqrt[None, :]).transpose(0, 2, 1, 3))
+    unital_part = _from_blocks(_normal_form_table(phi, lam, q).transpose(0, 2, 1, 3))
     bridge = np.sqrt(lam)[:, None] * q.conj().T
     return NormalForm(bridge=bridge, unital_part=unital_part, image_dim=len(lam))
 
@@ -312,7 +316,7 @@ def _cp_rank(phi: MapOperator, tol: ToleranceConfig = DEFAULT_TOL, transposed: b
     its eigenvalues above the rank cut, as negative ones that pass ``_is_psd`` are noise."""
     if not _is_psd(phi, transposed):
         return None
-    return _rank_from_eigenvalues(np.maximum(_block_spectrum(phi, transposed)[0], 0.0), tol)
+    return _rank(np.maximum(_block_spectrum(phi, transposed)[0], 0.0), tol)
 
 
 def _kraus_stack(phi: MapOperator, k: int, transposed: bool) -> np.ndarray:

@@ -105,8 +105,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, ToleranceConfig, as_matrix, kernel_basis, span_dimension
-from .linalg import _norm, _rank_from_singular_values, _row_kernels
+from .linalg import DEFAULT_TOL, ToleranceConfig, as_matrix, kernel_basis, numerical_rank, span_dimension
+from .linalg import _norm, _row_kernels
 from .maps import MapOperator, _block_spectrum, _cp_rank, _kraus_stack, _unit_image, from_conjugation
 from .maps import _alternating_descent, _gaussian_rows, _ginibre, _random_unit, _rank_one_images, _x_step
 
@@ -445,7 +445,7 @@ def _kraus_zeros(phi: MapOperator, stack: np.ndarray, transposed: bool, tol: Tol
     def image_of(y):  # M(y)
         return np.einsum("smn,n->ms", stack, y)
 
-    r = _rank_from_singular_values(np.linalg.svd(image_of(_random_unit(rng, n)), compute_uv=False), tol)
+    r = numerical_rank(image_of(_random_unit(rng, n)), tol)
     if r == m and n > 2 and k > m:
         return None
     # The common kernel W of the K_s: there M(y) = 0, so every h is a partner (a free block of

@@ -2,7 +2,9 @@
 
 Each layer lists its public names in ``__all__``, which is also what the
 benchmark's tracer wraps, so those lists are checked against the modules and
-against the per-layer metrics of ``perfbench/spans.py``.
+against the per-layer metrics of ``perfbench/spans.py``.  One rank cut,
+``linalg._kept``, is all that reads the rank threshold, beside the gates
+named in ``test_only_the_rank_cut_and_two_gates_read_the_rank_threshold``.
 """
 
 import ast
@@ -106,3 +108,32 @@ def test_every_function_a_benchmark_metric_reads_is_public():
         if name not in importlib.import_module(f"mapcert.{layer}").__all__
     ]
     assert missing == []
+
+
+def rank_threshold_readers():
+    """(layer, qualified function) of every read of ``.rank_rel_tol``; a module-level read has the name ''."""
+    readers = set()
+
+    def visit(node, layer, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, layer, scope + [child.name])
+                continue
+            if isinstance(child, ast.Attribute) and child.attr == "rank_rel_tol" and isinstance(child.ctx, ast.Load):
+                readers.add((layer, ".".join(scope)))
+            visit(child, layer, scope)
+
+    for layer in LAYERS + ["errors"]:
+        visit(ast.parse((PACKAGE / f"{layer}.py").read_text()), layer, [])
+    return readers
+
+
+def test_only_the_rank_cut_and_two_gates_read_the_rank_threshold():
+    # the rank cut (_kept), the free-row rule, the Gram gate of irreducibility and the config's own checks
+    assert rank_threshold_readers() == {
+        ("linalg", "ToleranceConfig.__post_init__"),
+        ("linalg", "ToleranceConfig.scaled"),
+        ("linalg", "_kept"),
+        ("linalg", "_free_rows"),
+        ("certify", "_irreducible_on_image"),
+    }

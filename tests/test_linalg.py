@@ -8,9 +8,9 @@ from mapcert.errors import DimensionMismatch, KernelInclusionViolated
 from mapcert.linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
-    _kept_eigenvalues,
+    _kept,
     _norm,
-    _rank_from_eigenvalues,
+    _rank,
     _row_kernels,
     as_matrix,
     image_projector,
@@ -80,8 +80,16 @@ def test_numerical_rank_zero_matrix():
 def test_eigenvalue_rank_cuts_the_moduli_as_the_singular_value_rank(w, kept):
     # ascending eigenvalues, as eigh returns them: the largest modulus may come first
     w = np.array(w)
-    assert _kept_eigenvalues(w, DEFAULT_TOL).tolist() == kept
-    assert _rank_from_eigenvalues(w, DEFAULT_TOL) == sum(kept) == numerical_rank(np.diag(w))
+    assert _kept(w, DEFAULT_TOL).tolist() == kept
+    assert _rank(w, DEFAULT_TOL) == sum(kept) == numerical_rank(np.diag(w))
+
+
+def test_the_rank_cut_of_a_stack_counts_each_row_as_the_rank_of_its_diagonal():
+    # descending singular values per row, as a stacked SVD returns them; one row is all zero
+    s = np.array([[3.0, 1e-7, 2e-8, 1e-9], [0.0, 0.0, 0.0, 0.0], [1e-300, 1e-301, 1e-309, 0.0], [5.0, 5.0, 5.0, 5.0]])
+    counts = np.count_nonzero(_kept(s, DEFAULT_TOL), axis=-1)
+    assert counts.tolist() == [numerical_rank(np.diag(row)) for row in s] == [2, 0, 2, 4]
+    assert [_rank(row, DEFAULT_TOL) for row in s] == counts.tolist()
 
 
 def test_kernel_basis_spans_the_kernel():
