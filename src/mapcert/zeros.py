@@ -60,16 +60,23 @@ cached ``eigh``), not from how the map was written down, trying in order:
    off the common kernel, and saturates with it.  At n >= 3 with k = m,
    random lines are drawn until a stall window admits nothing.  Other
    points where M drops below its generic rank are not sought; missing
-   zeros can only lower the spans.  k > m at n >= 3 goes on to the
-   harvest.  Points and lines come from a fixed generator, and every search
-   is capped at n^2 m + window draws (d^2 m + window on a common kernel of
-   dimension d), the most a growing span there can use, and its strong span
-   has a proven ceiling: d^2 m on the common kernel, else
-   min(n^2 m - rank Phi(1), n(nm - k)), which ``certify_exposed`` checks.
-3. Anything else: the harvest.
+   zeros can only lower the spans.  k > m at n >= 3 leaves this, the
+   primal side, open; a CP map then runs the dual side: as h^H K_s conj(x)
+   is bilinear, Phi's zeros (x, h) are the zeros (h, x) of the map m -> n
+   with the stack K_s^T, routed as above with n and m swapped and offered
+   to Phi's admission with residuals under Phi.  Its common kernel is 0, as
+   r = m on the primal side.  Points and lines come from a fixed generator,
+   and every search is capped at n^2 m + window draws (d^2 m + window on a
+   common kernel of dimension d), the most a growing span there can use,
+   and its strong span has a proven ceiling: d^2 m on the common kernel,
+   else min(n^2 m - rank Phi(1), n(nm - k)), which ``certify_exposed``
+   checks; on either side, n and m are Phi's.
+3. Anything else (a CP map with k > m and k > n at n, m >= 3, a co-CP map
+   with k > m at n >= 3): the harvest.
 
 Every route evaluates Phi(|conj(x)><conj(x)|) with ``maps._rank_one_images``,
-one stacked call per cut chunk of points (Kraus routes) or per converged
+one stacked call per cut chunk of points (Kraus routes; on the dual side per
+point, over its kernel columns, Phi's x) or per converged
 pair's mined candidates that the chunk's projections keep (harvest), and offers
 every candidate with its residual under the image of its x to one
 admission object.  It keeps a pair only if the residual is
@@ -406,23 +413,36 @@ _PENCIL_GATE = 1e-4
 
 def _kraus_zeros(phi: MapOperator, stack: np.ndarray, transposed: bool, tol: ToleranceConfig) -> ZeroSet | None:
     """Exact zero pairs of Phi(a) = sum_s K_s a K_s^H (``transposed``: K_s a^T K_s^H) from the (k, m, n)
-    Kraus stack, or None when no exact route applies (see the module docstring).
+    Kraus stack, or None when no exact route applies on either side (see the module docstring): a CP
+    map that the primal side leaves open runs the dual side, on the stack K_s^T."""
+    zs = _kraus_route(phi, stack, transposed, tol)
+    if zs is None and not transposed:
+        zs = _kraus_route(phi, stack.transpose(0, 2, 1), transposed, tol, dual=True)
+    return zs
+
+
+def _kraus_route(phi: MapOperator, stack: np.ndarray, transposed: bool, tol: ToleranceConfig,
+                 dual: bool = False) -> ZeroSet | None:
+    """One side of ``_kraus_zeros``: the zeros of the map with the (k, m, n) Kraus ``stack``, offered to
+    Phi's admission; on the ``dual`` side (a CP map's K_s^T, whose zeros (x', h') are Phi's (h', x')),
+    each as (h', x') with its residual under Phi.
 
     With y = conj(x) (``transposed``: y = x), (x, h) is a zero iff h^H M(y) = 0 for the m x k matrix
     M(y) = [K_1 y ... K_k y]; the route is picked by the rank r of M at a generic point.  Each search
     runs under ``_stalls``: a chunk of points is row-normalized and cut once, a chunk of lines is drawn
     line by line, and each pair is offered as it is, against the map's ``_zero_bar``.  The set is
     ``saturated`` when each of its searches stalled or reached its ceiling, where at n = 2 one drawn
-    pencil line is all of P^1.
+    pencil line is all of P^1.  The window, the cap and the ceiling are Phi's on either side.
     """
     k, m, n = stack.shape
     admission = _Admission(phi)
     rng = np.random.default_rng(_POINT_SEED)
-    window = max(4, n)
-    cap = n * n * m + window  # each productive point or line grows a span of dimension <= n^2 m
+    window = max(4, phi.dim_in)
+    strong_dim = phi.dim_in * phi.dim_in * phi.dim_out  # n^2 m of Phi
+    cap = strong_dim + window  # each productive point or line grows a span of dimension <= n^2 m
     ref = np.linalg.norm(stack[-1])
     # the proven ceiling of the strong span: the kernel ceiling n^2 m - rank Phi(1) and n(nm - k)
-    ceiling = min(n * n * m - len(_unit_image(phi, tol)[0]), n * (n * m - k))
+    ceiling = min(strong_dim - len(_unit_image(phi, tol)[0]), strong_dim - phi.dim_in * k)
 
     def full(bound=ceiling):
         return len(admission.pairs) >= bound
@@ -431,10 +451,14 @@ def _kraus_zeros(phi: MapOperator, stack: np.ndarray, transposed: bool, tol: Tol
         """Whether each point y of a batch admits a pair, until the admitted count reaches ``bound``.
         The batch is row-normalized once, the left kernels of its M(y) are cut by one ``_row_kernels`` solve
         and the images of its points x (y, or conj(y)) are one stack; x is offered with every orthonormal
-        kernel column h as they are, each with its residual under the image of x."""
+        kernel column h as they are, each with its residual under the image of x.  On the dual side each
+        kernel column is Phi's x and the point Phi's h, so the columns' images are taken instead."""
         ys = ys / np.linalg.norm(ys, axis=1, keepdims=True)
         kernels = _row_kernels(np.einsum("smn,pn->psm", stack, ys).conj(), ref, tol)
         xs = ys if transposed else ys.conj()
+        if dual:
+            return [admission.offer_all((x, h, _norm(image @ h)) for x, image in zip(cols.T, _rank_one_images(phi, cols.T)))
+                    for h, cols in zip(xs, kernels) if not full(bound)]
         return [admission.offer_all((x, h, _norm(image @ h)) for h in hs.T)
                 for x, image, hs in zip(xs, _rank_one_images(phi, xs), kernels) if not full(bound)]
 
@@ -450,8 +474,8 @@ def _kraus_zeros(phi: MapOperator, stack: np.ndarray, transposed: bool, tol: Tol
         return None
     # The common kernel W of the K_s: there M(y) = 0, so every h is a partner (a free block of
     # _row_kernels).  Random points and lines miss it.  Its strong span is W-bar (x) W (x) C^m, of
-    # dimension d^2 m.
-    common = kernel_basis(stack.reshape(k * m, n), tol)
+    # dimension d^2 m.  The dual side runs only where the primal r = m: no h has K_s^H h = 0, so W = 0.
+    common = np.empty((n, 0)) if dual else kernel_basis(stack.reshape(k * m, n), tol)
     d = common.shape[1]
     saturated = d == 0 or stalled(_gaussian_rows(rng, d * d * m + window, d) @ common.T, d * d * m)
     if r < m or n == 1:  # every x has partners (n = 1 has one x): row kernels at random points

@@ -633,6 +633,15 @@ def test_generate_conjugation_round_trip(capsys):
     assert doc.meta["rank"] == "1"
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_a_generated_cp_map_with_more_kraus_operators_than_outputs_analyzes(seed, tmp_path, capsys):
+    # 3 -> 2 with the default 3 Kraus operators: the dual side of the Kraus route enumerates its zeros
+    assert main(["generate", "--kind", "random-cp", "--n", "3", "--m", "2", "--seed", str(seed)]) == 0
+    doc = write_doc(tmp_path, "cp.json", json.loads(capsys.readouterr().out))
+    assert main(["analyze", doc]) == 0
+    assert "(weak span 3 / 6)" in capsys.readouterr().out
+
+
 def test_generate_is_deterministic(capsys):
     argv = ["generate", "--kind", "random-cp", "--n", "2", "--m", "2", "--seed", "9"]
     main(argv)

@@ -74,22 +74,23 @@ def test_numerical_rank_zero_matrix():
 
 @pytest.mark.parametrize(
     "w, kept",
-    [([0.0, 0.0, 0.0], [False, False, False]), ([-5.0, -1e-10, 1e-9, 1e-7, 2.0], [True, False, False, True, True])],
-    ids=["all-zero", "mixed-sign"],
+    [
+        ([0.0, 0.0, 0.0], [False, False, False]),
+        ([-5.0, -1e-10, 1e-9, 1e-7, 2.0], [True, False, False, True, True]),
+        # a (K, k) stack of descending singular values, one row all zero, cut row by row
+        ([[3.0, 1e-7, 2e-8, 1e-9], [0.0, 0.0, 0.0, 0.0], [1e-300, 1e-301, 1e-309, 0.0], [5.0, 5.0, 5.0, 5.0]],
+         [[True, True, False, False], [False] * 4, [True, True, False, False], [True] * 4]),
+    ],
+    ids=["all-zero", "mixed-sign", "stack"],
 )
 def test_eigenvalue_rank_cuts_the_moduli_as_the_singular_value_rank(w, kept):
     # ascending eigenvalues, as eigh returns them: the largest modulus may come first
     w = np.array(w)
     assert _kept(w, DEFAULT_TOL).tolist() == kept
-    assert _rank(w, DEFAULT_TOL) == sum(kept) == numerical_rank(np.diag(w))
-
-
-def test_the_rank_cut_of_a_stack_counts_each_row_as_the_rank_of_its_diagonal():
-    # descending singular values per row, as a stacked SVD returns them; one row is all zero
-    s = np.array([[3.0, 1e-7, 2e-8, 1e-9], [0.0, 0.0, 0.0, 0.0], [1e-300, 1e-301, 1e-309, 0.0], [5.0, 5.0, 5.0, 5.0]])
-    counts = np.count_nonzero(_kept(s, DEFAULT_TOL), axis=-1)
-    assert counts.tolist() == [numerical_rank(np.diag(row)) for row in s] == [2, 0, 2, 4]
-    assert [_rank(row, DEFAULT_TOL) for row in s] == counts.tolist()
+    rows = w.reshape(-1, w.shape[-1])
+    counts = np.count_nonzero(_kept(rows, DEFAULT_TOL), axis=-1).tolist()
+    assert [_rank(row, DEFAULT_TOL) for row in rows] == counts == [numerical_rank(np.diag(row)) for row in rows]
+    assert counts == [sum(row) for row in np.reshape(kept, rows.shape)]
 
 
 def test_kernel_basis_spans_the_kernel():

@@ -977,11 +977,41 @@ def test_a_cp_map_with_a_deficient_unit_image_takes_the_row_kernels(monkeypatch,
 
 
 def test_a_cp_map_with_k_above_m_at_n_3_is_harvested(monkeypatch):
-    phi = cp_map_from_kraus(random_kraus_operators(3, 2, 3, seed=0))
+    # k = 4 exceeds both n = 3 and m = 3, so neither the primal nor the dual side has an exact route
+    phi = cp_map_from_kraus(random_kraus_operators(3, 3, 4, seed=0))
     calls = counted_descents(monkeypatch)
     zs = find_zeros(phi, seed=0)
     assert calls and [(p.x.tobytes(), p.h.tobytes()) for p in zs.pairs] == [
         (p.x.tobytes(), p.h.tobytes()) for p in harvest_zeros(phi, seed=0).pairs]
+
+
+def span_summary(zs):
+    return len(zs.pairs), weak_span_dim(zs), strong_span_dim(zs), zs.saturated
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("n, m, k", [(3, 3, 3), (4, 3, 3), (3, 4, 3), (3, 2, 2)])
+def test_the_dual_side_matches_the_primal_side_where_both_route_exactly(n, m, k, seed):
+    # the dual side runs on the stack K_s^T and offers each of its zeros (x', h') to Phi as (h', x')
+    phi = random_cp_map(n, m, k, seed=seed)
+    stack = mapcert.maps._kraus_stack(phi, k, False)
+    primal = mapcert.zeros._kraus_zeros(phi, stack, False, DEFAULT_TOL)
+    dual = mapcert.zeros._kraus_route(phi, stack.transpose(0, 2, 1), False, DEFAULT_TOL, dual=True)
+    assert span_summary(dual) == span_summary(primal)
+    for p in dual.pairs:
+        assert p.residual <= phi._zero_bar
+        assert np.linalg.norm(apply(phi, np.outer(p.x.conj(), p.x)) @ p.h) <= phi._zero_bar
+
+
+@pytest.mark.parametrize("n, m, k, pairs", [(3, 2, 3, 3), (4, 2, 4, 4), (4, 3, 4, 32)])
+def test_a_cp_map_that_only_the_dual_side_routes_keeps_its_ceilings(monkeypatch, n, m, k, pairs):
+    # k > m at n >= 3 leaves the primal side open; on K_s^T (m -> n) k = n, where the pencils apply
+    phi = random_cp_map(n, m, k, seed=1)
+    calls = counted_descents(monkeypatch)
+    zs = find_zeros(phi)
+    assert not calls and zs.saturated
+    assert (len(zs.pairs), weak_span_dim(zs), strong_span_dim(zs)) == (pairs, n * m - k, pairs)
+    assert strong_span_dim(zs) <= n * (n * m - k)
 
 
 @pytest.mark.parametrize("n, m, k", [(2, 3, 2), (2, 2, 2), (3, 3, 3), (4, 3, 3), (3, 4, 3)])
