@@ -11,15 +11,16 @@ it against two closed-form candidates that disagree whenever n != m:
 Three routes produce the measured value: the exact Kraus route on the one
 operator K = V^H, the structure-blind harvest, and a brute-force oracle
 that solves the zero condition exactly in h over a dense random grid of x.
-The oracle is deliberately naive.  It shares ``linalg``'s free-row rule and
-closed-form row kernels with the Kraus route and ``numerical_rank`` with
-both.  It shares neither the Kraus stack, nor its points, nor admission, so
-it still catches a bug in any of those.  Each of its stages runs as
-whole-array steps (one draw per kind of point, one closed-form kernel block
-for its generic rows, one broadcast per kind of row), which change no math:
-the same points, kernel spans and columns as a loop over points.  The
-stages are nested, and each makes its one rank decision on a running
-triangular factor of every column drawn so far.
+The oracle is deliberately naive.  It shares ``linalg``'s free-row rule
+and closed-form row kernels with the Kraus route and the rank cut
+``_kept`` with both.  It shares neither the Kraus stack, nor its points,
+nor admission, so it still catches a bug in any of those.  Each of its
+stages runs as whole-array steps (one draw per kind of point, one
+closed-form kernel block for its generic rows, one broadcast per kind of
+row), which change no math: the same points, kernel spans and columns as a
+loop over points.  The stages are nested; the first decides the rank of
+its columns, and each later one only how many directions its columns add
+off the span so far.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 
 from .errors import CrossCheckError, DimensionMismatch, OracleUnstable, RankInfeasible, ZeroOperator
 from .linalg import DEFAULT_TOL, ToleranceConfig, _rank, as_matrix, image_projector, numerical_rank
-from .linalg import _free_rows, _householder_kernels
+from .linalg import _free_rows, _householder_kernels, _kept
 from .maps import MapOperator, _gaussian_rows, _ginibre, apply, choi_spectral_scale, cp_map_from_kraus, from_conjugation
 from .zeros import _kraus_zeros, harvest_zeros, strong_span_dim
 
@@ -285,14 +286,20 @@ def brute_force_strong_dim_oracle(
     For fixed x the zero condition of a conjugation map is a single linear
     constraint on h, solvable exactly; sampling x densely and accumulating
     every resulting strong vector reduces the question to one rank
-    computation.  Each stage stacks its new columns, as rows, under the
-    running triangular factor R of all earlier ones (one QR, so R stays at
-    most n^2 m square) and takes the numerical rank of R, whose singular
-    values are those of every column so far; QR is backward stable, so the
-    cut is as sound as an SVD of the columns.  The value is accepted only
-    when two consecutive doublings of the points agree, that is, when a
-    doubling added no direction; otherwise ``OracleUnstable`` names each
-    stage's point total and dimension.
+    computation.  The first stage takes the QR of its columns, as rows, and
+    the SVD of R (at most n^2 m square; QR is backward stable, so the cut is
+    as sound as an SVD of the columns): its rank d, and its trailing right
+    singular vectors, as the rows of P, span the complement of the span.
+    As rank [A; B] = rank A + rank(B P^H) for such a P (Golub and Van Loan,
+    Matrix Computations, 4th ed., ch. 5 and 6), every later stage factors
+    only its rows' coordinates B P^H on that complement, n^2 m - d wide:
+    the count of its small factor's singular values that ``_kept`` keeps,
+    against the first stage's sigma_max as the reference, is the directions
+    it adds, and P loses them.  That reference is at most the running
+    sigma_max of every column so far.  The value is accepted only when two
+    consecutive doublings of the points agree, that is, when a doubling
+    added no direction; otherwise ``OracleUnstable`` names each stage's
+    point total and dimension.
     """
     v = as_matrix(v)
     if not np.any(v):
@@ -302,14 +309,18 @@ def brute_force_strong_dim_oracle(
     rank = _rank(s, tol)
     # the stratum is ker V^H = U[:, rank:] (transposed), else ker V^T, its conjugate
     stratum = None if rank == n else (u[:, rank:] if transposed else u[:, rank:].conj())
-    r = np.zeros((0, n * n * m), dtype=complex)
     drawn, stages = 0, []  # (points drawn so far, dimension) per stage
     for stage in range(5):
         fresh = max(drawn, _ORACLE_GRID)
-        generators = _oracle_generators(v, transposed, float(s[0]), stratum, fresh, tol, seed, stage)
-        r = np.linalg.qr(np.vstack([r, generators.T]), mode="r")
+        rows = _oracle_generators(v, transposed, float(s[0]), stratum, fresh, tol, seed, stage).T
+        if stage:  # only the new rows' part off the span so far can add a direction
+            rows = rows @ complement.conj().T
+        _, values, vh = np.linalg.svd(np.linalg.qr(rows, mode="r"))
+        top = top if stage else values[0]
+        new = int(np.count_nonzero(_kept(np.append(values, top), tol)[:-1]))
+        complement = vh[new:] @ complement if stage else vh[new:]
         drawn += fresh
-        stages.append((drawn, numerical_rank(r, tol)))
+        stages.append((drawn, new + (stages[-1][1] if stage else 0)))
         if stage and stages[-1][1] == stages[-2][1]:
             return stages[-1][1]
     history = ", ".join(f"{points} -> {dim}" for points, dim in stages)

@@ -61,18 +61,19 @@ cached ``eigh``), not from how the map was written down, trying in order:
    random lines are drawn until a stall window admits nothing.  Other
    points where M drops below its generic rank are not sought; missing
    zeros can only lower the spans.  k > m at n >= 3 leaves this, the
-   primal side, open; a CP map then runs the dual side: as h^H K_s conj(x)
-   is bilinear, Phi's zeros (x, h) are the zeros (h, x) of the map m -> n
-   with the stack K_s^T, routed as above with n and m swapped and offered
-   to Phi's admission with residuals under Phi.  Its common kernel is 0, as
-   r = m on the primal side.  Points and lines come from a fixed generator,
-   and every search is capped at n^2 m + window draws (d^2 m + window on a
-   common kernel of dimension d), the most a growing span there can use,
-   and its strong span has a proven ceiling: d^2 m on the common kernel,
-   else min(n^2 m - rank Phi(1), n(nm - k)), which ``certify_exposed``
-   checks; on either side, n and m are Phi's.
-3. Anything else (a CP map with k > m and k > n at n, m >= 3, a co-CP map
-   with k > m at n >= 3): the harvest.
+   primal side, open; the map then runs the dual side, the map m -> n of
+   the same kind with the stack K_s^T: as h^H K_s y is bilinear, a CP
+   Phi's zeros (x, h) are its zeros (h, x), a co-CP Phi's its zeros
+   (conj(h), conj(x)).  They are routed as above with n and m swapped and
+   offered to Phi's admission with residuals under Phi.  Its common kernel
+   is 0, as r = m on the primal side.  Points and lines come from a fixed
+   generator, and every search is capped at n^2 m + window draws (d^2 m +
+   window on a common kernel of dimension d), the most a growing span
+   there can use, and its strong span has a proven ceiling: d^2 m on the
+   common kernel, else min(n^2 m - rank Phi(1), n(nm - k)), which
+   ``certify_exposed`` checks; on either side, n and m are Phi's.
+3. Anything else (a CP or co-CP map with k > m and k > n at n, m >= 3):
+   the harvest.
 
 Every route evaluates Phi(|conj(x)><conj(x)|) with ``maps._rank_one_images``,
 one stacked call per cut chunk of points (Kraus routes; on the dual side per
@@ -338,6 +339,10 @@ def _budget(phi: MapOperator, starts: int | None) -> int:
 def find_zeros(phi: MapOperator, seed: int = 0, starts: int | None = None, tol: ToleranceConfig = DEFAULT_TOL) -> ZeroSet:
     """The zero set of Phi by the route its Choi spectrum proves (see the module docstring).
 
+    A CP or co-CP map takes the Kraus route, on its primal or else its dual
+    side, unless k > m and k > n at n, m >= 3; that map, and any other,
+    takes the harvest.
+
     ``seed`` and ``starts`` are the harvest's (an empty budget is rejected on
     every route); a zero set the spectrum proves reports ``saturated``.
     ``tol`` decides the rank k of C (or of C^G) that picks the Kraus route,
@@ -413,10 +418,10 @@ _PENCIL_GATE = 1e-4
 
 def _kraus_zeros(phi: MapOperator, stack: np.ndarray, transposed: bool, tol: ToleranceConfig) -> ZeroSet | None:
     """Exact zero pairs of Phi(a) = sum_s K_s a K_s^H (``transposed``: K_s a^T K_s^H) from the (k, m, n)
-    Kraus stack, or None when no exact route applies on either side (see the module docstring): a CP
-    map that the primal side leaves open runs the dual side, on the stack K_s^T."""
+    Kraus stack, or None when no exact route applies on either side (see the module docstring): a map
+    that the primal side leaves open runs the dual side, on the stack K_s^T."""
     zs = _kraus_route(phi, stack, transposed, tol)
-    if zs is None and not transposed:
+    if zs is None:
         zs = _kraus_route(phi, stack.transpose(0, 2, 1), transposed, tol, dual=True)
     return zs
 
@@ -424,8 +429,8 @@ def _kraus_zeros(phi: MapOperator, stack: np.ndarray, transposed: bool, tol: Tol
 def _kraus_route(phi: MapOperator, stack: np.ndarray, transposed: bool, tol: ToleranceConfig,
                  dual: bool = False) -> ZeroSet | None:
     """One side of ``_kraus_zeros``: the zeros of the map with the (k, m, n) Kraus ``stack``, offered to
-    Phi's admission; on the ``dual`` side (a CP map's K_s^T, whose zeros (x', h') are Phi's (h', x')),
-    each as (h', x') with its residual under Phi.
+    Phi's admission; on the ``dual`` side (K_s^T, whose zeros (x', h') are Phi's (h', x'), or
+    (conj(h'), conj(x')) when ``transposed``), each as Phi's pair with its residual under Phi.
 
     With y = conj(x) (``transposed``: y = x), (x, h) is a zero iff h^H M(y) = 0 for the m x k matrix
     M(y) = [K_1 y ... K_k y]; the route is picked by the rank r of M at a generic point.  Each search
@@ -452,13 +457,15 @@ def _kraus_route(phi: MapOperator, stack: np.ndarray, transposed: bool, tol: Tol
         The batch is row-normalized once, the left kernels of its M(y) are cut by one ``_row_kernels`` solve
         and the images of its points x (y, or conj(y)) are one stack; x is offered with every orthonormal
         kernel column h as they are, each with its residual under the image of x.  On the dual side each
-        kernel column is Phi's x and the point Phi's h, so the columns' images are taken instead."""
+        kernel column (conjugated when ``transposed``) is Phi's x and conj(y) Phi's h, so the images of
+        Phi's xs are taken instead."""
         ys = ys / np.linalg.norm(ys, axis=1, keepdims=True)
         kernels = _row_kernels(np.einsum("smn,pn->psm", stack, ys).conj(), ref, tol)
-        xs = ys if transposed else ys.conj()
         if dual:
-            return [admission.offer_all((x, h, _norm(image @ h)) for x, image in zip(cols.T, _rank_one_images(phi, cols.T)))
-                    for h, cols in zip(xs, kernels) if not full(bound)]
+            xss = (cols.T.conj() if transposed else cols.T for cols in kernels)
+            return [admission.offer_all((x, h, _norm(image @ h)) for x, image in zip(xs, _rank_one_images(phi, xs)))
+                    for h, xs in zip(ys.conj(), xss) if not full(bound)]
+        xs = ys if transposed else ys.conj()
         return [admission.offer_all((x, h, _norm(image @ h)) for h in hs.T)
                 for x, image, hs in zip(xs, _rank_one_images(phi, xs), kernels) if not full(bound)]
 

@@ -213,33 +213,60 @@ def test_one_oracle_call_runs_one_svd_of_v_and_one_per_stage(n, m, rank, transpo
     assert counts["stages"] >= 2 and counts["svd"] == 1 + counts["stages"]
 
 
-@pytest.mark.parametrize("grid", [200, 8])
-@pytest.mark.parametrize("n,m,rank,transposed", [(3, 4, 3, True), (4, 3, 2, True), (3, 3, 2, False)])
-def test_each_oracle_stage_is_the_span_of_every_block_drawn_so_far(n, m, rank, transposed, grid, monkeypatch):
+def spied_oracle_stages(n, m, rank, transposed, grid, monkeypatch):
+    """Run the oracle on a seeded n x m operator of the given rank at ``grid`` points, and return each
+    stage's block of strong columns, its dimension (the running sum of the directions the rank cut
+    keeps, the appended reference excluded) and the shape of each QR it runs."""
     v = random_rank_operator(n, m, rank, seed=5)
-    blocks, dims = [], []
+    blocks, new, qr_shapes = [], [], []
+    generators, kept, qr = experiments._oracle_generators, experiments._kept, np.linalg.qr
 
     def drawn(*args):
-        blocks.append(_oracle_generators(*args))
+        blocks.append(generators(*args))
         return blocks[-1]
 
-    def rank_of_r(r, tol):
-        assert r.shape[1] == n * n * m and r.shape[0] <= n * n * m
-        dims.append(numerical_rank(r, tol))
-        return dims[-1]
+    def counted(values, tol):
+        mask = kept(values, tol)
+        new.append(int(np.count_nonzero(mask[:-1])))
+        return mask
+
+    def qr_spy(a, *args, **kwargs):
+        qr_shapes.append(np.shape(a))
+        return qr(a, *args, **kwargs)
 
     monkeypatch.setattr(experiments, "_ORACLE_GRID", grid)
     monkeypatch.setattr(experiments, "_oracle_generators", drawn)
-    monkeypatch.setattr(experiments, "numerical_rank", rank_of_r)
+    monkeypatch.setattr(experiments, "_kept", counted)
+    monkeypatch.setattr(np.linalg, "qr", qr_spy)
     try:
         brute_force_strong_dim_oracle(v, transposed=transposed, seed=5)
     except OracleUnstable:
         pass
+    return blocks, [int(dim) for dim in np.cumsum(new)], qr_shapes
+
+
+@pytest.mark.parametrize("grid", [200, 8, 1])
+@pytest.mark.parametrize("n,m,rank,transposed", [(3, 4, 3, True), (4, 3, 2, True), (3, 3, 2, False)])
+def test_each_oracle_stage_is_the_span_of_every_block_drawn_so_far(n, m, rank, transposed, grid, monkeypatch):
+    blocks, dims, _ = spied_oracle_stages(n, m, rank, transposed, grid, monkeypatch)
     assert len(dims) == len(blocks) >= 2
-    # grid 200 accepts at stage 1; grid 8 runs more stages, the stratum cell (4x3 rank 2) included
+    # grid 200 accepts at stage 1; grids 8 and 1 run more stages, the stratum cell (4x3 rank 2) included
     assert grid == 200 or len(dims) >= 3
     assert dims == [span_dimension(np.hstack(blocks[: stage + 1])) for stage in range(len(dims))]
     assert dims == sorted(dims)
+
+
+@pytest.mark.parametrize("grid", [200, 8, 1])
+@pytest.mark.parametrize("n,m,rank,transposed", [(3, 4, 3, True), (4, 3, 2, True), (3, 3, 2, False)])
+def test_each_later_oracle_stage_factors_only_the_complement_of_the_span_so_far(n, m, rank, transposed, grid,
+                                                                                monkeypatch):
+    # stage 0 factors its strong columns, as rows of n^2 m entries; every later stage factors only
+    # their coordinates on the complement of the span so far, n^2 m - d of them at dimension d
+    blocks, dims, qr_shapes = spied_oracle_stages(n, m, rank, transposed, grid, monkeypatch)
+    assert len(qr_shapes) == len(blocks) == len(dims) >= 2
+    assert [rows for rows, _ in qr_shapes] == [block.shape[1] for block in blocks]
+    assert qr_shapes[0][1] == n * n * m
+    assert [cols for _, cols in qr_shapes[1:]] == [n * n * m - dim for dim in dims[:-1]]
 
 
 def test_the_oracle_never_runs_an_svd_wider_or_taller_than_n2m(monkeypatch):

@@ -137,6 +137,21 @@ def test_default_inputs_rerun_the_seed_1_mixed_documents_at_another_rank_thresho
     assert all(len(document) == 2 for document in documents if document not in rerun)
 
 
+def test_the_last_analyze_documents_are_the_co_cp_partial_transposes_of_random_cp_maps():
+    from mapcert.documents import parse_map_file, to_map_operator
+    from mapcert.experiments import random_cp_map
+
+    tool = load_tool()
+    documents = tool.default_inputs()[2]
+    assert len(documents) == 274
+    shapes = [(n, m, k, seed) for n, m, k in ((3, 2, 3), (4, 2, 4), (4, 3, 4)) for seed in range(3)]
+    for (text, seed), (n, m, k, map_seed) in zip(documents[-9:], shapes, strict=True):
+        phi = to_map_operator(parse_map_file(text))
+        twin = random_cp_map(n, m, k, seed=map_seed).choi.reshape(n, m, n, m).transpose(2, 1, 0, 3)
+        # a -> Phi(a^T): its block matrix is the partial transpose of the CP map's, k > m at n >= 3
+        assert seed == map_seed and np.array_equal(phi.choi, twin.reshape(n * m, n * m))
+
+
 def test_run_listing_names_the_analyze_run_whose_bytes_moved():
     tool = load_tool()
 

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import mapcert.maps
 import mapcert.zeros
+from mapcert.certify import CERTIFIED, INCONCLUSIVE, certify_exposed, certify_optimal
 from mapcert.documents import matrix_to_payload, parse_map_file, to_map_operator
 from mapcert.errors import ZeroOperator
 from mapcert.experiments import random_cp_map, random_kraus_operators, random_rank_operator, sweep_cells
@@ -1012,6 +1013,48 @@ def test_a_cp_map_that_only_the_dual_side_routes_keeps_its_ceilings(monkeypatch,
     assert not calls and zs.saturated
     assert (len(zs.pairs), weak_span_dim(zs), strong_span_dim(zs)) == (pairs, n * m - k, pairs)
     assert strong_span_dim(zs) <= n * (n * m - k)
+
+
+def partial_transpose(phi):
+    """The map a -> Phi(a^T): its block matrix is the partial transpose of Phi's."""
+    n, m = phi.dim_in, phi.dim_out
+    return MapOperator(n, m, phi.choi.reshape(n, m, n, m).transpose(2, 1, 0, 3).reshape(n * m, n * m))
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("n, m, k, optimal", [(3, 2, 3, INCONCLUSIVE), (4, 2, 4, INCONCLUSIVE), (4, 3, 4, CERTIFIED)])
+def test_a_co_cp_map_that_only_the_dual_side_routes_has_the_zeros_of_its_cp_twin(monkeypatch, n, m, k, optimal, seed):
+    # a -> Phi(a^T) is co-CP with the Kraus stack of the CP twin Phi, and k > m at n >= 3 leaves its
+    # primal side open; its zeros are the twin's (x, h) as (conj(x), h), so the dual side on K_s^T keeps
+    # as many pairs with as large a strong span.  Before the dual side served co-CP maps, the harvest
+    # kept 9 and 12 pairs on the first two shapes and certified them, and the third exceeded its ceiling
+    twin = random_cp_map(n, m, k, seed=seed)
+    phi = partial_transpose(twin)
+    reference = find_zeros(twin, seed=1)
+    routes = kraus_routes(monkeypatch)
+    zs = find_zeros(phi, seed=1)
+    assert routes == [True] and zs.saturated
+    assert (len(zs.pairs), strong_span_dim(zs)) == (len(reference.pairs), strong_span_dim(reference))
+    # both residuals of each pair are within the zero bar: the quadratic one, ||Phi(|conj(x)><conj(x)|) h||,
+    # and the linear one, ||Phi*(|h><h|) conj(x)||, which a pair only near the zero set reads about
+    # the square root of its quadratic one
+    xs, hs = np.array([p.x for p in zs.pairs]), np.array([p.h for p in zs.pairs])
+    quadratic = [np.linalg.norm(apply(phi, np.outer(p.x.conj(), p.x)) @ p.h) for p in zs.pairs]
+    adjoint_images = mapcert.maps._rank_one_images(phi, hs.conj(), adjoint=True)
+    linear = np.linalg.norm(np.einsum("skl,sl->sk", adjoint_images, xs.conj()), axis=1)
+    assert max(*quadratic, *linear, *(p.residual for p in zs.pairs)) <= phi._zero_bar
+    assert certify_optimal(phi, zs).verdict == optimal
+    assert certify_exposed(phi, zs).verdict == INCONCLUSIVE
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_the_optimal_certificate_of_the_dual_routed_co_cp_map_rests_on_a_wide_weak_margin(seed):
+    # 4 -> 3 at k = 4 certifies Optimal on 32 exact zeros whose weak vectors span all of C^12; the
+    # twelfth singular value of their rows is at least 4.7e-2 of the first, six orders above the rank
+    # cut, so the full weak span does not rest on the threshold
+    zs = find_zeros(partial_transpose(random_cp_map(4, 3, 4, seed=seed)), seed=1)
+    s = np.linalg.svd(zs.weak_vectors, compute_uv=False)
+    assert len(s) == 12 and s[11] >= 4.7e-2 * s[0]
 
 
 @pytest.mark.parametrize("n, m, k", [(2, 3, 2), (2, 2, 2), (3, 3, 3), (4, 3, 3), (3, 4, 3)])

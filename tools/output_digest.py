@@ -24,15 +24,18 @@ The families are:
 * ``oracle``: ``brute_force_strong_dim_oracle`` on those 64 cells, with
   ``transposed`` True and then False: the integer each call returns, or
   the class name of the exception it raises;
-* ``analyze``: 265 runs of ``mapcert analyze --json``, on 241 documents:
+* ``analyze``: 274 runs of ``mapcert analyze --json``, on 250 documents:
   perfbench's analyze-mixed entries at seeds 1-3 (72), the seed-1 ones
   again with ``--tol 1e-7`` (24), its analyze-large entries (3),
   50 documents of each ``mapcert generate`` kind over n, m in 2..4 (150,
-  whose generate bytes are hashed too) and 16 invalid documents, one per
+  whose generate bytes are hashed too), 16 invalid documents, one per
   error path of the map-document parser (bad JSON, non-UTF-8 bytes, a
   non-object, V = 0, wrong shapes, an empty or non-list Kraus payload,
   non-Hermitian Choi matrices at two scales, bad entries and an unknown
-  field): stdout, stderr and exit code;
+  field), and the Choi documents of the co-CP maps a -> Phi(a^T) for
+  Phi = ``random_cp_map(n, m, k, seed)`` at 3->2 k=3, 4->2 k=4 and 4->3
+  k=4, seeds 0-2 (9), which only the dual side of the Kraus route routes
+  exactly: stdout, stderr and exit code;
 * ``analyze-json``: the report bytes of those analyze runs;
 * ``harvest``: ``harvest_zeros`` on maps whose zeros are not exact, where
   the descent's last bits decide which pairs are kept: the generalized
@@ -251,6 +254,21 @@ def _invalid_documents() -> list[tuple[str | bytes, int]]:
     return [(document, 0) for document in documents]
 
 
+def _co_cp_documents() -> list[tuple[str, int]]:
+    """Choi documents of the co-CP maps a -> Phi(a^T), Phi = ``random_cp_map(n, m, k, seed)``, with
+    k > m at n >= 3 and k <= n, at seeds 0-2, each analyzed at its seed."""
+    from mapcert.documents import matrix_to_payload
+    from mapcert.experiments import random_cp_map
+
+    documents = []
+    for n, m, k in ((3, 2, 3), (4, 2, 4), (4, 3, 4)):
+        for seed in range(3):
+            choi = random_cp_map(n, m, k, seed=seed).choi.reshape(n, m, n, m).transpose(2, 1, 0, 3)
+            payload = matrix_to_payload(choi.reshape(n * m, n * m))
+            documents.append((json.dumps({"kind": "choi", "dim_in": n, "dim_out": m, "payload": payload}), seed))
+    return documents
+
+
 def _perfbench_documents() -> list[tuple]:
     sys.path.insert(0, str(PERFBENCH))
     try:
@@ -293,7 +311,7 @@ def default_inputs():
     from mapcert.experiments import sweep_cells
 
     cells = [(n, m, r, seed) for seed in (0, 1) for n, m, r in sweep_cells()]
-    documents = _perfbench_documents() + _generated_documents() + _invalid_documents()
+    documents = _perfbench_documents() + _generated_documents() + _invalid_documents() + _co_cp_documents()
     return list(SWEEPS), cells, documents, _harvest_inputs(), _positivity_inputs()
 
 
